@@ -2,42 +2,19 @@
 //!
 //! The engine thread owns a single model; running one rollout per forecast
 //! request would serialize concurrent clients behind full forward passes.
-//! Instead, when a forecast request arrives the engine keeps draining its
-//! queue for a short window ([`drain_window`]) and answers every forecast
-//! collected — plus anything already queued — with **one** autoregressive
-//! rollout to the maximum requested horizon. Ingests collected in the same
-//! window are applied first, so all coalesced forecasts observe the same,
-//! freshest window state.
+//! Instead, when a forecast request arrives the engine sweeps whatever is
+//! already queued behind it ([`drain_backlog`]) and answers every forecast
+//! collected with **one** rollout to the largest requested horizon. It never
+//! waits for more: forecasts that arrive while a rollout runs queue up and
+//! form the next batch. Ingests swept in the same pass are applied first, so
+//! all coalesced forecasts observe the same, freshest window state.
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::Receiver;
 
-/// Drain everything that arrives on `rx` within `window`, up to `cap`
-/// messages. Returns immediately-queued messages even when `window` is
-/// zero; never blocks past the deadline.
-pub fn drain_window<T>(rx: &Receiver<T>, window: Duration, cap: usize) -> Vec<T> {
-    let deadline = Instant::now() + window;
-    let mut out = Vec::new();
-    while out.len() < cap {
-        // try_recv first so a zero window still sweeps the backlog.
-        match rx.try_recv() {
-            Ok(msg) => {
-                out.push(msg);
-                continue;
-            }
-            Err(_) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match rx.recv_timeout(deadline - now) {
-                    Ok(msg) => out.push(msg),
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-    }
-    out
+/// The messages already queued on `rx`, at most `cap` of them, without
+/// blocking.
+pub fn drain_backlog<T>(rx: &Receiver<T>, cap: usize) -> impl Iterator<Item = T> + '_ {
+    rx.try_iter().take(cap)
 }
 
 #[cfg(test)]
@@ -46,13 +23,13 @@ mod tests {
     use std::sync::mpsc;
 
     #[test]
-    fn zero_window_sweeps_only_the_backlog() {
+    fn sweeps_only_the_backlog() {
         let (tx, rx) = mpsc::channel();
         for i in 0..3 {
             tx.send(i).unwrap();
         }
-        assert_eq!(drain_window(&rx, Duration::ZERO, 64), vec![0, 1, 2]);
-        assert_eq!(drain_window(&rx, Duration::ZERO, 64), Vec::<i32>::new());
+        assert_eq!(drain_backlog(&rx, 64).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(drain_backlog(&rx, 64).count(), 0);
     }
 
     #[test]
@@ -61,30 +38,7 @@ mod tests {
         for i in 0..10 {
             tx.send(i).unwrap();
         }
-        assert_eq!(drain_window(&rx, Duration::ZERO, 4).len(), 4);
-        assert_eq!(drain_window(&rx, Duration::ZERO, 64).len(), 6);
-    }
-
-    #[test]
-    fn waits_out_the_window_for_stragglers() {
-        let (tx, rx) = mpsc::channel();
-        let sender = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            tx.send(41).unwrap();
-            tx.send(42).unwrap();
-        });
-        let got = drain_window(&rx, Duration::from_millis(500), 64);
-        sender.join().unwrap();
-        assert_eq!(got, vec![41, 42]);
-    }
-
-    #[test]
-    fn disconnected_sender_ends_the_drain_early() {
-        let (tx, rx) = mpsc::channel::<i32>();
-        tx.send(7).unwrap();
-        drop(tx);
-        let start = Instant::now();
-        assert_eq!(drain_window(&rx, Duration::from_secs(5), 64), vec![7]);
-        assert!(start.elapsed() < Duration::from_secs(1), "drain must not wait on a dead channel");
+        assert_eq!(drain_backlog(&rx, 4).count(), 4);
+        assert_eq!(drain_backlog(&rx, 64).count(), 6);
     }
 }

@@ -6,19 +6,26 @@
 //! activations live in a thread-local arena — so the daemon builds the
 //! model *inside* one long-lived engine thread and serializes all access
 //! through message passing. HTTP workers block on a reply channel; the
-//! engine coalesces concurrent forecasts into one batched rollout (see
-//! [`crate::batcher`]).
+//! engine answers every forecast already queued behind the first one from
+//! one rollout (see [`crate::batcher`]).
+//!
+//! The rollout is a memo keyed by [`FlowWindow::next_index`]: the window is
+//! append-only, so that index fixes every frame a rollout reads, and step
+//! `h` reads only window frames and steps `0..h`. A forecast at an
+//! unchanged window computes only the steps past the cached prefix — none
+//! for a horizon already served — and an accepted ingest starts a new memo.
 //!
 //! Steady-state inference is allocation-free: one [`Tape::forward_only`]
 //! tape and [`Session`] are hoisted for the engine's lifetime and `reset`
-//! between passes (recycling arena buffers), and the closeness / period /
-//! trend staging tensors are filled in place from the ring buffer.
+//! between passes (recycling arena buffers), the closeness / period /
+//! trend staging tensors are filled in place from the ring buffer, and the
+//! memo's frames are sized once at boot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use muse_autograd::Tape;
 use muse_nn::Session;
@@ -29,7 +36,7 @@ use muse_traffic::{GridMap, SubSeriesSpec};
 use musenet::MuseNet;
 
 use crate::api::{ForecastResponse, IngestAck, LatentNorms};
-use crate::batcher::drain_window;
+use crate::batcher::drain_backlog;
 use crate::quality::{QualityConfig, QualityTracker};
 use crate::spectral::SpectralSweeper;
 use crate::window::FlowWindow;
@@ -90,10 +97,7 @@ pub struct EngineOptions {
     /// inherit `MUSE_THREADS` / auto). The engine pins this itself because
     /// the pool's thread-local override does not cross thread boundaries.
     pub threads: Option<usize>,
-    /// How long the engine keeps collecting concurrent forecasts after the
-    /// first one before running the batched rollout.
-    pub batch_window: Duration,
-    /// Most messages coalesced into one batch.
+    /// Most queued messages swept into one batch behind a forecast.
     pub max_batch: usize,
     /// Quality-monitoring configuration (journal, estimators, alerts).
     pub quality: QualityConfig,
@@ -104,13 +108,7 @@ pub struct EngineOptions {
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        EngineOptions {
-            threads: None,
-            batch_window: Duration::from_millis(2),
-            max_batch: 64,
-            quality: QualityConfig::default(),
-            spectral_every: 32,
-        }
+        EngineOptions { threads: None, max_batch: 64, quality: QualityConfig::default(), spectral_every: 32 }
     }
 }
 
@@ -152,12 +150,16 @@ pub struct StatsSnapshot {
     pub next_index: u64,
     /// Forecast requests answered.
     pub forecasts: u64,
-    /// Batched rollouts run.
+    /// Batches of forecasts answered together.
     pub batches: u64,
     /// Size of the most recent batch.
     pub last_batch_size: usize,
     /// Largest batch coalesced so far.
     pub max_batch_size: usize,
+    /// Rollout steps computed (`infer_raw` passes).
+    pub rollout_steps: u64,
+    /// Forecasts answered from the memo without computing a step.
+    pub memo_hits: u64,
     /// Instruction-set level the tensor kernels dispatch to
     /// (`"avx2+fma"` or `"scalar"`).
     pub simd_level: &'static str,
@@ -176,12 +178,17 @@ impl StatsSnapshot {
             ("batches", Json::Num(self.batches as f64)),
             ("last_batch_size", Json::Num(self.last_batch_size as f64)),
             ("max_batch_size", Json::Num(self.max_batch_size as f64)),
+            ("rollout_steps", Json::Num(self.rollout_steps as f64)),
+            ("memo_hits", Json::Num(self.memo_hits as f64)),
             ("simd_level", Json::Str(self.simd_level.to_string())),
         ])
     }
 }
 
 type ForecastReply = Sender<Result<ForecastResponse, EngineError>>;
+
+/// A forecast waiting for its batch: `(horizon, request id, reply)`.
+type Pending = (usize, u64, ForecastReply);
 
 enum Request {
     Ingest { req: u64, frame: Vec<f32>, reply: Sender<Result<IngestAck, EngineError>> },
@@ -316,13 +323,317 @@ impl Drop for Engine {
     }
 }
 
-/// Hoisted per-pass buffers: the three staging input tensors and the
-/// predicted-frame scratch reused across rollout steps.
+/// Hoisted per-pass buffers: the three staging input tensors, plus the
+/// rollout memo — steps `0..memo_len` of the rollout from window state
+/// `memo_base`, each a predicted frame and the latent norms of its pass.
 struct Staging {
     closeness: Tensor,
     period: Tensor,
     trend: Tensor,
     predicted: Vec<Vec<f32>>,
+    norms: Vec<LatentNorms>,
+    memo_base: u64,
+    memo_len: usize,
+}
+
+impl Staging {
+    fn new(grid: GridMap, spec: &SubSeriesSpec) -> Staging {
+        let (h, w) = (grid.height, grid.width);
+        let unset = LatentNorms { closeness: 0.0, period: 0.0, trend: 0.0, interactive: 0.0 };
+        Staging {
+            closeness: Tensor::zeros(&[1, 2 * spec.lc, h, w]),
+            period: Tensor::zeros(&[1, 2 * spec.lp, h, w]),
+            trend: Tensor::zeros(&[1, 2 * spec.lt, h, w]),
+            predicted: vec![vec![0.0; 2 * grid.cells()]; spec.intervals_per_day],
+            norms: vec![unset; spec.intervals_per_day],
+            memo_base: 0,
+            memo_len: 0,
+        }
+    }
+
+    /// Extend the memo to `max_h` rollout steps past the window's newest
+    /// frame and return how many steps were already cached. Step `h`
+    /// forecasts absolute frame `next_index + h`; closeness lags that reach
+    /// past the last real frame are backfilled with earlier predictions,
+    /// while period/trend lags (≥ one day > any served horizon) always read
+    /// ground truth — exactly the scheme of [`MuseNet::predict_multi_step`],
+    /// sliced from the ring buffer.
+    fn rollout(
+        &mut self,
+        model: &MuseNet,
+        session: &Session<'_>,
+        tape: &Tape,
+        window: &FlowWindow,
+        spec: &SubSeriesSpec,
+        max_h: usize,
+    ) -> usize {
+        let frame_len = window.frame_len();
+        let next = window.next_index();
+        if self.memo_base != next {
+            self.memo_base = next;
+            self.memo_len = 0;
+        }
+        let cached = self.memo_len;
+        for h in cached..max_h {
+            let target = next + h as u64;
+            {
+                let dst = self.closeness.as_mut_slice();
+                for (k, &lag) in spec.closeness_lags().iter().enumerate() {
+                    let idx = target - lag as u64;
+                    let src: &[f32] =
+                        if idx >= next { &self.predicted[(idx - next) as usize] } else { window.frame(idx) };
+                    dst[k * frame_len..(k + 1) * frame_len].copy_from_slice(src);
+                }
+            }
+            for (tensor, lags) in [(&mut self.period, spec.period_lags()), (&mut self.trend, spec.trend_lags())] {
+                let dst = tensor.as_mut_slice();
+                for (k, &lag) in lags.iter().enumerate() {
+                    let idx = target - lag as u64;
+                    dst[k * frame_len..(k + 1) * frame_len].copy_from_slice(window.frame(idx));
+                }
+            }
+            tape.reset();
+            session.reset();
+            let out = model.infer_raw(session, &self.closeness, &self.period, &self.trend);
+            // Copy the prediction out before the next reset recycles its arena
+            // buffer; [1, 2, H, W] flattens to one frame.
+            self.predicted[h].copy_from_slice(out.prediction.as_slice());
+            self.norms[h] = LatentNorms {
+                closeness: out.exclusive_mu_norms[0],
+                period: out.exclusive_mu_norms[1],
+                trend: out.exclusive_mu_norms[2],
+                interactive: out.interactive_mu_norm,
+            };
+        }
+        self.memo_len = self.memo_len.max(max_h);
+        cached
+    }
+}
+
+/// Everything the engine thread owns besides the hoisted tape and session.
+struct Serving {
+    model: MuseNet,
+    spec: SubSeriesSpec,
+    grid: GridMap,
+    window: FlowWindow,
+    staging: Staging,
+    tracker: QualityTracker,
+    sweeper: SpectralSweeper,
+    spectral_every: u64,
+    frames_ingested: u64,
+    forecasts: u64,
+    batches: u64,
+    last_batch_size: usize,
+    max_batch_size: usize,
+    rollout_steps: u64,
+    memo_hits: u64,
+}
+
+impl Serving {
+    fn new(model: MuseNet, opts: &EngineOptions) -> Serving {
+        let config = model.config();
+        let (spec, grid) = (config.spec, config.grid);
+        Serving {
+            window: FlowWindow::for_spec(grid, &spec),
+            staging: Staging::new(grid, &spec),
+            tracker: QualityTracker::new(spec.intervals_per_day, &opts.quality),
+            sweeper: SpectralSweeper::new(),
+            spectral_every: opts.spectral_every,
+            model,
+            spec,
+            grid,
+            frames_ingested: 0,
+            forecasts: 0,
+            batches: 0,
+            last_batch_size: 0,
+            max_batch_size: 0,
+            rollout_steps: 0,
+            memo_hits: 0,
+        }
+    }
+
+    fn info(&self) -> EngineInfo {
+        let config = self.model.config();
+        EngineInfo {
+            grid: self.grid,
+            spec: self.spec,
+            frame_len: self.window.frame_len(),
+            window_capacity: self.window.capacity(),
+            max_horizon: self.spec.intervals_per_day,
+            param_count: self.model.param_count(),
+            variant: config.variant.name().to_string(),
+            d: config.d,
+            k: config.k,
+        }
+    }
+
+    fn snapshot(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            frames_ingested: self.frames_ingested,
+            window_frames: self.window.len(),
+            window_capacity: self.window.capacity(),
+            ready: self.window.ready(),
+            next_index: self.window.next_index(),
+            forecasts: self.forecasts,
+            batches: self.batches,
+            last_batch_size: self.last_batch_size,
+            max_batch_size: self.max_batch_size,
+            rollout_steps: self.rollout_steps,
+            memo_hits: self.memo_hits,
+            simd_level: muse_tensor::simd::level_name(),
+        }
+    }
+
+    /// One turn of the engine loop: handle `msg`; if it is a forecast, sweep
+    /// the queued backlog behind it (at most `max_batch` messages) and answer
+    /// every forecast collected with one rollout. Ingests land in arrival
+    /// order before that rollout, so every forecast in the batch sees the
+    /// same, freshest window. Returns whether a shutdown was requested.
+    fn turn(
+        &mut self,
+        msg: Request,
+        rx: &Receiver<Request>,
+        max_batch: usize,
+        session: &Session<'_>,
+        tape: &Tape,
+    ) -> bool {
+        let mut waiting = Vec::new();
+        let mut stop = self.handle(msg, &mut waiting);
+        if !waiting.is_empty() {
+            for extra in drain_backlog(rx, max_batch) {
+                stop |= self.handle(extra, &mut waiting);
+            }
+            self.answer(waiting, session, tape);
+        }
+        stop
+    }
+
+    /// Answer `msg` unless it is a forecast, which joins `waiting` instead.
+    /// Returns whether it was a shutdown request.
+    fn handle(&mut self, msg: Request, waiting: &mut Vec<Pending>) -> bool {
+        match msg {
+            Request::Shutdown => return true,
+            Request::Forecast { req, horizon, reply } => waiting.push((horizon, req, reply)),
+            Request::Ingest { req, frame, reply } => {
+                let _ = reply.send(self.ingest(req, frame));
+            }
+            Request::Stats { reply } => {
+                let _ = reply.send(self.snapshot());
+            }
+            Request::Quality { reply } => {
+                let _ = reply.send(self.tracker.snapshot_json());
+            }
+            Request::Alerts { reply } => {
+                let _ = reply.send(self.tracker.alerts_json());
+            }
+            Request::Spectrum { reply } => {
+                let _ = reply.send(spectrum_json(&self.sweeper, &self.tracker));
+            }
+        }
+        false
+    }
+
+    fn ingest(&mut self, req: u64, frame: Vec<f32>) -> Result<IngestAck, EngineError> {
+        let _span = obs::span("serve.ingest");
+        let index = match self.window.push(&frame) {
+            Ok(index) => index,
+            Err(e) => {
+                reject(req, "ingest", e.clone());
+                return Err(EngineError::BadFrame(e));
+            }
+        };
+        self.frames_ingested += 1;
+        obs::counter("serve.frames_ingested").add(1);
+        obs::emit_with("req.ingest", || {
+            vec![("request", Json::Num(req as f64)), ("index", Json::Num(index as f64))]
+        });
+        self.tracker.on_ingest(&self.window, index, &frame);
+        if self.spectral_every > 0
+            && self.frames_ingested.is_multiple_of(self.spectral_every)
+            && self.sweeper.sweep(&self.window).is_some()
+        {
+            self.tracker.on_spectral(self.sweeper.sweeps(), self.sweeper.last_index(), self.sweeper.last());
+        }
+        Ok(IngestAck { request_id: req, index, frames: self.window.len(), ready: self.window.ready() })
+    }
+
+    /// Answer one batch of forecasts from the memo, extended to the largest
+    /// valid horizon in the batch.
+    fn answer(&mut self, mut waiting: Vec<Pending>, session: &Session<'_>, tape: &Tape) {
+        let max = self.spec.intervals_per_day;
+        waiting.retain(|&(horizon, req, ref reply)| {
+            let valid = (1..=max).contains(&horizon);
+            if !valid {
+                reject(req, "forecast", format!("bad horizon {horizon}"));
+                let _ = reply.send(Err(EngineError::BadHorizon { horizon, max }));
+            }
+            valid
+        });
+        if waiting.is_empty() {
+            return;
+        }
+        if !self.window.ready() {
+            let err = EngineError::NotReady { have: self.window.len(), need: self.window.capacity() };
+            for (_, req, reply) in waiting {
+                reject(req, "forecast", "not_ready".to_string());
+                let _ = reply.send(Err(err.clone()));
+            }
+            return;
+        }
+
+        let batch_size = waiting.len();
+        let max_h = waiting.iter().map(|&(h, _, _)| h).max().expect("non-empty batch");
+        let rollout_id = self.batches + 1;
+        obs::emit_with("req.coalesce", || {
+            vec![
+                ("rollout", Json::Num(rollout_id as f64)),
+                ("batch_size", Json::Num(batch_size as f64)),
+                ("requests", Json::Arr(waiting.iter().map(|&(_, req, _)| Json::Num(req as f64)).collect())),
+            ]
+        });
+        let started = Instant::now();
+        let cached = {
+            let _span = obs::span("serve.forecast.batch");
+            self.staging.rollout(&self.model, session, tape, &self.window, &self.spec, max_h)
+        };
+        obs::histogram("serve.forecast.batch_size").record(batch_size as f64);
+        obs::histogram("serve.forecast.rollout_ns").record(started.elapsed().as_nanos() as f64);
+        obs::counter("serve.forecasts").add(batch_size as u64);
+        let steps = max_h.saturating_sub(cached) as u64;
+        let hits = waiting.iter().filter(|&&(h, _, _)| h <= cached).count() as u64;
+        obs::counter("serve.rollout.steps").add(steps);
+        obs::counter("serve.rollout.memo_hits").add(hits);
+
+        let base = self.window.next_index();
+        for (horizon, req, reply) in waiting {
+            let prediction = &self.staging.predicted[horizon - 1];
+            let target = base + horizon as u64 - 1;
+            self.tracker.record_forecast(req, rollout_id, horizon, target, prediction);
+            obs::emit_with("req.forecast", || {
+                vec![
+                    ("request", Json::Num(req as f64)),
+                    ("rollout", Json::Num(rollout_id as f64)),
+                    ("horizon", Json::Num(horizon as f64)),
+                    ("target", Json::Num(target as f64)),
+                ]
+            });
+            let _ = reply.send(Ok(ForecastResponse {
+                request_id: req,
+                horizon,
+                target_index: target,
+                shape: [2, self.grid.height, self.grid.width],
+                prediction: prediction.clone(),
+                latent_norms: self.staging.norms[horizon - 1],
+                batch_size,
+            }));
+        }
+        self.forecasts += batch_size as u64;
+        self.batches += 1;
+        self.last_batch_size = batch_size;
+        self.max_batch_size = self.max_batch_size.max(batch_size);
+        self.rollout_steps += steps;
+        self.memo_hits += hits;
+    }
 }
 
 fn run_engine(
@@ -331,255 +642,34 @@ fn run_engine(
     rx: Receiver<Request>,
     info_tx: Sender<Result<EngineInfo, String>>,
 ) {
-    let model = match build() {
-        Ok(m) => m,
+    let mut serving = match build() {
+        Ok(model) => Serving::new(model, &opts),
         Err(e) => {
             let _ = info_tx.send(Err(e));
             return;
         }
     };
-    let config = model.config().clone();
-    let spec = config.spec;
-    let grid = config.grid;
-    let frame_len = 2 * grid.cells();
-    let mut window = FlowWindow::for_spec(grid, &spec);
-    let info = EngineInfo {
-        grid,
-        spec,
-        frame_len,
-        window_capacity: window.capacity(),
-        max_horizon: spec.intervals_per_day,
-        param_count: model.param_count(),
-        variant: config.variant.name().to_string(),
-        d: config.d,
-        k: config.k,
-    };
-    if info_tx.send(Ok(info)).is_err() {
+    if info_tx.send(Ok(serving.info())).is_err() {
         return;
     }
-
-    let (h, w) = (grid.height, grid.width);
-    let mut staging = Staging {
-        closeness: Tensor::zeros(&[1, 2 * spec.lc, h, w]),
-        period: Tensor::zeros(&[1, 2 * spec.lp, h, w]),
-        trend: Tensor::zeros(&[1, 2 * spec.lt, h, w]),
-        predicted: Vec::new(),
-    };
     let tape = Tape::forward_only();
     let session = Session::new(&tape);
-
-    let mut frames_ingested: u64 = 0;
-    let mut forecasts: u64 = 0;
-    let mut batches: u64 = 0;
-    let mut last_batch_size: usize = 0;
-    let mut max_batch_size: usize = 0;
-    let mut tracker = QualityTracker::new(spec.intervals_per_day, &opts.quality);
-    let mut sweeper = SpectralSweeper::new();
-    let spectral_every = opts.spectral_every;
-
-    let apply_ingest = |window: &mut FlowWindow,
-                        frames_ingested: &mut u64,
-                        tracker: &mut QualityTracker,
-                        sweeper: &mut SpectralSweeper,
-                        req: u64,
-                        frame: Vec<f32>|
-     -> Result<IngestAck, EngineError> {
-        let _span = obs::span("serve.ingest");
-        let index = match window.push(&frame) {
-            Ok(index) => index,
-            Err(e) => {
-                obs::emit_with("req.reject", || {
-                    vec![
-                        ("request", Json::Num(req as f64)),
-                        ("stage", Json::Str("ingest".to_string())),
-                        ("reason", Json::Str(e.clone())),
-                    ]
-                });
-                return Err(EngineError::BadFrame(e));
-            }
-        };
-        *frames_ingested += 1;
-        obs::counter("serve.frames_ingested").add(1);
-        obs::emit_with("req.ingest", || {
-            vec![("request", Json::Num(req as f64)), ("index", Json::Num(index as f64))]
-        });
-        tracker.on_ingest(window, index, &frame);
-        if spectral_every > 0
-            && (*frames_ingested).is_multiple_of(spectral_every)
-            && sweeper.sweep(window).is_some()
-        {
-            tracker.on_spectral(sweeper.sweeps(), sweeper.last_index(), sweeper.last());
-        }
-        Ok(IngestAck { request_id: req, index, frames: window.len(), ready: window.ready() })
-    };
-
     while let Ok(msg) = rx.recv() {
-        match msg {
-            Request::Shutdown => break,
-            Request::Stats { reply } => {
-                let _ = reply.send(snapshot(
-                    &window,
-                    frames_ingested,
-                    forecasts,
-                    batches,
-                    last_batch_size,
-                    max_batch_size,
-                ));
-            }
-            Request::Quality { reply } => {
-                let _ = reply.send(tracker.snapshot_json());
-            }
-            Request::Alerts { reply } => {
-                let _ = reply.send(tracker.alerts_json());
-            }
-            Request::Spectrum { reply } => {
-                let _ = reply.send(spectrum_json(&sweeper, &tracker));
-            }
-            Request::Ingest { req, frame, reply } => {
-                let _ = reply.send(apply_ingest(
-                    &mut window,
-                    &mut frames_ingested,
-                    &mut tracker,
-                    &mut sweeper,
-                    req,
-                    frame,
-                ));
-            }
-            Request::Forecast { req, horizon, reply } => {
-                // Coalesce: sweep whatever arrives within the batch window
-                // into one rollout. Ingests land first so every coalesced
-                // forecast sees the same, freshest window.
-                let mut waiting = vec![(horizon, req, reply)];
-                let mut stop_after = false;
-                for extra in drain_window(&rx, opts.batch_window, opts.max_batch) {
-                    match extra {
-                        Request::Forecast { req, horizon, reply } => waiting.push((horizon, req, reply)),
-                        Request::Ingest { req, frame, reply } => {
-                            let _ = reply.send(apply_ingest(
-                                &mut window,
-                                &mut frames_ingested,
-                                &mut tracker,
-                                &mut sweeper,
-                                req,
-                                frame,
-                            ));
-                        }
-                        Request::Stats { reply } => {
-                            let _ = reply.send(snapshot(
-                                &window,
-                                frames_ingested,
-                                forecasts,
-                                batches,
-                                last_batch_size,
-                                max_batch_size,
-                            ));
-                        }
-                        Request::Quality { reply } => {
-                            let _ = reply.send(tracker.snapshot_json());
-                        }
-                        Request::Alerts { reply } => {
-                            let _ = reply.send(tracker.alerts_json());
-                        }
-                        Request::Spectrum { reply } => {
-                            let _ = reply.send(spectrum_json(&sweeper, &tracker));
-                        }
-                        Request::Shutdown => stop_after = true,
-                    }
-                }
-
-                let mut valid: Vec<(usize, u64, ForecastReply)> = Vec::with_capacity(waiting.len());
-                for (horizon, req, reply) in waiting {
-                    if horizon == 0 || horizon > info_max_horizon(&spec) {
-                        obs::emit_with("req.reject", || {
-                            vec![
-                                ("request", Json::Num(req as f64)),
-                                ("stage", Json::Str("forecast".to_string())),
-                                ("reason", Json::Str(format!("bad horizon {horizon}"))),
-                            ]
-                        });
-                        let _ = reply
-                            .send(Err(EngineError::BadHorizon { horizon, max: info_max_horizon(&spec) }));
-                    } else {
-                        valid.push((horizon, req, reply));
-                    }
-                }
-                if !valid.is_empty() {
-                    if !window.ready() {
-                        let err = EngineError::NotReady { have: window.len(), need: window.capacity() };
-                        for (_, req, reply) in valid {
-                            obs::emit_with("req.reject", || {
-                                vec![
-                                    ("request", Json::Num(req as f64)),
-                                    ("stage", Json::Str("forecast".to_string())),
-                                    ("reason", Json::Str("not_ready".to_string())),
-                                ]
-                            });
-                            let _ = reply.send(Err(err.clone()));
-                        }
-                    } else {
-                        let batch_size = valid.len();
-                        let max_h = valid.iter().map(|&(h, _, _)| h).max().expect("non-empty batch");
-                        let rollout_id = batches + 1;
-                        obs::emit_with("req.coalesce", || {
-                            vec![
-                                ("rollout", Json::Num(rollout_id as f64)),
-                                ("batch_size", Json::Num(batch_size as f64)),
-                                (
-                                    "requests",
-                                    Json::Arr(
-                                        valid.iter().map(|&(_, req, _)| Json::Num(req as f64)).collect(),
-                                    ),
-                                ),
-                            ]
-                        });
-                        let started = Instant::now();
-                        let steps = {
-                            let _span = obs::span("serve.forecast.batch");
-                            rollout(&model, &session, &tape, &window, &spec, &mut staging, max_h)
-                        };
-                        obs::histogram("serve.forecast.batch_size").record(batch_size as f64);
-                        obs::histogram("serve.forecast.rollout_ns")
-                            .record(started.elapsed().as_nanos() as f64);
-                        obs::counter("serve.forecasts").add(batch_size as u64);
-                        let base = window.next_index();
-                        for (horizon, req, reply) in valid {
-                            let (prediction, latent_norms) = &steps[horizon - 1];
-                            let target = base + horizon as u64 - 1;
-                            tracker.record_forecast(req, rollout_id, horizon, target, prediction);
-                            obs::emit_with("req.forecast", || {
-                                vec![
-                                    ("request", Json::Num(req as f64)),
-                                    ("rollout", Json::Num(rollout_id as f64)),
-                                    ("horizon", Json::Num(horizon as f64)),
-                                    ("target", Json::Num(target as f64)),
-                                ]
-                            });
-                            let _ = reply.send(Ok(ForecastResponse {
-                                request_id: req,
-                                horizon,
-                                target_index: target,
-                                shape: [2, grid.height, grid.width],
-                                prediction: prediction.clone(),
-                                latent_norms: *latent_norms,
-                                batch_size,
-                            }));
-                        }
-                        forecasts += batch_size as u64;
-                        batches += 1;
-                        last_batch_size = batch_size;
-                        max_batch_size = max_batch_size.max(batch_size);
-                    }
-                }
-                if stop_after {
-                    break;
-                }
-            }
+        if serving.turn(msg, &rx, opts.max_batch, &session, &tape) {
+            break;
         }
     }
 }
 
-fn info_max_horizon(spec: &SubSeriesSpec) -> usize {
-    spec.intervals_per_day
+/// Trace a rejected request.
+fn reject(req: u64, stage: &str, reason: String) {
+    obs::emit_with("req.reject", || {
+        vec![
+            ("request", Json::Num(req as f64)),
+            ("stage", Json::Str(stage.to_string())),
+            ("reason", Json::Str(reason)),
+        ]
+    });
 }
 
 /// The `GET /spectrum` payload: the last sweep's detections plus the
@@ -612,84 +702,6 @@ fn spectrum_json(sweeper: &SpectralSweeper, tracker: &QualityTracker) -> Json {
     ])
 }
 
-fn snapshot(
-    window: &FlowWindow,
-    frames_ingested: u64,
-    forecasts: u64,
-    batches: u64,
-    last_batch_size: usize,
-    max_batch_size: usize,
-) -> StatsSnapshot {
-    StatsSnapshot {
-        frames_ingested,
-        window_frames: window.len(),
-        window_capacity: window.capacity(),
-        ready: window.ready(),
-        next_index: window.next_index(),
-        forecasts,
-        batches,
-        last_batch_size,
-        max_batch_size,
-        simd_level: muse_tensor::simd::level_name(),
-    }
-}
-
-/// One autoregressive rollout to `max_h` steps. Step `h` forecasts absolute
-/// frame `next_index + h`; closeness lags that reach past the last real
-/// frame are backfilled with earlier predictions, while period/trend lags
-/// (≥ one day > any served horizon) always read ground truth — exactly the
-/// scheme of [`MuseNet::predict_multi_step`], sliced from the ring buffer.
-fn rollout(
-    model: &MuseNet,
-    session: &Session<'_>,
-    tape: &Tape,
-    window: &FlowWindow,
-    spec: &SubSeriesSpec,
-    staging: &mut Staging,
-    max_h: usize,
-) -> Vec<(Vec<f32>, LatentNorms)> {
-    let frame_len = window.frame_len();
-    let next = window.next_index();
-    while staging.predicted.len() < max_h {
-        staging.predicted.push(vec![0.0; frame_len]);
-    }
-    let mut norms = Vec::with_capacity(max_h);
-    for h in 0..max_h {
-        let target = next + h as u64;
-        {
-            let dst = staging.closeness.as_mut_slice();
-            for (k, &lag) in spec.closeness_lags().iter().enumerate() {
-                let idx = target - lag as u64;
-                let src: &[f32] =
-                    if idx >= next { &staging.predicted[(idx - next) as usize] } else { window.frame(idx) };
-                dst[k * frame_len..(k + 1) * frame_len].copy_from_slice(src);
-            }
-        }
-        for (tensor, lags) in
-            [(&mut staging.period, spec.period_lags()), (&mut staging.trend, spec.trend_lags())]
-        {
-            let dst = tensor.as_mut_slice();
-            for (k, &lag) in lags.iter().enumerate() {
-                let idx = target - lag as u64;
-                dst[k * frame_len..(k + 1) * frame_len].copy_from_slice(window.frame(idx));
-            }
-        }
-        tape.reset();
-        session.reset();
-        let out = model.infer_raw(session, &staging.closeness, &staging.period, &staging.trend);
-        // Copy the prediction out before the next reset recycles its arena
-        // buffer; [1, 2, H, W] flattens to one frame.
-        staging.predicted[h].copy_from_slice(out.prediction.as_slice());
-        norms.push(LatentNorms {
-            closeness: out.exclusive_mu_norms[0],
-            period: out.exclusive_mu_norms[1],
-            trend: out.exclusive_mu_norms[2],
-            interactive: out.interactive_mu_norm,
-        });
-    }
-    staging.predicted.iter().take(max_h).cloned().zip(norms).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,6 +718,13 @@ mod tests {
         cfg
     }
 
+    /// The tiny model on a day of 24 intervals, so horizon 24 is servable.
+    fn day_config() -> MuseNetConfig {
+        let mut cfg = tiny_config();
+        cfg.spec = SubSeriesSpec { lc: 3, lp: 1, lt: 1, intervals_per_day: 24, trend_days: 7 };
+        cfg
+    }
+
     /// Deterministic frame: every cell distinct, varying over time.
     fn frame_at(i: u64, frame_len: usize) -> Vec<f32> {
         (0..frame_len).map(|c| ((i as f32) * 0.05 + c as f32 * 0.01).sin() * 0.5 + 0.5).collect()
@@ -714,6 +733,36 @@ mod tests {
     fn start_tiny(opts: EngineOptions) -> Engine {
         let cfg = tiny_config();
         Engine::start(move || Ok(musenet::MuseNet::new(cfg)), opts).unwrap()
+    }
+
+    /// An engine serving an untrained `cfg` model, filled with frames `0..n`.
+    fn start_filled(cfg: &MuseNetConfig, n: usize) -> Engine {
+        let build = cfg.clone();
+        let engine = Engine::start(move || Ok(musenet::MuseNet::new(build)), EngineOptions::default()).unwrap();
+        for i in 0..n as u64 {
+            engine.ingest(frame_at(i, engine.info().frame_len)).unwrap();
+        }
+        engine
+    }
+
+    /// In-process `predict_multi_step` of an identically-seeded model over
+    /// frames `0..base`, forecasting from `base`.
+    fn reference(cfg: &MuseNetConfig, base: usize, horizons: usize) -> Vec<Tensor> {
+        let frame_len = 2 * cfg.grid.cells();
+        let data: Vec<f32> = (0..base as u64).flat_map(|i| frame_at(i, frame_len)).collect();
+        let flows = FlowSeries::from_tensor(
+            cfg.grid,
+            Tensor::from_vec(data, &[base, 2, cfg.grid.height, cfg.grid.width]),
+        );
+        musenet::MuseNet::new(cfg.clone()).predict_multi_step(&flows, &cfg.spec, &[base], horizons)
+    }
+
+    fn assert_bits(resp: &ForecastResponse, want: &Tensor) {
+        let want = want.as_slice();
+        assert_eq!(resp.prediction.len(), want.len());
+        for (got, want) in resp.prediction.iter().zip(want) {
+            assert_eq!(got.to_bits(), want.to_bits(), "horizon {} diverged", resp.horizon);
+        }
     }
 
     #[test]
@@ -736,26 +785,10 @@ mod tests {
     fn forecast_matches_predict_multi_step_reference() {
         let cfg = tiny_config();
         let n = cfg.spec.min_target();
-        let frame_len = 2 * cfg.grid.cells();
-
-        // Reference: an identically-seeded model rolled out in-process.
-        let reference_model = musenet::MuseNet::new(cfg.clone());
-        let mut data = Vec::with_capacity(n * frame_len);
-        for i in 0..n {
-            data.extend(frame_at(i as u64, frame_len));
-        }
-        let flows = FlowSeries::from_tensor(
-            cfg.grid,
-            Tensor::from_vec(data, &[n, 2, cfg.grid.height, cfg.grid.width]),
-        );
         let horizons = 2;
-        let expected = reference_model.predict_multi_step(&flows, &cfg.spec, &[n], horizons);
+        let expected = reference(&cfg, n, horizons);
 
-        let engine = start_tiny(EngineOptions::default());
-        for i in 0..n as u64 {
-            let ack = engine.ingest(frame_at(i, frame_len)).unwrap();
-            assert_eq!(ack.index, i);
-        }
+        let engine = start_filled(&cfg, n);
         let stats = engine.stats().unwrap();
         assert!(stats.ready);
         assert_eq!(stats.frames_ingested, n as u64);
@@ -764,11 +797,7 @@ mod tests {
             let resp = engine.forecast(h).unwrap();
             assert_eq!(resp.target_index, (n + h - 1) as u64);
             assert_eq!(resp.shape, [2, cfg.grid.height, cfg.grid.width]);
-            let want = expected[h - 1].as_slice();
-            assert_eq!(resp.prediction.len(), want.len());
-            for (got, want) in resp.prediction.iter().zip(want) {
-                assert_eq!(got.to_bits(), want.to_bits(), "horizon {h} diverged");
-            }
+            assert_bits(&resp, &expected[h - 1]);
             assert!(resp.latent_norms.closeness.is_finite());
             assert!(resp.latent_norms.interactive.is_finite());
         }
@@ -791,6 +820,112 @@ mod tests {
                 Some(want) => assert_eq!(&bits, want, "{threads} threads diverged"),
             }
         }
+    }
+
+    #[test]
+    fn shorter_horizon_is_a_pure_memo_hit() {
+        let cfg = day_config();
+        let n = cfg.spec.min_target();
+        let expected = reference(&cfg, n, 24);
+        let engine = start_filled(&cfg, n);
+
+        assert_bits(&engine.forecast(24).unwrap(), &expected[23]);
+        let stats = engine.stats().unwrap();
+        assert_eq!((stats.rollout_steps, stats.memo_hits), (24, 0));
+
+        let resp = engine.forecast(3).unwrap();
+        assert_eq!(resp.target_index, (n + 2) as u64);
+        assert_bits(&resp, &expected[2]);
+        let stats = engine.stats().unwrap();
+        assert_eq!((stats.rollout_steps, stats.memo_hits), (24, 1), "horizon 3 computed no step");
+    }
+
+    #[test]
+    fn longer_horizon_extends_the_cached_prefix() {
+        let cfg = day_config();
+        let n = cfg.spec.min_target();
+        let expected = reference(&cfg, n, 24);
+        let engine = start_filled(&cfg, n);
+
+        assert_bits(&engine.forecast(3).unwrap(), &expected[2]);
+        assert_eq!(engine.stats().unwrap().rollout_steps, 3);
+        assert_bits(&engine.forecast(24).unwrap(), &expected[23]);
+        let stats = engine.stats().unwrap();
+        assert_eq!((stats.rollout_steps, stats.memo_hits), (24, 0), "only steps 3..24 computed");
+        // Every step of the extended memo still matches the reference.
+        for h in [1, 4, 12] {
+            assert_bits(&engine.forecast(h).unwrap(), &expected[h - 1]);
+        }
+        assert_eq!(engine.stats().unwrap().memo_hits, 3);
+    }
+
+    #[test]
+    fn accepted_ingest_invalidates_the_memo() {
+        let cfg = tiny_config();
+        let n = cfg.spec.min_target();
+        let engine = start_filled(&cfg, n);
+        assert_bits(&engine.forecast(2).unwrap(), &reference(&cfg, n, 2)[1]);
+
+        engine.ingest(frame_at(n as u64, engine.info().frame_len)).unwrap();
+        let resp = engine.forecast(2).unwrap();
+        assert_eq!(resp.target_index, (n + 2) as u64);
+        assert_bits(&resp, &reference(&cfg, n + 1, 2)[1]);
+        let stats = engine.stats().unwrap();
+        assert_eq!((stats.rollout_steps, stats.memo_hits), (4, 0), "new base, new rollout");
+    }
+
+    #[test]
+    fn rejected_ingest_keeps_the_memo() {
+        let cfg = tiny_config();
+        let n = cfg.spec.min_target();
+        let engine = start_filled(&cfg, n);
+        let first = engine.forecast(2).unwrap();
+
+        let frame_len = engine.info().frame_len;
+        assert!(matches!(engine.ingest(vec![0.5; frame_len + 1]), Err(EngineError::BadFrame(_))));
+        let mut nan = frame_at(n as u64, frame_len);
+        nan[1] = f32::NAN;
+        assert!(matches!(engine.ingest(nan), Err(EngineError::BadFrame(_))));
+
+        let again = engine.forecast(2).unwrap();
+        assert_eq!(again.target_index, first.target_index);
+        assert_eq!(again.prediction, first.prediction);
+        let stats = engine.stats().unwrap();
+        assert_eq!((stats.rollout_steps, stats.memo_hits), (2, 1));
+    }
+
+    #[test]
+    fn queued_ingests_land_before_the_batch_and_forecasts_share_it() {
+        let cfg = tiny_config();
+        let n = cfg.spec.min_target() as u64;
+        let frame_len = 2 * cfg.grid.cells();
+        let mut serving = Serving::new(musenet::MuseNet::new(cfg), &EngineOptions::default());
+        for i in 0..n {
+            serving.ingest(0, frame_at(i, frame_len)).unwrap();
+        }
+        // Queue an ingest and a second forecast behind the first forecast,
+        // then a shutdown: one turn answers all of it.
+        let (tx, rx) = mpsc::channel();
+        let (ingest_reply, ingest_rx) = mpsc::channel();
+        let (second_reply, second_rx) = mpsc::channel();
+        tx.send(Request::Ingest { req: 2, frame: frame_at(n, frame_len), reply: ingest_reply }).unwrap();
+        tx.send(Request::Forecast { req: 3, horizon: 2, reply: second_reply }).unwrap();
+        tx.send(Request::Shutdown).unwrap();
+        let (first_reply, first_rx) = mpsc::channel();
+        let tape = Tape::forward_only();
+        let session = Session::new(&tape);
+        let first = Request::Forecast { req: 1, horizon: 1, reply: first_reply };
+        assert!(serving.turn(first, &rx, 64, &session, &tape), "the queued shutdown is reported");
+
+        assert_eq!(ingest_rx.recv().unwrap().unwrap().index, n);
+        let (first, second) = (first_rx.recv().unwrap().unwrap(), second_rx.recv().unwrap().unwrap());
+        // next_index is n+1 once the queued frame lands, so horizon 1
+        // targets frame n+1.
+        assert_eq!(first.target_index, n + 1, "forecast must target the post-ingest index");
+        assert_eq!(second.target_index, n + 2);
+        assert_eq!((first.batch_size, second.batch_size), (2, 2));
+        let stats = serving.snapshot();
+        assert_eq!((stats.batches, stats.forecasts, stats.rollout_steps), (1, 2, 2));
     }
 
     #[test]
@@ -824,29 +959,5 @@ mod tests {
         assert_eq!(alerts.get("worst").unwrap().as_str(), Some("ok"));
         let rules = alerts.get("alerts").unwrap().as_arr().unwrap();
         assert!(rules.iter().any(|r| r.get("name").unwrap().as_str() == Some("flow_level_shift")));
-    }
-
-    #[test]
-    fn ingest_during_batch_window_lands_before_the_rollout() {
-        let cfg = tiny_config();
-        let n = cfg.spec.min_target();
-        let frame_len = 2 * cfg.grid.cells();
-        let engine = std::sync::Arc::new(start_tiny(EngineOptions {
-            batch_window: Duration::from_millis(300),
-            ..Default::default()
-        }));
-        for i in 0..n as u64 {
-            engine.ingest(frame_at(i, frame_len)).unwrap();
-        }
-        let for_forecast = engine.clone();
-        let forecaster = std::thread::spawn(move || for_forecast.forecast(1).unwrap());
-        // Land one more frame while the engine is still holding the batch
-        // open; the forecast must see it.
-        std::thread::sleep(Duration::from_millis(50));
-        engine.ingest(frame_at(n as u64, frame_len)).unwrap();
-        let resp = forecaster.join().unwrap();
-        // next_index is n+1 after the straggler lands, so horizon 1
-        // targets frame n+1.
-        assert_eq!(resp.target_index, n as u64 + 1, "forecast must target the post-ingest index");
     }
 }

@@ -9,13 +9,14 @@
 //!   --addr <a>       bind address (default 127.0.0.1:9600; port 0 = ephemeral)
 //!   --workers <n>    connection-handler pool size (default 4)
 //!   --threads <n>    kernel threads for inference (default: MUSE_THREADS/auto)
-//!   --batch-ms <n>   forecast coalescing window in ms (default 2)
-//!   --max-batch <n>  most requests coalesced per rollout (default 64)
+//!   --max-batch <n>  most queued requests swept into one batch (default 64)
 //!   --trace <p>      write a JSONL telemetry trace to <p> (same as MUSE_OBS=<p>)
 //!   --alert <spec>   add an alert rule (repeatable); spec syntax:
 //!                    name:kind:metric=<m>:warn=..:fire=..[:for=n] with kinds
-//!                    threshold | ewma | periodic (see muse_obs::alerts)
-//!   --no-default-alerts  drop the built-in mae_drift / flow_level_shift rules
+//!                    threshold | ewma | periodic | spectral-shift
+//!                    (see muse_obs::alerts)
+//!   --no-default-alerts  drop the built-in mae_drift / flow_level_shift /
+//!                        spectral_shift rules
 //!   --journal <n>    pending-forecast journal capacity (default 4096)
 //!   --quality-window <n>  rolling error-window depth (default 256)
 //!   --spectral-every <n>  run the spectral sweep every n ingests (default 32)
@@ -34,7 +35,6 @@ struct Args {
     addr: String,
     workers: usize,
     threads: Option<usize>,
-    batch_ms: u64,
     max_batch: usize,
     trace: Option<PathBuf>,
     quality: QualityConfig,
@@ -43,9 +43,10 @@ struct Args {
 
 fn usage() -> String {
     "usage: muse-serve --checkpoint path.ckpt [--addr host:port] [--workers n] \
-     [--threads n] [--batch-ms n] [--max-batch n] [--trace path.jsonl] \
-     [--alert spec]... [--no-default-alerts] [--journal n] [--quality-window n] \
-     [--spectral-every n] [--no-spectral]"
+     [--threads n] [--max-batch n] [--trace path.jsonl] \
+     [--alert name:kind:...]... [--no-default-alerts] [--journal n] [--quality-window n] \
+     [--spectral-every n] [--no-spectral]\n\
+     alert kinds: threshold | ewma | periodic | spectral-shift"
         .to_string()
 }
 
@@ -55,7 +56,6 @@ fn parse_args() -> Result<Args, String> {
     let mut addr = "127.0.0.1:9600".to_string();
     let mut workers = 4usize;
     let mut threads = None;
-    let mut batch_ms = 2u64;
     let mut max_batch = 64usize;
     let mut trace = None;
     let mut quality = QualityConfig::default();
@@ -72,10 +72,6 @@ fn parse_args() -> Result<Args, String> {
             "--threads" => {
                 let v = value("--threads")?;
                 threads = Some(v.parse().map_err(|_| format!("bad threads {v}"))?);
-            }
-            "--batch-ms" => {
-                let v = value("--batch-ms")?;
-                batch_ms = v.parse().map_err(|_| format!("bad batch-ms {v}"))?;
             }
             "--max-batch" => {
                 let v = value("--max-batch")?;
@@ -104,7 +100,7 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     let checkpoint = checkpoint.ok_or(format!("--checkpoint is required\n{}", usage()))?;
-    Ok(Args { checkpoint, addr, workers, threads, batch_ms, max_batch, trace, quality, spectral_every })
+    Ok(Args { checkpoint, addr, workers, threads, max_batch, trace, quality, spectral_every })
 }
 
 fn main() {
@@ -143,7 +139,6 @@ fn main() {
 
     let engine_opts = EngineOptions {
         threads: args.threads,
-        batch_window: Duration::from_millis(args.batch_ms),
         max_batch: args.max_batch.max(1),
         quality: args.quality.clone(),
         spectral_every: args.spectral_every,
@@ -191,7 +186,7 @@ fn main() {
                 ("window_capacity", info.window_capacity.to_json()),
                 ("max_horizon", info.max_horizon.to_json()),
                 ("workers", args.workers.to_json()),
-                ("batch_ms", args.batch_ms.to_json()),
+                ("max_batch", args.max_batch.to_json()),
                 ("threads", args.threads.map_or(Json::Null, |t| Json::Num(t as f64))),
                 ("simd", Json::Str(muse_tensor::simd::level_name().to_string())),
                 ("version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),

@@ -107,17 +107,23 @@ curl -sf "http://$SERVE_ADDR/healthz" | grep -q '"ready":true'
 curl -sf "http://$SERVE_ADDR/forecast?horizon=1" -o target/ci_serve_forecast.json
 grep -q '"prediction"' target/ci_serve_forecast.json
 grep -q '"latent_norms"' target/ci_serve_forecast.json
+# No ingest in between: the same window state answers from the rollout memo.
+curl -sf "http://$SERVE_ADDR/forecast?horizon=1" -o /dev/null
+memo_hits=$(curl -sf "http://$SERVE_ADDR/stats" | grep -o '"memo_hits":[0-9]*' | cut -d: -f2)
+[ "${memo_hits:-0}" -ge 1 ] || { echo "/stats reports no rollout memo hit (memo_hits=${memo_hits:-missing})" >&2; exit 1; }
 curl -sf "http://$SERVE_ADDR/debug/profile/status" | grep -q '"running":true'
 curl -sf "http://$SERVE_ADDR/debug/profile?seconds=30" -o target/ci_serve_profile.folded
 curl -sf "http://$SERVE_ADDR/metrics" -o target/ci_serve_metrics.txt
 cargo run -q --release -p muse-trace -- promcheck target/ci_serve_metrics.txt
 grep -q '^muse_serve_forecasts_total' target/ci_serve_metrics.txt
+grep -q '^muse_serve_rollout_steps_total' target/ci_serve_metrics.txt
+grep -q '^muse_serve_rollout_memo_hits_total' target/ci_serve_metrics.txt
 grep -q '^muse_prof_samples_total' target/ci_serve_metrics.txt
 grep -q '^muse_build_info{' target/ci_serve_metrics.txt
 kill $SERVE_PID 2>/dev/null || true
 wait $SERVE_PID 2>/dev/null || true
 trap - EXIT
-echo "    daemon served $capacity ingests + a forecast, live profile endpoints up, /metrics well-formed"
+echo "    daemon served $capacity ingests + two forecasts (one a memo hit), live profile endpoints up, /metrics well-formed"
 
 echo "==> serve quality: replay a seeded level-shift stream, assert the drift alert fires"
 QUALITY_ADDR=127.0.0.1:19666
