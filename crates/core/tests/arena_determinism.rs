@@ -11,6 +11,12 @@ use muse_traffic::flow::FlowSeries;
 use muse_traffic::grid::GridMap;
 use muse_traffic::subseries::SubSeriesSpec;
 use musenet::{MuseNet, MuseNetConfig, Trainer, TrainerOptions};
+use std::sync::Mutex;
+
+/// Serialises the tests in this file: `arena::set_enabled(false)` disables
+/// and clears the process-wide pool, which would zero the pool hits another
+/// test is counting on a parallel test thread.
+static ARENA_LOCK: Mutex<()> = Mutex::new(());
 
 /// A smooth daily pattern so training has structure to fit.
 fn patterned_flows(grid: GridMap, days: usize, f: usize) -> FlowSeries {
@@ -68,6 +74,7 @@ fn train_with_arena(enabled: bool) -> (Vec<u32>, Vec<Vec<u32>>) {
 
 #[test]
 fn pooled_training_is_bit_identical_to_fresh_allocation() {
+    let _lock = ARENA_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     // Reference: fresh allocations, single thread.
     let (ref_losses, ref_params) = with_threads(1, || train_with_arena(false));
     assert_eq!(ref_losses.len(), 3);
@@ -87,6 +94,7 @@ fn pooled_training_is_bit_identical_to_fresh_allocation() {
 
 #[test]
 fn pooled_training_recycles_buffers() {
+    let _lock = ARENA_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     // A steady-state batch should be served overwhelmingly from the pool:
     // after a warm-up epoch, later epochs allocate (almost) no new bytes.
     let _ = with_threads(1, || {

@@ -53,7 +53,7 @@ fn sweep_bits(profile: &Profile) -> Vec<(String, Vec<u32>)> {
 #[test]
 fn fleet_is_bit_identical_to_sequential() {
     let profile = mini_profile();
-    // Native level first; add the scalar twin when the box detects SIMD.
+    // Native level first; add the baseline (scalar) copy when the box detects SIMD.
     let mut levels = vec![simd::detected_level()];
     if simd::detected_level() != simd::Level::Scalar {
         levels.push(simd::Level::Scalar);

@@ -247,6 +247,8 @@ fn run_job<R>(label: &str, idx: usize, worker: usize, threads: usize, job: Fleet
 
 #[cfg(test)]
 mod tests {
+    //! Tests that run a fleet hold `obs::test_lock()`: the `sched.*`
+    //! counters are process-global, and one test asserts exact counts.
     use super::*;
 
     #[test]
@@ -282,6 +284,7 @@ mod tests {
 
     #[test]
     fn run_fleet_preserves_submission_order() {
+        let _g = obs::test_lock();
         for jobs in [1usize, 2, 4, 9] {
             let out = with_jobs(jobs, || run_fleet("test.squares", squares(9)));
             assert_eq!(out, (0..9).map(|i| (i * i) as u64).collect::<Vec<_>>(), "jobs={jobs}");
@@ -290,6 +293,7 @@ mod tests {
 
     #[test]
     fn run_fleet_borrows_from_caller() {
+        let _g = obs::test_lock();
         let data: Vec<u64> = (0..16).collect();
         let jobs: Vec<FleetJob<'_, u64>> =
             data.chunks(4).map(|c| Box::new(move || c.iter().sum::<u64>()) as FleetJob<'_, u64>).collect();
@@ -299,6 +303,7 @@ mod tests {
 
     #[test]
     fn workers_partition_intra_op_budget() {
+        let _g = obs::test_lock();
         // Budget 4, 2 workers → each job sees a 2-thread intra-op pool.
         let seen = crate::with_threads(4, || {
             assert_eq!(partition_threads(2), 2);
@@ -316,6 +321,7 @@ mod tests {
 
     #[test]
     fn sequential_fleet_runs_inline_with_callers_pool() {
+        let _g = obs::test_lock();
         // jobs=1 must not spawn workers: the caller's thread-local pool
         // override stays visible inside every job.
         crate::with_threads(3, || {
@@ -328,6 +334,7 @@ mod tests {
 
     #[test]
     fn nested_fleet_runs_inline() {
+        let _g = obs::test_lock();
         let out = with_jobs(2, || {
             run_fleet(
                 "test.outer",
@@ -353,6 +360,7 @@ mod tests {
 
     #[test]
     fn panic_propagates_after_other_jobs_finish() {
+        let _g = obs::test_lock();
         use std::sync::atomic::AtomicUsize;
         let survived = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {

@@ -385,7 +385,9 @@ impl Staging {
                     dst[k * frame_len..(k + 1) * frame_len].copy_from_slice(src);
                 }
             }
-            for (tensor, lags) in [(&mut self.period, spec.period_lags()), (&mut self.trend, spec.trend_lags())] {
+            for (tensor, lags) in
+                [(&mut self.period, spec.period_lags()), (&mut self.trend, spec.trend_lags())]
+            {
                 let dst = tensor.as_mut_slice();
                 for (k, &lag) in lags.iter().enumerate() {
                     let idx = target - lag as u64;
@@ -704,6 +706,8 @@ fn spectrum_json(sweeper: &SpectralSweeper, tracker: &QualityTracker) -> Json {
 
 #[cfg(test)]
 mod tests {
+    //! Every test here holds `obs::test_lock()`: the serving counters are
+    //! process-global, and `http::tests` asserts exact counts.
     use super::*;
     use muse_traffic::FlowSeries;
     use musenet::MuseNetConfig;
@@ -738,7 +742,8 @@ mod tests {
     /// An engine serving an untrained `cfg` model, filled with frames `0..n`.
     fn start_filled(cfg: &MuseNetConfig, n: usize) -> Engine {
         let build = cfg.clone();
-        let engine = Engine::start(move || Ok(musenet::MuseNet::new(build)), EngineOptions::default()).unwrap();
+        let engine =
+            Engine::start(move || Ok(musenet::MuseNet::new(build)), EngineOptions::default()).unwrap();
         for i in 0..n as u64 {
             engine.ingest(frame_at(i, engine.info().frame_len)).unwrap();
         }
@@ -767,6 +772,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_frames_and_horizons_and_not_ready() {
+        let _g = obs::test_lock();
         let engine = start_tiny(EngineOptions::default());
         let info = engine.info().clone();
         assert!(matches!(engine.ingest(vec![0.0; 3]), Err(EngineError::BadFrame(_))));
@@ -783,6 +789,7 @@ mod tests {
 
     #[test]
     fn forecast_matches_predict_multi_step_reference() {
+        let _g = obs::test_lock();
         let cfg = tiny_config();
         let n = cfg.spec.min_target();
         let horizons = 2;
@@ -805,6 +812,7 @@ mod tests {
 
     #[test]
     fn forecasts_are_bit_identical_across_thread_counts() {
+        let _g = obs::test_lock();
         let cfg = tiny_config();
         let n = cfg.spec.min_target();
         let frame_len = 2 * cfg.grid.cells();
@@ -824,6 +832,7 @@ mod tests {
 
     #[test]
     fn shorter_horizon_is_a_pure_memo_hit() {
+        let _g = obs::test_lock();
         let cfg = day_config();
         let n = cfg.spec.min_target();
         let expected = reference(&cfg, n, 24);
@@ -842,6 +851,7 @@ mod tests {
 
     #[test]
     fn longer_horizon_extends_the_cached_prefix() {
+        let _g = obs::test_lock();
         let cfg = day_config();
         let n = cfg.spec.min_target();
         let expected = reference(&cfg, n, 24);
@@ -861,6 +871,7 @@ mod tests {
 
     #[test]
     fn accepted_ingest_invalidates_the_memo() {
+        let _g = obs::test_lock();
         let cfg = tiny_config();
         let n = cfg.spec.min_target();
         let engine = start_filled(&cfg, n);
@@ -876,6 +887,7 @@ mod tests {
 
     #[test]
     fn rejected_ingest_keeps_the_memo() {
+        let _g = obs::test_lock();
         let cfg = tiny_config();
         let n = cfg.spec.min_target();
         let engine = start_filled(&cfg, n);
@@ -896,6 +908,7 @@ mod tests {
 
     #[test]
     fn queued_ingests_land_before_the_batch_and_forecasts_share_it() {
+        let _g = obs::test_lock();
         let cfg = tiny_config();
         let n = cfg.spec.min_target() as u64;
         let frame_len = 2 * cfg.grid.cells();
@@ -930,6 +943,7 @@ mod tests {
 
     #[test]
     fn quality_endpoint_scores_once_ground_truth_arrives() {
+        let _g = obs::test_lock();
         let cfg = tiny_config();
         let n = cfg.spec.min_target();
         let frame_len = 2 * cfg.grid.cells();

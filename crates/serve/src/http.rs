@@ -365,6 +365,7 @@ mod tests {
 
     #[test]
     fn routes_statuses_and_payloads() {
+        let _g = obs::test_lock();
         let server = boot();
         let addr = server.addr();
         let frame_len = server.engine().info().frame_len;

@@ -4,6 +4,32 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# with_daemon URL PATTERN BODY CMD...: boot CMD in the background, poll URL
+# until its response matches PATTERN (the last response is kept in
+# target/ci_probe.txt), run the shell function BODY, then stop CMD. A trap
+# stops CMD if anything in between fails.
+with_daemon() {
+    local url=$1 pattern=$2 body=$3
+    shift 3
+    "$@" >/dev/null 2>&1 &
+    local pid=$!
+    # shellcheck disable=SC2064 # expand $pid now: the trap outlives this call
+    trap "kill $pid 2>/dev/null || true" EXIT
+    local up=0
+    for _ in $(seq 1 240); do
+        if curl -sf "$url" -o target/ci_probe.txt 2>/dev/null && grep -q "$pattern" target/ci_probe.txt; then
+            up=1
+            break
+        fi
+        sleep 0.25
+    done
+    [ "$up" = 1 ] || { echo "never got a response matching '$pattern' from $url" >&2; exit 1; }
+    "$body"
+    kill "$pid" 2>/dev/null || true
+    wait "$pid" 2>/dev/null || true
+    trap - EXIT
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -49,120 +75,87 @@ echo "    folded artifact written, backward pass dominant, prof self-diff clean"
 
 echo "==> live /metrics endpoint: serve, scrape, validate exposition"
 METRICS_ADDR=127.0.0.1:19664
-cargo run -q --release -p muse-eval -- fig4 --epochs 1 \
-    --serve-metrics "$METRICS_ADDR" --linger-ms 30000 >/dev/null 2>&1 &
-EVAL_PID=$!
-trap 'kill $EVAL_PID 2>/dev/null || true' EXIT
-scraped=0
-for _ in $(seq 1 120); do
-    if curl -sf "http://$METRICS_ADDR/metrics" -o target/ci_metrics.txt 2>/dev/null \
-        && grep -q '^muse_kernel_calls_total' target/ci_metrics.txt; then
-        scraped=1
-        break
-    fi
-    sleep 0.25
-done
-[ "$scraped" = 1 ] || { echo "never scraped kernel metrics from $METRICS_ADDR" >&2; exit 1; }
-cargo run -q --release -p muse-trace -- promcheck target/ci_metrics.txt
-grep -q '^muse_build_info{' target/ci_metrics.txt || {
-    echo "muse_build_info gauge missing from muse-eval /metrics exposition" >&2
-    exit 1
+metrics_checks() {
+    cp target/ci_probe.txt target/ci_metrics.txt
+    cargo run -q --release -p muse-trace -- promcheck target/ci_metrics.txt
+    grep -q '^muse_build_info{' target/ci_metrics.txt || {
+        echo "muse_build_info gauge missing from muse-eval /metrics exposition" >&2
+        exit 1
+    }
+    curl -sf "http://$METRICS_ADDR/status" | grep -q '"enabled":true'
 }
-curl -sf "http://$METRICS_ADDR/status" | grep -q '"enabled":true'
-kill $EVAL_PID 2>/dev/null || true
-wait $EVAL_PID 2>/dev/null || true
-trap - EXIT
+with_daemon "http://$METRICS_ADDR/metrics" '^muse_kernel_calls_total' metrics_checks \
+    cargo run -q --release -p muse-eval -- fig4 --epochs 1 --serve-metrics "$METRICS_ADDR" --linger-ms 30000
 echo "    /metrics exposition well-formed, /status live"
 
 echo "==> muse-serve daemon: train checkpoint, boot, ingest, forecast, promcheck"
 SERVE_CKPT=target/ci_serve.ckpt
 SERVE_ADDR=127.0.0.1:19665
 cargo run -q --release -p muse-eval -- fig4 --epochs 1 --save-checkpoint "$SERVE_CKPT" >/dev/null
-MUSE_PROF_HZ=97 cargo run -q --release -p muse-serve -- --checkpoint "$SERVE_CKPT" --addr "$SERVE_ADDR" >/dev/null 2>&1 &
-SERVE_PID=$!
-trap 'kill $SERVE_PID 2>/dev/null || true' EXIT
-up=0
-for _ in $(seq 1 120); do
-    if curl -sf "http://$SERVE_ADDR/healthz" -o target/ci_serve_health.json 2>/dev/null; then
-        up=1
-        break
-    fi
-    sleep 0.25
-done
-[ "$up" = 1 ] || { echo "muse-serve never answered /healthz on $SERVE_ADDR" >&2; exit 1; }
-curl -sf "http://$SERVE_ADDR/stats" -o target/ci_serve_stats.json
-frame_len=$(grep -o '"frame_len":[0-9]*' target/ci_serve_stats.json | head -1 | cut -d: -f2)
-capacity=$(grep -o '"window_capacity":[0-9]*' target/ci_serve_stats.json | head -1 | cut -d: -f2)
-[ -n "$frame_len" ] && [ -n "$capacity" ] || { echo "/stats missing frame_len/window_capacity" >&2; exit 1; }
-awk -v n="$frame_len" 'BEGIN {
-    printf "{\"frame\":[";
-    for (i = 0; i < n; i++) printf "%s%.4f", (i ? "," : ""), 0.3 + 0.2 * sin(i * 0.37);
-    printf "]}";
-}' > target/ci_serve_frame.json
-for _ in $(seq 1 "$capacity"); do
-    curl -sf -X POST -H 'Content-Type: application/json' \
-        --data @target/ci_serve_frame.json "http://$SERVE_ADDR/ingest" -o /dev/null
-done
-curl -sf "http://$SERVE_ADDR/healthz" | grep -q '"ready":true'
-curl -sf "http://$SERVE_ADDR/forecast?horizon=1" -o target/ci_serve_forecast.json
-grep -q '"prediction"' target/ci_serve_forecast.json
-grep -q '"latent_norms"' target/ci_serve_forecast.json
-# No ingest in between: the same window state answers from the rollout memo.
-curl -sf "http://$SERVE_ADDR/forecast?horizon=1" -o /dev/null
-memo_hits=$(curl -sf "http://$SERVE_ADDR/stats" | grep -o '"memo_hits":[0-9]*' | cut -d: -f2)
-[ "${memo_hits:-0}" -ge 1 ] || { echo "/stats reports no rollout memo hit (memo_hits=${memo_hits:-missing})" >&2; exit 1; }
-curl -sf "http://$SERVE_ADDR/debug/profile/status" | grep -q '"running":true'
-curl -sf "http://$SERVE_ADDR/debug/profile?seconds=30" -o target/ci_serve_profile.folded
-curl -sf "http://$SERVE_ADDR/metrics" -o target/ci_serve_metrics.txt
-cargo run -q --release -p muse-trace -- promcheck target/ci_serve_metrics.txt
-grep -q '^muse_serve_forecasts_total' target/ci_serve_metrics.txt
-grep -q '^muse_serve_rollout_steps_total' target/ci_serve_metrics.txt
-grep -q '^muse_serve_rollout_memo_hits_total' target/ci_serve_metrics.txt
-grep -q '^muse_prof_samples_total' target/ci_serve_metrics.txt
-grep -q '^muse_build_info{' target/ci_serve_metrics.txt
-kill $SERVE_PID 2>/dev/null || true
-wait $SERVE_PID 2>/dev/null || true
-trap - EXIT
+serve_checks() {
+    cp target/ci_probe.txt target/ci_serve_health.json
+    curl -sf "http://$SERVE_ADDR/stats" -o target/ci_serve_stats.json
+    frame_len=$(grep -o '"frame_len":[0-9]*' target/ci_serve_stats.json | head -1 | cut -d: -f2)
+    capacity=$(grep -o '"window_capacity":[0-9]*' target/ci_serve_stats.json | head -1 | cut -d: -f2)
+    [ -n "$frame_len" ] && [ -n "$capacity" ] || { echo "/stats missing frame_len/window_capacity" >&2; exit 1; }
+    awk -v n="$frame_len" 'BEGIN {
+        printf "{\"frame\":[";
+        for (i = 0; i < n; i++) printf "%s%.4f", (i ? "," : ""), 0.3 + 0.2 * sin(i * 0.37);
+        printf "]}";
+    }' > target/ci_serve_frame.json
+    for _ in $(seq 1 "$capacity"); do
+        curl -sf -X POST -H 'Content-Type: application/json' \
+            --data @target/ci_serve_frame.json "http://$SERVE_ADDR/ingest" -o /dev/null
+    done
+    curl -sf "http://$SERVE_ADDR/healthz" | grep -q '"ready":true'
+    curl -sf "http://$SERVE_ADDR/forecast?horizon=1" -o target/ci_serve_forecast.json
+    grep -q '"prediction"' target/ci_serve_forecast.json
+    grep -q '"latent_norms"' target/ci_serve_forecast.json
+    # No ingest in between: the same window state answers from the rollout memo.
+    curl -sf "http://$SERVE_ADDR/forecast?horizon=1" -o /dev/null
+    memo_hits=$(curl -sf "http://$SERVE_ADDR/stats" | grep -o '"memo_hits":[0-9]*' | cut -d: -f2)
+    [ "${memo_hits:-0}" -ge 1 ] || { echo "/stats reports no rollout memo hit (memo_hits=${memo_hits:-missing})" >&2; exit 1; }
+    curl -sf "http://$SERVE_ADDR/debug/profile/status" | grep -q '"running":true'
+    curl -sf "http://$SERVE_ADDR/debug/profile?seconds=30" -o target/ci_serve_profile.folded
+    curl -sf "http://$SERVE_ADDR/metrics" -o target/ci_serve_metrics.txt
+    cargo run -q --release -p muse-trace -- promcheck target/ci_serve_metrics.txt
+    grep -q '^muse_serve_forecasts_total' target/ci_serve_metrics.txt
+    grep -q '^muse_serve_rollout_steps_total' target/ci_serve_metrics.txt
+    grep -q '^muse_serve_rollout_memo_hits_total' target/ci_serve_metrics.txt
+    grep -q '^muse_prof_samples_total' target/ci_serve_metrics.txt
+    grep -q '^muse_build_info{' target/ci_serve_metrics.txt
+}
+with_daemon "http://$SERVE_ADDR/healthz" . serve_checks \
+    env MUSE_PROF_HZ=97 cargo run -q --release -p muse-serve -- --checkpoint "$SERVE_CKPT" --addr "$SERVE_ADDR"
 echo "    daemon served $capacity ingests + two forecasts (one a memo hit), live profile endpoints up, /metrics well-formed"
 
 echo "==> serve quality: replay a seeded level-shift stream, assert the drift alert fires"
 QUALITY_ADDR=127.0.0.1:19666
 QUALITY_TRACE=target/ci_quality_trace.jsonl
 rm -f "$QUALITY_TRACE"
-cargo run -q --release -p muse-serve --bin muse-serve -- --checkpoint "$SERVE_CKPT" \
-    --addr "$QUALITY_ADDR" --trace "$QUALITY_TRACE" >/dev/null 2>&1 &
-QUALITY_PID=$!
-trap 'kill $QUALITY_PID 2>/dev/null || true' EXIT
-up=0
-for _ in $(seq 1 120); do
-    if curl -sf "http://$QUALITY_ADDR/healthz" -o /dev/null 2>/dev/null; then
-        up=1
-        break
-    fi
-    sleep 0.25
-done
-[ "$up" = 1 ] || { echo "muse-serve (quality leg) never answered /healthz on $QUALITY_ADDR" >&2; exit 1; }
-# Stream warmup + 48 live frames with a 3x level shift injected a day before
-# the end; muse-replay exits nonzero unless the periodic drift alert reaches
-# firing while it polls /alerts after the shift.
-cargo run -q --release -p muse-serve --bin muse-replay -- --addr "$QUALITY_ADDR" \
-    --steps 48 --shift-at $((capacity + 24)) --expect-firing flow_level_shift \
-    | tee target/ci_replay.txt
-grep -q 'detection_latency_frames=' target/ci_replay.txt
-curl -sf "http://$QUALITY_ADDR/quality" -o target/ci_quality.json
-scored=$(grep -o '"scored":[0-9]*' target/ci_quality.json | head -1 | cut -d: -f2)
-[ "${scored:-0}" -gt 0 ] || { echo "/quality scored no forecasts: $(cat target/ci_quality.json)" >&2; exit 1; }
-curl -sf "http://$QUALITY_ADDR/metrics" -o target/ci_quality_metrics.txt
-cargo run -q --release -p muse-trace -- promcheck target/ci_quality_metrics.txt
-grep -q '^muse_quality_mae ' target/ci_quality_metrics.txt
-grep -q '^muse_quality_rmse ' target/ci_quality_metrics.txt
-grep -q '^muse_serve_forecasts_scored_total' target/ci_quality_metrics.txt
-grep -q '^muse_alert_flow_level_shift_state' target/ci_quality_metrics.txt
-grep -q '^muse_alerts_transitions_total' target/ci_quality_metrics.txt
-sleep 2 # the daemon flushes its trace once a second; let the tail land
-kill $QUALITY_PID 2>/dev/null || true
-wait $QUALITY_PID 2>/dev/null || true
-trap - EXIT
+quality_checks() {
+    # Stream warmup + 48 live frames with a 3x level shift injected a day before
+    # the end; muse-replay exits nonzero unless the periodic drift alert reaches
+    # firing while it polls /alerts after the shift.
+    cargo run -q --release -p muse-serve --bin muse-replay -- --addr "$QUALITY_ADDR" \
+        --steps 48 --shift-at $((capacity + 24)) --expect-firing flow_level_shift \
+        | tee target/ci_replay.txt
+    grep -q 'detection_latency_frames=' target/ci_replay.txt
+    curl -sf "http://$QUALITY_ADDR/quality" -o target/ci_quality.json
+    scored=$(grep -o '"scored":[0-9]*' target/ci_quality.json | head -1 | cut -d: -f2)
+    [ "${scored:-0}" -gt 0 ] || { echo "/quality scored no forecasts: $(cat target/ci_quality.json)" >&2; exit 1; }
+    curl -sf "http://$QUALITY_ADDR/metrics" -o target/ci_quality_metrics.txt
+    cargo run -q --release -p muse-trace -- promcheck target/ci_quality_metrics.txt
+    grep -q '^muse_quality_mae ' target/ci_quality_metrics.txt
+    grep -q '^muse_quality_rmse ' target/ci_quality_metrics.txt
+    grep -q '^muse_serve_forecasts_scored_total' target/ci_quality_metrics.txt
+    grep -q '^muse_alert_flow_level_shift_state' target/ci_quality_metrics.txt
+    grep -q '^muse_alerts_transitions_total' target/ci_quality_metrics.txt
+    sleep 2 # the daemon flushes its trace once a second; let the tail land
+}
+with_daemon "http://$QUALITY_ADDR/healthz" . quality_checks \
+    cargo run -q --release -p muse-serve --bin muse-serve -- --checkpoint "$SERVE_CKPT" \
+    --addr "$QUALITY_ADDR" --trace "$QUALITY_TRACE"
 cargo run -q --release -p muse-trace -- quality "$QUALITY_TRACE" | tee target/ci_quality_report.txt
 grep -q 'alert transitions:' target/ci_quality_report.txt
 grep -q 'flow_level_shift' target/ci_quality_report.txt
@@ -175,37 +168,26 @@ grep -q 'detect: PASS (3/3 presets)' target/ci_detect.txt
 SPECTRAL_ADDR=127.0.0.1:19668
 SPECTRAL_TRACE=target/ci_spectral_trace.jsonl
 rm -f "$SPECTRAL_TRACE"
-cargo run -q --release -p muse-serve --bin muse-serve -- --checkpoint "$SERVE_CKPT" \
-    --addr "$SPECTRAL_ADDR" --trace "$SPECTRAL_TRACE" --spectral-every 96 >/dev/null 2>&1 &
-SPECTRAL_PID=$!
-trap 'kill $SPECTRAL_PID 2>/dev/null || true' EXIT
-up=0
-for _ in $(seq 1 120); do
-    if curl -sf "http://$SPECTRAL_ADDR/healthz" -o /dev/null 2>/dev/null; then
-        up=1
-        break
-    fi
-    sleep 0.25
-done
-[ "$up" = 1 ] || { echo "muse-serve (spectral leg) never answered /healthz on $SPECTRAL_ADDR" >&2; exit 1; }
-# Stream the hourly-weekly preset, then compress the time base 3x right at
-# the end of the warmup fill: the window's dominant period moves 24 -> 8
-# intervals and the frozen-baseline spectral-shift rule must reach firing.
-cargo run -q --release -p muse-serve --bin muse-replay -- --addr "$SPECTRAL_ADDR" \
-    --preset hourly-weekly --steps 672 --shift-at "$capacity" --shift-factor 3 \
-    --forecast-every 16 --expect-firing spectral_shift | tee target/ci_spectral_replay.txt
-grep -q 'detection_latency_frames=' target/ci_spectral_replay.txt
-curl -sf "http://$SPECTRAL_ADDR/spectrum" -o target/ci_spectrum.json
-grep -q '"dominant":8' target/ci_spectrum.json
-curl -sf "http://$SPECTRAL_ADDR/metrics" -o target/ci_spectral_metrics.txt
-cargo run -q --release -p muse-trace -- promcheck target/ci_spectral_metrics.txt
-grep -q '^muse_spectral_period_intervals 8' target/ci_spectral_metrics.txt
-grep -q '^muse_spectral_power_share' target/ci_spectral_metrics.txt
-grep -q '^muse_alert_spectral_shift_state 2' target/ci_spectral_metrics.txt
-sleep 2 # the daemon flushes its trace once a second; let the tail land
-kill $SPECTRAL_PID 2>/dev/null || true
-wait $SPECTRAL_PID 2>/dev/null || true
-trap - EXIT
+spectral_checks() {
+    # Stream the hourly-weekly preset, then compress the time base 3x right at
+    # the end of the warmup fill: the window's dominant period moves 24 -> 8
+    # intervals and the frozen-baseline spectral-shift rule must reach firing.
+    cargo run -q --release -p muse-serve --bin muse-replay -- --addr "$SPECTRAL_ADDR" \
+        --preset hourly-weekly --steps 672 --shift-at "$capacity" --shift-factor 3 \
+        --forecast-every 16 --expect-firing spectral_shift | tee target/ci_spectral_replay.txt
+    grep -q 'detection_latency_frames=' target/ci_spectral_replay.txt
+    curl -sf "http://$SPECTRAL_ADDR/spectrum" -o target/ci_spectrum.json
+    grep -q '"dominant":8' target/ci_spectrum.json
+    curl -sf "http://$SPECTRAL_ADDR/metrics" -o target/ci_spectral_metrics.txt
+    cargo run -q --release -p muse-trace -- promcheck target/ci_spectral_metrics.txt
+    grep -q '^muse_spectral_period_intervals 8' target/ci_spectral_metrics.txt
+    grep -q '^muse_spectral_power_share' target/ci_spectral_metrics.txt
+    grep -q '^muse_alert_spectral_shift_state 2' target/ci_spectral_metrics.txt
+    sleep 2 # the daemon flushes its trace once a second; let the tail land
+}
+with_daemon "http://$SPECTRAL_ADDR/healthz" . spectral_checks \
+    cargo run -q --release -p muse-serve --bin muse-serve -- --checkpoint "$SERVE_CKPT" \
+    --addr "$SPECTRAL_ADDR" --trace "$SPECTRAL_TRACE" --spectral-every 96
 cargo run -q --release -p muse-trace -- spectrum "$SPECTRAL_TRACE" | tee target/ci_spectrum_report.txt
 grep -q 'PERIOD SHIFT' target/ci_spectrum_report.txt
 grep -q '24 -> 8 intervals' target/ci_spectrum_report.txt
@@ -266,33 +248,21 @@ echo "    inflated fleet speedups rejected, fleet gate has teeth"
 
 echo "==> fleet scheduler: fig9 mini-sweep under MUSE_JOBS=2, sched metrics live"
 FLEET_ADDR=127.0.0.1:19667
-MUSE_JOBS=2 MUSE_PROF_HZ=97 cargo run -q --release -p muse-eval -- fig9 \
-    --scale 0.45 --epochs 3 --max-batches 4 --repeats 1 \
-    --serve-metrics "$FLEET_ADDR" --linger-ms 30000 >/dev/null 2>&1 &
-FLEET_PID=$!
-trap 'kill $FLEET_PID 2>/dev/null || true' EXIT
-fleet_ok=0
-for _ in $(seq 1 240); do
-    if curl -sf "http://$FLEET_ADDR/metrics" -o target/ci_fleet_metrics.txt 2>/dev/null \
-        && grep -q '^muse_sched_jobs_completed_total' target/ci_fleet_metrics.txt; then
-        fleet_ok=1
-        break
-    fi
-    sleep 0.25
-done
-[ "$fleet_ok" = 1 ] || { echo "never scraped muse_sched_* metrics from $FLEET_ADDR" >&2; exit 1; }
-cargo run -q --release -p muse-trace -- promcheck target/ci_fleet_metrics.txt
-grep -q '^muse_sched_active_jobs' target/ci_fleet_metrics.txt || {
-    echo "muse_sched_active_jobs gauge missing from fleet /metrics exposition" >&2
-    exit 1
+fleet_checks() {
+    cp target/ci_probe.txt target/ci_fleet_metrics.txt
+    cargo run -q --release -p muse-trace -- promcheck target/ci_fleet_metrics.txt
+    grep -q '^muse_sched_active_jobs' target/ci_fleet_metrics.txt || {
+        echo "muse_sched_active_jobs gauge missing from fleet /metrics exposition" >&2
+        exit 1
+    }
+    grep -q '^muse_sched_queue_depth' target/ci_fleet_metrics.txt || {
+        echo "muse_sched_queue_depth gauge missing from fleet /metrics exposition" >&2
+        exit 1
+    }
 }
-grep -q '^muse_sched_queue_depth' target/ci_fleet_metrics.txt || {
-    echo "muse_sched_queue_depth gauge missing from fleet /metrics exposition" >&2
-    exit 1
-}
-kill $FLEET_PID 2>/dev/null || true
-wait $FLEET_PID 2>/dev/null || true
-trap - EXIT
+with_daemon "http://$FLEET_ADDR/metrics" '^muse_sched_jobs_completed_total' fleet_checks \
+    env MUSE_JOBS=2 MUSE_PROF_HZ=97 cargo run -q --release -p muse-eval -- fig9 --scale 0.45 --epochs 3 --max-batches 4 --repeats 1 \
+    --serve-metrics "$FLEET_ADDR" --linger-ms 30000
 echo "    fleet ran under MUSE_JOBS=2, muse_sched_* families well-formed"
 
 echo "==> simd level gauge: /metrics reports the dispatched instruction set"
