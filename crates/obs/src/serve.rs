@@ -10,30 +10,27 @@
 //! * `GET /status`  — a JSON snapshot of the run: uptime, scrape count,
 //!   whether a trace is open and where, and the global event watermark.
 //!
-//! The server is deliberately minimal — one thread, blocking I/O, no
-//! keep-alive — because its job is to let `curl`/Prometheus watch a long
-//! `Trainer::fit` without adding a dependency or a runtime. Dropping the
-//! handle (or calling [`MetricsServer::shutdown`]) stops the listener.
+//! The server is deliberately minimal — one [`crate::http::HttpServer`]
+//! loop, blocking I/O, no keep-alive — because its job is to let
+//! `curl`/Prometheus watch a long `Trainer::fit` without adding a
+//! dependency or a runtime. Dropping the handle (or calling
+//! [`MetricsServer::shutdown`]) stops the listener.
 
-use crate::http::{read_request, respond_error, write_response, Request};
+use crate::http::{HttpServer, Request, Response};
 use crate::json::Json;
 use crate::metrics;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Prometheus content type for text exposition format 0.0.4.
-const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
-
-/// `(status, content type, body)` produced by a [`DebugHandler`].
-pub type DebugResponse = (u16, &'static str, String);
+pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// Handler for `/debug/*` routes, installed by a diagnostic subsystem
 /// (the `muse-prof` sampler) that `muse-obs` itself must not depend on.
-pub type DebugHandler = dyn Fn(&Request) -> DebugResponse + Send + Sync;
+pub type DebugHandler = dyn Fn(&Request) -> Response + Send + Sync;
 
 static DEBUG_HANDLER: Mutex<Option<Arc<DebugHandler>>> = Mutex::new(None);
 
@@ -44,10 +41,17 @@ pub fn set_debug_handler(handler: Arc<DebugHandler>) {
     *DEBUG_HANDLER.lock().unwrap_or_else(|p| p.into_inner()) = Some(handler);
 }
 
-/// Dispatch a `/debug/*` request to the installed handler, if any.
-pub fn debug_request(request: &Request) -> Option<DebugResponse> {
+/// Dispatch a `/debug/*` request to the installed handler, or answer `404`
+/// saying how to install one.
+pub fn debug_request(request: &Request) -> Response {
     let handler = DEBUG_HANDLER.lock().unwrap_or_else(|p| p.into_inner()).clone();
-    handler.map(|h| h(request))
+    handler.map_or_else(
+        || {
+            let why = "no debug handler installed (set MUSE_PROF_HZ to start the muse-prof sampler)\n";
+            (404, "text/plain; charset=utf-8", why.to_string())
+        },
+        |h| h(request),
+    )
 }
 
 static BUILD_INFO: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
@@ -71,37 +75,19 @@ pub fn build_info_json() -> Json {
 
 /// Handle to a running exporter; dropping it shuts the listener down.
 pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    http: HttpServer,
 }
 
 impl MetricsServer {
     /// Bind `addr` (e.g. `127.0.0.1:9464`, port 0 for ephemeral) and start
     /// serving `/metrics` and `/status` from a background thread.
     pub fn start(addr: impl ToSocketAddrs) -> io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
         let started = Instant::now();
-        let scrapes = Arc::new(AtomicU64::new(0));
-        let handle = std::thread::Builder::new()
-            .name("muse-obs-serve".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    // A stuck client must not wedge the exporter forever.
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                    let _ = handle_connection(stream, started, &scrapes);
-                }
-            })
-            .expect("spawn muse-obs-serve thread");
-        Ok(MetricsServer { addr, stop, handle: Some(handle) })
+        let scrapes = AtomicU64::new(0);
+        let http = HttpServer::bind(addr, "muse-obs-serve", 1, Duration::from_secs(2), move |request| {
+            route(request, started, &scrapes)
+        })?;
+        Ok(MetricsServer { http })
     }
 
     /// Honour the `MUSE_OBS_ADDR` environment variable: when set to a bind
@@ -123,56 +109,28 @@ impl MetricsServer {
 
     /// The bound address (resolves port 0 to the actual ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.http.addr()
     }
 
     /// Stop the listener thread and wait for it to exit.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        let Some(handle) = self.handle.take() else { return };
-        self.stop.store(true, Ordering::Relaxed);
-        // Unblock the accept loop with a throwaway connection to ourselves.
-        let _ = TcpStream::connect(self.addr);
-        let _ = handle.join();
+        self.http.shutdown();
     }
 }
 
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
+fn route(request: &Request, started: Instant, scrapes: &AtomicU64) -> Response {
+    if request.method != "GET" {
+        return (405, "text/plain; charset=utf-8", "method not allowed\n".to_string());
     }
-}
-
-fn handle_connection(stream: TcpStream, started: Instant, scrapes: &AtomicU64) -> io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let request = match read_request(&mut reader) {
-        Ok(request) => request,
-        Err(err) => return respond_error(reader.get_mut(), &err),
-    };
-    let (status, content_type, body) = if request.method != "GET" {
-        (405, "text/plain; charset=utf-8", "method not allowed\n".to_string())
-    } else {
-        match request.path.as_str() {
-            "/metrics" => {
-                scrapes.fetch_add(1, Ordering::Relaxed);
-                (200, METRICS_CONTENT_TYPE, render_prometheus())
-            }
-            "/status" => (200, "application/json; charset=utf-8", status_json(started, scrapes).render()),
-            p if p.starts_with("/debug/") => match debug_request(&request) {
-                Some(response) => response,
-                None => (
-                    404,
-                    "text/plain; charset=utf-8",
-                    "no debug handler installed (start the muse-prof sampler)\n".to_string(),
-                ),
-            },
-            _ => (404, "text/plain; charset=utf-8", "not found\n".to_string()),
+    match request.path.as_str() {
+        "/metrics" => {
+            scrapes.fetch_add(1, Ordering::Relaxed);
+            (200, METRICS_CONTENT_TYPE, render_prometheus())
         }
-    };
-    write_response(reader.get_mut(), status, content_type, body.as_bytes())
+        "/status" => (200, "application/json; charset=utf-8", status_json(started, scrapes).render()),
+        p if p.starts_with("/debug/") => debug_request(request),
+        _ => (404, "text/plain; charset=utf-8", "not found\n".to_string()),
+    }
 }
 
 fn status_json(started: Instant, scrapes: &AtomicU64) -> Json {
@@ -307,15 +265,12 @@ fn num(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use crate::http::{exchange, fetch};
+    use std::net::TcpListener;
 
     fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-        let mut response = String::new();
-        io::Read::read_to_string(&mut stream, &mut response).unwrap();
-        let (head, body) = response.split_once("\r\n\r\n").unwrap();
-        (head.to_string(), body.to_string())
+        let (_, head, body) = fetch(addr, "GET", path, None).unwrap();
+        (head, body)
     }
 
     #[test]
@@ -393,6 +348,10 @@ mod tests {
 
         let (head, _) = http_get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"));
+        // Malformed requests are answered, not dropped; a parseable non-GET
+        // is this server's 405.
+        assert_eq!(exchange(addr, b"GET /metrics HTTP/1.1\nHost: x\r\n\r\n").unwrap().0, 400);
+        assert_eq!(fetch(addr, "POST", "/metrics", Some(("text/plain", b""))).unwrap().0, 405);
 
         server.shutdown();
         // The port is released: a fresh bind to the same address succeeds.
@@ -442,26 +401,6 @@ mod tests {
         assert_eq!(body, "echo 42\n");
         let (head, _) = http_get(addr, "/debug/unknown");
         assert!(head.starts_with("HTTP/1.1 404"));
-        server.shutdown();
-    }
-
-    #[test]
-    fn server_answers_malformed_requests_instead_of_dropping() {
-        let _g = crate::test_lock();
-        let server = MetricsServer::start("127.0.0.1:0").unwrap();
-        let addr = server.addr();
-        let raw = |payload: &[u8]| {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.write_all(payload).unwrap();
-            let mut response = String::new();
-            io::Read::read_to_string(&mut stream, &mut response).unwrap();
-            response
-        };
-        // Unknown verb → 405; bare-LF request line → 400; a parseable
-        // non-GET on this server is also 405.
-        assert!(raw(b"FROB /metrics HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 405 "));
-        assert!(raw(b"GET /metrics HTTP/1.1\nHost: x\r\n\r\n").starts_with("HTTP/1.1 400 "));
-        assert!(raw(b"POST /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n").starts_with("HTTP/1.1 405 "));
         server.shutdown();
     }
 }

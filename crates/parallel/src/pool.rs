@@ -232,27 +232,6 @@ impl ThreadPool {
         }
     }
 
-    /// Submit one `'static` fire-and-forget job (e.g. an HTTP connection
-    /// handler) to the pool's queue. Unlike [`ThreadPool::join_all`] this
-    /// does not wait for completion; the job runs on whichever worker pops
-    /// it. On a pool with no workers (`threads <= 1`) the job runs inline
-    /// on the calling thread — a sequential server, not a dropped request.
-    /// A panicking job is caught and counted (`parallel.jobs_panicked`),
-    /// never unwound into a worker's run loop — one bad request must not
-    /// shrink the pool for the rest of the process.
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        let guarded: Job = Box::new(move || {
-            if catch_unwind(AssertUnwindSafe(job)).is_err() && obs::enabled() {
-                obs::counter("parallel.jobs_panicked").add(1);
-            }
-        });
-        if self.threads <= 1 {
-            run_marked(guarded);
-            return;
-        }
-        self.queue.push(guarded);
-    }
-
     /// Split `data` into at most `threads` contiguous chunks (each at least
     /// `min_chunk` long, except possibly the last) and run `f(offset,
     /// chunk)` on each, in parallel. `offset` is the chunk's start index in
@@ -439,36 +418,6 @@ mod tests {
             .collect();
         pool.join_all(jobs);
         assert_eq!(ran.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn spawn_runs_static_jobs_on_any_pool_size() {
-        for threads in [1usize, 4] {
-            let pool = ThreadPool::new(threads);
-            let ran = Arc::new(AtomicUsize::new(0));
-            for _ in 0..16 {
-                let ran = Arc::clone(&ran);
-                pool.spawn(move || {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            // A panicking job must neither propagate nor kill a worker.
-            pool.spawn(|| panic!("connection handler blew up"));
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while ran.load(Ordering::Relaxed) < 16 && std::time::Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-            assert_eq!(ran.load(Ordering::Relaxed), 16, "threads={threads}");
-            // The pool still works after the panic.
-            let again = Arc::clone(&ran);
-            pool.spawn(move || {
-                again.fetch_add(1, Ordering::Relaxed);
-            });
-            while ran.load(Ordering::Relaxed) < 17 && std::time::Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-            assert_eq!(ran.load(Ordering::Relaxed), 17, "threads={threads}");
-        }
     }
 
     #[test]

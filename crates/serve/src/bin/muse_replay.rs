@@ -31,10 +31,9 @@
 //! `/alerts` once the shift is live, and prints the detection latency (in
 //! frames) when the expected alert first reaches `firing`.
 
+use muse_obs::http::fetch;
 use muse_obs::json::{self, Json};
 use muse_traffic::{periodic_preset, CityConfig, CitySimulator, GridMap, PERIODIC_PRESETS};
-use std::io::{Read, Write};
-use std::net::TcpStream;
 
 struct Args {
     addr: String,
@@ -93,24 +92,16 @@ fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("bad {flag} {v}"))
 }
 
-/// One HTTP request over a fresh connection (the daemon serves one request
-/// per connection). Returns (status, body).
-fn http(addr: &str, payload: &[u8]) -> Result<(u16, String), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.write_all(payload).map_err(|e| format!("write {addr}: {e}"))?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response).map_err(|e| format!("read {addr}: {e}"))?;
-    let status: u16 = response
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|rest| rest.get(..3))
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| format!("malformed response from {addr}"))?;
-    let body = response.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    Ok((status, body))
+/// One request over a fresh connection (the daemon serves one request per
+/// connection). Returns (status, body).
+fn http(addr: &str, method: &str, path: &str, body: Option<(&str, &[u8])>) -> Result<(u16, String), String> {
+    let (status, _, reply) =
+        fetch(addr, method, path, body).map_err(|e| format!("{method} {path} on {addr}: {e}"))?;
+    Ok((status, reply))
 }
 
 fn get(addr: &str, path: &str) -> Result<(u16, String), String> {
-    http(addr, format!("GET {path} HTTP/1.1\r\nHost: replay\r\n\r\n").as_bytes())
+    http(addr, "GET", path, None)
 }
 
 fn get_json(addr: &str, path: &str) -> Result<Json, String> {
@@ -122,17 +113,8 @@ fn get_json(addr: &str, path: &str) -> Result<Json, String> {
 }
 
 fn post_frame(addr: &str, frame: &[f32]) -> Result<(), String> {
-    let mut body = Vec::with_capacity(frame.len() * 4);
-    for v in frame {
-        body.extend_from_slice(&v.to_le_bytes());
-    }
-    let mut payload = format!(
-        "POST /ingest HTTP/1.1\r\nHost: replay\r\nContent-Type: application/octet-stream\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    payload.extend_from_slice(&body);
-    let (status, reply) = http(addr, &payload)?;
+    let body: Vec<u8> = frame.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let (status, reply) = http(addr, "POST", "/ingest", Some(("application/octet-stream", &body)))?;
     if status != 200 {
         return Err(format!("POST /ingest -> {status}: {reply}"));
     }

@@ -71,6 +71,12 @@ pub enum EngineError {
         /// Largest horizon this engine serves.
         max: usize,
     },
+    /// The model produced a NaN or infinite value for this step; the
+    /// forecast is refused rather than served with `null`s.
+    NonFinite {
+        /// Horizon of the refused step.
+        horizon: usize,
+    },
     /// The engine thread is gone (shutdown or startup failure).
     Stopped,
 }
@@ -85,6 +91,7 @@ impl std::fmt::Display for EngineError {
             EngineError::BadHorizon { horizon, max } => {
                 write!(f, "horizon {horizon} outside 1..={max}")
             }
+            EngineError::NonFinite { horizon } => write!(f, "non-finite prediction at horizon {horizon}"),
             EngineError::Stopped => write!(f, "engine stopped"),
         }
     }
@@ -609,6 +616,12 @@ impl Serving {
         let base = self.window.next_index();
         for (horizon, req, reply) in waiting {
             let prediction = &self.staging.predicted[horizon - 1];
+            if !prediction.iter().all(|v| v.is_finite()) {
+                obs::counter("serve.forecasts_non_finite").add(1);
+                reject(req, "forecast", "non_finite".to_string());
+                let _ = reply.send(Err(EngineError::NonFinite { horizon }));
+                continue;
+            }
             let target = base + horizon as u64 - 1;
             self.tracker.record_forecast(req, rollout_id, horizon, target, prediction);
             obs::emit_with("req.forecast", || {
@@ -904,6 +917,36 @@ mod tests {
         assert_eq!(again.prediction, first.prediction);
         let stats = engine.stats().unwrap();
         assert_eq!((stats.rollout_steps, stats.memo_hits), (2, 1));
+    }
+
+    #[test]
+    fn non_finite_predictions_are_refused_and_not_journaled() {
+        let _g = obs::test_lock();
+        let cfg = tiny_config();
+        let n = cfg.spec.min_target();
+        let frame_len = 2 * cfg.grid.cells();
+        let build = cfg.clone();
+        let engine = Engine::start(
+            move || {
+                let model = musenet::MuseNet::new(build);
+                let params = model.params();
+                let weight = params.last().expect("model has parameters");
+                weight.set_value(Tensor::from_vec(vec![f32::NAN; weight.len()], &weight.dims()));
+                Ok(model)
+            },
+            EngineOptions::default(),
+        )
+        .unwrap();
+        for i in 0..n as u64 {
+            engine.ingest(frame_at(i, frame_len)).unwrap();
+        }
+        let refused = obs::counter("serve.forecasts_non_finite").get();
+        assert_eq!(engine.forecast(2), Err(EngineError::NonFinite { horizon: 2 }));
+        // The memoized step is refused again, not served on the second ask.
+        assert_eq!(engine.forecast(1), Err(EngineError::NonFinite { horizon: 1 }));
+        assert_eq!(obs::counter("serve.forecasts_non_finite").get(), refused + 2);
+        let q = engine.quality().unwrap();
+        assert_eq!(q.get("pending").unwrap().as_f64(), Some(0.0), "refused forecasts are not journaled");
     }
 
     #[test]

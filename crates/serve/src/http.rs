@@ -1,9 +1,9 @@
 //! The daemon's HTTP front end.
 //!
-//! A dedicated accept thread owns a [`muse_parallel::ThreadPool`] and hands
-//! each connection to a pool worker ([`ThreadPool::spawn`]), so slow clients
-//! never block accept and a panicking handler never kills the server. All
-//! request parsing and response writing goes through [`muse_obs::http`];
+//! `--workers` server loops ([`muse_obs::http::HttpServer`]) each accept,
+//! read, answer and close connections on their own thread; a panicking
+//! handler is answered `500` and never kills a loop. All request parsing,
+//! response writing and shutdown goes through [`muse_obs::http`];
 //! malformed requests are answered (`400`/`405`), not dropped.
 //!
 //! Routes:
@@ -20,32 +20,28 @@
 //! | `/metrics`             | GET    | Prometheus text exposition               |
 //! | `/debug/*`             | GET    | sampling profiler (muse-prof handler)    |
 
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use muse_obs as obs;
-use muse_obs::http::{read_request, respond_error, write_response, Request};
+use muse_obs::http::{HttpServer, Request, Response};
 use muse_obs::Json;
-use muse_parallel::ThreadPool;
 
 use crate::api::parse_ingest_frame;
 use crate::engine::{Engine, EngineError};
 
 const JSON_CONTENT_TYPE: &str = "application/json; charset=utf-8";
 const TEXT_CONTENT_TYPE: &str = "text/plain; charset=utf-8";
-const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// HTTP front-end tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// Bind address (port `0` picks an ephemeral port).
     pub addr: String,
-    /// Connection-handler pool size (`1` serves connections sequentially on
-    /// the accept thread).
+    /// Server loops, each serving one connection at a time (`1` serves
+    /// connections sequentially).
     pub workers: usize,
 }
 
@@ -58,45 +54,27 @@ impl Default for ServerOptions {
 /// A running daemon front end; dropping it stops the listener (the engine
 /// is shared and shuts down when its last handle drops).
 pub struct Server {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    http: HttpServer,
     engine: Arc<Engine>,
 }
 
 impl Server {
-    /// Bind `opts.addr` and serve `engine` from a background accept thread.
+    /// Bind `opts.addr` and serve `engine` from `opts.workers` server loops.
     pub fn start(engine: Arc<Engine>, opts: ServerOptions) -> io::Result<Server> {
-        let listener = TcpListener::bind(opts.addr.as_str())?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let pool_engine = Arc::clone(&engine);
-        let workers = opts.workers.max(1);
-        let handle = std::thread::Builder::new()
-            .name("muse-serve-http".to_string())
-            .spawn(move || {
-                let pool = ThreadPool::new(workers);
-                for conn in listener.incoming() {
-                    if flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-                    let engine = Arc::clone(&pool_engine);
-                    pool.spawn(move || {
-                        let _ = handle_connection(stream, &engine);
-                    });
-                }
-            })
-            .map_err(io::Error::other)?;
-        Ok(Server { addr, stop, handle: Some(handle), engine })
+        let handler_engine = Arc::clone(&engine);
+        let http = HttpServer::bind(
+            opts.addr.as_str(),
+            "muse-serve-http",
+            opts.workers,
+            Duration::from_secs(10),
+            move |request| handle(request, &handler_engine),
+        )?;
+        Ok(Server { http, engine })
     }
 
     /// The bound address (port 0 resolved).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.http.addr()
     }
 
     /// The engine this server fronts.
@@ -104,31 +82,17 @@ impl Server {
         &self.engine
     }
 
-    /// Stop accepting, finish in-flight connections, and join the accept
-    /// thread. Idempotent.
+    /// Stop accepting, finish in-flight connections, and join every server
+    /// loop. Idempotent.
     pub fn shutdown(&mut self) {
-        let Some(handle) = self.handle.take() else { return };
-        self.stop.store(true, Ordering::Relaxed);
-        // Unblock the accept loop with a throwaway connection to ourselves.
-        let _ = TcpStream::connect(self.addr);
-        let _ = handle.join();
+        self.http.shutdown();
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn handle_connection(stream: TcpStream, engine: &Engine) -> io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let request = match read_request(&mut reader) {
-        Ok(request) => request,
-        Err(err) => return respond_error(reader.get_mut(), &err),
-    };
+/// Route one request and record its handler latency.
+fn handle(request: &Request, engine: &Engine) -> Response {
     let started = Instant::now();
-    let (status, content_type, body) = route(&request, engine);
+    let response = route(request, engine);
     // Recorded in nanoseconds internally; `/metrics` exports them as
     // `_seconds` histograms (see `muse_obs::serve`).
     let latency = match request.path.as_str() {
@@ -139,30 +103,23 @@ fn handle_connection(stream: TcpStream, engine: &Engine) -> io::Result<()> {
     if let Some(h) = latency {
         h.record(started.elapsed().as_nanos() as f64);
     }
-    write_response(reader.get_mut(), status, content_type, body.as_bytes())
+    response
 }
 
-fn route(request: &Request, engine: &Engine) -> (u16, &'static str, String) {
+fn route(request: &Request, engine: &Engine) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => healthz(engine),
         ("GET", "/stats") => stats(engine),
         ("GET", "/forecast") => forecast(request, engine),
-        ("GET", "/quality") => quality(engine),
-        ("GET", "/alerts") => alerts(engine),
-        ("GET", "/spectrum") => spectrum(engine),
-        ("GET", "/metrics") => (200, METRICS_CONTENT_TYPE, obs::render_prometheus()),
+        ("GET", "/quality") => reply(engine.quality()),
+        ("GET", "/alerts") => reply(engine.alerts()),
+        ("GET", "/spectrum") => reply(engine.spectrum()),
+        ("GET", "/metrics") => (200, obs::serve::METRICS_CONTENT_TYPE, obs::render_prometheus()),
         ("POST", "/ingest") => ingest(request, engine),
         // The sampling profiler (muse-prof) owns /debug/*: the handler is
         // shared with the muse-obs MetricsServer so both expose identical
         // profile endpoints.
-        ("GET", p) if p.starts_with("/debug/") => match obs::serve::debug_request(request) {
-            Some(response) => response,
-            None => (
-                404,
-                TEXT_CONTENT_TYPE,
-                "profiler not running (set MUSE_PROF_HZ to enable sampling)\n".to_string(),
-            ),
-        },
+        ("GET", p) if p.starts_with("/debug/") => obs::serve::debug_request(request),
         (
             _,
             "/healthz" | "/stats" | "/forecast" | "/metrics" | "/ingest" | "/quality" | "/alerts"
@@ -173,7 +130,7 @@ fn route(request: &Request, engine: &Engine) -> (u16, &'static str, String) {
     }
 }
 
-fn healthz(engine: &Engine) -> (u16, &'static str, String) {
+fn healthz(engine: &Engine) -> Response {
     match engine.stats() {
         Ok(stats) => (
             200,
@@ -193,7 +150,7 @@ fn healthz(engine: &Engine) -> (u16, &'static str, String) {
     }
 }
 
-fn stats(engine: &Engine) -> (u16, &'static str, String) {
+fn stats(engine: &Engine) -> Response {
     let info = engine.info();
     let model = Json::obj([
         ("variant", Json::Str(info.variant.clone())),
@@ -210,22 +167,16 @@ fn stats(engine: &Engine) -> (u16, &'static str, String) {
         ("frame_len", Json::Num(info.frame_len as f64)),
         ("max_horizon", Json::Num(info.max_horizon as f64)),
     ]);
-    match engine.stats() {
-        Ok(snapshot) => (
-            200,
-            JSON_CONTENT_TYPE,
-            Json::obj([
-                ("model", model),
-                ("serving", snapshot.to_json()),
-                ("build", obs::serve::build_info_json()),
-            ])
-            .render(),
-        ),
-        Err(err) => engine_error(err),
-    }
+    reply(engine.stats().map(|snapshot| {
+        Json::obj([
+            ("model", model),
+            ("serving", snapshot.to_json()),
+            ("build", obs::serve::build_info_json()),
+        ])
+    }))
 }
 
-fn forecast(request: &Request, engine: &Engine) -> (u16, &'static str, String) {
+fn forecast(request: &Request, engine: &Engine) -> Response {
     let max = engine.info().max_horizon;
     // Validate at the HTTP layer so bad requests never reach the engine
     // thread and the error body names the offending parameter.
@@ -237,13 +188,10 @@ fn forecast(request: &Request, engine: &Engine) -> (u16, &'static str, String) {
             Err(_) => return bad_horizon(format!("horizon must be a positive integer, got '{raw}'"), max),
         },
     };
-    match engine.forecast(horizon) {
-        Ok(resp) => (200, JSON_CONTENT_TYPE, resp.to_json().render()),
-        Err(err) => engine_error(err),
-    }
+    reply(engine.forecast(horizon).map(|resp| resp.to_json()))
 }
 
-fn bad_horizon(message: String, max: usize) -> (u16, &'static str, String) {
+fn bad_horizon(message: String, max: usize) -> Response {
     (
         400,
         JSON_CONTENT_TYPE,
@@ -256,28 +204,7 @@ fn bad_horizon(message: String, max: usize) -> (u16, &'static str, String) {
     )
 }
 
-fn quality(engine: &Engine) -> (u16, &'static str, String) {
-    match engine.quality() {
-        Ok(json) => (200, JSON_CONTENT_TYPE, json.render()),
-        Err(err) => engine_error(err),
-    }
-}
-
-fn alerts(engine: &Engine) -> (u16, &'static str, String) {
-    match engine.alerts() {
-        Ok(json) => (200, JSON_CONTENT_TYPE, json.render()),
-        Err(err) => engine_error(err),
-    }
-}
-
-fn spectrum(engine: &Engine) -> (u16, &'static str, String) {
-    match engine.spectrum() {
-        Ok(json) => (200, JSON_CONTENT_TYPE, json.render()),
-        Err(err) => engine_error(err),
-    }
-}
-
-fn ingest(request: &Request, engine: &Engine) -> (u16, &'static str, String) {
+fn ingest(request: &Request, engine: &Engine) -> Response {
     let content_type = request.header("content-type").unwrap_or("application/octet-stream");
     let frame = match parse_ingest_frame(content_type, &request.body) {
         Ok(frame) => frame,
@@ -289,13 +216,18 @@ fn ingest(request: &Request, engine: &Engine) -> (u16, &'static str, String) {
             )
         }
     };
-    match engine.ingest(frame) {
-        Ok(ack) => (200, JSON_CONTENT_TYPE, ack.to_json().render()),
+    reply(engine.ingest(frame).map(|ack| ack.to_json()))
+}
+
+/// `200` with the rendered JSON, or the engine error's status and body.
+fn reply(result: Result<Json, EngineError>) -> Response {
+    match result {
+        Ok(json) => (200, JSON_CONTENT_TYPE, json.render()),
         Err(err) => engine_error(err),
     }
 }
 
-fn engine_error(err: EngineError) -> (u16, &'static str, String) {
+fn engine_error(err: EngineError) -> Response {
     let mut fields = vec![("error", Json::Str(err.to_string()))];
     let status = match &err {
         EngineError::NotReady { have, need } => {
@@ -312,6 +244,10 @@ fn engine_error(err: EngineError) -> (u16, &'static str, String) {
             fields.push(("max", Json::Num(*max as f64)));
             400
         }
+        EngineError::NonFinite { horizon } => {
+            fields.push(("horizon", Json::Num(*horizon as f64)));
+            500
+        }
         EngineError::Stopped => 500,
     };
     (status, JSON_CONTENT_TYPE, Json::obj(fields).render())
@@ -321,9 +257,9 @@ fn engine_error(err: EngineError) -> (u16, &'static str, String) {
 mod tests {
     use super::*;
     use crate::engine::EngineOptions;
+    use muse_obs::http::{exchange, fetch};
     use muse_traffic::{GridMap, SubSeriesSpec};
     use musenet::{MuseNet, MuseNetConfig};
-    use std::io::{Read, Write};
 
     fn boot() -> Server {
         let grid = GridMap::new(2, 3);
@@ -338,29 +274,17 @@ mod tests {
     }
 
     fn raw(addr: SocketAddr, payload: &[u8]) -> String {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(payload).unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        response
+        exchange(addr, payload).unwrap().1
     }
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
-        let response = raw(addr, format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes());
-        let (head, body) = response.split_once("\r\n\r\n").unwrap();
-        (head.to_string(), body.to_string())
+        let (_, head, body) = fetch(addr, "GET", path, None).unwrap();
+        (head, body)
     }
 
     fn post(addr: SocketAddr, path: &str, content_type: &str, body: &[u8]) -> (String, String) {
-        let mut payload = format!(
-            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        )
-        .into_bytes();
-        payload.extend_from_slice(body);
-        let response = raw(addr, &payload);
-        let (head, body) = response.split_once("\r\n\r\n").unwrap();
-        (head.to_string(), body.to_string())
+        let (_, head, body) = fetch(addr, "POST", path, Some((content_type, body))).unwrap();
+        (head, body)
     }
 
     #[test]
@@ -469,6 +393,14 @@ mod tests {
         assert!(post(addr, "/spectrum", "text/plain", b"").0.starts_with("HTTP/1.1 405 "));
         assert!(raw(addr, b"GET /healthz HTTP/1.1\nHost: x\r\n\r\n").starts_with("HTTP/1.1 400 "));
         assert!(raw(addr, b"FROB /healthz HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 405 "));
+    }
+
+    #[test]
+    fn non_finite_forecast_maps_to_500() {
+        let (status, content_type, body) = engine_error(EngineError::NonFinite { horizon: 3 });
+        assert_eq!((status, content_type), (500, JSON_CONTENT_TYPE));
+        assert!(body.contains("non-finite prediction at horizon 3"), "{body}");
+        assert!(body.contains("\"horizon\":3"), "{body}");
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! * [`spectral`] — the periodic FFT sweep over the live window behind
 //!   `GET /spectrum` and the `spectral_shift` alert;
 //! * [`api`] — wire types (`/ingest`, `/forecast`) over the repo's own JSON;
-//! * [`http`] — the TCP front end on a [`muse_parallel::ThreadPool`], built
-//!   on [`muse_obs::http`] parsing, exposing `/metrics` for Prometheus.
+//! * [`http`] — the routes, served by the [`muse_obs::http::HttpServer`]
+//!   loops shared with the metrics exporter, exposing `/metrics` for
+//!   Prometheus.
 //!
 //! The daemon serves *scaled* flow units — whatever normalization the
 //! checkpointed model was trained with, its frames are ingested in kind.

@@ -7,7 +7,8 @@
 //!   --checkpoint <p> self-describing checkpoint (muse-eval --save-checkpoint
 //!                    or MuseNet::save_with_config)  [required]
 //!   --addr <a>       bind address (default 127.0.0.1:9600; port 0 = ephemeral)
-//!   --workers <n>    connection-handler pool size (default 4)
+//!   --workers <n>    server loops, one connection each at a time (default 4;
+//!                    1 serves connections sequentially)
 //!   --threads <n>    kernel threads for inference (default: MUSE_THREADS/auto)
 //!   --max-batch <n>  most queued requests swept into one batch (default 64)
 //!   --trace <p>      write a JSONL telemetry trace to <p> (same as MUSE_OBS=<p>)
@@ -194,8 +195,8 @@ fn main() {
             ],
         );
     }
-    // Serve until the process is killed; the accept loop runs on its own
-    // thread and there is no signal handling without a libc dependency. The
+    // Serve until the process is killed; the server loops run on their own
+    // threads and there is no signal handling without a libc dependency. The
     // trace is flushed every second so an external `kill` (which never runs
     // close_trace) still leaves a usable JSONL file for `muse-trace`.
     loop {

@@ -12,21 +12,17 @@
 //!   `alert.transition` events, correlated by request ID.
 
 use muse_obs as obs;
+use muse_obs::http::fetch;
 use muse_obs::Json;
 use muse_serve::{Engine, EngineOptions, ForecastResponse, Server, ServerOptions};
 use muse_traffic::{GridMap, SubSeriesSpec};
 use musenet::{MuseNet, MuseNetConfig};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 
 fn get(addr: SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").unwrap();
-    (head.to_string(), body.to_string())
+    let (_, head, body) = fetch(addr, "GET", path, None).unwrap();
+    (head, body)
 }
 
 fn get_json(addr: SocketAddr, path: &str) -> Json {
@@ -36,21 +32,10 @@ fn get_json(addr: SocketAddr, path: &str) -> Json {
 }
 
 fn post_raw_frame(addr: SocketAddr, frame: &[f32]) {
-    let mut body = Vec::with_capacity(frame.len() * 4);
-    for v in frame {
-        body.extend_from_slice(&v.to_le_bytes());
-    }
-    let mut payload = format!(
-        "POST /ingest HTTP/1.1\r\nHost: t\r\nContent-Type: application/octet-stream\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    payload.extend_from_slice(&body);
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(&payload).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+    let body: Vec<u8> = frame.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let (status, head, _) =
+        fetch(addr, "POST", "/ingest", Some(("application/octet-stream", &body))).unwrap();
+    assert_eq!(status, 200, "{head}");
 }
 
 /// Deterministic periodic frame with per-slot structure; `factor` scales it

@@ -194,6 +194,17 @@ grep -q '24 -> 8 intervals' target/ci_spectrum_report.txt
 grep -q 'final spectral alert state: firing' target/ci_spectrum_report.txt
 echo "    presets detected 3/3, cadence shift 24->8 fired spectral_shift, trace tells the story"
 
+echo "==> perfbench: self-tests and BENCHMARK.json consistency"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench smoke: serve-nowcast under concurrent load, every forecast checked bit-for-bit"
+bash perfbench/run.sh --workload serve-nowcast --seed 1 --seconds 2 --trace 0 > target/ci_perfbench.txt
+tail -n 1 target/ci_perfbench.txt | grep -q '"correct":true' || {
+    echo "perfbench serve-nowcast smoke did not report \"correct\":true: $(tail -n 1 target/ci_perfbench.txt)" >&2
+    exit 1
+}
+echo "    benchmark self-tests pass, live daemon answered every checked forecast bit-for-bit"
+
 echo "==> perf gate negative test: doctored baseline must fail"
 cargo run -q --release -p muse-bench --bin perf_gate -- doctor BENCH_kernels.json target/doctored_baseline.json
 if cargo run -q --release -p muse-bench --bin perf_gate -- check target/perf_gate_trace.jsonl target/doctored_baseline.json >/dev/null 2>&1; then
