@@ -5,19 +5,29 @@
 //! ```text
 //! magic  "MUSE"            4 bytes
 //! version u32 LE           4 bytes
-//! v2 only:
+//! v2 and v3:
 //!   meta_len u32 LE, meta bytes (UTF-8, 0 = no metadata)
 //! count   u32 LE           4 bytes
 //! repeated count times:
 //!   name_len u32 LE, name bytes (UTF-8)
 //!   rank u32 LE, dims (u32 LE each)
 //!   data (f32 LE each)
+//! v3 only:
+//!   crc32 u32 LE           CRC-32 (IEEE) of every preceding byte
 //! ```
 //!
 //! Version 2 adds an optional metadata section right after the version
 //! field — an opaque UTF-8 string (by convention a JSON model config) that
 //! lets a serving process reconstruct the right architecture before
-//! loading weights. Version 1 files (no metadata section) still load.
+//! loading weights. Version 3 is version 2 plus a CRC-32 trailer; the
+//! loader verifies it right after the version field, before decoding
+//! anything else, so a torn or bit-flipped file is reported as a checksum
+//! mismatch instead of loading as wrong weights. Version 1 (no metadata
+//! section) and version 2 files still load.
+//!
+//! Saves write version 3 to a temporary file in the target's directory and
+//! `rename` it into place, so a reader sees the old file or the new one,
+//! never a half-written one.
 //!
 //! Parameters are matched **positionally** on load, with name and shape
 //! verified entry-by-entry — a checkpoint can only be restored into the
@@ -25,21 +35,25 @@
 //! safe case. Layer constructors embed shapes into names, so most
 //! architecture drift is caught by the name check too.
 //!
-//! Every [`CheckpointError::Format`] produced by the loader names the
-//! offending entry (index, and name once known) and the absolute byte
-//! offset where decoding failed, so a truncated or bit-flipped file is
-//! diagnosable from the message alone.
+//! The loader reads the whole file and decodes from the byte slice: each
+//! tensor's payload is one slice, and nothing is allocated for a length
+//! field before the bytes it claims are known to be present. Every
+//! [`CheckpointError::Format`] it produces names the offending entry
+//! (index, and name once known) and the absolute byte offset where decoding
+//! failed, so a truncated or bit-flipped file is diagnosable from the
+//! message alone.
 
 use crate::param::ParamRef;
 use muse_tensor::Tensor;
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::fs;
+use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const MAGIC: &[u8; 4] = b"MUSE";
-/// Current write version (v2: optional metadata section).
-const VERSION: u32 = 2;
-/// Caps keeping a corrupt length field from provoking huge allocations.
+/// Current write version (v3: v2 plus a CRC-32 trailer).
+const VERSION: u32 = 3;
+/// Caps rejecting implausible length fields with a named error.
 const MAX_META_LEN: usize = 1024 * 1024;
 const MAX_NAME_LEN: usize = 4096;
 const MAX_RANK: usize = 8;
@@ -50,7 +64,7 @@ const MAX_ELEMS: usize = 256 * 1024 * 1024;
 pub enum CheckpointError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// Not a checkpoint file, or an unsupported version.
+    /// Not a checkpoint file, an unsupported version, or a corrupt one.
     Format(String),
     /// Parameter set does not match the checkpoint contents.
     Mismatch(String),
@@ -77,8 +91,8 @@ impl From<io::Error> for CheckpointError {
 /// A fully decoded checkpoint: optional metadata plus named tensors.
 #[derive(Debug)]
 pub struct Checkpoint {
-    /// The v2 metadata string (by convention a JSON model config); `None`
-    /// for v1 files or v2 files written without metadata.
+    /// The metadata string (by convention a JSON model config); `None` for
+    /// v1 files or files written without metadata.
     pub meta: Option<String>,
     /// `(name, tensor)` pairs in save order.
     pub entries: Vec<(String, Tensor)>,
@@ -90,7 +104,7 @@ pub fn save_params(path: &Path, params: &[ParamRef]) -> Result<(), CheckpointErr
 }
 
 /// Save a parameter set to `path`, embedding an optional metadata string
-/// (by convention the model's JSON config) in the v2 header.
+/// (by convention the model's JSON config) in the header.
 pub fn save_params_with_meta(
     path: &Path,
     params: &[ParamRef],
@@ -103,132 +117,208 @@ pub fn save_params_with_meta(
             meta.len()
         )));
     }
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(meta.len() as u32).to_le_bytes())?;
-    w.write_all(meta.as_bytes())?;
-    w.write_all(&(params.len() as u32).to_le_bytes())?;
+    let mut out = Vec::new();
+    let put_u32 = |out: &mut Vec<u8>, x: usize| out.extend_from_slice(&(x as u32).to_le_bytes());
+    out.extend_from_slice(MAGIC);
+    put_u32(&mut out, VERSION as usize);
+    put_u32(&mut out, meta.len());
+    out.extend_from_slice(meta.as_bytes());
+    put_u32(&mut out, params.len());
     for p in params {
         let name = p.name().as_bytes();
-        w.write_all(&(name.len() as u32).to_le_bytes())?;
-        w.write_all(name)?;
+        put_u32(&mut out, name.len());
+        out.extend_from_slice(name);
         let value = p.value();
-        let dims = value.dims();
-        w.write_all(&(dims.len() as u32).to_le_bytes())?;
-        for &d in dims {
-            w.write_all(&(d as u32).to_le_bytes())?;
+        put_u32(&mut out, value.rank());
+        for &d in value.dims() {
+            put_u32(&mut out, d);
         }
-        for &x in value.as_slice() {
-            w.write_all(&x.to_le_bytes())?;
-        }
+        out.extend(value.as_slice().iter().flat_map(|x| x.to_le_bytes()));
     }
-    w.flush()?;
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    write_atomically(path, &out)?;
     Ok(())
 }
 
-/// Byte-offset-tracking reader: every decode failure can say exactly where
-/// in the file it happened and what was being read for which entry.
-struct Cursor<R> {
-    r: R,
-    pos: u64,
+/// Write `bytes` to a fresh temporary file next to `path`, then rename it
+/// over `path`. The temporary name is unique per process and call, so
+/// concurrent saves to one path cannot interleave their bytes.
+fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static SAVES: AtomicUsize = AtomicUsize::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, format!("{} names no file", path.display()))
+    })?;
+    let tmp = path.with_file_name(format!(
+        ".{}.tmp-{}-{}",
+        name.to_string_lossy(),
+        std::process::id(),
+        SAVES.fetch_add(1, Ordering::Relaxed)
+    ));
+    fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, path)).inspect_err(|_| {
+        let _ = fs::remove_file(&tmp);
+    })
 }
 
-impl<R: Read> Cursor<R> {
-    fn new(r: R) -> Self {
-        Cursor { r, pos: 0 }
-    }
-
-    /// `read_exact` that turns EOF into a named, positioned `Format` error
-    /// ("truncated reading <what> for <entry> at byte offset <pos>").
-    fn read_exact(&mut self, buf: &mut [u8], what: &str, entry: &str) -> Result<(), CheckpointError> {
-        let at = self.pos;
-        match self.r.read_exact(buf) {
-            Ok(()) => {
-                self.pos += buf.len() as u64;
-                Ok(())
-            }
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(CheckpointError::Format(format!(
-                "truncated reading {what} for {entry} at byte offset {at}"
-            ))),
-            Err(e) => Err(CheckpointError::Io(e)),
+/// CRC-32 (IEEE 802.3, reflected, as in zlib and PNG) lookup tables for
+/// slicing-by-8: `CRC_TABLES[0]` is the classic byte table, and
+/// `CRC_TABLES[k][b]` advances byte `b`'s contribution by `k` more zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE) of `bytes`, eight bytes per step.
+fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = !0u32;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][(lo >> 8 & 0xff) as usize]
+            ^ t[5][(lo >> 16 & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][chunk[4] as usize]
+            ^ t[2][chunk[5] as usize]
+            ^ t[1][chunk[6] as usize]
+            ^ t[0][chunk[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+/// Byte-offset-tracking reader over a checkpoint's bytes: every decode
+/// failure can say exactly where in the file it happened and what was being
+/// read for which entry.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// The next `n` bytes, or a named, positioned `Format` error
+    /// ("truncated reading <what> for <entry> at byte offset <pos>").
+    fn take(&mut self, n: usize, what: &str, entry: &str) -> Result<&'a [u8], CheckpointError> {
+        let at = self.pos;
+        if self.bytes.len() - at < n {
+            return Err(CheckpointError::Format(format!(
+                "truncated reading {what} for {entry} at byte offset {at}"
+            )));
+        }
+        self.pos += n;
+        Ok(&self.bytes[at..at + n])
     }
 
     fn read_u32(&mut self, what: &str, entry: &str) -> Result<u32, CheckpointError> {
-        let mut buf = [0u8; 4];
-        self.read_exact(&mut buf, what, entry)?;
-        Ok(u32::from_le_bytes(buf))
+        let b = self.take(4, what, entry)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn bad(&self, field_bytes: u64, msg: String) -> CheckpointError {
+    fn bad(&self, field_bytes: usize, msg: String) -> CheckpointError {
         CheckpointError::Format(format!("{msg} at byte offset {}", self.pos - field_bytes))
     }
 }
 
 /// Load a checkpoint, including its metadata section.
 pub fn load_checkpoint_full(path: &Path) -> Result<Checkpoint, CheckpointError> {
-    let mut r = Cursor::new(BufReader::new(File::open(path)?));
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic, "magic", "header")?;
-    if &magic != MAGIC {
+    decode_checkpoint(&fs::read(path)?)
+}
+
+/// Decode a checkpoint from its bytes (any supported version).
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+    let mut r = Cursor { bytes, pos: 0 };
+    if r.take(4, "magic", "header")? != MAGIC {
         return Err(r.bad(4, "missing MUSE magic".into()));
     }
     let version = r.read_u32("version", "header")?;
-    if version != 1 && version != VERSION {
+    if !(1..=VERSION).contains(&version) {
         return Err(r.bad(4, format!("unsupported version {version}")));
+    }
+    if version >= 3 {
+        // Verify the trailer first, then decode only what it covers.
+        let body = bytes.len().saturating_sub(4).max(r.pos);
+        let stored = Cursor { bytes, pos: body }.read_u32("crc32 trailer", "footer")?;
+        let computed = crc32(&bytes[..body]);
+        if stored != computed {
+            return Err(CheckpointError::Format(format!(
+                "checksum mismatch: trailer says {stored:#010x}, the {body} bytes before it hash to \
+                 {computed:#010x} (crc32 trailer at byte offset {body})"
+            )));
+        }
+        r.bytes = &bytes[..body];
     }
     let meta = if version >= 2 {
         let meta_len = r.read_u32("metadata length", "header")? as usize;
         if meta_len > MAX_META_LEN {
             return Err(r.bad(4, format!("implausible metadata length {meta_len}")));
         }
-        let mut raw = vec![0u8; meta_len];
-        r.read_exact(&mut raw, "metadata", "header")?;
+        let raw = r.take(meta_len, "metadata", "header")?;
         if meta_len == 0 {
             None
         } else {
             Some(
-                String::from_utf8(raw)
-                    .map_err(|e| r.bad(meta_len as u64, format!("non-utf8 metadata ({e})")))?,
+                String::from_utf8(raw.to_vec())
+                    .map_err(|e| r.bad(meta_len, format!("non-utf8 metadata ({e})")))?,
             )
         }
     } else {
         None
     };
     let count = r.read_u32("entry count", "header")? as usize;
-    let mut entries = Vec::with_capacity(count.min(1024));
+    let mut entries = Vec::new();
     for i in 0..count {
         let entry = format!("entry {i}");
         let name_len = r.read_u32("name length", &entry)? as usize;
         if name_len > MAX_NAME_LEN {
             return Err(r.bad(4, format!("{entry}: implausible name length {name_len}")));
         }
-        let mut name = vec![0u8; name_len];
-        r.read_exact(&mut name, "name", &entry)?;
-        let name = String::from_utf8(name)
-            .map_err(|e| r.bad(name_len as u64, format!("{entry}: non-utf8 name ({e})")))?;
+        let name = r.take(name_len, "name", &entry)?;
+        let name = String::from_utf8(name.to_vec())
+            .map_err(|e| r.bad(name_len, format!("{entry}: non-utf8 name ({e})")))?;
         let entry = format!("entry {i} ('{name}')");
         let rank = r.read_u32("rank", &entry)? as usize;
         if rank > MAX_RANK {
             return Err(r.bad(4, format!("{entry}: implausible rank {rank}")));
         }
         let mut dims = Vec::with_capacity(rank);
-        for d in 0..rank {
-            dims.push(r.read_u32(&format!("dim {d}"), &entry)? as usize);
+        for _ in 0..rank {
+            dims.push(r.read_u32("dims", &entry)? as usize);
         }
         let n = dims
             .iter()
             .try_fold(1usize, |acc, &d| acc.checked_mul(d))
             .filter(|&n| n <= MAX_ELEMS)
             .ok_or_else(|| r.bad(0, format!("{entry}: implausible tensor size (dims {dims:?})")))?;
-        let mut data = Vec::with_capacity(n);
-        let mut buf = [0u8; 4];
-        for e in 0..n {
-            r.read_exact(&mut buf, &format!("element {e}/{n}"), &entry)?;
-            data.push(f32::from_le_bytes(buf));
-        }
+        let payload = r.take(4 * n, &format!("{n} elements"), &entry)?;
+        let data = payload.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])).collect();
         entries.push((name, Tensor::from_vec(data, &dims)));
+    }
+    if version >= 3 && r.pos != r.bytes.len() {
+        return Err(r.bad(0, format!("{} unread bytes before the crc32 trailer", r.bytes.len() - r.pos)));
     }
     Ok(Checkpoint { meta, entries })
 }
@@ -355,6 +445,62 @@ mod tests {
     }
 
     #[test]
+    fn version2_files_still_load() {
+        // A v2 file is a v3 file without the crc32 trailer.
+        let v3 = valid_checkpoint_bytes("v2-src");
+        let mut v2 = v3[..v3.len() - 4].to_vec();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let (a, b) = (decode_checkpoint(&v2).unwrap(), decode_checkpoint(&v3).unwrap());
+        assert_eq!(a.meta, b.meta);
+        assert_eq!(a.entries, b.entries);
+    }
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value_and_the_bytewise_rule() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        let bitwise = |bytes: &[u8]| {
+            let mut c = !0u32;
+            for &b in bytes {
+                c ^= u32::from(b);
+                for _ in 0..8 {
+                    c = if c & 1 == 1 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                }
+            }
+            !c
+        };
+        let bytes: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..bytes.len() {
+            assert_eq!(crc32(&bytes[..len]), bitwise(&bytes[..len]), "length {len}");
+        }
+    }
+
+    #[test]
+    fn a_flipped_byte_is_a_checksum_mismatch() {
+        let mut raw = valid_checkpoint_bytes("flip");
+        let mid = raw.len() / 2;
+        raw[mid] ^= 0x10;
+        let msg = format!("{}", decode_checkpoint(&raw).unwrap_err());
+        assert!(msg.contains("checksum mismatch"), "{msg}");
+        assert!(msg.contains(&format!("byte offset {}", raw.len() - 4)), "{msg}");
+    }
+
+    #[test]
+    fn saves_replace_the_file_and_leave_no_temporary() {
+        let dir = tmp("atomic-dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.ckpt");
+        let params = vec![Param::new("w", Tensor::ones(&[2]))];
+        save_params(&path, &params).unwrap();
+        params[0].set_value(Tensor::full(&[2], 3.0));
+        save_params(&path, &params).unwrap();
+        let names: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("model.ckpt")]);
+        assert_eq!(load_checkpoint(&path).unwrap()[0].1.as_slice(), &[3.0, 3.0]);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn load_into_mismatched_shape_fails() {
         let params = vec![Param::new("w", Tensor::ones(&[2, 2]))];
         let path = tmp("mismatch");
@@ -396,7 +542,15 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    /// Bytes of a small valid v2 checkpoint, for corruption tests.
+    /// Recompute a v3 file's crc32 trailer after an edit, so the edit
+    /// reaches the structural checks behind the checksum.
+    fn reseal(raw: &mut [u8]) {
+        let body = raw.len() - 4;
+        let crc = crc32(&raw[..body]);
+        raw[body..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Bytes of a small valid checkpoint, for corruption tests.
     fn valid_checkpoint_bytes(tag: &str) -> Vec<u8> {
         let mut rng = SeededRng::new(7);
         let params = sample_params(&mut rng);
@@ -405,50 +559,6 @@ mod tests {
         let raw = std::fs::read(&path).unwrap();
         std::fs::remove_file(path).ok();
         raw
-    }
-
-    #[test]
-    fn every_truncation_errors_cleanly_with_offset() {
-        let raw = valid_checkpoint_bytes("trunc");
-        let path = tmp("trunc-cut");
-        for cut in 0..raw.len() {
-            std::fs::write(&path, &raw[..cut]).unwrap();
-            let err = load_checkpoint_full(&path).expect_err(&format!("prefix of {cut} bytes must not load"));
-            match err {
-                CheckpointError::Format(msg) => {
-                    assert!(msg.contains("byte offset"), "truncation at {cut}: message lacks offset: {msg}")
-                }
-                other => panic!("truncation at {cut}: expected Format, got {other}"),
-            }
-        }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn random_bit_flips_never_panic_and_format_errors_carry_context() {
-        let raw = valid_checkpoint_bytes("bitflip");
-        let path = tmp("bitflip-mut");
-        let mut rng = SeededRng::new(99);
-        let mut format_errors = 0u32;
-        for _ in 0..300 {
-            let mut mutated = raw.clone();
-            let byte = (rng.normal().abs() * mutated.len() as f32) as usize % mutated.len();
-            let bit = (rng.normal().abs() * 8.0) as u32 % 8;
-            mutated[byte] ^= 1 << bit;
-            std::fs::write(&path, &mutated).unwrap();
-            // Must never panic; flips in f32 payload bytes legitimately load.
-            match load_checkpoint_full(&path) {
-                Ok(_) => {}
-                Err(CheckpointError::Format(msg)) => {
-                    format_errors += 1;
-                    assert!(msg.contains("byte offset"), "format error without offset: {msg}");
-                }
-                Err(CheckpointError::Io(e)) => panic!("bit flip at byte {byte} produced io error: {e}"),
-                Err(e) => panic!("unexpected error kind: {e}"),
-            }
-        }
-        assert!(format_errors > 0, "the sweep should hit at least one structural field");
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -462,6 +572,7 @@ mod tests {
         let rank_at = name_len_at + 4 + name_len;
         let mut mutated = raw.clone();
         mutated[rank_at..rank_at + 4].copy_from_slice(&999u32.to_le_bytes());
+        reseal(&mut mutated);
         let path = tmp("rank-mut");
         std::fs::write(&path, &mutated).unwrap();
         let err = load_checkpoint_full(&path).unwrap_err();

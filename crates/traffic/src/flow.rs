@@ -2,7 +2,7 @@
 //! from trajectory transitions (Eqs. 1–2), stored as a dense series.
 
 use crate::grid::GridMap;
-use crate::trajectory::Trajectory;
+use crate::trajectory::{Trajectory, TrajectoryPoint};
 use muse_tensor::Tensor;
 
 /// Channel index of outflow in the `[2, H, W]` flow tensors (matches the
@@ -107,25 +107,37 @@ impl FlowSeries {
 }
 
 /// Compute inflow/outflow volumes from a trajectory collection `P` over `t`
-/// intervals (Eqs. 1–2).
-///
-/// For each consecutive pair `(u_{i-1}, u_i)` in a trajectory where the
-/// region changes, the earlier region's **outflow** and the later region's
-/// **inflow** are incremented at the interval of `u_i`. Transitions at or
-/// beyond `t_total` are ignored.
+/// intervals (Eqs. 1–2), one [`count_transitions`] call per trajectory.
 pub fn flows_from_trajectories(grid: GridMap, trajectories: &[Trajectory], t_total: usize) -> FlowSeries {
     let mut series = FlowSeries::zeros(grid, t_total);
     for traj in trajectories {
-        for (prev, cur) in traj.transitions() {
-            if cur.interval >= t_total || prev.region == cur.region {
-                continue;
-            }
-            debug_assert!(grid.contains(prev.region) && grid.contains(cur.region));
-            *series.volume_mut(cur.interval, OUTFLOW, prev.region.row, prev.region.col) += 1.0;
-            *series.volume_mut(cur.interval, INFLOW, cur.region.row, cur.region.col) += 1.0;
-        }
+        count_transitions(&mut series, traj.points());
     }
     series
+}
+
+/// Count one trajectory's transitions into `series` (Eqs. 1–2).
+///
+/// For each consecutive pair `(u_{i-1}, u_i)` where the region changes, the
+/// earlier region's **outflow** and the later region's **inflow** are
+/// incremented at the interval of `u_i`. Transitions at or beyond the
+/// series length are ignored. Every increment adds an integer-valued 1.0,
+/// so the counts do not depend on the order trajectories arrive in.
+pub(crate) fn count_transitions(series: &mut FlowSeries, points: &[TrajectoryPoint]) {
+    let grid = series.grid;
+    let cells = grid.cells();
+    let t_total = series.len();
+    let data = series.data.as_mut_slice();
+    for pair in points.windows(2) {
+        let (prev, cur) = (pair[0], pair[1]);
+        if cur.interval >= t_total || prev.region == cur.region {
+            continue;
+        }
+        debug_assert!(grid.contains(prev.region) && grid.contains(cur.region));
+        let frame = cur.interval * 2 * cells;
+        data[frame + OUTFLOW * cells + prev.region.row * grid.width + prev.region.col] += 1.0;
+        data[frame + INFLOW * cells + cur.region.row * grid.width + cur.region.col] += 1.0;
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 //!   `H × W` grid of regions.
 //! * **Definition 2 (Inflow/Outflow)** — [`trajectory::Trajectory`] and
 //!   [`flow::flows_from_trajectories`]: per-interval region transition counts
-//!   (Eqs. 1–2).
+//!   (Eqs. 1–2). The simulator counts each trip as it generates it, through
+//!   the same counting function, without storing trajectories.
 //! * **Definition 3 (Closeness/Period/Trend)** — [`subseries::SubSeriesSpec`]:
 //!   intercepting a flow series into hourly/daily/weekly sub-series
 //!   (Eqs. 3–5).

@@ -1,10 +1,12 @@
 //! Agent-based city simulator — the stand-in for the paper's NYC-Bike,
 //! NYC-Taxi and TaxiBJ trajectory corpora.
 //!
-//! The simulator produces raw [`Trajectory`] collections that are then
-//! reduced to inflow/outflow grids by [`crate::flow::flows_from_trajectories`],
-//! exactly as Definition 2 prescribes. The generated traffic exhibits, by
-//! construction, the phenomena the paper's losses target:
+//! The simulator counts each trip into the inflow/outflow grids as it is
+//! generated, by the same Eqs. 1–2 counting function that
+//! [`crate::flow::flows_from_trajectories`] applies to a stored
+//! [`crate::trajectory::Trajectory`] collection, exactly as Definition 2
+//! prescribes; no trajectory outlives its trip. The generated traffic
+//! exhibits, by construction, the phenomena the paper's losses target:
 //!
 //! * **Multi-periodicity** — commuter trips create morning/evening daily
 //!   peaks; weekday/weekend regimes create a weekly cycle.
@@ -17,9 +19,9 @@
 //!   signal varies over the day, so the future correlates sometimes with
 //!   closeness and sometimes with period/trend history.
 
-use crate::flow::{flows_from_trajectories, FlowSeries};
+use crate::flow::{count_transitions, FlowSeries};
 use crate::grid::{GridMap, Region};
-use crate::trajectory::Trajectory;
+use crate::trajectory::TrajectoryPoint;
 use muse_tensor::init::SeededRng;
 
 /// Simulator configuration.
@@ -125,6 +127,12 @@ struct Agent {
     evening_offset: f32,
 }
 
+/// Flows counted so far, and the number of trips behind them.
+struct Tally {
+    flows: FlowSeries,
+    trips: usize,
+}
+
 /// The agent-based simulator.
 #[derive(Debug, Clone)]
 pub struct CitySimulator {
@@ -144,7 +152,7 @@ impl CitySimulator {
         &self.config
     }
 
-    /// Run the simulation: generate trajectories and reduce them to flows.
+    /// Run the simulation: generate trips and count them into flows.
     pub fn run(&self) -> SimOutput {
         let cfg = &self.config;
         let mut rng = SeededRng::new(cfg.seed);
@@ -162,7 +170,7 @@ impl CitySimulator {
             }
         }
 
-        let mut trajectories: Vec<Trajectory> = Vec::new();
+        let mut tally = Tally { flows: FlowSeries::zeros(cfg.grid, t_total), trips: 0 };
         for day in 0..cfg.days {
             let weekend = cfg.is_weekend(day);
             let rain = rain_days.contains(&day);
@@ -174,19 +182,19 @@ impl CitySimulator {
                 // Commute: home -> work in the morning, work -> home evening.
                 if rng.chance(commute_prob) && keep(&mut rng) {
                     let dep_m = self.hour_to_interval(day, 8.0 + agent.morning_offset, &mut rng);
-                    self.push_trip(&mut trajectories, agent.home, agent.work, dep_m, t_total);
+                    self.push_trip(&mut tally, agent.home, agent.work, dep_m);
                     let dep_e = self.hour_to_interval(day, 18.0 + agent.evening_offset, &mut rng);
-                    self.push_trip(&mut trajectories, agent.work, agent.home, dep_e, t_total);
+                    self.push_trip(&mut tally, agent.work, agent.home, dep_e);
                 }
                 // Leisure trips at midday/evening to random destinations.
                 if rng.chance(leisure_rate.min(1.0)) && keep(&mut rng) {
                     let hour = 10.0 + rng.uniform(0.0, 10.0);
                     let dep = self.hour_to_interval(day, hour, &mut rng);
                     let dest = self.random_cell(&mut rng);
-                    self.push_trip(&mut trajectories, agent.home, dest, dep, t_total);
+                    self.push_trip(&mut tally, agent.home, dest, dep);
                     // Return trip ~2 hours later.
                     let back = dep + (cfg.intervals_per_day / 12).max(1);
-                    self.push_trip(&mut trajectories, dest, agent.home, back, t_total);
+                    self.push_trip(&mut tally, dest, agent.home, back);
                 }
             }
 
@@ -205,7 +213,7 @@ impl CitySimulator {
                     let from = self.random_cell(&mut rng);
                     let to = self.random_neighbor(from, &mut rng);
                     let t = day * cfg.intervals_per_day + slot;
-                    self.push_trip(&mut trajectories, from, to, t, t_total);
+                    self.push_trip(&mut tally, from, to, t);
                 }
             }
         }
@@ -219,16 +227,15 @@ impl CitySimulator {
             }
             for _ in 0..cfg.incident_magnitude {
                 let from = self.random_neighbor(region, &mut rng);
-                self.push_trip(&mut trajectories, from, region, interval - 1, t_total);
+                self.push_trip(&mut tally, from, region, interval - 1);
             }
         }
 
-        let trips = trajectories.len();
-        let mut flows = flows_from_trajectories(cfg.grid, &trajectories, t_total);
+        let Tally { mut flows, trips } = tally;
 
         // Injected distribution drift: scale every volume from the shift
-        // interval onward. Applied to the reduced flows (not trajectories)
-        // so the factor is exact and fractional factors are expressible.
+        // interval onward. Applied to the counted flows (not trips) so the
+        // factor is exact and fractional factors are expressible.
         let level_shift = cfg.level_shift_interval.filter(|_| cfg.level_shift_factor != 1.0).map(|start| {
             for t in start.min(t_total)..t_total {
                 for channel in 0..2 {
@@ -315,27 +322,27 @@ impl CitySimulator {
         day * self.config.intervals_per_day + slot
     }
 
-    /// Emit one trip as a trajectory, with a midpoint for long journeys so
+    /// Count one trip into the flows, with a midpoint for long journeys so
     /// the flows reflect pass-through traffic.
-    fn push_trip(&self, out: &mut Vec<Trajectory>, from: Region, to: Region, depart: usize, t_total: usize) {
+    fn push_trip(&self, tally: &mut Tally, from: Region, to: Region, depart: usize) {
+        let t_total = tally.flows.len();
         if depart + 1 >= t_total || from == to {
             return;
         }
-        let mut traj = Trajectory::new();
-        traj.push(depart, from);
+        let point = |i: usize, region: Region| TrajectoryPoint { interval: depart + i, region };
+        let mut points = [point(0, from), point(1, to), point(2, to)];
+        let mut len = 2;
         if from.manhattan(&to) > (self.config.grid.width + self.config.grid.height) / 3
             && depart + 2 < t_total
         {
             let mid = Region::new((from.row + to.row) / 2, (from.col + to.col) / 2);
             if mid != from && mid != to {
-                traj.push(depart + 1, mid);
-                traj.push(depart + 2, to);
-                out.push(traj);
-                return;
+                points[1].region = mid;
+                len = 3;
             }
         }
-        traj.push(depart + 1, to);
-        out.push(traj);
+        count_transitions(&mut tally.flows, &points[..len]);
+        tally.trips += 1;
     }
 }
 

@@ -129,6 +129,26 @@ with_daemon "http://$SERVE_ADDR/healthz" . serve_checks \
     env MUSE_PROF_HZ=97 cargo run -q --release -p muse-serve -- --checkpoint "$SERVE_CKPT" --addr "$SERVE_ADDR"
 echo "    daemon served $capacity ingests + two forecasts (one a memo hit), live profile endpoints up, /metrics well-formed"
 
+echo "==> muse-serve refuses a checkpoint with one flipped byte (crc32 trailer)"
+CORRUPT_CKPT=target/ci_serve_corrupt.ckpt
+cp "$SERVE_CKPT" "$CORRUPT_CKPT"
+mid=$(($(wc -c <"$CORRUPT_CKPT") / 2))
+byte=$(od -An -tu1 -j "$mid" -N1 "$CORRUPT_CKPT" | tr -d ' ')
+# shellcheck disable=SC2059 # the format is the octal escape of the flipped byte
+printf "\\$(printf '%03o' $((byte ^ 0xff)))" | dd of="$CORRUPT_CKPT" bs=1 seek="$mid" conv=notrunc status=none
+status=0
+timeout 10 cargo run -q --release -p muse-serve --bin muse-serve -- --checkpoint "$CORRUPT_CKPT" \
+    --addr 127.0.0.1:0 2>target/ci_corrupt_serve.txt || status=$?
+if [ "$status" = 0 ] || [ "$status" = 124 ]; then
+    echo "muse-serve did not refuse a corrupt checkpoint within 10 s (exit $status)" >&2
+    exit 1
+fi
+grep -q checksum target/ci_corrupt_serve.txt || {
+    echo "muse-serve refused a corrupt checkpoint without naming the checksum: $(cat target/ci_corrupt_serve.txt)" >&2
+    exit 1
+}
+echo "    flipped byte at offset $mid: exit $status, $(head -1 target/ci_corrupt_serve.txt)"
+
 echo "==> serve quality: replay a seeded level-shift stream, assert the drift alert fires"
 QUALITY_ADDR=127.0.0.1:19666
 QUALITY_TRACE=target/ci_quality_trace.jsonl
