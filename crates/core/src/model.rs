@@ -13,7 +13,7 @@ use muse_nn::{ParamRef, Session};
 use muse_obs as obs;
 use muse_tensor::init::SeededRng;
 use muse_tensor::Tensor;
-use muse_traffic::subseries::SubSeriesSpec;
+use muse_traffic::subseries::{self, SubSeriesSpec};
 use muse_traffic::{Batch, FlowSeries};
 use std::cell::RefCell;
 
@@ -561,13 +561,12 @@ impl MuseNet {
         InferenceOutput { prediction: prediction.value(), exclusive_mu_norms, interactive_mu_norm }
     }
 
-    /// Autoregressive multi-step forecast.
-    ///
-    /// For each base index `n`, the model is rolled forward `horizons`
-    /// steps: predicted frames replace the unavailable future frames inside
-    /// the closeness window, while the period/trend windows remain ground
-    /// truth (their lags are ≥ one day, beyond any reasonable horizon).
-    /// Returns one `[B, 2, H, W]` tensor per horizon.
+    /// Autoregressive multi-step forecast: [`subseries::roll_out`] with
+    /// one [`infer_raw`](Self::infer_raw) pass per step on a hoisted
+    /// forward-only tape. Predicted frames replace the unavailable future
+    /// frames inside the closeness window, while the period/trend windows
+    /// remain ground truth (their lags are ≥ one day, beyond any horizon
+    /// served). Returns one `[B, 2, H, W]` tensor per horizon.
     pub fn predict_multi_step(
         &self,
         flows: &FlowSeries,
@@ -575,50 +574,13 @@ impl MuseNet {
         indices: &[usize],
         horizons: usize,
     ) -> Vec<Tensor> {
-        assert!(horizons >= 1, "need at least one horizon");
-        assert!(spec.intervals_per_day >= horizons, "rollout assumes horizons shorter than one day");
-        let mut per_horizon: Vec<Vec<Tensor>> = vec![Vec::with_capacity(indices.len()); horizons];
-        #[allow(clippy::needless_range_loop)]
-        for &n in indices {
-            let mut predicted: Vec<Tensor> = Vec::with_capacity(horizons); // frames n, n+1, ...
-            for h in 0..horizons {
-                let target_idx = n + h;
-                // Closeness frames: target_idx - lag; use predictions for
-                // frames >= n.
-                let mut c_frames: Vec<Tensor> = Vec::with_capacity(spec.lc);
-                for lag in spec.closeness_lags() {
-                    let idx = target_idx - lag;
-                    if idx >= n {
-                        c_frames.push(predicted[idx - n].clone());
-                    } else {
-                        c_frames.push(flows.frame(idx));
-                    }
-                }
-                let c_refs: Vec<&Tensor> = c_frames.iter().collect();
-                let c = Tensor::concat(&c_refs, 0).unsqueeze(0);
-                // Period/trend lags are ≥ f ≥ horizons, so they never touch
-                // predicted frames; take them at the true target index.
-                let p_frames: Vec<Tensor> =
-                    spec.period_lags().iter().map(|&lag| flows.frame(target_idx - lag)).collect();
-                let p_refs: Vec<&Tensor> = p_frames.iter().collect();
-                let p = Tensor::concat(&p_refs, 0).unsqueeze(0);
-                let t_frames: Vec<Tensor> =
-                    spec.trend_lags().iter().map(|&lag| flows.frame(target_idx - lag)).collect();
-                let t_refs: Vec<&Tensor> = t_frames.iter().collect();
-                let t = Tensor::concat(&t_refs, 0).unsqueeze(0);
-                let pred = self.predict_raw(&c, &p, &t); // [1, 2, H, W]
-                let frame = pred.index_axis0(0);
-                predicted.push(frame.clone());
-                per_horizon[h].push(frame);
-            }
-        }
-        per_horizon
-            .into_iter()
-            .map(|frames| {
-                let refs: Vec<&Tensor> = frames.iter().collect();
-                Tensor::stack(&refs)
-            })
-            .collect()
+        let tape = Tape::forward_only();
+        let s = Session::new(&tape);
+        subseries::roll_out(flows, spec, indices, horizons, |b| {
+            tape.reset();
+            s.reset();
+            self.infer_raw(&s, &b.closeness, &b.period, &b.trend).prediction
+        })
     }
 
     // ------------------------------------------------------------- analysis

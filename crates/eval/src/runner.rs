@@ -9,7 +9,7 @@ use muse_metrics::error::ErrorStats;
 use muse_obs::{self as obs, ToJson};
 use muse_tensor::Tensor;
 use muse_traffic::dataset::{DatasetPreset, Scaler, Split, TrafficDataset};
-use muse_traffic::subseries::SubSeriesSpec;
+use muse_traffic::subseries::{self, SubSeriesSpec};
 use muse_traffic::FlowSeries;
 use musenet::{AblationVariant, MuseNet, MuseNetConfig, Trainer, TrainerOptions};
 use std::path::PathBuf;
@@ -397,7 +397,9 @@ impl FittedModel {
                 t.model().predict_multi_step(&prepared.scaled, &prepared.spec, indices, horizons)
             }
             FittedModel::Neural(b) => {
-                rollout(b.as_ref(), &prepared.scaled, &prepared.spec, indices, horizons)
+                subseries::roll_out(&prepared.scaled, &prepared.spec, indices, horizons, |batch| {
+                    b.predict_batch(batch)
+                })
             }
             FittedModel::Naive(_) => panic!("naive baselines have no multi-step rollout"),
         }
@@ -538,62 +540,6 @@ fn warm_start(cfg: &MuseNetConfig, profile: &Profile) -> Option<MuseNet> {
         vec![("path", path.display().to_string().to_json()), ("variant", saved.variant.name().to_json())]
     });
     Some(model)
-}
-
-/// Generic autoregressive rollout for any [`BatchPredictor`]: predicted
-/// frames replace future frames inside the closeness window; period/trend
-/// stay ground truth (their lags exceed the horizon).
-pub fn rollout(
-    model: &dyn BatchPredictor,
-    flows: &FlowSeries,
-    spec: &SubSeriesSpec,
-    indices: &[usize],
-    horizons: usize,
-) -> Vec<Tensor> {
-    assert!(spec.intervals_per_day >= horizons, "rollout assumes sub-day horizons");
-    let mut per_horizon: Vec<Vec<Tensor>> = vec![Vec::with_capacity(indices.len()); horizons];
-    #[allow(clippy::needless_range_loop)]
-    for &n in indices {
-        let mut predicted: Vec<Tensor> = Vec::with_capacity(horizons);
-        for h in 0..horizons {
-            let target = n + h;
-            let mut c_frames = Vec::with_capacity(spec.lc);
-            for lag in spec.closeness_lags() {
-                let idx = target - lag;
-                if idx >= n {
-                    c_frames.push(predicted[idx - n].clone());
-                } else {
-                    c_frames.push(flows.frame(idx));
-                }
-            }
-            let c_refs: Vec<&Tensor> = c_frames.iter().collect();
-            let closeness = Tensor::concat(&c_refs, 0).unsqueeze(0);
-            let p_frames: Vec<Tensor> = spec.period_lags().iter().map(|&l| flows.frame(target - l)).collect();
-            let p_refs: Vec<&Tensor> = p_frames.iter().collect();
-            let period = Tensor::concat(&p_refs, 0).unsqueeze(0);
-            let t_frames: Vec<Tensor> = spec.trend_lags().iter().map(|&l| flows.frame(target - l)).collect();
-            let t_refs: Vec<&Tensor> = t_frames.iter().collect();
-            let trend = Tensor::concat(&t_refs, 0).unsqueeze(0);
-            let b = muse_traffic::Batch {
-                closeness,
-                period,
-                trend,
-                target: Tensor::zeros(&[1, 2, flows.grid().height, flows.grid().width]),
-                indices: vec![target],
-            };
-            let pred = model.predict_batch(&b);
-            let frame = pred.index_axis0(0);
-            predicted.push(frame.clone());
-            per_horizon[h].push(frame);
-        }
-    }
-    per_horizon
-        .into_iter()
-        .map(|frames| {
-            let refs: Vec<&Tensor> = frames.iter().collect();
-            Tensor::stack(&refs)
-        })
-        .collect()
 }
 
 /// Split `[N, 2, H, W]` predictions into (outflow, inflow) `[N, 1, H, W]`.

@@ -6,20 +6,24 @@
 //! activations live in a thread-local arena — so the daemon builds the
 //! model *inside* one long-lived engine thread and serializes all access
 //! through message passing. HTTP workers block on a reply channel; the
-//! engine answers every forecast already queued behind the first one from
-//! one rollout (see [`crate::batcher`]).
+//! engine answers every forecast already queued behind the first one (at
+//! most `MAX_BATCH` messages) from one rollout.
 //!
-//! The rollout is a memo keyed by [`FlowWindow::next_index`]: the window is
-//! append-only, so that index fixes every frame a rollout reads, and step
-//! `h` reads only window frames and steps `0..h`. A forecast at an
-//! unchanged window computes only the steps past the cached prefix — none
-//! for a horizon already served — and an accepted ingest starts a new memo.
+//! The rollout is [`muse_traffic::Rollout`], the one implementation of the
+//! Table III scheme that `MuseNet::predict_multi_step` also drives, run at
+//! batch 1 over the ring buffer ([`FlowWindow`] is its frame source). It is
+//! memoized by [`FlowWindow::next_index`]: the window is append-only, so
+//! that index fixes every frame a rollout reads, and step `h` reads only
+//! window frames and steps `0..h`. A forecast at an unchanged window
+//! computes only the steps past the cached prefix — none for a horizon
+//! already served — and an accepted ingest starts a new memo.
 //!
-//! Steady-state inference is allocation-free: one [`Tape::forward_only`]
-//! tape and [`Session`] are hoisted for the engine's lifetime and `reset`
-//! between passes (recycling arena buffers), the closeness / period /
-//! trend staging tensors are filled in place from the ring buffer, and the
-//! memo's frames are sized once at boot.
+//! One [`Tape::forward_only`] tape and [`Session`] are hoisted for the
+//! engine's lifetime and `reset` between passes, so activations recycle
+//! arena buffers and the rollout's staging batch is filled in place. The
+//! steady state is not allocation-free: a forward pass still makes a few
+//! hundred small heap allocations (graph nodes, shapes); only tensor storage
+//! is recycled.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -31,12 +35,10 @@ use muse_autograd::Tape;
 use muse_nn::Session;
 use muse_obs as obs;
 use muse_obs::Json;
-use muse_tensor::Tensor;
-use muse_traffic::{GridMap, SubSeriesSpec};
+use muse_traffic::{GridMap, Rollout, SubSeriesSpec};
 use musenet::MuseNet;
 
 use crate::api::{ForecastResponse, IngestAck, LatentNorms};
-use crate::batcher::drain_backlog;
 use crate::quality::{QualityConfig, QualityTracker};
 use crate::spectral::SpectralSweeper;
 use crate::window::FlowWindow;
@@ -51,6 +53,9 @@ fn next_request_id() -> u64 {
     NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Most queued messages swept into one batch behind a forecast.
+const MAX_BATCH: usize = 64;
+
 /// Ways a serving request can fail.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
@@ -63,8 +68,8 @@ pub enum EngineError {
     },
     /// The ingested frame was rejected (wrong length, non-finite values…).
     BadFrame(String),
-    /// Horizon outside `1..=max` (the rollout assumes horizons shorter than
-    /// one day, matching [`MuseNet::predict_multi_step`]).
+    /// Horizon outside `1..=max` (the shared [`muse_traffic::Rollout`]
+    /// assumes horizons shorter than one day).
     BadHorizon {
         /// Requested horizon.
         horizon: usize,
@@ -104,8 +109,6 @@ pub struct EngineOptions {
     /// inherit `MUSE_THREADS` / auto). The engine pins this itself because
     /// the pool's thread-local override does not cross thread boundaries.
     pub threads: Option<usize>,
-    /// Most queued messages swept into one batch behind a forecast.
-    pub max_batch: usize,
     /// Quality-monitoring configuration (journal, estimators, alerts).
     pub quality: QualityConfig,
     /// Run a spectral periodicity sweep every this many ingested frames
@@ -115,7 +118,7 @@ pub struct EngineOptions {
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        EngineOptions { threads: None, max_batch: 64, quality: QualityConfig::default(), spectral_every: 32 }
+        EngineOptions { threads: None, quality: QualityConfig::default(), spectral_every: 32 }
     }
 }
 
@@ -330,91 +333,49 @@ impl Drop for Engine {
     }
 }
 
-/// Hoisted per-pass buffers: the three staging input tensors, plus the
-/// rollout memo — steps `0..memo_len` of the rollout from window state
-/// `memo_base`, each a predicted frame and the latent norms of its pass.
+/// The rollout memo: a batch-1 [`Rollout`] from window state
+/// `rollout.bases()[0]`, plus the latent norms of each computed step.
 struct Staging {
-    closeness: Tensor,
-    period: Tensor,
-    trend: Tensor,
-    predicted: Vec<Vec<f32>>,
+    rollout: Rollout,
     norms: Vec<LatentNorms>,
-    memo_base: u64,
-    memo_len: usize,
 }
 
 impl Staging {
     fn new(grid: GridMap, spec: &SubSeriesSpec) -> Staging {
-        let (h, w) = (grid.height, grid.width);
-        let unset = LatentNorms { closeness: 0.0, period: 0.0, trend: 0.0, interactive: 0.0 };
-        Staging {
-            closeness: Tensor::zeros(&[1, 2 * spec.lc, h, w]),
-            period: Tensor::zeros(&[1, 2 * spec.lp, h, w]),
-            trend: Tensor::zeros(&[1, 2 * spec.lt, h, w]),
-            predicted: vec![vec![0.0; 2 * grid.cells()]; spec.intervals_per_day],
-            norms: vec![unset; spec.intervals_per_day],
-            memo_base: 0,
-            memo_len: 0,
-        }
+        Staging { rollout: Rollout::new(grid, *spec), norms: Vec::with_capacity(spec.intervals_per_day) }
     }
 
     /// Extend the memo to `max_h` rollout steps past the window's newest
     /// frame and return how many steps were already cached. Step `h`
-    /// forecasts absolute frame `next_index + h`; closeness lags that reach
-    /// past the last real frame are backfilled with earlier predictions,
-    /// while period/trend lags (≥ one day > any served horizon) always read
-    /// ground truth — exactly the scheme of [`MuseNet::predict_multi_step`],
-    /// sliced from the ring buffer.
-    fn rollout(
+    /// forecasts absolute frame `next_index + h`.
+    fn extend(
         &mut self,
         model: &MuseNet,
         session: &Session<'_>,
         tape: &Tape,
         window: &FlowWindow,
-        spec: &SubSeriesSpec,
         max_h: usize,
     ) -> usize {
-        let frame_len = window.frame_len();
-        let next = window.next_index();
-        if self.memo_base != next {
-            self.memo_base = next;
-            self.memo_len = 0;
+        let next = window.next_index() as usize;
+        if self.rollout.bases() != [next] {
+            self.rollout.start(&[next]);
+            self.norms.clear();
         }
-        let cached = self.memo_len;
-        for h in cached..max_h {
-            let target = next + h as u64;
-            {
-                let dst = self.closeness.as_mut_slice();
-                for (k, &lag) in spec.closeness_lags().iter().enumerate() {
-                    let idx = target - lag as u64;
-                    let src: &[f32] =
-                        if idx >= next { &self.predicted[(idx - next) as usize] } else { window.frame(idx) };
-                    dst[k * frame_len..(k + 1) * frame_len].copy_from_slice(src);
-                }
-            }
-            for (tensor, lags) in
-                [(&mut self.period, spec.period_lags()), (&mut self.trend, spec.trend_lags())]
-            {
-                let dst = tensor.as_mut_slice();
-                for (k, &lag) in lags.iter().enumerate() {
-                    let idx = target - lag as u64;
-                    dst[k * frame_len..(k + 1) * frame_len].copy_from_slice(window.frame(idx));
-                }
-            }
-            tape.reset();
-            session.reset();
-            let out = model.infer_raw(session, &self.closeness, &self.period, &self.trend);
-            // Copy the prediction out before the next reset recycles its arena
-            // buffer; [1, 2, H, W] flattens to one frame.
-            self.predicted[h].copy_from_slice(out.prediction.as_slice());
-            self.norms[h] = LatentNorms {
-                closeness: out.exclusive_mu_norms[0],
-                period: out.exclusive_mu_norms[1],
-                trend: out.exclusive_mu_norms[2],
-                interactive: out.interactive_mu_norm,
-            };
+        let cached = self.rollout.computed();
+        while self.rollout.computed() < max_h {
+            self.rollout.advance(window, |b| {
+                tape.reset();
+                session.reset();
+                let out = model.infer_raw(session, &b.closeness, &b.period, &b.trend);
+                self.norms.push(LatentNorms {
+                    closeness: out.exclusive_mu_norms[0],
+                    period: out.exclusive_mu_norms[1],
+                    trend: out.exclusive_mu_norms[2],
+                    interactive: out.interactive_mu_norm,
+                });
+                out.prediction
+            });
         }
-        self.memo_len = self.memo_len.max(max_h);
         cached
     }
 }
@@ -494,22 +455,16 @@ impl Serving {
     }
 
     /// One turn of the engine loop: handle `msg`; if it is a forecast, sweep
-    /// the queued backlog behind it (at most `max_batch` messages) and answer
+    /// the queued backlog behind it (at most [`MAX_BATCH`] messages) and answer
     /// every forecast collected with one rollout. Ingests land in arrival
     /// order before that rollout, so every forecast in the batch sees the
     /// same, freshest window. Returns whether a shutdown was requested.
-    fn turn(
-        &mut self,
-        msg: Request,
-        rx: &Receiver<Request>,
-        max_batch: usize,
-        session: &Session<'_>,
-        tape: &Tape,
-    ) -> bool {
+    fn turn(&mut self, msg: Request, rx: &Receiver<Request>, session: &Session<'_>, tape: &Tape) -> bool {
         let mut waiting = Vec::new();
         let mut stop = self.handle(msg, &mut waiting);
         if !waiting.is_empty() {
-            for extra in drain_backlog(rx, max_batch) {
+            // Only what is already queued: a forecast never waits for company.
+            for extra in rx.try_iter().take(MAX_BATCH) {
                 stop |= self.handle(extra, &mut waiting);
             }
             self.answer(waiting, session, tape);
@@ -603,7 +558,7 @@ impl Serving {
         let started = Instant::now();
         let cached = {
             let _span = obs::span("serve.forecast.batch");
-            self.staging.rollout(&self.model, session, tape, &self.window, &self.spec, max_h)
+            self.staging.extend(&self.model, session, tape, &self.window, max_h)
         };
         obs::histogram("serve.forecast.batch_size").record(batch_size as f64);
         obs::histogram("serve.forecast.rollout_ns").record(started.elapsed().as_nanos() as f64);
@@ -615,7 +570,7 @@ impl Serving {
 
         let base = self.window.next_index();
         for (horizon, req, reply) in waiting {
-            let prediction = &self.staging.predicted[horizon - 1];
+            let prediction = self.staging.rollout.step(horizon - 1).as_slice();
             if !prediction.iter().all(|v| v.is_finite()) {
                 obs::counter("serve.forecasts_non_finite").add(1);
                 reject(req, "forecast", "non_finite".to_string());
@@ -637,7 +592,7 @@ impl Serving {
                 horizon,
                 target_index: target,
                 shape: [2, self.grid.height, self.grid.width],
-                prediction: prediction.clone(),
+                prediction: prediction.to_vec(),
                 latent_norms: self.staging.norms[horizon - 1],
                 batch_size,
             }));
@@ -670,7 +625,7 @@ fn run_engine(
     let tape = Tape::forward_only();
     let session = Session::new(&tape);
     while let Ok(msg) = rx.recv() {
-        if serving.turn(msg, &rx, opts.max_batch, &session, &tape) {
+        if serving.turn(msg, &rx, &session, &tape) {
             break;
         }
     }
@@ -722,6 +677,7 @@ mod tests {
     //! Every test here holds `obs::test_lock()`: the serving counters are
     //! process-global, and `http::tests` asserts exact counts.
     use super::*;
+    use muse_tensor::Tensor;
     use muse_traffic::FlowSeries;
     use musenet::MuseNetConfig;
 
@@ -971,7 +927,7 @@ mod tests {
         let tape = Tape::forward_only();
         let session = Session::new(&tape);
         let first = Request::Forecast { req: 1, horizon: 1, reply: first_reply };
-        assert!(serving.turn(first, &rx, 64, &session, &tape), "the queued shutdown is reported");
+        assert!(serving.turn(first, &rx, &session, &tape), "the queued shutdown is reported");
 
         assert_eq!(ingest_rx.recv().unwrap().unwrap().index, n);
         let (first, second) = (first_rx.recv().unwrap().unwrap(), second_rx.recv().unwrap().unwrap());
@@ -982,6 +938,32 @@ mod tests {
         assert_eq!((first.batch_size, second.batch_size), (2, 2));
         let stats = serving.snapshot();
         assert_eq!((stats.batches, stats.forecasts, stats.rollout_steps), (1, 2, 2));
+    }
+
+    #[test]
+    fn a_turn_sweeps_at_most_max_batch_queued_messages() {
+        let _g = obs::test_lock();
+        let cfg = tiny_config();
+        let n = cfg.spec.min_target() as u64;
+        let frame_len = 2 * cfg.grid.cells();
+        let mut serving = Serving::new(musenet::MuseNet::new(cfg), &EngineOptions::default());
+        for i in 0..n {
+            serving.ingest(0, frame_at(i, frame_len)).unwrap();
+        }
+        let (tx, rx) = mpsc::channel();
+        let (reply, replies) = mpsc::channel();
+        for req in 0..MAX_BATCH as u64 + 3 {
+            tx.send(Request::Forecast { req, horizon: 1, reply: reply.clone() }).unwrap();
+        }
+        let tape = Tape::forward_only();
+        let session = Session::new(&tape);
+        let first = rx.recv().unwrap();
+        assert!(!serving.turn(first, &rx, &session, &tape));
+
+        assert_eq!(replies.try_iter().count(), MAX_BATCH + 1, "the first forecast plus MAX_BATCH swept");
+        assert_eq!(rx.try_iter().count(), 2, "the rest waits for the next turn");
+        let stats = serving.snapshot();
+        assert_eq!((stats.batches, stats.last_batch_size), (1, MAX_BATCH + 1));
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! (`muse-eval --save-checkpoint`, `MuseNet::save_with_config`); this crate
 //! is the other half of that contract: boot a model from such a checkpoint,
 //! ingest live flow frames into a rolling window, and answer forecasts over
-//! HTTP — forward-only, allocation-free in steady state, with the rollout
-//! memoized per window state and queued forecasts answered together.
+//! HTTP — forward-only on a hoisted tape that recycles tensor storage, with
+//! the rollout memoized per window state and queued forecasts answered
+//! together.
 //!
 //! Layering (each module usable on its own):
 //!
-//! * [`window`] — ring buffer of `2×H×W` frames with absolute indexing;
-//! * [`engine`] — the model-owning thread: checkpoint loading, lag slicing,
-//!   the autoregressive rollout memo, request coalescing;
-//! * [`batcher`] — the non-blocking, bounded backlog sweep the engine
-//!   batches with;
+//! * [`window`] — ring buffer of `2×H×W` frames with absolute indexing, the
+//!   frame source of the shared `muse_traffic::Rollout`;
+//! * [`engine`] — the model-owning thread: checkpoint loading, the
+//!   autoregressive rollout memo, request coalescing;
 //! * [`journal`] — served forecasts awaiting ground truth, scored when the
 //!   target frame later arrives over `/ingest`;
 //! * [`quality`] — rolling MAE/RMSE estimators and the drift alert engine
@@ -31,7 +31,6 @@
 //! ingestion sequence, `/forecast` is bit-identical for any `MUSE_THREADS`.
 
 pub mod api;
-pub mod batcher;
 pub mod engine;
 pub mod http;
 pub mod journal;

@@ -10,7 +10,6 @@
 //!   --workers <n>    server loops, one connection each at a time (default 4;
 //!                    1 serves connections sequentially)
 //!   --threads <n>    kernel threads for inference (default: MUSE_THREADS/auto)
-//!   --max-batch <n>  most queued requests swept into one batch (default 64)
 //!   --trace <p>      write a JSONL telemetry trace to <p> (same as MUSE_OBS=<p>)
 //!   --alert <spec>   add an alert rule (repeatable); spec syntax:
 //!                    name:kind:metric=<m>:warn=..:fire=..[:for=n] with kinds
@@ -36,7 +35,6 @@ struct Args {
     addr: String,
     workers: usize,
     threads: Option<usize>,
-    max_batch: usize,
     trace: Option<PathBuf>,
     quality: QualityConfig,
     spectral_every: u64,
@@ -44,7 +42,7 @@ struct Args {
 
 fn usage() -> String {
     "usage: muse-serve --checkpoint path.ckpt [--addr host:port] [--workers n] \
-     [--threads n] [--max-batch n] [--trace path.jsonl] \
+     [--threads n] [--trace path.jsonl] \
      [--alert name:kind:...]... [--no-default-alerts] [--journal n] [--quality-window n] \
      [--spectral-every n] [--no-spectral]\n\
      alert kinds: threshold | ewma | periodic | spectral-shift"
@@ -57,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
     let mut addr = "127.0.0.1:9600".to_string();
     let mut workers = 4usize;
     let mut threads = None;
-    let mut max_batch = 64usize;
     let mut trace = None;
     let mut quality = QualityConfig::default();
     let mut spectral_every = EngineOptions::default().spectral_every;
@@ -73,10 +70,6 @@ fn parse_args() -> Result<Args, String> {
             "--threads" => {
                 let v = value("--threads")?;
                 threads = Some(v.parse().map_err(|_| format!("bad threads {v}"))?);
-            }
-            "--max-batch" => {
-                let v = value("--max-batch")?;
-                max_batch = v.parse().map_err(|_| format!("bad max-batch {v}"))?;
             }
             "--trace" => trace = Some(PathBuf::from(value("--trace")?)),
             "--alert" => {
@@ -101,7 +94,7 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     let checkpoint = checkpoint.ok_or(format!("--checkpoint is required\n{}", usage()))?;
-    Ok(Args { checkpoint, addr, workers, threads, max_batch, trace, quality, spectral_every })
+    Ok(Args { checkpoint, addr, workers, threads, trace, quality, spectral_every })
 }
 
 fn main() {
@@ -140,7 +133,6 @@ fn main() {
 
     let engine_opts = EngineOptions {
         threads: args.threads,
-        max_batch: args.max_batch.max(1),
         quality: args.quality.clone(),
         spectral_every: args.spectral_every,
     };
@@ -187,7 +179,6 @@ fn main() {
                 ("window_capacity", info.window_capacity.to_json()),
                 ("max_horizon", info.max_horizon.to_json()),
                 ("workers", args.workers.to_json()),
-                ("max_batch", args.max_batch.to_json()),
                 ("threads", args.threads.map_or(Json::Null, |t| Json::Num(t as f64))),
                 ("simd", Json::Str(muse_tensor::simd::level_name().to_string())),
                 ("version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),

@@ -12,7 +12,7 @@
 //! trend branch reaches (`Lt · f · 7`); once the window has wrapped that
 //! far, every lag of every branch resolves and the daemon is *ready*.
 
-use muse_traffic::{GridMap, SubSeriesSpec};
+use muse_traffic::{FrameSource, GridMap, SubSeriesSpec};
 
 /// Fixed-capacity ring buffer of `2×H×W` flow frames.
 pub struct FlowWindow {
@@ -140,6 +140,12 @@ impl FlowWindow {
         }
         let slot = (abs % self.capacity as u64) as usize * self.frame_len;
         Some(&self.data[slot..slot + self.frame_len])
+    }
+}
+
+impl FrameSource for FlowWindow {
+    fn frame_slice(&self, i: usize) -> &[f32] {
+        self.frame(i as u64)
     }
 }
 

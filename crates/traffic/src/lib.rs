@@ -38,5 +38,5 @@ pub use flow::FlowSeries;
 pub use grid::{GridMap, Region};
 pub use masks::{peak_mask, weekday_mask, DayKind};
 pub use sim::{periodic_preset, CityConfig, CitySimulator, PeriodicPreset, PERIODIC_PRESETS};
-pub use subseries::{Batch, MultiStepBatch, Sample, SubSeriesSpec};
+pub use subseries::{Batch, FrameSource, Rollout, Sample, SubSeriesSpec};
 pub use trajectory::{Trajectory, TrajectoryPoint};

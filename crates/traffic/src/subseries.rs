@@ -2,6 +2,7 @@
 //! sub-series (Eqs. 3–5), and assembling training batches from them.
 
 use crate::flow::FlowSeries;
+use crate::grid::GridMap;
 use muse_tensor::Tensor;
 
 /// Lengths and resolution of the multi-periodic interception.
@@ -152,22 +153,6 @@ impl Batch {
     }
 }
 
-/// A multi-horizon batch: shared inputs, one target frame per horizon
-/// (`targets[h]` is `X_{n+h}` stacked over the batch).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiStepBatch {
-    /// Shared input sub-series (as in [`Batch`]).
-    pub closeness: Tensor,
-    /// Period sub-series.
-    pub period: Tensor,
-    /// Trend sub-series.
-    pub trend: Tensor,
-    /// Per-horizon targets, each `[B, 2, H, W]`.
-    pub targets: Vec<Tensor>,
-    /// Base target indices `n` (horizon 0).
-    pub indices: Vec<usize>,
-}
-
 /// Stack `frames` (each `[2, H, W]` at `n - lag`) along the channel axis.
 fn gather_lagged(flows: &FlowSeries, n: usize, lags: &[usize]) -> Tensor {
     let frames: Vec<Tensor> = lags.iter().map(|&lag| flows.frame(n - lag)).collect();
@@ -210,6 +195,41 @@ fn stage_tensor(t: &mut Tensor, dims: &[usize]) {
     }
 }
 
+/// Random access to a flow series' frames by absolute interval index —
+/// all that the sub-series fill reads from a series.
+pub trait FrameSource {
+    /// Frame `X_i` as row-major `[2, H, W]` scalars.
+    fn frame_slice(&self, i: usize) -> &[f32];
+}
+
+impl FrameSource for FlowSeries {
+    fn frame_slice(&self, i: usize) -> &[f32] {
+        let len = 2 * self.grid().cells();
+        &self.tensor().as_slice()[i * len..(i + 1) * len]
+    }
+}
+
+/// Stage `t` as `[B, 2·|lags|, H, W]`: row `b`, slot `k` holds frame
+/// `targets[b] - lags[k]` as `frame(b, index)` returns it — the layout of
+/// concat + stack.
+fn fill_lags<'a>(
+    t: &mut Tensor,
+    grid: GridMap,
+    targets: &[usize],
+    lags: &[usize],
+    frame: impl Fn(usize, usize) -> &'a [f32],
+) {
+    let frame_len = 2 * grid.cells();
+    stage_tensor(t, &[targets.len(), 2 * lags.len(), grid.height, grid.width]);
+    let dst = t.as_mut_slice();
+    for (row, &n) in targets.iter().enumerate() {
+        for (k, &lag) in lags.iter().enumerate() {
+            let at = (row * lags.len() + k) * frame_len;
+            dst[at..at + frame_len].copy_from_slice(frame(row, n - lag));
+        }
+    }
+}
+
 /// Assemble a batch for the given target indices **into** `out`, reusing its
 /// tensor buffers when shapes allow. Frames are copied straight from the
 /// series' backing storage — no per-sample staging tensors are created, and
@@ -223,65 +243,147 @@ pub fn batch_into(flows: &FlowSeries, spec: &SubSeriesSpec, indices: &[usize], o
         assert!(n >= min, "target {n} lacks history (min {min})");
         assert!(n < flows.len(), "target {n} beyond series length {}", flows.len());
     }
-    let b = indices.len();
-    let grid = flows.grid();
-    let (h, w) = (grid.height, grid.width);
-    let frame = 2 * h * w;
-    let src = flows.tensor().as_slice();
-
-    // Copy the frames at `n - lag` (lag order) for every sample, packed
-    // along the channel axis — identical layout to concat + stack.
-    let fill = |t: &mut Tensor, lags: &[usize]| {
-        stage_tensor(t, &[b, 2 * lags.len(), h, w]);
-        let dst = t.as_mut_slice();
-        for (bi, &n) in indices.iter().enumerate() {
-            for (k, &lag) in lags.iter().enumerate() {
-                let at = (bi * lags.len() + k) * frame;
-                dst[at..at + frame].copy_from_slice(&src[(n - lag) * frame..(n - lag + 1) * frame]);
-            }
-        }
-    };
-    fill(&mut out.closeness, &spec.closeness_lags());
-    fill(&mut out.period, &spec.period_lags());
-    fill(&mut out.trend, &spec.trend_lags());
-    fill(&mut out.target, &[0]);
     out.indices.clear();
     out.indices.extend_from_slice(indices);
+    let grid = flows.grid();
+    let source = |_, i| flows.frame_slice(i);
+    fill_lags(&mut out.closeness, grid, &out.indices, &spec.closeness_lags(), source);
+    fill_lags(&mut out.period, grid, &out.indices, &spec.period_lags(), source);
+    fill_lags(&mut out.trend, grid, &out.indices, &spec.trend_lags(), source);
+    fill_lags(&mut out.target, grid, &out.indices, &[0], source);
 }
 
-/// Assemble a multi-horizon batch: inputs at base index `n`, targets
-/// `X_n, X_{n+1}, …, X_{n+horizons-1}`.
-pub fn multi_step_batch(
+/// Bases a [`roll_out`] advances together: enough to batch the forward
+/// passes, few enough that peak activation memory does not grow with the
+/// number of evaluated indices.
+const ROLLOUT_CHUNK: usize = 64;
+
+/// The autoregressive multi-step rollout of Table III for a batch of base
+/// indices `n`, advanced one step at a time. Step `h` forecasts frames
+/// `n + h`: closeness lags that reach frames at or past `n` read the
+/// rollout's own earlier predictions, every other lag reads the
+/// [`FrameSource`]. Period/trend lags are at least one day, so with
+/// horizons shorter than a day they only ever read real frames.
+///
+/// The staging [`Batch`] and the step buffer are reused across
+/// [`start`](Rollout::start)s, so a warm rollout allocates nothing beyond
+/// what its predictor does.
+pub struct Rollout {
+    grid: GridMap,
+    spec: SubSeriesSpec,
+    /// Closeness, period and trend lags.
+    lags: [Vec<usize>; 3],
+    bases: Vec<usize>,
+    batch: Batch,
+    /// `steps[h]` is step `h`'s `[B, 2, H, W]` prediction.
+    steps: Vec<Tensor>,
+}
+
+impl Rollout {
+    /// An idle rollout for `grid` and `spec`; call [`start`](Self::start).
+    pub fn new(grid: GridMap, spec: SubSeriesSpec) -> Self {
+        Rollout {
+            grid,
+            spec,
+            lags: [spec.closeness_lags(), spec.period_lags(), spec.trend_lags()],
+            bases: Vec::new(),
+            batch: Batch::staging(),
+            steps: Vec::with_capacity(spec.intervals_per_day),
+        }
+    }
+
+    /// Restart from base indices `bases`, dropping every computed step.
+    pub fn start(&mut self, bases: &[usize]) {
+        assert!(!bases.is_empty(), "empty rollout");
+        let min = self.spec.min_target();
+        for &n in bases {
+            assert!(n >= min, "base {n} lacks history (min {min})");
+        }
+        self.bases.clear();
+        self.bases.extend_from_slice(bases);
+        self.steps.clear();
+        // Target frames lie in the future: the staged target is never
+        // written, so it stays zero.
+        let (h, w) = (self.grid.height, self.grid.width);
+        stage_tensor(&mut self.batch.target, &[bases.len(), 2, h, w]);
+    }
+
+    /// Base indices of the current rollout.
+    pub fn bases(&self) -> &[usize] {
+        &self.bases
+    }
+
+    /// Steps computed since [`start`](Self::start).
+    pub fn computed(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Step `h`'s prediction of frames `n + h`, `[B, 2, H, W]`.
+    pub fn step(&self, h: usize) -> &Tensor {
+        &self.steps[h]
+    }
+
+    /// Compute the next step: stage the batch for targets `n + h` and keep
+    /// what `predict` returns for it.
+    pub fn advance(&mut self, source: &impl FrameSource, predict: impl FnOnce(&Batch) -> Tensor) {
+        let h = self.steps.len();
+        assert!(h < self.spec.intervals_per_day, "rollout assumes horizons shorter than one day");
+        let Rollout { grid, lags: [closeness, period, trend], bases, batch, steps, .. } = self;
+        let frame_len = 2 * grid.cells();
+        batch.indices.clear();
+        batch.indices.extend(bases.iter().map(|&n| n + h));
+        let predicted_or_source = |row: usize, i: usize| {
+            let n = bases[row];
+            if i >= n {
+                &steps[i - n].as_slice()[row * frame_len..(row + 1) * frame_len]
+            } else {
+                source.frame_slice(i)
+            }
+        };
+        fill_lags(&mut batch.closeness, *grid, &batch.indices, closeness, predicted_or_source);
+        let from_source = |_, i| source.frame_slice(i);
+        fill_lags(&mut batch.period, *grid, &batch.indices, period, from_source);
+        fill_lags(&mut batch.trend, *grid, &batch.indices, trend, from_source);
+        let prediction = predict(batch);
+        assert_eq!(prediction.dims(), batch.target.dims(), "a step must predict one frame per base");
+        steps.push(prediction);
+    }
+}
+
+/// Roll every base in `bases` forward `horizons` steps, `ROLLOUT_CHUNK`
+/// bases at a time, calling `predict` once per chunk and step. Returns one
+/// `[N, 2, H, W]` tensor per horizon, rows in `bases` order.
+pub fn roll_out(
     flows: &FlowSeries,
     spec: &SubSeriesSpec,
-    indices: &[usize],
+    bases: &[usize],
     horizons: usize,
-) -> MultiStepBatch {
+    mut predict: impl FnMut(&Batch) -> Tensor,
+) -> Vec<Tensor> {
     assert!(horizons >= 1, "need at least one horizon");
-    for &n in indices {
-        assert!(n + horizons <= flows.len(), "horizon window exceeds series at {n}");
+    let mut rollout = Rollout::new(flows.grid(), *spec);
+    let mut chunks: Vec<Vec<Tensor>> = vec![Vec::new(); horizons];
+    for part in bases.chunks(ROLLOUT_CHUNK) {
+        rollout.start(part);
+        for _ in 0..horizons {
+            rollout.advance(flows, &mut predict);
+        }
+        for (h, step) in rollout.steps.drain(..).enumerate() {
+            chunks[h].push(step);
+        }
     }
-    let base = batch(flows, spec, indices);
-    let targets = (0..horizons)
-        .map(|h| {
-            let frames: Vec<Tensor> = indices.iter().map(|&n| flows.frame(n + h)).collect();
-            let refs: Vec<&Tensor> = frames.iter().collect();
-            Tensor::stack(&refs)
+    chunks
+        .into_iter()
+        .map(|mut parts| match parts.len() {
+            1 => parts.pop().expect("one chunk"),
+            _ => Tensor::concat(&parts.iter().collect::<Vec<_>>(), 0),
         })
-        .collect();
-    MultiStepBatch {
-        closeness: base.closeness,
-        period: base.period,
-        trend: base.trend,
-        targets,
-        indices: indices.to_vec(),
-    }
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::GridMap;
 
     /// A flow series whose every element equals its interval index, so lag
     /// arithmetic is directly observable.
@@ -385,6 +487,71 @@ mod tests {
         }
     }
 
+    /// A predictor forecasting `-target` everywhere, so predicted frames
+    /// are told apart from real ones.
+    fn negated_targets(b: &Batch) -> Tensor {
+        let frame = b.target.len() / b.len();
+        let data = b.indices.iter().flat_map(|&n| std::iter::repeat_n(-(n as f32), frame)).collect();
+        Tensor::from_vec(data, b.target.dims())
+    }
+
+    /// The frame values of a staged sub-series, row by row.
+    fn frame_values(t: &Tensor) -> Vec<f32> {
+        t.as_slice().chunks(8).map(|frame| frame[0]).collect()
+    }
+
+    #[test]
+    fn rollout_backfills_closeness_from_its_own_steps() {
+        let s = spec4();
+        // Base 31 is one past the last real frame, as when serving.
+        let flows = indexed_series(31);
+        let mut rollout = Rollout::new(flows.grid(), s);
+        rollout.start(&[31, 28]);
+        rollout.advance(&flows, negated_targets);
+        rollout.advance(&flows, negated_targets);
+        let mut staged = None;
+        rollout.advance(&flows, |b| {
+            staged = Some(b.clone());
+            negated_targets(b)
+        });
+        let b = staged.expect("step ran");
+        assert_eq!(b.indices, vec![33, 30]);
+        // Closeness X_{n+2-3..n+2-1}: one real frame, then steps 0 and 1.
+        assert_eq!(frame_values(&b.closeness), vec![30.0, -31.0, -32.0, 27.0, -28.0, -29.0]);
+        // Period and trend always read the source.
+        assert_eq!(frame_values(&b.period), vec![25.0, 29.0, 22.0, 26.0]);
+        assert_eq!(frame_values(&b.trend), vec![5.0, 2.0]);
+        assert_eq!(b.target.as_slice(), &[0.0; 16], "future targets are staged as zeros");
+        assert_eq!(rollout.computed(), 3);
+        assert_eq!(frame_values(rollout.step(2)), vec![-33.0, -30.0]);
+    }
+
+    #[test]
+    fn roll_out_chunks_bases_and_keeps_their_order() {
+        let s = spec4();
+        let bases: Vec<usize> = (28..28 + ROLLOUT_CHUNK + 5).rev().collect();
+        let flows = indexed_series(28 + ROLLOUT_CHUNK + 5);
+        let mut calls = 0;
+        let out = roll_out(&flows, &s, &bases, 3, |b| {
+            calls += 1;
+            negated_targets(b)
+        });
+        assert_eq!(calls, 2 * 3, "one call per chunk and step");
+        for (h, step) in out.iter().enumerate() {
+            assert_eq!(step.dims(), &[bases.len(), 2, 2, 2]);
+            let want: Vec<f32> = bases.iter().map(|&n| -((n + h) as f32)).collect();
+            assert_eq!(frame_values(step), want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shorter than one day")]
+    fn rollout_stops_at_one_day() {
+        let s = spec4();
+        let flows = indexed_series(40);
+        let _ = roll_out(&flows, &s, &[30], s.intervals_per_day + 1, negated_targets);
+    }
+
     fn dp(intervals: usize, power_share: f64) -> muse_fft::DetectedPeriod {
         muse_fft::DetectedPeriod { intervals, power_share, snr: 100.0 }
     }
@@ -430,24 +597,5 @@ mod tests {
         let spec = SubSeriesSpec::from_detected(&[dp(48, 0.8)], 48 * 7 * 4 + 10).expect("derivable");
         assert_eq!(spec.intervals_per_day, 48);
         assert_eq!(spec.trend_days, 7);
-    }
-
-    #[test]
-    fn multi_step_targets_shift() {
-        let s = spec4();
-        let flows = indexed_series(40);
-        let mb = multi_step_batch(&flows, &s, &[30, 31], 3);
-        assert_eq!(mb.targets.len(), 3);
-        assert_eq!(mb.targets[0].at(&[0, 0, 0, 0]), 30.0);
-        assert_eq!(mb.targets[1].at(&[0, 0, 0, 0]), 31.0);
-        assert_eq!(mb.targets[2].at(&[1, 0, 0, 0]), 33.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds series")]
-    fn multi_step_bounds_checked() {
-        let s = spec4();
-        let flows = indexed_series(40);
-        let _ = multi_step_batch(&flows, &s, &[39], 3);
     }
 }

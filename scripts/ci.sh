@@ -225,6 +225,14 @@ tail -n 1 target/ci_perfbench.txt | grep -q '"correct":true' || {
 }
 echo "    benchmark self-tests pass, live daemon answered every checked forecast bit-for-bit"
 
+echo "==> perfbench smoke: train-eval, per-target multi-step forecasts equal the batched rollout bit-for-bit"
+bash perfbench/run.sh --workload train-eval --seed 1 --seconds 1 --trace 0 > target/ci_perfbench_train.txt
+tail -n 1 target/ci_perfbench_train.txt | grep -q '"correct":true' || {
+    echo "perfbench train-eval smoke did not report \"correct\":true: $(tail -n 1 target/ci_perfbench_train.txt)" >&2
+    exit 1
+}
+echo "    rollout at batch size 1 and at the full target count agree, parameters match the reference fit"
+
 echo "==> perf gate negative test: doctored baseline must fail"
 cargo run -q --release -p muse-bench --bin perf_gate -- doctor BENCH_kernels.json target/doctored_baseline.json
 if cargo run -q --release -p muse-bench --bin perf_gate -- check target/perf_gate_trace.jsonl target/doctored_baseline.json >/dev/null 2>&1; then

@@ -1,6 +1,7 @@
 //! Integration: end-to-end training runs across the whole stack.
 
 use muse_net_repro::prelude::*;
+use muse_net_repro::traffic::subseries::{sample, Batch};
 
 fn tiny_profile() -> Profile {
     Profile {
@@ -55,11 +56,49 @@ fn every_model_kind_fits_and_predicts() {
     }
 }
 
+/// One prediction from `b` at batch size 1.
+fn predict_one(model: &FittedModel, b: &Batch) -> Tensor {
+    match model {
+        FittedModel::Muse(trainer) => trainer.model().predict(b),
+        FittedModel::Neural(m) => m.predict_batch(b),
+        FittedModel::Naive(_) => unreachable!("naive baselines have no rollout"),
+    }
+}
+
+/// A rollout reference that shares no code with the batched rollout: each
+/// step predicts from `subseries::sample` on a copy of the series, then
+/// writes its prediction into the copy where the real frame was.
+fn reference_rollout(model: &FittedModel, prepared: &Prepared, n: usize, horizons: usize) -> Vec<Tensor> {
+    let grid = prepared.scaled.grid();
+    let frame_len = 2 * grid.cells();
+    let mut series = prepared.scaled.clone();
+    let mut steps = Vec::with_capacity(horizons);
+    for h in 0..horizons {
+        let target = n + h;
+        let s = sample(&series, &prepared.spec, target);
+        let b = Batch {
+            closeness: s.closeness.unsqueeze(0),
+            period: s.period.unsqueeze(0),
+            trend: s.trend.unsqueeze(0),
+            target: s.target.unsqueeze(0),
+            indices: vec![target],
+        };
+        let prediction = predict_one(model, &b);
+        let mut data = series.into_tensor();
+        data.as_mut_slice()[target * frame_len..(target + 1) * frame_len]
+            .copy_from_slice(prediction.as_slice());
+        series = FlowSeries::from_tensor(grid, data);
+        steps.push(prediction);
+    }
+    steps
+}
+
 #[test]
 fn multi_step_rollout_works_for_all_multiperiodic_models() {
     let profile = Profile { epochs: 1, max_batches: 2, ..tiny_profile() };
     let prepared = prepare(DatasetPreset::NycBike, &profile);
     let base: Vec<usize> = prepared.split.test[..4].to_vec();
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for kind in ModelKind::multiperiodic_lineup() {
         let model = fit_model(kind, &prepared, &profile);
         let preds = model.predict_multi_step(&prepared, &base, 3);
@@ -67,6 +106,17 @@ fn multi_step_rollout_works_for_all_multiperiodic_models() {
         for (h, p) in preds.iter().enumerate() {
             assert_eq!(p.dims()[0], base.len(), "{} horizon {h}", model.name());
             assert!(p.all_finite(), "{} horizon {h} not finite", model.name());
+        }
+        for (row, &n) in base.iter().enumerate() {
+            for (h, want) in reference_rollout(&model, &prepared, n, 3).iter().enumerate() {
+                let frame = want.len();
+                assert_eq!(
+                    bits(&preds[h].as_slice()[row * frame..(row + 1) * frame]),
+                    bits(want.as_slice()),
+                    "{} base {n} horizon {h} differs from the reference rollout",
+                    model.name()
+                );
+            }
         }
     }
 }
