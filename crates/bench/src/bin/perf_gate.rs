@@ -1,645 +1,560 @@
 //! Trace-driven performance regression gate.
 //!
-//! Replays a `MUSE_OBS` JSONL trace produced by the kernels bench and
-//! compares it against a committed baseline (`BENCH_kernels.json`):
-//!
-//! * per-bench **min_ns** (the per-iteration minimum, robust to scheduler
-//!   noise) must stay within a relative tolerance band of the baseline;
-//! * per-kernel **bytes per call** from the `kernel.summary` event must
-//!   stay within the same band. Per-call traffic for a fixed shape is
-//!   deterministic, but the summary aggregates every bench that touches a
-//!   kernel and the harness calibrates iteration counts per run, so the
-//!   shape mix (and with it the average) jitters; the band still catches a
-//!   kernel whose data movement genuinely changed.
-//!
-//! Raw `kernel.summary` nano totals are *not* compared: the harness
-//! calibrates iteration counts per run, so totals are not comparable
-//! across runs; only per-iteration statistics are.
-//!
-//! Baselines are stamped with the SIMD level (`simd_level`) they were
-//! recorded under; `check` refuses to compare timings across instruction
-//! sets (an AVX2 baseline would mask a scalar-machine regression, and a
-//! scalar baseline would make AVX2 runs look like free wins).
-//!
-//! Bench pairs named `<base>_prof<hz>` / `<base>` (the kernels bench emits
-//! `train_step_fig4_batch8_prof97`) additionally gate **sampling overhead**:
-//! the profiled run's min_ns may exceed its unprofiled sibling's — from the
-//! *same trace*, so machine speed cancels out — by at most
-//! `MUSE_PROF_OVERHEAD_TOL` (default 2%).
-//!
-//! Bench pairs named `<base>_jobs<n>` / `<base>` (the kernels bench emits
-//! `fig9_mini_fleet_jobs4`) gate the **fleet speedup**: `record` stamps the
-//! measured sequential-over-fleet ratio into the baseline's `fleet` block,
-//! and `check` fails when the current ratio — again from the *same trace*,
-//! so machine speed cancels out — falls below the stamp by more than the
-//! tolerance band. A scheduler change that quietly serializes the fleet
-//! (or oversubscribes it into a slowdown) fails the gate even though each
-//! individual bench still passes its own min_ns band.
+//! `record` summarises a `MUSE_OBS` trace of the kernels bench into a
+//! baseline (`BENCH_kernels.json`); `check` summarises a new trace the same
+//! way and judges the pair with [`RULES`], one row per rule: a selector
+//! naming `(key, current, baseline)` values, and a bound. A rule that gates
+//! no key fails; a baseline value that is missing, not a number or out of
+//! range is an error naming the rule and key. Before judging, `check` proves
+//! its own teeth: for every rule it breaks that rule's baseline values in a
+//! copy of the inputs and refuses to pass unless that rule then fails and no
+//! other rule changes verdict.
 //!
 //! ```text
-//! perf_gate record <trace.jsonl> <baseline.json>       write a new baseline
-//! perf_gate check  <trace.jsonl> <baseline.json> [tol] fail on regressions
-//! perf_gate doctor <baseline.json> <out.json>          corrupt a copy of the
-//!                                                      baseline (CI negative test)
-//! perf_gate doctor-alloc <baseline.json> <out.json>    corrupt the kernel
-//!                                                      bytes-per-call instead
-//!                                                      (allocation-gate
-//!                                                      negative test)
-//! perf_gate doctor-isa <baseline.json> <out.json>      flip the recorded SIMD
-//!                                                      level (ISA-mismatch
-//!                                                      negative test)
-//! perf_gate doctor-prof <trace.jsonl> <out.jsonl>      inflate the trace's
-//!                                                      `_prof<hz>` timings
-//!                                                      (overhead-gate
-//!                                                      negative test)
-//! perf_gate doctor-fleet <baseline.json> <out.json>    inflate the stamped
-//!                                                      fleet speedups
-//!                                                      (fleet-gate negative
-//!                                                      test)
+//! perf_gate record <trace.jsonl> <baseline.json>   write a new baseline
+//! perf_gate check  <trace.jsonl> <baseline.json>   fail on regressions
 //! ```
 //!
 //! Exit codes: 0 pass, 1 regression or malformed input, 2 usage error.
 
-use muse_obs::{json, read_trace, Json};
+use muse_obs::{json, Json};
 use muse_tensor::simd;
+use muse_trace::ingest::TraceData;
 use muse_trace::tolerance::{self, DEFAULT_TOLERANCE};
 use std::process::ExitCode;
 
-/// How much `doctor` shrinks baseline timings: makes any honest run look
-/// at least this many times slower than "baseline", guaranteeing failure.
-const DOCTOR_SHRINK: f64 = 10.0;
+/// How far the teeth proof moves a baseline value past its bound: no honest
+/// run is a thousand times off its own baseline.
+const DOCTOR: f64 = 1e3;
 
-/// What `doctor-alloc` sets every kernel's baseline bytes-per-call to: far
-/// from any honest measurement (including an honest 0), so the two-sided
-/// drift check must flag every kernel.
-const DOCTOR_ALLOC_BYTES: f64 = 1e12;
+/// How a rule judges a current value against its baseline.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Bound {
+    /// Must be equal. A failure stops the gate: nothing after it compares.
+    Equal,
+    /// One-sided: current may exceed baseline by at most this fraction.
+    Ceiling(f64),
+    /// Current may fall to baseline / (1 + this) and no lower.
+    Floor(f64),
+    /// Two-sided, over a denominator clamped at 1 (a zero baseline is usable).
+    Drift(f64),
+}
 
-/// Ceiling on profiled-vs-unprofiled slowdown for `<base>_prof<hz>` bench
-/// pairs; override with `MUSE_PROF_OVERHEAD_TOL`.
-const PROF_OVERHEAD_MAX: f64 = 0.02;
+/// One rule: `select` names each gated key's current and baseline values
+/// as paths into the document `{"trace": <summary>, "baseline": <baseline>}`.
+struct Rule {
+    name: &'static str,
+    select: fn(&Json) -> Vec<Sample>,
+    bound: Bound,
+}
 
-/// How much `doctor-prof` inflates `_prof<hz>` timings: +50% overhead is far
-/// outside the band but inside the ordinary min_ns tolerance, so only the
-/// overhead rule trips.
-const DOCTOR_PROF_INFLATE: f64 = 1.5;
+const RULES: [Rule; 5] = [
+    // Timings only compare within one instruction set.
+    Rule { name: "simd_level", select: simd_stamp, bound: Bound::Equal },
+    // Minima resist noise; kernel nano totals vary with calibrated iteration counts.
+    Rule { name: "min_ns", select: bench_min_ns, bound: Bound::Ceiling(DEFAULT_TOLERANCE) },
+    // Averaged over every bench touching a kernel, so the shape mix jitters.
+    Rule { name: "bytes_per_call", select: kernel_bytes, bound: Bound::Drift(DEFAULT_TOLERANCE) },
+    // `<base>_prof<hz>` against `<base>` in one trace: machine speed cancels.
+    Rule { name: "prof_overhead", select: prof_overhead, bound: Bound::Ceiling(0.02) },
+    // `<base>_jobs<n>` speedup over `<base>` vs a stamp from the gating machine.
+    Rule { name: "fleet_speedup", select: fleet_speedup, bound: Bound::Floor(DEFAULT_TOLERANCE) },
+];
 
-/// How much `doctor-fleet` inflates the stamped fleet speedups: no honest
-/// run gets 10x faster than its own recorded ratio, so the fleet rule must
-/// trip while every other rule stays honest.
-const DOCTOR_FLEET_INFLATE: f64 = 10.0;
+/// `(key, path of the current value, path of the baseline value)`.
+type Sample = (String, Vec<String>, Vec<String>);
+
+/// `(key, "ok" | "FAIL" | "new", detail)`.
+type Line = (String, &'static str, String);
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.as_slice() {
         [mode, trace, baseline] if mode == "record" => record(trace, baseline),
-        [mode, trace, baseline] if mode == "check" => check(trace, baseline, None),
-        [mode, trace, baseline, tol] if mode == "check" => check(trace, baseline, Some(tol)),
-        [mode, baseline, out] if mode == "doctor" => doctor(baseline, out),
-        [mode, baseline, out] if mode == "doctor-alloc" => doctor_alloc(baseline, out),
-        [mode, baseline, out] if mode == "doctor-isa" => doctor_isa(baseline, out),
-        [mode, trace, out] if mode == "doctor-prof" => doctor_prof(trace, out),
-        [mode, baseline, out] if mode == "doctor-fleet" => doctor_fleet(baseline, out),
+        [mode, trace, baseline] if mode == "check" => check(trace, baseline),
         _ => {
-            eprintln!(
-                "usage: perf_gate record <trace.jsonl> <baseline.json>\n       \
-                 perf_gate check  <trace.jsonl> <baseline.json> [tolerance]\n       \
-                 perf_gate doctor <baseline.json> <doctored.json>\n       \
-                 perf_gate doctor-alloc <baseline.json> <doctored.json>\n       \
-                 perf_gate doctor-isa <baseline.json> <doctored.json>\n       \
-                 perf_gate doctor-prof <trace.jsonl> <doctored.jsonl>\n       \
-                 perf_gate doctor-fleet <baseline.json> <doctored.json>"
-            );
+            eprintln!("usage: perf_gate record|check <trace.jsonl> <baseline.json>");
             return ExitCode::from(2);
         }
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("perf_gate: {e}");
-            ExitCode::FAILURE
-        }
+    if let Err(e) = result {
+        eprintln!("perf_gate: {e}");
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }
 
-/// Per-bench timing and per-kernel traffic extracted from one trace.
-struct TraceStats {
-    /// `(name, min_ns, mean_ns)` per `bench.result` event, in order.
-    benches: Vec<(String, f64, f64)>,
-    /// `(kernel, bytes_per_call)` from the final `kernel.summary` event.
-    kernels: Vec<(String, f64)>,
-}
-
-fn load_trace(path: &str) -> Result<TraceStats, String> {
-    let events = read_trace(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
-    let mut benches = Vec::new();
-    let mut kernels = Vec::new();
-    for ev in &events {
-        match ev.get("ev").and_then(Json::as_str) {
-            Some("bench.result") => {
-                let name = ev.get("name").and_then(Json::as_str).unwrap_or_default().to_string();
-                let min = ev.get("min_ns").and_then(Json::as_f64).unwrap_or(0.0);
-                let mean = ev.get("mean_ns").and_then(Json::as_f64).unwrap_or(0.0);
-                if name.is_empty() || min <= 0.0 {
-                    return Err(format!("malformed bench.result in {path}: {}", ev.render()));
-                }
-                benches.push((name, min, mean));
-            }
-            Some("kernel.summary") => {
-                // Later summaries replace earlier ones: only the final
-                // totals cover the whole bench run.
-                kernels.clear();
-                let Some(Json::Obj(ks)) = ev.get("metrics").and_then(|m| m.get("kernels")).cloned() else {
-                    continue;
-                };
-                for (kname, stat) in ks {
-                    let calls = stat.get("calls").and_then(Json::as_f64).unwrap_or(0.0);
-                    let bytes = stat.get("bytes").and_then(Json::as_f64).unwrap_or(0.0);
-                    if calls > 0.0 {
-                        kernels.push((kname, bytes / calls));
-                    }
-                }
-            }
-            _ => {}
-        }
+fn load_trace(path: &str) -> Result<TraceData, String> {
+    let trace = TraceData::load(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
+    // The ingest layer names a bench without a name `?`.
+    if let Some(b) = trace.benches.iter().find(|b| b.name.is_empty() || b.name == "?" || b.min_ns <= 0.0) {
+        return Err(format!("malformed bench.result `{}` in {path}: min_ns {}", b.name, b.min_ns));
     }
-    if benches.is_empty() {
+    if trace.benches.is_empty() {
         return Err(format!("trace {path} contains no bench.result events"));
     }
-    Ok(TraceStats { benches, kernels })
+    Ok(trace)
 }
 
-/// `(fleet bench name, sequential-over-fleet speedup)` for every
-/// `<base>_jobs<n>` bench whose unfleeted sibling is in the same trace.
-fn fleet_speedups(stats: &TraceStats) -> Vec<(String, f64)> {
-    stats
-        .benches
+/// The trace in baseline form: what `record` writes and what `check`
+/// judges against the committed baseline.
+fn summary(trace: &TraceData) -> Json {
+    let bench = |name: &str| trace.benches.iter().find(|b| b.name == name);
+    let fleet = trace.benches.iter().filter_map(|b| {
+        let base = bench(sibling(&b.name, "_jobs")?)?;
+        Some((b.name.clone(), Json::obj([("speedup", Json::Num(base.min_ns / b.min_ns))])))
+    });
+    let benches = trace.benches.iter().map(|b| {
+        (b.name.clone(), Json::obj([("min_ns", Json::Num(b.min_ns)), ("mean_ns", Json::Num(b.mean_ns))]))
+    });
+    let kernels = trace
+        .kernels
         .iter()
-        .filter_map(|(name, fleet_min, _)| {
-            let base = fleet_base_name(name)?;
-            let (_, base_min, _) = stats.benches.iter().find(|(n, _, _)| n == base)?;
-            Some((name.clone(), base_min / fleet_min))
-        })
-        .collect()
-}
-
-fn baseline_json(stats: &TraceStats, tolerance: f64) -> Json {
+        .filter(|k| k.calls > 0.0)
+        .map(|k| (k.name.clone(), Json::obj([("bytes_per_call", Json::Num(k.bytes_per_call()))])));
     Json::obj([
-        ("tolerance", Json::Num(tolerance)),
         ("simd_level", Json::Str(simd::level_name().to_string())),
-        (
-            "fleet",
-            Json::Obj(
-                fleet_speedups(stats)
-                    .into_iter()
-                    .map(|(name, s)| (name, Json::obj([("speedup", Json::Num(s))])))
-                    .collect(),
-            ),
-        ),
-        (
-            "benches",
-            Json::Obj(
-                stats
-                    .benches
-                    .iter()
-                    .map(|(name, min, mean)| {
-                        (
-                            name.clone(),
-                            Json::obj([("min_ns", Json::Num(*min)), ("mean_ns", Json::Num(*mean))]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "kernels",
-            Json::Obj(
-                stats
-                    .kernels
-                    .iter()
-                    .map(|(name, bpc)| (name.clone(), Json::obj([("bytes_per_call", Json::Num(*bpc))])))
-                    .collect(),
-            ),
-        ),
+        ("fleet", Json::Obj(fleet.collect())),
+        ("benches", Json::Obj(benches.collect())),
+        ("kernels", Json::Obj(kernels.collect())),
     ])
 }
 
 fn record(trace: &str, baseline: &str) -> Result<(), String> {
-    let stats = load_trace(trace)?;
-    let json = baseline_json(&stats, DEFAULT_TOLERANCE);
-    std::fs::write(baseline, json.render() + "\n")
+    let trace = load_trace(trace)?;
+    std::fs::write(baseline, summary(&trace).render() + "\n")
         .map_err(|e| format!("cannot write baseline {baseline}: {e}"))?;
-    println!(
-        "perf_gate: recorded {} benches and {} kernels into {baseline}",
-        stats.benches.len(),
-        stats.kernels.len()
-    );
+    println!("perf_gate: recorded {} benches into {baseline}", trace.benches.len());
     Ok(())
 }
 
-fn load_baseline(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-    json::parse(&text).map_err(|e| format!("baseline {path} is not valid JSON: {e:?}"))
+fn check(trace: &str, baseline: &str) -> Result<(), String> {
+    let text =
+        std::fs::read_to_string(baseline).map_err(|e| format!("cannot read baseline {baseline}: {e}"))?;
+    let base = json::parse(&text).map_err(|e| format!("baseline {baseline} is not valid JSON: {e:?}"))?;
+    println!("perf_gate: {trace} vs {baseline}");
+    gate(&RULES, &Json::obj([("trace", summary(&load_trace(trace)?)), ("baseline", base)]))
 }
 
-fn check(trace: &str, baseline_path: &str, cli_tolerance: Option<&String>) -> Result<(), String> {
-    let stats = load_trace(trace)?;
-    let baseline = load_baseline(baseline_path)?;
-    // Precedence: CLI arg, then MUSE_PERF_TOL (both via the shared
-    // resolver), then the tolerance the baseline was recorded with.
-    let tolerance = tolerance::resolve(cli_tolerance.map(String::as_str))
-        .unwrap_or_else(|| baseline.get("tolerance").and_then(Json::as_f64).unwrap_or(DEFAULT_TOLERANCE));
-    let mut failures = Vec::new();
-    println!("perf_gate: tolerance +{:.0}% vs {baseline_path}", tolerance * 100.0);
-
-    // Timings are only comparable within one instruction set: an AVX2
-    // baseline would mask regressions on a scalar machine, and a scalar
-    // baseline would make every AVX2 run look like a free win.
-    let current = simd::level_name();
-    match baseline.get("simd_level").and_then(Json::as_str) {
-        Some(recorded) if recorded != current => {
-            return Err(format!(
-                "baseline {baseline_path} was recorded at SIMD level `{recorded}` but this run \
-                 dispatches `{current}`; timings are not comparable across instruction sets — \
-                 re-record on this machine (scripts/perf_gate.sh record)"
-            ));
-        }
-        Some(_) => {}
-        None => println!(
-            "  note: baseline has no simd_level stamp (recorded pre-SIMD); current level is `{current}`"
-        ),
-    }
-
-    let empty = Vec::new();
-    let base_benches = match baseline.get("benches") {
-        Some(Json::Obj(fields)) => fields,
-        _ => &empty,
-    };
-    for (name, want) in base_benches {
-        let want_min = want.get("min_ns").and_then(Json::as_f64).unwrap_or(0.0);
-        match stats.benches.iter().find(|(n, _, _)| n == name) {
-            None => failures.push(format!("bench `{name}` missing from trace")),
-            Some((_, got_min, _)) => {
-                let change = tolerance::rel_change(want_min, *got_min);
-                let fail = tolerance::exceeds(want_min, *got_min, tolerance);
-                let verdict = if fail { "FAIL" } else { "ok" };
-                println!(
-                    "  {verdict:<4} {name:<40} baseline {want_min:>12.0} ns  current {got_min:>12.0} ns  ({:+.1}%)",
-                    change * 100.0
-                );
-                if fail {
-                    failures.push(format!(
-                        "bench `{name}` regressed: {got_min:.0} ns vs baseline {want_min:.0} ns \
-                         (+{:.1}%, tolerance +{:.0}%)",
-                        change * 100.0,
-                        tolerance * 100.0
-                    ));
-                }
+/// Prove every rule's teeth, then judge every rule, one printed line per key.
+fn gate(rules: &[Rule], doc: &Json) -> Result<(), String> {
+    let verdicts = evaluate(rules, doc)?;
+    let mut failures = teeth(rules, doc, &verdicts)?;
+    for (rule, lines) in rules.iter().zip(&verdicts) {
+        for (key, status, detail) in lines {
+            println!("  {status:<4} {:<14} {key:<40} {detail}", rule.name);
+            if *status == "FAIL" {
+                failures.push(format!("{} `{key}`: {detail}", rule.name));
             }
         }
-    }
-    for (name, _, _) in &stats.benches {
-        if !base_benches.iter().any(|(n, _)| n == name) {
-            println!("  new  {name:<40} (not in baseline; re-record to start gating it)");
+        if rule.bound == Bound::Equal && fails(lines) {
+            break;
         }
     }
-
-    // Sampling-overhead rule: every `<base>_prof<hz>` bench is compared to
-    // its unprofiled sibling within this trace, so the ratio is immune to
-    // machine speed and the band can be far tighter than the min_ns one.
-    let overhead_tol = prof_overhead_tolerance();
-    for (name, prof_min, _) in &stats.benches {
-        let Some(base) = prof_base_name(name) else { continue };
-        match stats.benches.iter().find(|(n, _, _)| n == base) {
-            None => failures.push(format!(
-                "bench `{name}` has no unprofiled sibling `{base}` in the trace; \
-                 cannot gate sampling overhead"
-            )),
-            Some((_, base_min, _)) => {
-                let overhead = prof_min / base_min - 1.0;
-                let fail = overhead > overhead_tol;
-                let verdict = if fail { "FAIL" } else { "ok" };
-                println!(
-                    "  {verdict:<4} {name:<40} prof overhead {:+.2}% vs `{base}` (max +{:.1}%)",
-                    overhead * 100.0,
-                    overhead_tol * 100.0
-                );
-                if fail {
-                    failures.push(format!(
-                        "bench `{name}` sampling overhead {:+.2}% over `{base}` exceeds +{:.1}% \
-                         (MUSE_PROF_OVERHEAD_TOL overrides)",
-                        overhead * 100.0,
-                        overhead_tol * 100.0
-                    ));
-                }
-            }
-        }
-    }
-
-    // Fleet-speedup rule: every `<base>_jobs<n>` bench is compared to its
-    // sequential sibling within this trace (machine speed cancels out) and
-    // the ratio must not fall below the baseline's stamped speedup by more
-    // than the tolerance band. The stamp is recorded on the gating machine,
-    // so a 1-core runner gates ~1x and a many-core runner gates its real
-    // parallel win — each catches the fleet quietly serializing on its own
-    // hardware.
-    let base_fleet = match baseline.get("fleet") {
-        Some(Json::Obj(fields)) => fields,
-        _ => &empty,
-    };
-    for (name, speedup) in fleet_speedups(&stats) {
-        match base_fleet.iter().find(|(n, _)| n == &name) {
-            None => println!("  new  {name:<40} fleet speedup {speedup:.2}x (not in baseline)"),
-            Some((_, want)) => {
-                let want_speedup = want.get("speedup").and_then(Json::as_f64).unwrap_or(0.0);
-                let floor = want_speedup / (1.0 + tolerance);
-                let fail = speedup < floor;
-                let verdict = if fail { "FAIL" } else { "ok" };
-                println!(
-                    "  {verdict:<4} {name:<40} fleet speedup {speedup:.2}x  baseline {want_speedup:.2}x  (floor {floor:.2}x)"
-                );
-                if fail {
-                    failures.push(format!(
-                        "bench `{name}` fleet speedup fell to {speedup:.2}x vs stamped \
-                         {want_speedup:.2}x (floor {floor:.2}x at tolerance +{:.0}%)",
-                        tolerance * 100.0
-                    ));
-                }
-            }
-        }
-    }
-    for (name, _, _) in &stats.benches {
-        if fleet_base_name(name).is_some_and(|base| !stats.benches.iter().any(|(n, _, _)| n == base)) {
-            failures.push(format!(
-                "bench `{name}` has no sequential sibling in the trace; cannot gate fleet speedup"
-            ));
-        }
-    }
-
-    let base_kernels = match baseline.get("kernels") {
-        Some(Json::Obj(fields)) => fields,
-        _ => &empty,
-    };
-    for (name, want) in base_kernels {
-        let want_bpc = want.get("bytes_per_call").and_then(Json::as_f64).unwrap_or(0.0);
-        match stats.kernels.iter().find(|(n, _)| n == name) {
-            None => failures.push(format!("kernel `{name}` missing from kernel.summary")),
-            Some((_, got_bpc)) => {
-                if tolerance::drifted(want_bpc, *got_bpc, tolerance) {
-                    failures.push(format!(
-                        "kernel `{name}` bytes-per-call drifted: {got_bpc:.1} vs baseline {want_bpc:.1}"
-                    ));
-                }
-            }
-        }
-    }
-
     if failures.is_empty() {
-        println!("perf_gate: PASS ({} benches, {} kernels)", base_benches.len(), base_kernels.len());
+        println!("perf_gate: PASS; each of the {} rules fails alone on doctored inputs", rules.len());
         Ok(())
     } else {
-        Err(format!("{} regression(s):\n  {}", failures.len(), failures.join("\n  ")))
+        Err(format!("{} failure(s):\n  {}", failures.len(), failures.join("\n  ")))
     }
 }
 
-/// Shrink every baseline timing so a subsequent `check` against the
-/// doctored file must fail — CI uses this to prove the gate has teeth.
-fn doctor(baseline_path: &str, out: &str) -> Result<(), String> {
-    let baseline = load_baseline(baseline_path)?;
-    let doctored = match baseline {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| if k == "benches" { (k, shrink_benches(v)) } else { (k, v) })
-                .collect(),
-        ),
-        other => other,
-    };
-    std::fs::write(out, doctored.render() + "\n")
-        .map_err(|e| format!("cannot write doctored baseline {out}: {e}"))?;
-    println!("perf_gate: wrote doctored baseline (timings /{DOCTOR_SHRINK}) to {out}");
-    Ok(())
-}
-
-/// Replace every kernel's baseline bytes-per-call with an absurd value so a
-/// subsequent `check` must fail on the allocation band — CI uses this to
-/// prove the allocation gate (including `train.steady_alloc`) has teeth.
-fn doctor_alloc(baseline_path: &str, out: &str) -> Result<(), String> {
-    let baseline = load_baseline(baseline_path)?;
-    let doctored = match baseline {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| if k == "kernels" { (k, inflate_kernels(v)) } else { (k, v) })
-                .collect(),
-        ),
-        other => other,
-    };
-    std::fs::write(out, doctored.render() + "\n")
-        .map_err(|e| format!("cannot write doctored baseline {out}: {e}"))?;
-    println!("perf_gate: wrote alloc-doctored baseline (bytes-per-call = {DOCTOR_ALLOC_BYTES:.0}) to {out}");
-    Ok(())
-}
-
-/// Flip the recorded SIMD level to the *other* one so a subsequent `check`
-/// must fail with the ISA-mismatch error — CI uses this to prove the gate
-/// refuses cross-instruction-set comparisons.
-fn doctor_isa(baseline_path: &str, out: &str) -> Result<(), String> {
-    let baseline = load_baseline(baseline_path)?;
-    let flipped = if simd::level_name() == "scalar" { "avx2+fma" } else { "scalar" };
-    let doctored = match baseline {
-        Json::Obj(fields) => {
-            let mut fields: Vec<(String, Json)> =
-                fields.into_iter().filter(|(k, _)| k != "simd_level").collect();
-            fields.insert(0, ("simd_level".to_string(), Json::Str(flipped.to_string())));
-            Json::Obj(fields)
+/// Judge every key of every rule. A value missing from the trace fails, a
+/// key the baseline lacks is new, and a rule that gates no key fails.
+fn evaluate(rules: &[Rule], doc: &Json) -> Result<Vec<Vec<Line>>, String> {
+    let mut verdicts = Vec::new();
+    for rule in rules {
+        let mut lines = Vec::new();
+        for (key, current, baseline) in (rule.select)(doc) {
+            let unusable = |value: &str| format!("rule `{}`: baseline for `{key}` is {value}", rule.name);
+            let (status, detail) = match (find(doc, &current), find(doc, &baseline)) {
+                (Some(c), Some(b)) => match judge(rule.bound, c, b) {
+                    Some((fail, detail)) => (if fail { "FAIL" } else { "ok" }, detail),
+                    None => return Err(unusable(&b.render())),
+                },
+                (None, _) => ("FAIL", "missing from the trace".to_string()),
+                (_, None) if baseline[0] == "trace" => ("FAIL", "sibling missing from the trace".to_string()),
+                (_, None) if find(doc, &baseline[..baseline.len() - 1]).is_some() => {
+                    return Err(unusable("missing"));
+                }
+                (_, None) => ("new", "not in the baseline; re-record to gate it".to_string()),
+            };
+            lines.push((key, status, detail));
         }
-        other => other,
+        if lines.iter().all(|(_, status, _)| *status == "new") {
+            lines.push(("*".to_string(), "FAIL", "gates no key".to_string()));
+        }
+        verdicts.push(lines);
+    }
+    Ok(verdicts)
+}
+
+/// `(fails, detail)` for `current` against `baseline`; `None` when the
+/// baseline value is unusable.
+fn judge(bound: Bound, current: &Json, baseline: &Json) -> Option<(bool, String)> {
+    if bound == Bound::Equal {
+        let (c, b) = (current.as_str()?, baseline.as_str()?);
+        let why = if c == b { "" } else { ": timings do not compare across instruction sets; re-record" };
+        return Some((c != b, format!("current `{c}` baseline `{b}`{why}")));
+    }
+    // A ratio needs a positive baseline; the clamped drift also takes zero.
+    let zero_ok = matches!(bound, Bound::Drift(_));
+    let b = baseline.as_f64().filter(|b| b.is_finite() && (*b > 0.0 || zero_ok && *b == 0.0))?;
+    let c = current.as_f64()?;
+    let show = |v: f64| if v.abs() >= 100.0 { format!("{v:.0}") } else { format!("{v:.3}") };
+    let (fail, limit) = match bound {
+        Bound::Ceiling(t) => {
+            (tolerance::exceeds(b, c, t), format!("{:+.1}%, max +{:.0}%", 100.0 * (c / b - 1.0), 100.0 * t))
+        }
+        Bound::Floor(t) => (c < b / (1.0 + t), format!("floor {}", show(b / (1.0 + t)))),
+        Bound::Drift(t) => (
+            tolerance::drifted(b, c, t),
+            format!("drift {:.0}%, max {:.0}%", 100.0 * tolerance::drift(b, c), 100.0 * t),
+        ),
+        Bound::Equal => unreachable!("judged above"),
     };
-    std::fs::write(out, doctored.render() + "\n")
-        .map_err(|e| format!("cannot write doctored baseline {out}: {e}"))?;
-    println!("perf_gate: wrote ISA-doctored baseline (simd_level = `{flipped}`) to {out}");
-    Ok(())
+    Some((fail, format!("current {} baseline {} ({limit})", show(c), show(b))))
 }
 
-/// `train_step_fig4_batch8_prof97` → `train_step_fig4_batch8`; `None` when
-/// the name is not a profiled-sibling bench (suffix must be `_prof<digits>`).
-fn prof_base_name(name: &str) -> Option<&str> {
-    let (base, hz) = name.rsplit_once("_prof")?;
-    if base.is_empty() || hz.is_empty() || !hz.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    Some(base)
+fn fails(lines: &[Line]) -> bool {
+    lines.iter().any(|(_, status, _)| *status == "FAIL")
 }
 
-/// `fig9_mini_fleet_jobs4` → `fig9_mini_fleet`; `None` when the name is not
-/// a fleet-sibling bench (suffix must be `_jobs<digits>`).
-fn fleet_base_name(name: &str) -> Option<&str> {
-    let (base, n) = name.rsplit_once("_jobs")?;
-    if base.is_empty() || n.is_empty() || !n.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    Some(base)
-}
-
-/// Inflate every stamped fleet speedup so a subsequent `check` must fail on
-/// the fleet rule (and only on it: timings and kernels are untouched) — CI
-/// uses this to prove the fleet gate has teeth.
-fn doctor_fleet(baseline_path: &str, out: &str) -> Result<(), String> {
-    let baseline = load_baseline(baseline_path)?;
-    let mut inflated = 0usize;
-    let doctored = match baseline {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| if k == "fleet" { (k, inflate_fleet(v, &mut inflated)) } else { (k, v) })
-                .collect(),
-        ),
-        other => other,
-    };
-    if inflated == 0 {
-        return Err(format!("baseline {baseline_path} has no fleet speedups to inflate"));
-    }
-    std::fs::write(out, doctored.render() + "\n")
-        .map_err(|e| format!("cannot write doctored baseline {out}: {e}"))?;
-    println!(
-        "perf_gate: wrote fleet-doctored baseline ({inflated} speedups x{DOCTOR_FLEET_INFLATE}) to {out}"
-    );
-    Ok(())
-}
-
-fn inflate_fleet(fleet: Json, inflated: &mut usize) -> Json {
-    match fleet {
-        Json::Obj(entries) => Json::Obj(
-            entries
-                .into_iter()
-                .map(|(name, stat)| {
-                    let bumped = match stat {
-                        Json::Obj(fields) => Json::Obj(
-                            fields
-                                .into_iter()
-                                .map(|(k, v)| match v {
-                                    Json::Num(n) if k == "speedup" => {
-                                        *inflated += 1;
-                                        (k, Json::Num(n * DOCTOR_FLEET_INFLATE))
-                                    }
-                                    other => (k, other),
-                                })
-                                .collect(),
-                        ),
-                        other => other,
-                    };
-                    (name, bumped)
-                })
-                .collect(),
-        ),
-        other => other,
-    }
-}
-
-fn prof_overhead_tolerance() -> f64 {
-    match std::env::var("MUSE_PROF_OVERHEAD_TOL") {
-        Ok(raw) => match raw.trim().parse::<f64>() {
-            Ok(v) if v > 0.0 => v,
-            _ => {
-                eprintln!("perf_gate: ignoring unusable MUSE_PROF_OVERHEAD_TOL={raw}");
-                PROF_OVERHEAD_MAX
+/// For each rule, judge a copy of `doc` whose baseline values for that rule
+/// break its bound; complain unless that rule fails and no other changes.
+fn teeth(rules: &[Rule], doc: &Json, honest: &[Vec<Line>]) -> Result<Vec<String>, String> {
+    let mut complaints = Vec::new();
+    for (i, rule) in rules.iter().enumerate() {
+        let mut doctored = doc.clone();
+        for (_, current, baseline) in (rule.select)(doc) {
+            let (Some(current), Some(_)) = (find(doc, &current), find(doc, &baseline)) else { continue };
+            let c = current.as_f64().unwrap_or(0.0);
+            let broken = match rule.bound {
+                Bound::Equal => Json::Str(format!("not {}", current.as_str().unwrap_or_default())),
+                Bound::Ceiling(_) => Json::Num(c / DOCTOR),
+                Bound::Floor(_) => Json::Num(c * DOCTOR),
+                Bound::Drift(_) => Json::Num((c + 1.0) * DOCTOR),
+            };
+            *find_mut(&mut doctored, &baseline).expect("found above") = broken;
+        }
+        let verdicts = evaluate(rules, &doctored)?;
+        if !fails(&verdicts[i]) {
+            complaints.push(format!("rule `{}` has no teeth: it passes doctored inputs", rule.name));
+        }
+        for (j, other) in rules.iter().enumerate().filter(|(j, _)| *j != i) {
+            if fails(&verdicts[j]) != fails(&honest[j]) {
+                complaints.push(format!("doctoring rule `{}` changed rule `{}`", rule.name, other.name));
             }
-        },
-        Err(_) => PROF_OVERHEAD_MAX,
+        }
+    }
+    Ok(complaints)
+}
+
+fn simd_stamp(_: &Json) -> Vec<Sample> {
+    let at = |side| path([side, "simd_level"]);
+    vec![("simd_level".to_string(), at("trace"), at("baseline"))]
+}
+
+fn bench_min_ns(doc: &Json) -> Vec<Sample> {
+    keyed(doc, "benches", "min_ns", Vec::new())
+}
+
+fn kernel_bytes(doc: &Json) -> Vec<Sample> {
+    keyed(doc, "kernels", "bytes_per_call", Vec::new())
+}
+
+fn fleet_speedup(doc: &Json) -> Vec<Sample> {
+    // The summary has no speedup for a fleet bench without its sibling.
+    let fleets = names(doc, &["trace", "benches"]).into_iter().filter(|n| sibling(n, "_jobs").is_some());
+    keyed(doc, "fleet", "speedup", fleets.collect())
+}
+
+fn prof_overhead(doc: &Json) -> Vec<Sample> {
+    let min_ns = |name: &str| path(["trace", "benches", name, "min_ns"]);
+    let benches = names(doc, &["trace", "benches"]);
+    let profiled = benches.iter().filter_map(|key| Some((key, sibling(key, "_prof")?)));
+    profiled.map(|(key, base)| (key.clone(), min_ns(key), min_ns(base))).collect()
+}
+
+/// `field` of every `section` entry in the baseline, the trace or `extra`.
+fn keyed(doc: &Json, section: &str, field: &str, extra: Vec<String>) -> Vec<Sample> {
+    let mut keys = names(doc, &["baseline", section]);
+    for key in names(doc, &["trace", section]).into_iter().chain(extra) {
+        if !keys.contains(&key) {
+            keys.push(key);
+        }
+    }
+    let at = |side, key: &str| path([side, section, key, field]);
+    keys.into_iter().map(|key| (key.clone(), at("trace", &key), at("baseline", &key))).collect()
+}
+
+fn path<const N: usize>(keys: [&str; N]) -> Vec<String> {
+    keys.map(String::from).to_vec()
+}
+
+fn find<'a, S: AsRef<str>>(doc: &'a Json, path: &[S]) -> Option<&'a Json> {
+    path.iter().try_fold(doc, |node, key| node.get(key.as_ref()))
+}
+
+fn find_mut<'a>(doc: &'a mut Json, path: &[String]) -> Option<&'a mut Json> {
+    path.iter().try_fold(doc, |node, key| match node {
+        Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    })
+}
+
+fn names(doc: &Json, path: &[&str]) -> Vec<String> {
+    match find(doc, path) {
+        Some(Json::Obj(fields)) => fields.iter().map(|(k, _)| k.clone()).collect(),
+        _ => Vec::new(),
     }
 }
 
-/// Inflate every `_prof<hz>` bench timing in a *trace* copy so a subsequent
-/// `check` against the honest baseline must fail on the overhead rule (and
-/// only on it: +50% stays inside the ordinary min_ns band) — CI uses this
-/// to prove the sampling-overhead gate has teeth.
-fn doctor_prof(trace: &str, out: &str) -> Result<(), String> {
-    let events = read_trace(trace).map_err(|e| format!("cannot read trace {trace}: {e}"))?;
-    let mut inflated = 0usize;
-    let doctored: Vec<String> = events
-        .into_iter()
-        .map(|ev| {
-            let is_prof_bench = ev.get("ev").and_then(Json::as_str) == Some("bench.result")
-                && ev.get("name").and_then(Json::as_str).is_some_and(|n| prof_base_name(n).is_some());
-            if !is_prof_bench {
-                return ev.render();
+/// `train_step_prof97` with suffix `_prof` → `train_step`; `None` unless
+/// the name ends in `<suffix><digits>` after a non-empty base.
+fn sibling<'a>(name: &'a str, suffix: &str) -> Option<&'a str> {
+    let (base, n) = name.rsplit_once(suffix)?;
+    (!base.is_empty() && !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit())).then_some(base)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use muse_trace::ingest::{BenchResult, KernelRow};
+
+    fn bench(name: &str, min_ns: f64) -> BenchResult {
+        BenchResult {
+            name: name.to_string(),
+            min_ns,
+            mean_ns: min_ns * 1.1,
+            max_ns: min_ns * 1.5,
+            samples: 10,
+        }
+    }
+
+    /// A trace that gives every rule at least one key, with `scale` applied
+    /// to every timing (fleet and prof ratios are unchanged by it).
+    fn trace(scale: f64) -> TraceData {
+        let benches = [("matmul", 1000.0), ("step", 5000.0), ("step_prof97", 5050.0), ("fleet", 8000.0)];
+        let mut benches: Vec<_> = benches.iter().map(|&(n, ns)| bench(n, ns * scale)).collect();
+        benches.push(bench("fleet_jobs4", 4000.0 * scale));
+        let kernels = vec![
+            KernelRow { name: "tensor.matmul".to_string(), calls: 10.0, nanos: 1e4, bytes: 2e4 },
+            KernelRow { name: "tensor.idle".to_string(), calls: 0.0, nanos: 0.0, bytes: 0.0 },
+        ];
+        TraceData { benches, kernels, ..TraceData::default() }
+    }
+
+    /// The gate document for `trace` against the honest baseline, its
+    /// rendered text rewritten by `edits`.
+    fn doc(trace: &TraceData, edits: &[(&str, &str)]) -> Json {
+        let mut text = summary(&self::trace(1.0)).render();
+        for (from, to) in edits {
+            assert!(text.contains(from), "{from} not in {text}");
+            text = text.replace(from, to);
+        }
+        Json::obj([("trace", summary(trace)), ("baseline", json::parse(&text).unwrap())])
+    }
+
+    /// `rule/key` for every failing key.
+    fn failing(doc: &Json) -> Vec<String> {
+        let verdicts = evaluate(&RULES, doc).unwrap();
+        let lines = RULES.iter().zip(verdicts).flat_map(|(r, ls)| ls.into_iter().map(move |l| (r.name, l)));
+        lines
+            .filter(|(_, (_, status, _))| *status == "FAIL")
+            .map(|(r, (key, _, _))| format!("{r}/{key}"))
+            .collect()
+    }
+
+    #[test]
+    fn honest_pair_passes_and_every_rule_gates_a_key() {
+        let doc = doc(&trace(1.0), &[]);
+        gate(&RULES, &doc).unwrap();
+        for (rule, lines) in RULES.iter().zip(evaluate(&RULES, &doc).unwrap()) {
+            assert!(lines.iter().any(|(_, status, _)| *status == "ok"), "{} gates nothing", rule.name);
+        }
+    }
+
+    #[test]
+    fn each_rules_doctored_inputs_fail_that_rule_only() {
+        let doc = doc(&trace(1.0), &[]);
+        let honest = evaluate(&RULES, &doc).unwrap();
+        assert!(teeth(&RULES, &doc, &honest).unwrap().is_empty());
+        // The same proof holds when the honest run already fails a rule.
+        let slow = self::doc(&trace(2.0), &[]);
+        let keys = ["matmul", "step", "step_prof97", "fleet", "fleet_jobs4"];
+        assert_eq!(failing(&slow), keys.map(|key| format!("min_ns/{key}")));
+        assert!(teeth(&RULES, &slow, &evaluate(&RULES, &slow).unwrap()).unwrap().is_empty());
+    }
+
+    fn stamp_always_matches(doc: &Json) -> Vec<Sample> {
+        simd_stamp(doc).into_iter().map(|(key, current, _)| (key, current.clone(), current)).collect()
+    }
+
+    #[test]
+    fn a_rule_whose_comparison_always_passes_makes_check_refuse() {
+        let doc = doc(&trace(1.0), &[]);
+        for i in 0..RULES.len() {
+            let mut rules = RULES;
+            rules[i] = match rules[i].bound {
+                Bound::Equal => Rule { select: stamp_always_matches, ..rules[i] },
+                Bound::Ceiling(_) => Rule { bound: Bound::Ceiling(f64::INFINITY), ..rules[i] },
+                Bound::Floor(_) => Rule { bound: Bound::Floor(f64::INFINITY), ..rules[i] },
+                Bound::Drift(_) => Rule { bound: Bound::Drift(f64::INFINITY), ..rules[i] },
+            };
+            let err = gate(&rules, &doc).unwrap_err();
+            assert!(err.contains(&format!("rule `{}` has no teeth", RULES[i].name)), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_table_whose_doctor_leaks_into_another_rule_is_refused() {
+        // A prof rule reading the baseline's `step` min_ns shares an input
+        // with the min_ns rule, so doctoring it trips min_ns as well.
+        fn leaky(_: &Json) -> Vec<Sample> {
+            let at = |side| path([side, "benches", "step", "min_ns"]);
+            vec![("step".to_string(), at("trace"), at("baseline"))]
+        }
+        let mut rules = RULES;
+        rules[3] = Rule { select: leaky, ..rules[3] };
+        let err = gate(&rules, &doc(&trace(1.0), &[])).unwrap_err();
+        assert!(err.contains("doctoring rule `prof_overhead` changed rule `min_ns`"), "{err}");
+    }
+
+    #[test]
+    fn regressions_fail_their_rule() {
+        let mut t = trace(1.0);
+        t.benches[0].min_ns = 1760.0; // +76% over a +75% ceiling
+        t.benches[2].min_ns = 5110.0; // +2.2% over its sibling
+        t.benches[3].min_ns = 4500.0; // 4500/4000 = 1.125x, floor 2/1.75 = 1.143x
+        t.kernels[0].bytes = 3.6e4; // 3600 vs 2000 bytes per call: 80% drift
+        let want = [
+            "min_ns/matmul",
+            "bytes_per_call/tensor.matmul",
+            "prof_overhead/step_prof97",
+            "fleet_speedup/fleet_jobs4",
+        ];
+        assert_eq!(failing(&doc(&t, &[])), want);
+
+        let mut t = trace(1.0);
+        t.benches[0].min_ns = 1740.0;
+        t.benches[2].min_ns = 5090.0;
+        t.benches[3].min_ns = 4600.0;
+        t.kernels[0].bytes = 3.4e4;
+        gate(&RULES, &doc(&t, &[])).unwrap();
+    }
+
+    #[test]
+    fn missing_and_new_keys() {
+        let mut t = trace(1.0);
+        t.benches.retain(|b| b.name != "matmul" && b.name != "step" && b.name != "fleet");
+        t.benches.push(bench("fft", 10.0));
+        let want = [
+            "min_ns/matmul",
+            "min_ns/step",
+            "min_ns/fleet",
+            "prof_overhead/step_prof97",
+            "fleet_speedup/fleet_jobs4",
+        ];
+        assert_eq!(failing(&doc(&t, &[])), want);
+        let lines = evaluate(&RULES, &doc(&t, &[])).unwrap();
+        assert!(lines[1].iter().any(|(key, status, _)| key == "fft" && *status == "new"));
+    }
+
+    #[test]
+    fn a_rule_that_gates_no_key_fails() {
+        let no_fleet = doc(&trace(1.0), &[(r#""fleet_jobs4":{"speedup":2}"#, "")]);
+        assert_eq!(failing(&no_fleet), ["fleet_speedup/*"]);
+        let mut t = trace(1.0);
+        t.benches.retain(|b| b.name != "step_prof97");
+        assert_eq!(
+            failing(&doc(&t, &[(r#""step_prof97":{"min_ns":5050,"mean_ns":5555},"#, "")])),
+            ["prof_overhead/*"]
+        );
+    }
+
+    #[test]
+    fn a_simd_mismatch_stops_the_gate() {
+        let level = simd::level_name();
+        let other = doc(&trace(3.0), &[(&format!(r#""simd_level":"{level}""#), r#""simd_level":"other""#)]);
+        let err = gate(&RULES, &other).unwrap_err();
+        assert!(err.starts_with("1 failure(s):\n  simd_level `simd_level`"), "{err}");
+        assert!(err.contains("timings do not compare across instruction sets"), "{err}");
+    }
+
+    #[test]
+    fn malformed_baseline_values_are_errors_naming_rule_and_key() {
+        let level = simd::level_name();
+        let stamp = format!(r#""simd_level":"{level}""#);
+        let cases: [(&str, &str, &str); 9] = [
+            (r#""min_ns":1000,"#, r#""min_nss":1000,"#, "rule `min_ns`: baseline for `matmul` is missing"),
+            (r#""min_ns":1000,"#, r#""min_ns":"1000","#, r#"rule `min_ns`: baseline for `matmul` is "1000""#),
+            (r#""min_ns":1000,"#, r#""min_ns":0,"#, "rule `min_ns`: baseline for `matmul` is 0"),
+            (r#""min_ns":1000,"#, r#""min_ns":-5,"#, "rule `min_ns`: baseline for `matmul` is -5"),
+            (r#""min_ns":1000,"#, r#""min_ns":1e999,"#, "rule `min_ns`: baseline for `matmul` is null"),
+            (
+                r#""speedup":2"#,
+                r#""speedup":"2""#,
+                r#"rule `fleet_speedup`: baseline for `fleet_jobs4` is "2""#,
+            ),
+            (r#""speedup":2"#, r#""speedup":0"#, "rule `fleet_speedup`: baseline for `fleet_jobs4` is 0"),
+            (
+                r#""bytes_per_call":2000"#,
+                r#""bytes_per_call":-1"#,
+                "rule `bytes_per_call`: baseline for `tensor.matmul` is -1",
+            ),
+            (&stamp, r#""simd_level":3"#, "rule `simd_level`: baseline for `simd_level` is 3"),
+        ];
+        for (from, to, want) in cases {
+            // A 100x slower trace would still pass if the value were read as 0.
+            let err = gate(&RULES, &doc(&trace(100.0), &[(from, to)])).unwrap_err();
+            assert_eq!(err, want);
+        }
+        let no_stamp = doc(&trace(1.0), &[(&format!("{stamp},"), "")]);
+        assert_eq!(
+            gate(&RULES, &no_stamp).unwrap_err(),
+            "rule `simd_level`: baseline for `simd_level` is missing"
+        );
+        // A kernel that moves no bytes is a usable drift baseline.
+        let zero = doc(&trace(1.0), &[(r#""bytes_per_call":2000"#, r#""bytes_per_call":0"#)]);
+        assert_eq!(failing(&zero), ["bytes_per_call/tensor.matmul"]);
+    }
+
+    #[test]
+    fn summary_is_the_baseline_format_without_a_tolerance() {
+        let s = summary(&trace(1.0));
+        let keys: Vec<_> = match &s {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => panic!("summary is an object"),
+        };
+        assert_eq!(keys, ["simd_level", "fleet", "benches", "kernels"]);
+        assert_eq!(
+            s.render().split(r#""kernels":"#).nth(1),
+            Some(r#"{"tensor.matmul":{"bytes_per_call":2000}}}"#)
+        );
+        assert_eq!(find(&s, &["fleet", "fleet_jobs4", "speedup"]), Some(&Json::Num(2.0)));
+    }
+
+    #[test]
+    fn load_trace_checks_its_input() {
+        let dir = std::env::temp_dir().join(format!("perf_gate_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cases = [
+            (r#"{"ev":"bench.result","name":"a","min_ns":5}"#, None),
+            (r#"{"ev":"bench.result","min_ns":5}"#, Some("malformed bench.result `?`")),
+            (r#"{"ev":"bench.result","name":"","min_ns":5}"#, Some("malformed bench.result ``")),
+            (r#"{"ev":"bench.result","name":"a","min_ns":0}"#, Some("malformed bench.result `a`")),
+            (r#"{"ev":"kernel.summary","metrics":{}}"#, Some("contains no bench.result events")),
+        ];
+        for (i, (line, want)) in cases.into_iter().enumerate() {
+            let path = dir.join(format!("{i}.jsonl"));
+            std::fs::write(&path, format!("{line}\n")).unwrap();
+            match (load_trace(path.to_str().unwrap()), want) {
+                (Ok(_), None) => {}
+                (Err(e), Some(want)) => assert!(e.contains(want), "{e}"),
+                (got, want) => panic!("{line}: got {:?}, want {want:?}", got.err()),
             }
-            inflated += 1;
-            match ev {
-                Json::Obj(fields) => Json::Obj(
-                    fields
-                        .into_iter()
-                        .map(|(k, v)| match v {
-                            Json::Num(n) if k.ends_with("_ns") => (k, Json::Num(n * DOCTOR_PROF_INFLATE)),
-                            other => (k, other),
-                        })
-                        .collect(),
-                )
-                .render(),
-                other => other.render(),
-            }
-        })
-        .collect();
-    if inflated == 0 {
-        return Err(format!("trace {trace} has no `_prof<hz>` bench.result events to inflate"));
-    }
-    std::fs::write(out, doctored.join("\n") + "\n")
-        .map_err(|e| format!("cannot write doctored trace {out}: {e}"))?;
-    println!("perf_gate: wrote prof-doctored trace ({inflated} timings x{DOCTOR_PROF_INFLATE}) to {out}");
-    Ok(())
-}
-
-fn inflate_kernels(kernels: Json) -> Json {
-    match kernels {
-        Json::Obj(entries) => Json::Obj(
-            entries
-                .into_iter()
-                .map(|(name, stat)| {
-                    let inflated = match stat {
-                        Json::Obj(fields) => Json::Obj(
-                            fields
-                                .into_iter()
-                                .map(|(k, v)| {
-                                    if k == "bytes_per_call" {
-                                        (k, Json::Num(DOCTOR_ALLOC_BYTES))
-                                    } else {
-                                        (k, v)
-                                    }
-                                })
-                                .collect(),
-                        ),
-                        other => other,
-                    };
-                    (name, inflated)
-                })
-                .collect(),
-        ),
-        other => other,
-    }
-}
-
-fn shrink_benches(benches: Json) -> Json {
-    match benches {
-        Json::Obj(entries) => Json::Obj(
-            entries
-                .into_iter()
-                .map(|(name, stat)| {
-                    let shrunk = match stat {
-                        Json::Obj(fields) => Json::Obj(
-                            fields
-                                .into_iter()
-                                .map(|(k, v)| match v {
-                                    Json::Num(n) if k.ends_with("_ns") => (k, Json::Num(n / DOCTOR_SHRINK)),
-                                    other => (k, other),
-                                })
-                                .collect(),
-                        ),
-                        other => other,
-                    };
-                    (name, shrunk)
-                })
-                .collect(),
-        ),
-        other => other,
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

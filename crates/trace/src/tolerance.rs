@@ -13,17 +13,15 @@
 
 /// Default relative tolerance: a value may be up to this much worse than
 /// baseline before a comparison fails. Generous because CI machines are
-/// noisy; tighten via CLI argument or `MUSE_PERF_TOL`.
+/// noisy; `muse-trace diff` and `prof diff` take another as their last
+/// argument.
 pub const DEFAULT_TOLERANCE: f64 = 0.75;
 
-/// Resolve an explicitly requested tolerance: CLI argument first, then the
-/// `MUSE_PERF_TOL` environment variable. Returns `None` when neither is
-/// set (callers then fall back to a baseline-recorded value or
-/// [`DEFAULT_TOLERANCE`]). Invalid or non-positive values are rejected
-/// with a warning.
+/// Parse a tolerance given on the command line. Returns `None` when none
+/// was given (callers then fall back to [`DEFAULT_TOLERANCE`]). Invalid or
+/// non-positive values are rejected with a warning.
 pub fn resolve(cli: Option<&str>) -> Option<f64> {
-    let from_env = std::env::var("MUSE_PERF_TOL").ok();
-    let raw = cli.or(from_env.as_deref())?;
+    let raw = cli?;
     match raw.parse::<f64>() {
         Ok(t) if t > 0.0 => Some(t),
         _ => {
@@ -88,8 +86,9 @@ mod tests {
     }
 
     #[test]
-    fn resolve_prefers_cli_and_rejects_junk() {
+    fn resolve_parses_cli_and_rejects_junk() {
         assert_eq!(resolve(Some("0.5")), Some(0.5));
+        assert_eq!(resolve(None), None);
         assert_eq!(resolve(Some("-1")), None);
         assert_eq!(resolve(Some("abc")), None);
     }

@@ -51,7 +51,7 @@ MUSE_SIMD=0 cargo test -q
 echo "==> benches compile"
 cargo bench --workspace --no-run
 
-echo "==> perf gate: kernels bench vs committed baseline"
+echo "==> perf gate: kernels bench vs committed baseline (each rule first proves it fails on doctored inputs)"
 scripts/perf_gate.sh check
 
 echo "==> muse-trace: record a short training trace and analyze it"
@@ -232,58 +232,6 @@ tail -n 1 target/ci_perfbench_train.txt | grep -q '"correct":true' || {
     exit 1
 }
 echo "    rollout at batch size 1 and at the full target count agree, parameters match the reference fit"
-
-echo "==> perf gate negative test: doctored baseline must fail"
-cargo run -q --release -p muse-bench --bin perf_gate -- doctor BENCH_kernels.json target/doctored_baseline.json
-if cargo run -q --release -p muse-bench --bin perf_gate -- check target/perf_gate_trace.jsonl target/doctored_baseline.json >/dev/null 2>&1; then
-    echo "perf gate FAILED to reject a doctored baseline" >&2
-    exit 1
-fi
-echo "    doctored baseline rejected, gate has teeth"
-
-echo "==> allocation gate: steady-state training-step alloc bytes"
-grep -q '"train.steady_alloc"' BENCH_kernels.json || {
-    echo "BENCH_kernels.json does not gate train.steady_alloc (re-record with scripts/perf_gate.sh record)" >&2
-    exit 1
-}
-cargo run -q --release -p muse-bench --bin perf_gate -- doctor-alloc BENCH_kernels.json target/doctored_alloc_baseline.json
-if cargo run -q --release -p muse-bench --bin perf_gate -- check target/perf_gate_trace.jsonl target/doctored_alloc_baseline.json >/dev/null 2>&1; then
-    echo "perf gate FAILED to reject an alloc-doctored baseline" >&2
-    exit 1
-fi
-echo "    train.steady_alloc gated, alloc-doctored baseline rejected"
-
-echo "==> ISA gate: baseline recorded under a different SIMD level must be rejected"
-grep -q '"simd_level"' BENCH_kernels.json || {
-    echo "BENCH_kernels.json has no simd_level stamp (re-record with scripts/perf_gate.sh record)" >&2
-    exit 1
-}
-cargo run -q --release -p muse-bench --bin perf_gate -- doctor-isa BENCH_kernels.json target/doctored_isa_baseline.json
-if cargo run -q --release -p muse-bench --bin perf_gate -- check target/perf_gate_trace.jsonl target/doctored_isa_baseline.json >/dev/null 2>&1; then
-    echo "perf gate FAILED to reject a cross-ISA baseline" >&2
-    exit 1
-fi
-echo "    cross-ISA baseline rejected, simd_level stamp enforced"
-
-echo "==> prof overhead gate: trace with inflated _prof timings must be rejected"
-cargo run -q --release -p muse-bench --bin perf_gate -- doctor-prof target/perf_gate_trace.jsonl target/doctored_prof_trace.jsonl
-if cargo run -q --release -p muse-bench --bin perf_gate -- check target/doctored_prof_trace.jsonl BENCH_kernels.json >/dev/null 2>&1; then
-    echo "perf gate FAILED to reject inflated sampling overhead" >&2
-    exit 1
-fi
-echo "    inflated sampling overhead rejected, overhead gate has teeth"
-
-echo "==> fleet gate negative test: baseline with inflated fleet speedups must fail"
-grep -q '"fleet"' BENCH_kernels.json || {
-    echo "BENCH_kernels.json has no fleet speedup stamp (re-record with scripts/perf_gate.sh record)" >&2
-    exit 1
-}
-cargo run -q --release -p muse-bench --bin perf_gate -- doctor-fleet BENCH_kernels.json target/doctored_fleet_baseline.json
-if cargo run -q --release -p muse-bench --bin perf_gate -- check target/perf_gate_trace.jsonl target/doctored_fleet_baseline.json >/dev/null 2>&1; then
-    echo "perf gate FAILED to reject inflated fleet speedups" >&2
-    exit 1
-fi
-echo "    inflated fleet speedups rejected, fleet gate has teeth"
 
 echo "==> fleet scheduler: fig9 mini-sweep under MUSE_JOBS=2, sched metrics live"
 FLEET_ADDR=127.0.0.1:19667

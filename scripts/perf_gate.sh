@@ -2,10 +2,11 @@
 # Trace-driven kernel performance regression gate.
 #
 # Replays the kernels micro-bench suite with a MUSE_OBS trace attached,
-# then compares the per-iteration bench timings and per-call kernel byte
-# traffic against the committed baseline. Timing gets a tolerance band
-# (default +75%, override with MUSE_PERF_TOL=<fraction>); byte traffic is
-# deterministic and must match almost exactly.
+# then judges it against the committed baseline with the rule table in
+# crates/bench/src/bin/perf_gate.rs: SIMD level, per-iteration bench
+# timings, per-call kernel byte traffic, sampling overhead and fleet
+# speedup. Before judging, `check` proves each rule fails on a doctored
+# copy of its inputs.
 #
 # Usage:
 #   scripts/perf_gate.sh            check against BENCH_kernels.json (CI)
