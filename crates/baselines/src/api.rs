@@ -1,198 +1,30 @@
-//! The common forecaster interface and the shared neural training loop.
+//! The interface of the non-learned baselines. The neural baselines
+//! implement [`musenet::Trainable`] instead and train through
+//! [`musenet::Trainer`], the loop MUSE-Net itself uses.
 
-use muse_autograd::{Tape, Var};
-use muse_nn::{clip_grad_norm, Adam, Optimizer, ParamRef, Session};
-use muse_tensor::init::SeededRng;
 use muse_tensor::Tensor;
-use muse_traffic::subseries::{batch, SubSeriesSpec};
-use muse_traffic::{Batch, FlowSeries};
+use muse_traffic::subseries::SubSeriesSpec;
+use muse_traffic::FlowSeries;
 
-/// Unified interface every baseline (and the MUSE-Net wrapper in the
-/// harness) implements.
+/// A forecaster fitted by a closed-form pass over the training frames
+/// (HA, seasonal copy).
 pub trait Forecaster {
     /// Display name (matching the paper's tables).
     fn name(&self) -> &str;
 
     /// Fit on (scaled) flows given chronological target-index splits.
-    fn fit(&mut self, flows: &FlowSeries, spec: &SubSeriesSpec, train: &[usize], val: &[usize]) -> FitReport;
+    fn fit(&mut self, flows: &FlowSeries, spec: &SubSeriesSpec, train: &[usize], val: &[usize]);
 
     /// Predict `[N, 2, H, W]` (scaled units) for target indices.
     fn predict(&self, flows: &FlowSeries, spec: &SubSeriesSpec, indices: &[usize]) -> Tensor;
 }
 
-/// Training options shared by the neural baselines.
-#[derive(Debug, Clone)]
-pub struct FitOptions {
-    /// Epochs over the training indices.
-    pub epochs: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// Adam learning rate.
-    pub learning_rate: f32,
-    /// Global gradient-norm clip (0 disables).
-    pub clip_norm: f32,
-    /// Shuffle seed.
-    pub shuffle_seed: u64,
-    /// Cap on batches per epoch (0 = all).
-    pub max_batches_per_epoch: usize,
-}
-
-impl Default for FitOptions {
-    fn default() -> Self {
-        FitOptions {
-            epochs: 10,
-            batch_size: 8,
-            learning_rate: 1e-3,
-            clip_norm: 5.0,
-            shuffle_seed: 13,
-            max_batches_per_epoch: 0,
-        }
-    }
-}
-
-/// Outcome of a fit: per-epoch losses and validation RMSE.
-#[derive(Debug, Clone, Default)]
-pub struct FitReport {
-    /// Mean training loss per epoch.
-    pub train_losses: Vec<f32>,
-    /// Validation RMSE per epoch (empty if no validation set).
-    pub val_rmse: Vec<f32>,
-}
-
-impl FitReport {
-    /// Final training loss.
-    pub fn final_loss(&self) -> f32 {
-        self.train_losses.last().copied().unwrap_or(f32::NAN)
-    }
-}
-
-/// Internal abstraction implemented by the neural baselines: a per-batch
-/// prediction graph. [`fit_neural`] / [`predict_neural`] supply the rest.
-pub trait BatchGraph {
-    /// Trainable parameters.
-    fn params(&self) -> Vec<ParamRef>;
-
-    /// Build the prediction variable for a batch: `[B, 2, H, W]`.
-    fn predict_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> Var<'t>;
-}
-
-/// Prediction from an already-assembled [`Batch`] — the capability the
-/// multi-step rollout in the harness needs (it substitutes predicted frames
-/// into the closeness window and so cannot go through index-based
-/// [`Forecaster::predict`]).
-pub trait BatchPredictor {
-    /// Predict `[B, 2, H, W]` (scaled units) for a batch.
-    fn predict_batch(&self, batch: &Batch) -> Tensor;
-}
-
-impl<M: BatchGraph> BatchPredictor for M {
-    fn predict_batch(&self, batch: &Batch) -> Tensor {
-        let tape = Tape::new();
-        let s = Session::new(&tape);
-        self.predict_graph(&s, batch).value()
-    }
-}
-
-/// Shared training loop: MSE regression on the batch target.
-pub fn fit_neural<M: BatchGraph>(
-    model: &M,
-    opts: &FitOptions,
-    flows: &FlowSeries,
-    spec: &SubSeriesSpec,
-    train: &[usize],
-    val: &[usize],
-) -> FitReport {
-    assert!(!train.is_empty(), "no training indices");
-    let optimizer_params = model.params();
-    let mut opt = Adam::with_defaults(optimizer_params, opts.learning_rate);
-    let mut rng = SeededRng::new(opts.shuffle_seed);
-    let mut report = FitReport::default();
-    let mut best = f32::INFINITY;
-    let mut best_snapshot: Option<Vec<Tensor>> = None;
-    for _epoch in 0..opts.epochs {
-        let order = rng.permutation(train.len());
-        let mut losses = Vec::new();
-        for (bi, chunk) in order.chunks(opts.batch_size).enumerate() {
-            if opts.max_batches_per_epoch > 0 && bi >= opts.max_batches_per_epoch {
-                break;
-            }
-            let indices: Vec<usize> = chunk.iter().map(|&i| train[i]).collect();
-            let b = batch(flows, spec, &indices);
-            let tape = Tape::new();
-            let s = Session::new(&tape);
-            let pred = model.predict_graph(&s, &b);
-            let loss = muse_autograd::vae_ops::mse(&pred, &b.target);
-            losses.push(loss.item());
-            s.backward(loss);
-            if opts.clip_norm > 0.0 {
-                clip_grad_norm(opt.params(), opts.clip_norm);
-            }
-            opt.step();
-            opt.zero_grad();
-        }
-        report.train_losses.push(mean(&losses));
-        if !val.is_empty() {
-            let preds = predict_neural(model, flows, spec, val, opts.batch_size);
-            let truth = stack_frames(flows, val);
-            let v = rmse(&preds, &truth);
-            report.val_rmse.push(v);
-            if v < best {
-                best = v;
-                best_snapshot = Some(muse_nn::snapshot(opt.params()));
-            }
-        }
-    }
-    // Keep the best-validation parameters (standard early-selection).
-    if let Some(snap) = best_snapshot {
-        muse_nn::restore(opt.params(), &snap);
-    }
-    report
-}
-
-/// Shared batched inference for neural baselines.
-pub fn predict_neural<M: BatchGraph>(
-    model: &M,
-    flows: &FlowSeries,
-    spec: &SubSeriesSpec,
-    indices: &[usize],
-    batch_size: usize,
-) -> Tensor {
-    assert!(!indices.is_empty(), "no indices");
-    let mut parts = Vec::new();
-    for chunk in indices.chunks(batch_size.max(1)) {
-        let b = batch(flows, spec, chunk);
-        let tape = Tape::new();
-        let s = Session::new(&tape);
-        parts.push(model.predict_graph(&s, &b).value());
-    }
-    let refs: Vec<&Tensor> = parts.iter().collect();
-    Tensor::concat(&refs, 0)
-}
-
-/// Stack ground-truth frames `[N, 2, H, W]` for target indices.
-pub fn stack_frames(flows: &FlowSeries, indices: &[usize]) -> Tensor {
-    let frames: Vec<Tensor> = indices.iter().map(|&n| flows.frame(n)).collect();
-    let refs: Vec<&Tensor> = frames.iter().collect();
-    Tensor::stack(&refs)
-}
-
-pub(crate) fn mean(xs: &[f32]) -> f32 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f32>() / xs.len() as f32
-    }
-}
-
-pub(crate) fn rmse(pred: &Tensor, truth: &Tensor) -> f32 {
-    let se: f32 = pred.as_slice().iter().zip(truth.as_slice()).map(|(&p, &t)| (p - t) * (p - t)).sum();
-    (se / pred.len() as f32).sqrt()
-}
-
 #[cfg(test)]
 pub(crate) mod test_support {
-    use super::*;
-    use muse_traffic::GridMap;
+    use muse_tensor::Tensor;
+    use muse_traffic::subseries::SubSeriesSpec;
+    use muse_traffic::{FlowSeries, GridMap};
+    use musenet::TrainerOptions;
 
     /// A tiny flow series with learnable daily structure, plus a standard
     /// tiny spec and splits — shared by the baseline tests.
@@ -218,25 +50,10 @@ pub(crate) mod test_support {
         let val: Vec<usize> = (first + 12..first + 16).collect();
         (flows, spec, train, val)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn helpers_mean_rmse() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[1.0, 3.0]), 2.0);
-        let a = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let b = Tensor::zeros(&[2]);
-        assert!((rmse(&a, &b) - (2.5f32).sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn stack_frames_shapes() {
-        let (flows, _, train, _) = test_support::tiny_problem();
-        let t = stack_frames(&flows, &train[..3]);
-        assert_eq!(t.dims(), &[3, 2, 3, 3]);
+    /// Six epochs of batch-4 training at `learning_rate`, shuffled with the
+    /// baselines' seed.
+    pub fn six_epochs(learning_rate: f32) -> TrainerOptions {
+        TrainerOptions { epochs: 6, batch_size: 4, learning_rate, shuffle_seed: 13, ..Default::default() }
     }
 }

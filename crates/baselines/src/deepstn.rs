@@ -7,13 +7,13 @@
 //! module with MUSE-Net — the difference is exactly the missing
 //! disentanglement, which is what Table II isolates.
 
-use crate::api::{fit_neural, predict_neural, BatchGraph, FitOptions, FitReport, Forecaster};
 use muse_autograd::Var;
 use muse_nn::{Conv2dLayer, Linear, Param, ParamRef, Session};
 use muse_tensor::init::SeededRng;
 use muse_tensor::{Conv2dSpec, Tensor};
 use muse_traffic::subseries::SubSeriesSpec;
-use muse_traffic::{Batch, FlowSeries, GridMap};
+use muse_traffic::{Batch, GridMap};
+use musenet::Trainable;
 
 /// One residual block with a local conv path and a long-range plus path.
 struct PlusBlock {
@@ -82,19 +82,11 @@ pub struct DeepStnForecaster {
     /// ST-ResNet-style per-cell Hadamard fusion weights for the most recent
     /// closeness / period / trend frames.
     hadamard: [ParamRef; 3],
-    opts: FitOptions,
 }
 
 impl DeepStnForecaster {
     /// Build for a grid and interception spec.
-    pub fn new(
-        grid: GridMap,
-        spec: &SubSeriesSpec,
-        channels: usize,
-        blocks: usize,
-        seed: u64,
-        opts: FitOptions,
-    ) -> Self {
+    pub fn new(grid: GridMap, spec: &SubSeriesSpec, channels: usize, blocks: usize, seed: u64) -> Self {
         let mut rng = SeededRng::new(seed);
         let in_channels = 2 * spec.total_frames();
         let plus = 2.min(channels - 1).max(1);
@@ -117,12 +109,15 @@ impl DeepStnForecaster {
                 .collect(),
             head: Conv2dLayer::new(&mut rng, Conv2dSpec::same(channels, 2, 3)),
             hadamard: [mk_hadamard(0, 0.8), mk_hadamard(1, 0.1), mk_hadamard(2, 0.1)],
-            opts,
         }
     }
 }
 
-impl BatchGraph for DeepStnForecaster {
+impl Trainable for DeepStnForecaster {
+    fn name(&self) -> &str {
+        "DeepSTN+"
+    }
+
     fn params(&self) -> Vec<ParamRef> {
         let mut p = self.entry.params();
         for b in &self.blocks {
@@ -157,42 +152,30 @@ impl BatchGraph for DeepStnForecaster {
     }
 }
 
-impl Forecaster for DeepStnForecaster {
-    fn name(&self) -> &str {
-        "DeepSTN+"
-    }
-
-    fn fit(&mut self, flows: &FlowSeries, spec: &SubSeriesSpec, train: &[usize], val: &[usize]) -> FitReport {
-        let opts = self.opts.clone();
-        fit_neural(self, &opts, flows, spec, train, val)
-    }
-
-    fn predict(&self, flows: &FlowSeries, spec: &SubSeriesSpec, indices: &[usize]) -> Tensor {
-        predict_neural(self, flows, spec, indices, self.opts.batch_size)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{rmse, stack_frames, test_support::tiny_problem};
+    use crate::api::test_support::{six_epochs, tiny_problem};
+    use muse_traffic::subseries::batch;
+    use musenet::Trainer;
 
     #[test]
     fn deepstn_trains_below_untrained_error() {
         let (flows, spec, train, val) = tiny_problem();
-        let opts = FitOptions { epochs: 6, learning_rate: 2e-3, batch_size: 4, ..Default::default() };
-        let mut model = DeepStnForecaster::new(flows.grid(), &spec, 8, 1, 7, opts);
-        let before = rmse(&model.predict(&flows, &spec, &val), &stack_frames(&flows, &val));
-        model.fit(&flows, &spec, &train, &val);
-        let after = rmse(&model.predict(&flows, &spec, &val), &stack_frames(&flows, &val));
+        let mut trainer =
+            Trainer::new(DeepStnForecaster::new(flows.grid(), &spec, 8, 1, 7), six_epochs(2e-3));
+        let before = trainer.validation_rmse(&flows, &spec, &val);
+        let report = trainer.fit(&flows, &spec, &train, &val);
+        let after = trainer.validation_rmse(&flows, &spec, &val);
         assert!(after < before, "DeepSTN+ did not improve: {before} -> {after}");
+        assert!(report.last_loss().is_finite());
     }
 
     #[test]
     fn output_shape_and_name() {
         let (flows, spec, _, val) = tiny_problem();
-        let model = DeepStnForecaster::new(flows.grid(), &spec, 6, 2, 8, FitOptions::default());
-        let p = model.predict(&flows, &spec, &val);
+        let model = DeepStnForecaster::new(flows.grid(), &spec, 6, 2, 8);
+        let p = model.predict(&batch(&flows, &spec, &val));
         assert_eq!(p.dims(), &[val.len(), 2, 3, 3]);
         assert_eq!(model.name(), "DeepSTN+");
     }
@@ -200,16 +183,10 @@ mod tests {
     #[test]
     fn uses_all_subseries_channels() {
         let (flows, spec, train, _) = tiny_problem();
-        let model = DeepStnForecaster::new(flows.grid(), &spec, 6, 1, 9, FitOptions::default());
-        let b = muse_traffic::subseries::batch(&flows, &spec, &train[..1]);
+        let model = DeepStnForecaster::new(flows.grid(), &spec, 6, 1, 9);
+        let b = batch(&flows, &spec, &train[..1]);
         let mut altered = b.clone();
         altered.period = altered.period.map(|x| -x);
-        let tape = muse_autograd::Tape::new();
-        let s = Session::new(&tape);
-        let p1 = model.predict_graph(&s, &b).value();
-        let tape2 = muse_autograd::Tape::new();
-        let s2 = Session::new(&tape2);
-        let p2 = model.predict_graph(&s2, &altered).value();
-        assert!(p1.max_abs_diff(&p2) > 1e-6, "period input ignored");
+        assert!(model.predict(&b).max_abs_diff(&model.predict(&altered)) > 1e-6, "period input ignored");
     }
 }

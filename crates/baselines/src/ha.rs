@@ -1,7 +1,7 @@
 //! Historical Average: predict the per-cell mean of all training frames at
 //! the same slot of day. The classic non-learned reference point.
 
-use crate::api::{FitOptions, FitReport, Forecaster};
+use crate::api::Forecaster;
 use muse_tensor::Tensor;
 use muse_traffic::subseries::SubSeriesSpec;
 use muse_traffic::FlowSeries;
@@ -30,13 +30,7 @@ impl Forecaster for HistoricalAverage {
         "HA"
     }
 
-    fn fit(
-        &mut self,
-        flows: &FlowSeries,
-        spec: &SubSeriesSpec,
-        train: &[usize],
-        _val: &[usize],
-    ) -> FitReport {
+    fn fit(&mut self, flows: &FlowSeries, spec: &SubSeriesSpec, train: &[usize], _val: &[usize]) {
         let f = spec.intervals_per_day;
         let dims = flows.frame(0).dims().to_vec();
         let mut sums: Vec<Tensor> = (0..f).map(|_| Tensor::zeros(&dims)).collect();
@@ -51,8 +45,6 @@ impl Forecaster for HistoricalAverage {
         }
         self.slot_means =
             sums.into_iter().zip(counts).map(|(s, c)| s.mul_scalar(1.0 / c.max(1) as f32)).collect();
-        let _ = FitOptions::default();
-        FitReport::default()
     }
 
     fn predict(&self, _flows: &FlowSeries, spec: &SubSeriesSpec, indices: &[usize]) -> Tensor {
@@ -66,7 +58,8 @@ impl Forecaster for HistoricalAverage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{stack_frames, test_support::tiny_problem};
+    use crate::api::test_support::tiny_problem;
+    use musenet::trainer::stack_frames;
 
     #[test]
     fn ha_learns_slot_means_exactly_on_periodic_data() {

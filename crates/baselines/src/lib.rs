@@ -17,9 +17,11 @@
 //! graph structure, and in the paper's evaluation the GNN rows behave like
 //! the CNN rows (see DESIGN.md).
 //!
-//! All neural baselines implement the common [`Forecaster`] trait and train
-//! with the shared mini-batch loop in [`api`], so the experiment harness
-//! treats every method uniformly.
+//! The five neural baselines implement [`musenet::Trainable`] and train
+//! through [`musenet::Trainer`] — the same mini-batch loop, optimizer,
+//! clipping and best-validation selection as MUSE-Net — so Table II compares
+//! every learned method under one protocol. HA and seasonal naive implement
+//! the closed-form [`Forecaster`] trait.
 
 pub mod api;
 pub mod deepstn;
@@ -30,7 +32,7 @@ pub mod seq2seq;
 pub mod stgsp_lite;
 pub mod stnorm_lite;
 
-pub use api::{BatchPredictor, FitOptions, FitReport, Forecaster};
+pub use api::Forecaster;
 pub use deepstn::DeepStnForecaster;
 pub use ha::HistoricalAverage;
 pub use rnn::RnnForecaster;

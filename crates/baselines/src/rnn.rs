@@ -2,13 +2,13 @@
 //! (closeness) frames — temporal-only, no spatial structure, as in the
 //! paper's RNN row.
 
-use crate::api::{fit_neural, predict_neural, BatchGraph, FitOptions, FitReport, Forecaster};
 use muse_autograd::Var;
 use muse_nn::{Linear, ParamRef, RnnCell, Session};
 use muse_tensor::init::SeededRng;
 use muse_tensor::Tensor;
 use muse_traffic::subseries::SubSeriesSpec;
-use muse_traffic::{Batch, FlowSeries, GridMap};
+use muse_traffic::{Batch, GridMap};
+use musenet::Trainable;
 
 /// Split a channel-stacked sub-series `[B, 2L, H, W]` into `L` flattened
 /// per-lag inputs `[B, 2·H·W]` on the tape.
@@ -27,12 +27,11 @@ pub struct RnnForecaster {
     head: Linear,
     grid: GridMap,
     lc: usize,
-    opts: FitOptions,
 }
 
 impl RnnForecaster {
     /// Build for a grid and interception spec.
-    pub fn new(grid: GridMap, spec: &SubSeriesSpec, hidden: usize, seed: u64, opts: FitOptions) -> Self {
+    pub fn new(grid: GridMap, spec: &SubSeriesSpec, hidden: usize, seed: u64) -> Self {
         let mut rng = SeededRng::new(seed);
         let io = 2 * grid.cells();
         RnnForecaster {
@@ -40,12 +39,15 @@ impl RnnForecaster {
             head: Linear::new(&mut rng, hidden, io),
             grid,
             lc: spec.lc,
-            opts,
         }
     }
 }
 
-impl BatchGraph for RnnForecaster {
+impl Trainable for RnnForecaster {
+    fn name(&self) -> &str {
+        "RNN"
+    }
+
     fn params(&self) -> Vec<ParamRef> {
         let mut p = self.cell.params();
         p.extend(self.head.params());
@@ -60,27 +62,13 @@ impl BatchGraph for RnnForecaster {
     }
 }
 
-impl Forecaster for RnnForecaster {
-    fn name(&self) -> &str {
-        "RNN"
-    }
-
-    fn fit(&mut self, flows: &FlowSeries, spec: &SubSeriesSpec, train: &[usize], val: &[usize]) -> FitReport {
-        let opts = self.opts.clone();
-        fit_neural(self, &opts, flows, spec, train, val)
-    }
-
-    fn predict(&self, flows: &FlowSeries, spec: &SubSeriesSpec, indices: &[usize]) -> Tensor {
-        predict_neural(self, flows, spec, indices, self.opts.batch_size)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{stack_frames, test_support::tiny_problem};
+    use crate::api::test_support::{six_epochs, tiny_problem};
     use muse_autograd::Tape;
     use muse_traffic::subseries::batch;
+    use musenet::Trainer;
 
     #[test]
     fn frame_sequence_extracts_lags_in_order() {
@@ -103,26 +91,19 @@ mod tests {
     #[test]
     fn rnn_trains_and_beats_untrained_self() {
         let (flows, spec, train, val) = tiny_problem();
-        let opts = FitOptions { epochs: 6, learning_rate: 3e-3, batch_size: 4, ..Default::default() };
-        let mut model = RnnForecaster::new(flows.grid(), &spec, 16, 1, opts);
-        let before = {
-            let p = model.predict(&flows, &spec, &val);
-            crate::api::rmse(&p, &stack_frames(&flows, &val))
-        };
-        let report = model.fit(&flows, &spec, &train, &val);
-        let after = {
-            let p = model.predict(&flows, &spec, &val);
-            crate::api::rmse(&p, &stack_frames(&flows, &val))
-        };
+        let mut trainer = Trainer::new(RnnForecaster::new(flows.grid(), &spec, 16, 1), six_epochs(3e-3));
+        let before = trainer.validation_rmse(&flows, &spec, &val);
+        let report = trainer.fit(&flows, &spec, &train, &val);
+        let after = trainer.validation_rmse(&flows, &spec, &val);
         assert!(after < before, "RNN did not improve: {before} -> {after}");
-        assert!(report.final_loss().is_finite());
+        assert!(report.last_loss().is_finite());
     }
 
     #[test]
     fn prediction_shape_and_range() {
         let (flows, spec, _train, val) = tiny_problem();
-        let model = RnnForecaster::new(flows.grid(), &spec, 8, 2, FitOptions::default());
-        let p = model.predict(&flows, &spec, &val);
+        let model = RnnForecaster::new(flows.grid(), &spec, 8, 2);
+        let p = model.predict(&batch(&flows, &spec, &val));
         assert_eq!(p.dims(), &[val.len(), 2, 3, 3]);
         assert!(p.max() <= 1.0 && p.min() >= -1.0);
         assert_eq!(model.name(), "RNN");

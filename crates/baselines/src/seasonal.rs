@@ -1,6 +1,6 @@
 //! Seasonal naive: predict the frame one season (day or week) earlier.
 
-use crate::api::{FitReport, Forecaster};
+use crate::api::Forecaster;
 use muse_tensor::Tensor;
 use muse_traffic::subseries::SubSeriesSpec;
 use muse_traffic::FlowSeries;
@@ -47,15 +47,7 @@ impl Forecaster for SeasonalNaive {
         }
     }
 
-    fn fit(
-        &mut self,
-        _flows: &FlowSeries,
-        _spec: &SubSeriesSpec,
-        _train: &[usize],
-        _val: &[usize],
-    ) -> FitReport {
-        FitReport::default()
-    }
+    fn fit(&mut self, _flows: &FlowSeries, _spec: &SubSeriesSpec, _train: &[usize], _val: &[usize]) {}
 
     fn predict(&self, flows: &FlowSeries, spec: &SubSeriesSpec, indices: &[usize]) -> Tensor {
         let lag = self.lag(spec);
@@ -74,7 +66,8 @@ impl Forecaster for SeasonalNaive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{stack_frames, test_support::tiny_problem};
+    use crate::api::test_support::tiny_problem;
+    use musenet::trainer::stack_frames;
 
     #[test]
     fn daily_copy_is_exact_on_daily_cycle() {

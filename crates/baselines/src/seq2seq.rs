@@ -4,14 +4,13 @@
 //! daily/weekly sub-series, which is exactly why the multi-periodic methods
 //! beat it in Table II.
 
-use crate::api::{fit_neural, predict_neural, BatchGraph, FitOptions, FitReport, Forecaster};
 use crate::rnn::frame_sequence;
 use muse_autograd::Var;
 use muse_nn::{GruCell, Linear, ParamRef, Session};
 use muse_tensor::init::SeededRng;
-use muse_tensor::Tensor;
 use muse_traffic::subseries::SubSeriesSpec;
-use muse_traffic::{Batch, FlowSeries, GridMap};
+use muse_traffic::{Batch, GridMap};
+use musenet::Trainable;
 
 /// GRU encoder-decoder forecaster.
 pub struct Seq2SeqForecaster {
@@ -22,12 +21,11 @@ pub struct Seq2SeqForecaster {
     lc: usize,
     lp: usize,
     lt: usize,
-    opts: FitOptions,
 }
 
 impl Seq2SeqForecaster {
     /// Build for a grid and interception spec.
-    pub fn new(grid: GridMap, spec: &SubSeriesSpec, hidden: usize, seed: u64, opts: FitOptions) -> Self {
+    pub fn new(grid: GridMap, spec: &SubSeriesSpec, hidden: usize, seed: u64) -> Self {
         let mut rng = SeededRng::new(seed);
         let io = 2 * grid.cells();
         Seq2SeqForecaster {
@@ -38,12 +36,15 @@ impl Seq2SeqForecaster {
             lc: spec.lc,
             lp: spec.lp,
             lt: spec.lt,
-            opts,
         }
     }
 }
 
-impl BatchGraph for Seq2SeqForecaster {
+impl Trainable for Seq2SeqForecaster {
+    fn name(&self) -> &str {
+        "Seq2Seq"
+    }
+
     fn params(&self) -> Vec<ParamRef> {
         let mut p = self.encoder.params();
         p.extend(self.decoder.params());
@@ -69,43 +70,30 @@ impl BatchGraph for Seq2SeqForecaster {
     }
 }
 
-impl Forecaster for Seq2SeqForecaster {
-    fn name(&self) -> &str {
-        "Seq2Seq"
-    }
-
-    fn fit(&mut self, flows: &FlowSeries, spec: &SubSeriesSpec, train: &[usize], val: &[usize]) -> FitReport {
-        let opts = self.opts.clone();
-        fit_neural(self, &opts, flows, spec, train, val)
-    }
-
-    fn predict(&self, flows: &FlowSeries, spec: &SubSeriesSpec, indices: &[usize]) -> Tensor {
-        predict_neural(self, flows, spec, indices, self.opts.batch_size)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{rmse, stack_frames, test_support::tiny_problem};
+    use crate::api::test_support::{six_epochs, tiny_problem};
+    use muse_traffic::subseries::batch;
+    use musenet::Trainer;
 
     #[test]
     fn seq2seq_trains() {
         let (flows, spec, train, val) = tiny_problem();
-        let opts = FitOptions { epochs: 6, learning_rate: 3e-3, batch_size: 4, ..Default::default() };
-        let mut model = Seq2SeqForecaster::new(flows.grid(), &spec, 12, 3, opts);
-        let before = rmse(&model.predict(&flows, &spec, &val), &stack_frames(&flows, &val));
-        let report = model.fit(&flows, &spec, &train, &val);
-        let after = rmse(&model.predict(&flows, &spec, &val), &stack_frames(&flows, &val));
+        let mut trainer = Trainer::new(Seq2SeqForecaster::new(flows.grid(), &spec, 12, 3), six_epochs(3e-3));
+        let before = trainer.validation_rmse(&flows, &spec, &val);
+        let report = trainer.fit(&flows, &spec, &train, &val);
+        let after = trainer.validation_rmse(&flows, &spec, &val);
         assert!(after < before, "Seq2Seq did not improve: {before} -> {after}");
-        assert!(!report.val_rmse.is_empty());
+        assert!(report.best_val_rmse.is_some());
+        assert!(report.last_loss().is_finite());
     }
 
     #[test]
     fn output_shape() {
         let (flows, spec, _, val) = tiny_problem();
-        let model = Seq2SeqForecaster::new(flows.grid(), &spec, 8, 4, FitOptions::default());
-        let p = model.predict(&flows, &spec, &val);
+        let model = Seq2SeqForecaster::new(flows.grid(), &spec, 8, 4);
+        let p = model.predict(&batch(&flows, &spec, &val));
         assert_eq!(p.dims(), &[val.len(), 2, 3, 3]);
         assert_eq!(model.name(), "Seq2Seq");
     }
@@ -115,19 +103,14 @@ mod tests {
         // The RNN-class baselines only see the recent window: perturbing
         // trend must NOT change the prediction, perturbing closeness must.
         let (flows, spec, train, _) = tiny_problem();
-        let model = Seq2SeqForecaster::new(flows.grid(), &spec, 8, 5, FitOptions::default());
-        let b = muse_traffic::subseries::batch(&flows, &spec, &train[..1]);
-        let run = |b: &muse_traffic::Batch| {
-            let tape = muse_autograd::Tape::new();
-            let s = Session::new(&tape);
-            model.predict_graph(&s, b).value()
-        };
-        let base = run(&b);
+        let model = Seq2SeqForecaster::new(flows.grid(), &spec, 8, 5);
+        let b = batch(&flows, &spec, &train[..1]);
+        let base = model.predict(&b);
         let mut trend_altered = b.clone();
         trend_altered.trend = trend_altered.trend.map(|x| -x);
-        assert!(base.max_abs_diff(&run(&trend_altered)) < 1e-7, "trend leaked in");
+        assert!(base.max_abs_diff(&model.predict(&trend_altered)) < 1e-7, "trend leaked in");
         let mut close_altered = b.clone();
         close_altered.closeness = close_altered.closeness.map(|x| -x);
-        assert!(base.max_abs_diff(&run(&close_altered)) > 1e-6, "closeness ignored");
+        assert!(base.max_abs_diff(&model.predict(&close_altered)) > 1e-6, "closeness ignored");
     }
 }

@@ -7,13 +7,13 @@
 //! *sequentially* with a single entangled representation, which is exactly
 //! the behaviour MUSE-Net's disentanglement improves on.
 
-use crate::api::{fit_neural, predict_neural, BatchGraph, FitOptions, FitReport, Forecaster};
 use muse_autograd::Var;
 use muse_nn::{Conv2dLayer, Linear, Param, ParamRef, Session};
 use muse_tensor::init::SeededRng;
 use muse_tensor::{Conv2dSpec, Tensor};
 use muse_traffic::subseries::SubSeriesSpec;
-use muse_traffic::{Batch, FlowSeries, GridMap};
+use muse_traffic::{Batch, GridMap};
+use musenet::Trainable;
 
 /// Attention-based multi-periodic forecaster.
 pub struct StgspLiteForecaster {
@@ -28,13 +28,12 @@ pub struct StgspLiteForecaster {
     lc: usize,
     lp: usize,
     lt: usize,
-    opts: FitOptions,
 }
 
 impl StgspLiteForecaster {
     /// Build for a grid and interception spec; `token_dim` is the attention
     /// width.
-    pub fn new(grid: GridMap, spec: &SubSeriesSpec, token_dim: usize, seed: u64, opts: FitOptions) -> Self {
+    pub fn new(grid: GridMap, spec: &SubSeriesSpec, token_dim: usize, seed: u64) -> Self {
         let mut rng = SeededRng::new(seed);
         let cells = grid.cells();
         StgspLiteForecaster {
@@ -51,7 +50,6 @@ impl StgspLiteForecaster {
             lc: spec.lc,
             lp: spec.lp,
             lt: spec.lt,
-            opts,
         }
     }
 
@@ -72,7 +70,11 @@ impl StgspLiteForecaster {
     }
 }
 
-impl BatchGraph for StgspLiteForecaster {
+impl Trainable for StgspLiteForecaster {
+    fn name(&self) -> &str {
+        "ST-GSP(lite)"
+    }
+
     fn params(&self) -> Vec<ParamRef> {
         let mut p = self.embed.params();
         p.push(self.query.clone());
@@ -139,36 +141,21 @@ impl<'t> SliceCols<'t> for Var<'t> {
     }
 }
 
-impl Forecaster for StgspLiteForecaster {
-    fn name(&self) -> &str {
-        "ST-GSP(lite)"
-    }
-
-    fn fit(&mut self, flows: &FlowSeries, spec: &SubSeriesSpec, train: &[usize], val: &[usize]) -> FitReport {
-        let opts = self.opts.clone();
-        fit_neural(self, &opts, flows, spec, train, val)
-    }
-
-    fn predict(&self, flows: &FlowSeries, spec: &SubSeriesSpec, indices: &[usize]) -> Tensor {
-        predict_neural(self, flows, spec, indices, self.opts.batch_size)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{rmse, stack_frames, test_support::tiny_problem};
+    use crate::api::test_support::{six_epochs, tiny_problem};
+    use muse_traffic::subseries::batch;
+    use musenet::Trainer;
 
     #[test]
     fn attention_weights_form_distribution() {
         let (flows, spec, train, _) = tiny_problem();
-        let model = StgspLiteForecaster::new(flows.grid(), &spec, 6, 1, FitOptions::default());
-        let b = muse_traffic::subseries::batch(&flows, &spec, &train[..2]);
+        let model = StgspLiteForecaster::new(flows.grid(), &spec, 6, 1);
+        let b = batch(&flows, &spec, &train[..2]);
         // Probe the internal path by just running the graph: a softmax is
         // applied, so outputs are finite and bounded.
-        let tape = muse_autograd::Tape::new();
-        let s = Session::new(&tape);
-        let p = model.predict_graph(&s, &b).value();
+        let p = model.predict(&b);
         assert!(p.all_finite());
         assert!(p.max() <= 1.0 && p.min() >= -1.0);
     }
@@ -176,19 +163,19 @@ mod tests {
     #[test]
     fn stgsp_trains() {
         let (flows, spec, train, val) = tiny_problem();
-        let opts = FitOptions { epochs: 6, learning_rate: 3e-3, batch_size: 4, ..Default::default() };
-        let mut model = StgspLiteForecaster::new(flows.grid(), &spec, 6, 2, opts);
-        let before = rmse(&model.predict(&flows, &spec, &val), &stack_frames(&flows, &val));
-        model.fit(&flows, &spec, &train, &val);
-        let after = rmse(&model.predict(&flows, &spec, &val), &stack_frames(&flows, &val));
+        let mut trainer = Trainer::new(StgspLiteForecaster::new(flows.grid(), &spec, 6, 2), six_epochs(3e-3));
+        let before = trainer.validation_rmse(&flows, &spec, &val);
+        let report = trainer.fit(&flows, &spec, &train, &val);
+        let after = trainer.validation_rmse(&flows, &spec, &val);
         assert!(after < before, "ST-GSP(lite) did not improve: {before} -> {after}");
+        assert!(report.last_loss().is_finite());
     }
 
     #[test]
     fn output_shape() {
         let (flows, spec, _, val) = tiny_problem();
-        let model = StgspLiteForecaster::new(flows.grid(), &spec, 4, 3, FitOptions::default());
-        let p = model.predict(&flows, &spec, &val);
+        let model = StgspLiteForecaster::new(flows.grid(), &spec, 4, 3);
+        let p = model.predict(&batch(&flows, &spec, &val));
         assert_eq!(p.dims(), &[val.len(), 2, 3, 3]);
         assert_eq!(model.name(), "ST-GSP(lite)");
     }

@@ -5,13 +5,13 @@
 //! spatial mean — the "local" deviation); separate CNN branches process the
 //! two components and a head fuses them.
 
-use crate::api::{fit_neural, predict_neural, BatchGraph, FitOptions, FitReport, Forecaster};
 use muse_autograd::Var;
 use muse_nn::{Conv2dLayer, ParamRef, Session};
 use muse_tensor::init::SeededRng;
 use muse_tensor::{Conv2dSpec, Tensor};
 use muse_traffic::subseries::SubSeriesSpec;
-use muse_traffic::{Batch, FlowSeries, GridMap};
+use muse_traffic::{Batch, GridMap};
+use musenet::Trainable;
 
 /// ST-Norm-style two-branch forecaster.
 pub struct StNormLiteForecaster {
@@ -19,12 +19,11 @@ pub struct StNormLiteForecaster {
     spatial_branch: Conv2dLayer,
     fuse: Conv2dLayer,
     head: Conv2dLayer,
-    opts: FitOptions,
 }
 
 impl StNormLiteForecaster {
     /// Build for a grid and interception spec.
-    pub fn new(grid: GridMap, spec: &SubSeriesSpec, channels: usize, seed: u64, opts: FitOptions) -> Self {
+    pub fn new(grid: GridMap, spec: &SubSeriesSpec, channels: usize, seed: u64) -> Self {
         let _ = grid;
         let mut rng = SeededRng::new(seed);
         let in_channels = 2 * spec.total_frames();
@@ -33,7 +32,6 @@ impl StNormLiteForecaster {
             spatial_branch: Conv2dLayer::new(&mut rng, Conv2dSpec::same(in_channels, channels, 3)),
             fuse: Conv2dLayer::new(&mut rng, Conv2dSpec::same(2 * channels, channels, 3)),
             head: Conv2dLayer::new(&mut rng, Conv2dSpec::same(channels, 2, 3)),
-            opts,
         }
     }
 
@@ -58,7 +56,11 @@ impl StNormLiteForecaster {
     }
 }
 
-impl BatchGraph for StNormLiteForecaster {
+impl Trainable for StNormLiteForecaster {
+    fn name(&self) -> &str {
+        "ST-Norm(lite)"
+    }
+
     fn params(&self) -> Vec<ParamRef> {
         let mut p = self.temporal_branch.params();
         p.extend(self.spatial_branch.params());
@@ -78,25 +80,12 @@ impl BatchGraph for StNormLiteForecaster {
     }
 }
 
-impl Forecaster for StNormLiteForecaster {
-    fn name(&self) -> &str {
-        "ST-Norm(lite)"
-    }
-
-    fn fit(&mut self, flows: &FlowSeries, spec: &SubSeriesSpec, train: &[usize], val: &[usize]) -> FitReport {
-        let opts = self.opts.clone();
-        fit_neural(self, &opts, flows, spec, train, val)
-    }
-
-    fn predict(&self, flows: &FlowSeries, spec: &SubSeriesSpec, indices: &[usize]) -> Tensor {
-        predict_neural(self, flows, spec, indices, self.opts.batch_size)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{rmse, stack_frames, test_support::tiny_problem};
+    use crate::api::test_support::{six_epochs, tiny_problem};
+    use muse_traffic::subseries::batch;
+    use musenet::Trainer;
 
     #[test]
     fn temporal_norm_zeroes_channel_mean() {
@@ -130,19 +119,20 @@ mod tests {
     #[test]
     fn stnorm_trains() {
         let (flows, spec, train, val) = tiny_problem();
-        let opts = FitOptions { epochs: 6, learning_rate: 2e-3, batch_size: 4, ..Default::default() };
-        let mut model = StNormLiteForecaster::new(flows.grid(), &spec, 6, 5, opts);
-        let before = rmse(&model.predict(&flows, &spec, &val), &stack_frames(&flows, &val));
-        model.fit(&flows, &spec, &train, &val);
-        let after = rmse(&model.predict(&flows, &spec, &val), &stack_frames(&flows, &val));
+        let mut trainer =
+            Trainer::new(StNormLiteForecaster::new(flows.grid(), &spec, 6, 5), six_epochs(2e-3));
+        let before = trainer.validation_rmse(&flows, &spec, &val);
+        let report = trainer.fit(&flows, &spec, &train, &val);
+        let after = trainer.validation_rmse(&flows, &spec, &val);
         assert!(after < before, "ST-Norm(lite) did not improve: {before} -> {after}");
+        assert!(report.last_loss().is_finite());
     }
 
     #[test]
     fn output_shape_and_name() {
         let (flows, spec, _, val) = tiny_problem();
-        let model = StNormLiteForecaster::new(flows.grid(), &spec, 4, 6, FitOptions::default());
-        let p = model.predict(&flows, &spec, &val);
+        let model = StNormLiteForecaster::new(flows.grid(), &spec, 4, 6);
+        let p = model.predict(&batch(&flows, &spec, &val));
         assert_eq!(p.dims(), &[val.len(), 2, 3, 3]);
         assert_eq!(model.name(), "ST-Norm(lite)");
     }

@@ -23,7 +23,8 @@
 //!
 //! Entry points:
 //! * [`MuseNet`] — the model; [`MuseNetConfig`] — hyper-parameters.
-//! * [`Trainer`] — mini-batch Adam training with validation tracking.
+//! * [`Trainer`] — mini-batch Adam training with validation tracking, for
+//!   MUSE-Net and any other [`Trainable`] model (the baselines).
 //! * [`ablation::AblationVariant`] — the four §V-D ablations.
 //! * [`analysis`] — representation extraction (RQ3–RQ5) and the Table I
 //!   complexity model.
@@ -43,4 +44,4 @@ pub use ablation::AblationVariant;
 pub use config::MuseNetConfig;
 pub use loss::LossTerms;
 pub use model::{InferenceOutput, MuseNet};
-pub use trainer::{TrainReport, Trainer, TrainerOptions};
+pub use trainer::{TrainReport, Trainable, Trainer, TrainerOptions};

@@ -1,15 +1,101 @@
-//! Mini-batch Adam training of MUSE-Net (the paper's joint training, §IV-E).
+//! Mini-batch Adam training (the paper's joint training, §IV-E): the one
+//! loop that fits MUSE-Net and every neural baseline under the same
+//! protocol — shuffled mini-batches, Adam, gradient-norm clipping, and
+//! keeping the best-validation parameters.
 
 use crate::loss::LossTerms;
-use crate::model::MuseNet;
-use muse_autograd::Tape;
-use muse_nn::{clip_grad_norm, Adam, Optimizer, Session};
+use crate::model::{ForwardPass, MuseNet};
+use muse_autograd::{Tape, Var};
+use muse_nn::{clip_grad_norm, Adam, Optimizer, ParamRef, Session};
 use muse_obs::{self as obs, Json, ToJson};
 use muse_tensor::init::SeededRng;
 use muse_tensor::{arena, Tensor};
 use muse_traffic::subseries::{batch, batch_into, Batch, SubSeriesSpec};
 use muse_traffic::FlowSeries;
 use std::time::Instant;
+
+/// A model [`Trainer`] can fit: a per-batch prediction graph over named
+/// parameters. The provided methods give MSE regression training and
+/// forward-only prediction; MUSE-Net overrides both with its full objective
+/// and its serving pass.
+pub trait Trainable {
+    /// Display name (matching the paper's tables).
+    fn name(&self) -> &str;
+
+    /// Trainable parameters, in optimizer order.
+    fn params(&self) -> Vec<ParamRef>;
+
+    /// Build the prediction variable for a batch: `[B, 2, H, W]`.
+    fn predict_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> Var<'t>;
+
+    /// The training objective for a batch: MSE regression on its target.
+    fn train_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> ForwardPass<'t> {
+        let prediction = self.predict_graph(s, batch);
+        let loss = muse_autograd::vae_ops::mse(&prediction, &batch.target);
+        let regression = loss.item();
+        let terms = LossTerms {
+            kl_exclusive: 0.0,
+            kl_interactive: 0.0,
+            reconstruction: 0.0,
+            pulling: 0.0,
+            regression,
+            total: regression,
+        };
+        ForwardPass { prediction, loss, terms }
+    }
+
+    /// Deterministic prediction `[B, 2, H, W]` (scaled units), on a
+    /// forward-only tape.
+    fn predict(&self, batch: &Batch) -> Tensor {
+        let tape = Tape::forward_only();
+        let s = Session::new(&tape);
+        self.predict_graph(&s, batch).value()
+    }
+}
+
+impl<M: Trainable + ?Sized> Trainable for Box<M> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn params(&self) -> Vec<ParamRef> {
+        (**self).params()
+    }
+
+    fn predict_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> Var<'t> {
+        (**self).predict_graph(s, batch)
+    }
+
+    fn train_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> ForwardPass<'t> {
+        (**self).train_graph(s, batch)
+    }
+
+    fn predict(&self, batch: &Batch) -> Tensor {
+        (**self).predict(batch)
+    }
+}
+
+impl Trainable for MuseNet {
+    fn name(&self) -> &str {
+        self.config().variant.name()
+    }
+
+    fn params(&self) -> Vec<ParamRef> {
+        MuseNet::params(self)
+    }
+
+    fn predict_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> Var<'t> {
+        self.eval_graph(s, batch).prediction
+    }
+
+    fn train_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> ForwardPass<'t> {
+        MuseNet::train_graph(self, s, batch)
+    }
+
+    fn predict(&self, batch: &Batch) -> Tensor {
+        MuseNet::predict(self, batch)
+    }
+}
 
 /// Training options.
 ///
@@ -118,26 +204,26 @@ impl ToJson for TrainReport {
 }
 
 /// Trainer owning the model and optimizer state.
-pub struct Trainer {
-    model: MuseNet,
+pub struct Trainer<M: Trainable = MuseNet> {
+    model: M,
     options: TrainerOptions,
     optimizer: Adam,
 }
 
-impl Trainer {
+impl<M: Trainable> Trainer<M> {
     /// Create a trainer for a model.
-    pub fn new(model: MuseNet, options: TrainerOptions) -> Self {
+    pub fn new(model: M, options: TrainerOptions) -> Self {
         let optimizer = Adam::with_defaults(model.params(), options.learning_rate);
         Trainer { model, options, optimizer }
     }
 
     /// The trained model.
-    pub fn model(&self) -> &MuseNet {
+    pub fn model(&self) -> &M {
         &self.model
     }
 
     /// Consume the trainer, returning the model.
-    pub fn into_model(self) -> MuseNet {
+    pub fn into_model(self) -> M {
         self.model
     }
 
@@ -171,6 +257,7 @@ impl Trainer {
         obs::emit_with("train.start", || {
             vec![
                 ("run", run.to_json()),
+                ("model", self.model.name().to_json()),
                 ("epochs", opts.epochs.to_json()),
                 ("batch_size", opts.batch_size.to_json()),
                 ("learning_rate", opts.learning_rate.to_json()),
@@ -495,6 +582,23 @@ mod tests {
         assert_eq!(preds.dims(), &[7, 2, 3, 3]);
         let truths = stack_frames(&flows, &train[..7]);
         assert_eq!(truths.dims(), preds.dims());
+    }
+
+    #[test]
+    fn musenet_trainable_graph_matches_its_serving_pass() {
+        let (cfg, flows, train, _) = tiny_setup();
+        let model = MuseNet::new(cfg.clone());
+        let b = batch(&flows, &cfg.spec, &train[..3]);
+        let tape = Tape::new();
+        let s = Session::new(&tape);
+        let graph = Trainable::predict_graph(&model, &s, &b).value();
+        let served = Trainable::predict(&model, &b);
+        assert!(
+            graph.approx_eq(&served, 1e-5),
+            "graph and serving pass differ by {}",
+            graph.max_abs_diff(&served)
+        );
+        assert_eq!(Trainable::name(&model), "MUSE-Net");
     }
 
     #[test]

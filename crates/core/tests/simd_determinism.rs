@@ -14,16 +14,12 @@
 //! scalar (the override can only lower the detected level), so this test
 //! still runs everywhere.
 
-use muse_baselines::{
-    BatchPredictor, DeepStnForecaster, FitOptions, RnnForecaster, Seq2SeqForecaster, StNormLiteForecaster,
-    StgspLiteForecaster,
-};
 use muse_parallel::with_threads;
 use muse_tensor::simd::{self, Level};
 use muse_tensor::Tensor;
 use muse_traffic::flow::FlowSeries;
 use muse_traffic::grid::GridMap;
-use muse_traffic::subseries::{batch, Batch, SubSeriesSpec};
+use muse_traffic::subseries::{batch, SubSeriesSpec};
 use musenet::{AblationVariant, MuseNet, MuseNetConfig, Trainer, TrainerOptions};
 
 /// A smooth daily pattern so training has structure to fit.
@@ -90,48 +86,25 @@ fn training_is_bit_identical_across_simd_levels_and_threads() {
     }
 }
 
-type Predict = Box<dyn Fn(&Batch) -> Tensor>;
-
-/// Every MUSE-Net variant on `grid`, plus the five neural baselines when
-/// `baselines` is set, all untrained.
-fn lineup(grid: GridMap, spec: &SubSeriesSpec, baselines: bool) -> Vec<(String, Predict)> {
-    let mut models: Vec<(String, Predict)> = AblationVariant::all()
-        .into_iter()
-        .map(|variant| {
-            let mut cfg = MuseNetConfig::cpu_profile(grid, *spec);
-            cfg.d = 4;
-            cfg.k = 8;
-            cfg.variant = variant;
-            let model = MuseNet::new(cfg);
-            (variant.name().to_string(), Box::new(move |b: &Batch| model.predict(b)) as Predict)
-        })
-        .collect();
-    if baselines {
-        let opts = FitOptions::default;
-        let boxed = |name: &str, m: Box<dyn BatchPredictor>| {
-            (name.to_string(), Box::new(move |b: &Batch| m.predict_batch(b)) as Predict)
-        };
-        models.push(boxed("RNN", Box::new(RnnForecaster::new(grid, spec, 8, 1, opts()))));
-        models.push(boxed("Seq2Seq", Box::new(Seq2SeqForecaster::new(grid, spec, 8, 2, opts()))));
-        models.push(boxed("DeepSTN+", Box::new(DeepStnForecaster::new(grid, spec, 4, 2, 3, opts()))));
-        models.push(boxed("STGSP-lite", Box::new(StgspLiteForecaster::new(grid, spec, 4, 4, opts()))));
-        models.push(boxed("ST-Norm-lite", Box::new(StNormLiteForecaster::new(grid, spec, 4, 5, opts()))));
-    }
-    models
-}
-
 /// Assert that each row of a 13-sample prediction is bit-identical to the
-/// same sample predicted at batch size 1, for every model in the lineup.
-fn assert_rows_match_singletons(grid: GridMap, baselines: bool, cfg: &str) {
+/// same sample predicted at batch size 1, for every untrained MUSE-Net
+/// variant on `grid`. The baselines' leg lives in `muse-baselines`.
+fn assert_rows_match_singletons(grid: GridMap, cfg: &str) {
     let spec = SubSeriesSpec { lc: 2, lp: 2, lt: 1, intervals_per_day: 6, trend_days: 7 };
     let flows = patterned_flows(grid, 10, 6);
     let indices: Vec<usize> = (spec.min_target()..spec.min_target() + 13).collect();
     let many = batch(&flows, &spec, &indices);
-    for (name, predict) in lineup(grid, &spec, baselines) {
-        let rows = predict(&many);
+    for variant in AblationVariant::all() {
+        let mut model_cfg = MuseNetConfig::cpu_profile(grid, spec);
+        model_cfg.d = 4;
+        model_cfg.k = 8;
+        model_cfg.variant = variant;
+        let model = MuseNet::new(model_cfg);
+        let name = variant.name();
+        let rows = model.predict(&many);
         let frame = rows.len() / indices.len();
         for (r, &n) in indices.iter().enumerate() {
-            let alone = predict(&batch(&flows, &spec, &[n]));
+            let alone = model.predict(&batch(&flows, &spec, &[n]));
             let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(&rows.as_slice()[r * frame..(r + 1) * frame]),
@@ -151,9 +124,9 @@ fn batch_rows_are_bit_identical_to_batch_of_one() {
             let cfg = format!("{threads} threads / {}", level.name());
             simd::with_level(level, || {
                 with_threads(threads, || {
-                    assert_rows_match_singletons(GridMap::new(3, 4), false, &cfg);
-                    assert_rows_match_singletons(GridMap::new(4, 5), true, &cfg);
-                    assert_rows_match_singletons(GridMap::new(10, 20), false, &cfg);
+                    assert_rows_match_singletons(GridMap::new(3, 4), &cfg);
+                    assert_rows_match_singletons(GridMap::new(4, 5), &cfg);
+                    assert_rows_match_singletons(GridMap::new(10, 20), &cfg);
                 })
             });
         }

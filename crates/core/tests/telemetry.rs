@@ -128,6 +128,7 @@ fn fit_emits_one_epoch_event_per_epoch() {
                 && e.get("shuffle_seed").and_then(|v| v.as_f64()) == Some(shuffle_seed as f64)
         })
         .expect("train.start event for our run");
+    assert_eq!(start.get("model").and_then(|v| v.as_str()), Some("MUSE-Net"), "train.start names the model");
     let run = start.get("run").and_then(|v| v.as_f64()).expect("run id");
     let same_run = |e: &&Json| e.get("run").and_then(|v| v.as_f64()) == Some(run);
 

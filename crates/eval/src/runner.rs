@@ -2,8 +2,8 @@
 //! model zoo, evaluation, and the autoregressive multi-step rollout.
 
 use muse_baselines::{
-    BatchPredictor, DeepStnForecaster, FitOptions, Forecaster, HistoricalAverage, RnnForecaster,
-    SeasonalNaive, Seq2SeqForecaster, StNormLiteForecaster, StgspLiteForecaster,
+    DeepStnForecaster, Forecaster, HistoricalAverage, RnnForecaster, SeasonalNaive, Seq2SeqForecaster,
+    StNormLiteForecaster, StgspLiteForecaster,
 };
 use muse_metrics::error::ErrorStats;
 use muse_obs::{self as obs, ToJson};
@@ -11,7 +11,7 @@ use muse_tensor::Tensor;
 use muse_traffic::dataset::{DatasetPreset, Scaler, Split, TrafficDataset};
 use muse_traffic::subseries::{self, SubSeriesSpec};
 use muse_traffic::FlowSeries;
-use musenet::{AblationVariant, MuseNet, MuseNetConfig, Trainer, TrainerOptions};
+use musenet::{AblationVariant, MuseNet, MuseNetConfig, Trainable, Trainer, TrainerOptions};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
@@ -114,17 +114,6 @@ impl Profile {
         self
     }
 
-    /// Baseline training options derived from the profile.
-    pub fn fit_options(&self) -> FitOptions {
-        FitOptions {
-            epochs: self.epochs,
-            batch_size: self.batch_size,
-            learning_rate: self.baseline_lr,
-            max_batches_per_epoch: self.max_batches,
-            ..Default::default()
-        }
-    }
-
     /// MUSE-Net trainer options derived from the profile.
     pub fn trainer_options(&self) -> TrainerOptions {
         TrainerOptions {
@@ -134,6 +123,12 @@ impl Profile {
             max_batches_per_epoch: self.max_batches,
             ..Default::default()
         }
+    }
+
+    /// Neural-baseline trainer options: MUSE-Net's, at the baseline
+    /// learning rate and with the baselines' own shuffle seed.
+    pub fn baseline_options(&self) -> TrainerOptions {
+        TrainerOptions { learning_rate: self.baseline_lr, shuffle_seed: 13, ..self.trainer_options() }
     }
 }
 
@@ -349,17 +344,12 @@ impl ModelKind {
     }
 }
 
-/// A neural baseline exposes both the index-based and the batch-based
-/// prediction interfaces (the latter enables multi-step rollout).
-pub trait NeuralForecaster: Forecaster + BatchPredictor {}
-impl<T: Forecaster + BatchPredictor> NeuralForecaster for T {}
-
 /// A fitted model, behind the unified interface the drivers use.
 pub enum FittedModel {
     /// A naive baseline (HA, seasonal copy): index-based prediction only.
     Naive(Box<dyn Forecaster>),
-    /// A neural baseline: also supports multi-step rollout.
-    Neural(Box<dyn NeuralForecaster>),
+    /// A neural baseline with its trainer: also supports multi-step rollout.
+    Neural(Trainer<Box<dyn Trainable>>),
     /// MUSE-Net with its trainer.
     Muse(Box<Trainer>),
 }
@@ -369,8 +359,8 @@ impl FittedModel {
     pub fn name(&self) -> String {
         match self {
             FittedModel::Naive(b) => b.name().to_string(),
-            FittedModel::Neural(b) => b.name().to_string(),
-            FittedModel::Muse(t) => t.model().config().variant.name().to_string(),
+            FittedModel::Neural(t) => t.model().name().to_string(),
+            FittedModel::Muse(t) => t.model().name().to_string(),
         }
     }
 
@@ -378,7 +368,7 @@ impl FittedModel {
     pub fn predict(&self, prepared: &Prepared, indices: &[usize]) -> Tensor {
         match self {
             FittedModel::Naive(b) => b.predict(&prepared.scaled, &prepared.spec, indices),
-            FittedModel::Neural(b) => b.predict(&prepared.scaled, &prepared.spec, indices),
+            FittedModel::Neural(t) => t.predict_indices(&prepared.scaled, &prepared.spec, indices),
             FittedModel::Muse(t) => t.predict_indices(&prepared.scaled, &prepared.spec, indices),
         }
     }
@@ -396,9 +386,9 @@ impl FittedModel {
             FittedModel::Muse(t) => {
                 t.model().predict_multi_step(&prepared.scaled, &prepared.spec, indices, horizons)
             }
-            FittedModel::Neural(b) => {
+            FittedModel::Neural(t) => {
                 subseries::roll_out(&prepared.scaled, &prepared.spec, indices, horizons, |batch| {
-                    b.predict_batch(batch)
+                    t.model().predict(batch)
                 })
             }
             FittedModel::Naive(_) => panic!("naive baselines have no multi-step rollout"),
@@ -413,6 +403,11 @@ pub fn fit_model(kind: ModelKind, prepared: &Prepared, profile: &Profile) -> Fit
     let train = &prepared.split.train;
     let val = &prepared.split.val;
     let scaled = &prepared.scaled;
+    let neural = |model: Box<dyn Trainable>| {
+        let mut trainer = Trainer::new(model, profile.baseline_options());
+        trainer.fit(scaled, spec, train, val);
+        FittedModel::Neural(trainer)
+    };
     match kind {
         ModelKind::Ha => {
             let mut m = HistoricalAverage::new();
@@ -424,51 +419,18 @@ pub fn fit_model(kind: ModelKind, prepared: &Prepared, profile: &Profile) -> Fit
             m.fit(scaled, spec, train, val);
             FittedModel::Naive(Box::new(m))
         }
-        ModelKind::Rnn => {
-            let mut m =
-                RnnForecaster::new(grid, spec, profile.hidden, profile.seed + 1, profile.fit_options());
-            m.fit(scaled, spec, train, val);
-            FittedModel::Neural(Box::new(m))
-        }
+        ModelKind::Rnn => neural(Box::new(RnnForecaster::new(grid, spec, profile.hidden, profile.seed + 1))),
         ModelKind::Seq2Seq => {
-            let mut m =
-                Seq2SeqForecaster::new(grid, spec, profile.hidden, profile.seed + 2, profile.fit_options());
-            m.fit(scaled, spec, train, val);
-            FittedModel::Neural(Box::new(m))
+            neural(Box::new(Seq2SeqForecaster::new(grid, spec, profile.hidden, profile.seed + 2)))
         }
         ModelKind::DeepStn => {
-            let mut m = DeepStnForecaster::new(
-                grid,
-                spec,
-                profile.channels,
-                2,
-                profile.seed + 3,
-                profile.fit_options(),
-            );
-            m.fit(scaled, spec, train, val);
-            FittedModel::Neural(Box::new(m))
+            neural(Box::new(DeepStnForecaster::new(grid, spec, profile.channels, 2, profile.seed + 3)))
         }
         ModelKind::StgspLite => {
-            let mut m = StgspLiteForecaster::new(
-                grid,
-                spec,
-                profile.channels,
-                profile.seed + 4,
-                profile.fit_options(),
-            );
-            m.fit(scaled, spec, train, val);
-            FittedModel::Neural(Box::new(m))
+            neural(Box::new(StgspLiteForecaster::new(grid, spec, profile.channels, profile.seed + 4)))
         }
         ModelKind::StNormLite => {
-            let mut m = StNormLiteForecaster::new(
-                grid,
-                spec,
-                profile.channels,
-                profile.seed + 5,
-                profile.fit_options(),
-            );
-            m.fit(scaled, spec, train, val);
-            FittedModel::Neural(Box::new(m))
+            neural(Box::new(StNormLiteForecaster::new(grid, spec, profile.channels, profile.seed + 5)))
         }
         ModelKind::MuseNet(variant) => {
             let mut cfg = MuseNetConfig::cpu_profile(grid, *spec);

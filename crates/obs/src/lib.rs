@@ -58,8 +58,8 @@ pub use sink::{
     open_trace, read_trace, trace_enabled, trace_path,
 };
 pub use span::{
-    prof_frame, register_thread, sample_stacks, set_stack_publish, span, span_depth, thread_ordinal,
-    SpanGuard, StackSample, MAX_PUBLISHED_FRAMES,
+    prof_frame, prof_frame_under, published_stack, register_thread, sample_stacks, set_stack_publish, span,
+    span_depth, thread_ordinal, FrameStack, SpanGuard, StackSample, MAX_PUBLISHED_FRAMES,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -157,6 +157,27 @@ impl StackSlot {
         });
     }
 
+    /// Copy this slot's stack. Only the owning thread calls this, so the
+    /// read cannot race a write.
+    fn snapshot(&self) -> FrameStack {
+        let depth = self.depth.load(Ordering::Relaxed);
+        let mut frames = [0; MAX_PUBLISHED_FRAMES];
+        for (i, frame) in frames.iter_mut().enumerate().take(depth as usize) {
+            *frame = self.frames[i].load(Ordering::Relaxed);
+        }
+        FrameStack { depth, frames }
+    }
+
+    /// Overwrite this slot's stack with `stack` in one seqlock write.
+    fn replace(&self, stack: &FrameStack) {
+        self.write(|slot| {
+            for (i, &frame) in stack.frames.iter().enumerate().take(stack.depth as usize) {
+                slot.frames[i].store(frame, Ordering::Relaxed);
+            }
+            slot.depth.store(stack.depth, Ordering::Relaxed);
+        });
+    }
+
     /// Seqlock read: retry a few times if the writer is mid-mutation, give
     /// up (returning `false`) rather than spin — a torn sample is just a
     /// dropped sample.
@@ -256,28 +277,70 @@ pub fn sample_stacks(out: &mut Vec<StackSample>) -> usize {
     torn
 }
 
+/// A copy of one thread's published stack, taken by [`published_stack`]
+/// so work handed to another thread can be billed to the spans that asked
+/// for it.
+#[derive(Clone, Copy)]
+pub struct FrameStack {
+    depth: u32,
+    frames: [u32; MAX_PUBLISHED_FRAMES],
+}
+
+/// The calling thread's published stack, or `None` when publication is off.
+#[inline]
+pub fn published_stack() -> Option<FrameStack> {
+    PUBLISH.load(Ordering::Relaxed).then(|| local_slot().snapshot())
+}
+
 /// Publish a lightweight frame on this thread's sampled stack without the
 /// histogram/trace machinery of a full [`span`]. A single relaxed load when
-/// publication is off; used by infrastructure (e.g. pool workers marking
-/// `parallel.job`) where full spans would be too hot.
+/// publication is off; used by infrastructure where full spans would be
+/// too hot.
 #[inline]
 pub fn prof_frame(name: &'static str) -> FrameGuard {
     if !PUBLISH.load(Ordering::Relaxed) {
-        return FrameGuard { active: false };
+        return FrameGuard { active: false, restore: None };
     }
     local_slot().push(intern_frame(name));
-    FrameGuard { active: true }
+    FrameGuard { active: true, restore: None }
 }
 
-/// Guard returned by [`prof_frame`]; unpublishes the frame on drop.
+/// Like [`prof_frame`], but `name` goes on top of `parent` — a stack taken
+/// on the thread that submitted the work — which stands in for this
+/// thread's own frames until the guard drops. Pool workers use it so a
+/// `parallel.job` sample reads `<submitter's spans>;parallel.job`. With no
+/// `parent` (publication was off at submit time) it is [`prof_frame`].
+#[inline]
+pub fn prof_frame_under(parent: Option<&FrameStack>, name: &'static str) -> FrameGuard {
+    let Some(parent) = parent else { return prof_frame(name) };
+    if !PUBLISH.load(Ordering::Relaxed) {
+        return FrameGuard { active: false, restore: None };
+    }
+    let slot = local_slot();
+    let own = slot.snapshot();
+    let mut stack = *parent;
+    if (stack.depth as usize) < MAX_PUBLISHED_FRAMES {
+        stack.frames[stack.depth as usize] = intern_frame(name);
+    }
+    stack.depth += 1;
+    slot.replace(&stack);
+    FrameGuard { active: true, restore: Some(own) }
+}
+
+/// Guard returned by [`prof_frame`] and [`prof_frame_under`]; unpublishes
+/// the frame (or puts back the thread's own stack) on drop.
 pub struct FrameGuard {
     active: bool,
+    restore: Option<FrameStack>,
 }
 
 impl Drop for FrameGuard {
     fn drop(&mut self) {
         if self.active {
-            local_slot().pop();
+            match &self.restore {
+                Some(own) => local_slot().replace(own),
+                None => local_slot().pop(),
+            }
         }
     }
 }

@@ -183,9 +183,14 @@ impl ThreadPool {
             done: Condvar::new(),
             panicked: AtomicBool::new(false),
         });
+        // When sampling, a job's `parallel.job` frame goes beneath the
+        // submitter's spans, so worker time is billed to the span that
+        // asked for it rather than to a bare `parallel.job` root.
+        let parent = obs::published_stack();
         for job in jobs {
             let st = Arc::clone(&state);
             let wrapped: Box<dyn FnOnce() + Send + 'a> = Box::new(move || {
+                let _frame = obs::prof_frame_under(parent.as_ref(), "parallel.job");
                 if catch_unwind(AssertUnwindSafe(job)).is_err() {
                     st.panicked.store(true, Ordering::Relaxed);
                 }
@@ -345,9 +350,6 @@ fn run_marked(job: Job) {
     IN_WORKER.with(|w| w.set(true));
     ACTIVE.fetch_add(1, Ordering::Relaxed);
     publish_pool_gauges();
-    // One relaxed load when the profiler is off; when sampling, attributes
-    // worker time to `parallel.job` instead of an empty stack.
-    let _frame = obs::span::prof_frame("parallel.job");
     let result = catch_unwind(AssertUnwindSafe(job));
     ACTIVE.fetch_sub(1, Ordering::Relaxed);
     if obs::enabled() {
@@ -491,6 +493,45 @@ mod tests {
         // After join_all, nothing from this scope is queued or running.
         assert_eq!(data[63], 63);
         obs::disable();
+    }
+
+    #[test]
+    fn sampled_jobs_are_billed_to_the_submitting_span() {
+        let _g = obs::test_lock();
+        obs::enable();
+        obs::set_stack_publish(true);
+        let pool = ThreadPool::new(2);
+        // Both jobs wait for each other, so one of them runs on the worker
+        // rather than on the submitting thread.
+        let barrier = std::sync::Barrier::new(2);
+        let stacks = Mutex::new(Vec::new());
+        {
+            let _a = obs::span("a");
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2)
+                .map(|_| {
+                    Box::new(|| {
+                        barrier.wait();
+                        let me = obs::thread_ordinal();
+                        let mut samples = Vec::new();
+                        obs::sample_stacks(&mut samples);
+                        let mine = samples.iter().find(|s| s.tid == me).expect("job thread sampled");
+                        let names: Vec<&str> = mine.frames[..mine.depth as usize]
+                            .iter()
+                            .map(|&f| obs::span::frame_name(f).unwrap_or("?"))
+                            .collect();
+                        stacks.lock().unwrap().push((me, names.join(";")));
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            pool.join_all(jobs);
+        }
+        obs::set_stack_publish(false);
+        obs::disable();
+        let stacks = stacks.into_inner().unwrap();
+        assert_ne!(stacks[0].0, stacks[1].0, "both jobs ran on one thread");
+        for (_, stack) in &stacks {
+            assert_eq!(stack, "a;parallel.job");
+        }
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! flow window, fed through a channel.
 //!
 //! `MuseNet` (like every tape-adjacent structure in this repo) is
-//! single-threaded by construction — parameters are `Rc`-shared and
-//! activations live in a thread-local arena — so the daemon builds the
-//! model *inside* one long-lived engine thread and serializes all access
-//! through message passing. HTTP workers block on a reply channel; the
+//! single-threaded by construction — parameters are `Rc`-shared — so the
+//! daemon builds the model *inside* one long-lived engine thread and
+//! serializes all access through message passing. (Activation storage
+//! comes from the process-wide tensor arena, whose shard is fixed per
+//! thread.) HTTP workers block on a reply channel; the
 //! engine answers every forecast already queued behind the first one (at
 //! most `MAX_BATCH` messages) from one rollout.
 //!

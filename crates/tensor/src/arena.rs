@@ -32,10 +32,11 @@
 //!
 //! ## Knobs
 //!
-//! * `MUSE_ARENA=0` disables pooling at startup (every take is a fresh
-//!   allocation, every recycle a free) — the comparison baseline.
 //! * `MUSE_ARENA_MAX_MB` bounds retained bytes across all shards
 //!   (default 256 MiB).
+//! * [`set_enabled`]`(false)` turns pooling off in-process (every take is a
+//!   fresh allocation, every recycle a free) — the comparison baseline the
+//!   pooled-vs-fresh tests train against.
 //!
 //! Raw counters are always maintained (relaxed atomics); the
 //! `tensor.alloc_bytes` / `tensor.pool_hits` / `tensor.pool_misses`
@@ -83,12 +84,6 @@ fn arena() -> &'static Arena {
     static ARENA: OnceLock<Arena> = OnceLock::new();
     ARENA.get_or_init(|| {
         // Environment is read once, at first tensor allocation.
-        if std::env::var("MUSE_ARENA").is_ok_and(|v| {
-            let v = v.trim();
-            v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false")
-        }) {
-            ENABLED.store(false, Ordering::Relaxed);
-        }
         let max_mb = std::env::var("MUSE_ARENA_MAX_MB")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
@@ -135,14 +130,12 @@ fn total_retained_bytes(a: &Arena) -> usize {
 /// recycles are frees — the exact pre-arena behavior.
 #[inline]
 pub fn enabled() -> bool {
-    arena(); // ensure the env knob has been applied
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Toggle pooling at runtime. Used by the pooled-vs-fresh bit-identity
-/// tests; production runs configure via `MUSE_ARENA` instead.
+/// Toggle pooling at runtime (on by default). Used by the pooled-vs-fresh
+/// bit-identity tests.
 pub fn set_enabled(on: bool) {
-    arena();
     ENABLED.store(on, Ordering::Relaxed);
     if !on {
         clear();

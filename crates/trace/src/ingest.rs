@@ -54,6 +54,9 @@ pub struct EpochRow {
 pub struct TrainRun {
     /// The `run` id tagging this run's events.
     pub run: u64,
+    /// The trained model's name (`Trainable::name`); empty in traces that
+    /// predate the field.
+    pub model: String,
     /// Planned epochs from the options.
     pub epochs_planned: usize,
     /// Mini-batch size.
@@ -341,6 +344,7 @@ impl TraceData {
                         data.runs.len() - 1
                     });
                     let r = &mut data.runs[idx];
+                    r.model = ev.get("model").and_then(Json::as_str).unwrap_or_default().to_string();
                     r.epochs_planned = unum(ev, "epochs") as usize;
                     r.batch_size = unum(ev, "batch_size") as usize;
                     r.learning_rate = num(ev, "learning_rate");
@@ -552,7 +556,7 @@ mod tests {
             "ingest_run.jsonl",
             &[
                 r#"{"ev":"run.manifest","seq":0,"experiments":["fig4"],"threads":1}"#,
-                r#"{"ev":"train.start","seq":1,"run":1,"epochs":2,"batch_size":4,"learning_rate":0.001,"train_size":12,"val_size":4}"#,
+                r#"{"ev":"train.start","seq":1,"run":1,"model":"MUSE-Net","epochs":2,"batch_size":4,"learning_rate":0.001,"train_size":12,"val_size":4}"#,
                 r#"{"ev":"train.batch","seq":2,"run":1,"epoch":0,"batch":0}"#,
                 r#"{"ev":"train.batch_skipped","seq":3,"run":1,"epoch":0,"batch":1,"terms":{}}"#,
                 r#"{"ev":"train.epoch","seq":4,"run":1,"record":{"epoch":0,"train_loss":5.0,"train_regression":2.0,"val_rmse":0.4,"skipped_batches":1},"batches":1,"duration_ms":10.0,"samples_per_sec":400.0,"kl_exclusive":1.0,"kl_interactive":0.5,"reconstruction":2.5,"pulling":0.1}"#,
@@ -569,6 +573,7 @@ mod tests {
         assert_eq!(data.runs.len(), 1);
         let run = &data.runs[0];
         assert_eq!(run.run, 1);
+        assert_eq!(run.model, "MUSE-Net");
         assert_eq!(run.epochs_planned, 2);
         assert_eq!(run.epochs.len(), 2);
         assert_eq!(run.batches, 1);

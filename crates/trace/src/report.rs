@@ -31,12 +31,12 @@ pub fn render(data: &TraceData) -> String {
     if !data.runs.is_empty() {
         out.push_str("training runs:\n");
         out.push_str(&format!(
-            "  {:>4} {:>7} {:>10} {:>10} {:>10} {:>8} {:>8} {:>12}\n",
+            "  {:>4} {:>7} {:>10} {:>10} {:>10} {:>8} {:>8} {:>12}  model\n",
             "run", "epochs", "first", "last", "best-rmse", "batches", "skipped", "samples/s"
         ));
         for run in &data.runs {
             out.push_str(&format!(
-                "  {:>4} {:>7} {:>10} {:>10} {:>10} {:>8} {:>8} {:>12.1}\n",
+                "  {:>4} {:>7} {:>10} {:>10} {:>10} {:>8} {:>8} {:>12.1}  {}\n",
                 run.run,
                 format_epochs(run),
                 fmt_opt(run.first_loss()),
@@ -45,6 +45,7 @@ pub fn render(data: &TraceData) -> String {
                 run.batches,
                 run.skipped_batches,
                 run.mean_samples_per_sec(),
+                if run.model.is_empty() { "-" } else { &run.model },
             ));
             if let Some(epoch) = run.early_stop_epoch {
                 out.push_str(&format!("       early-stopped at epoch {epoch}\n"));
@@ -160,6 +161,7 @@ mod tests {
         let data = TraceData {
             runs: vec![TrainRun {
                 run: 1,
+                model: "DeepSTN+".into(),
                 epochs_planned: 4,
                 epochs: vec![EpochRow {
                     epoch: 0,
@@ -185,6 +187,7 @@ mod tests {
         };
         let text = render(&data);
         assert!(text.contains("1/4"), "partial epoch count shown: {text}");
+        assert!(text.contains("DeepSTN+"), "model named per run: {text}");
         assert!(text.contains("DIVERGENCE"), "skipped batches flagged: {text}");
         assert!(text.contains("tensor.matmul"));
         assert!(text.contains("train.fit"));

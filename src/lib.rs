@@ -53,7 +53,7 @@ pub use musenet;
 /// The most common imports for application code.
 pub mod prelude {
     pub use muse_autograd::{Tape, Var};
-    pub use muse_baselines::{FitOptions, Forecaster};
+    pub use muse_baselines::Forecaster;
     pub use muse_eval::runner::{
         channel_errors, fit_model, prepare, EvalSet, FittedModel, ModelKind, Prepared, Profile,
     };
@@ -63,7 +63,7 @@ pub mod prelude {
     pub use muse_traffic::dataset::{DatasetPreset, Scaler, TrafficDataset};
     pub use muse_traffic::subseries::{batch, SubSeriesSpec};
     pub use muse_traffic::{CityConfig, CitySimulator, FlowSeries, GridMap};
-    pub use musenet::{AblationVariant, MuseNet, MuseNetConfig, Trainer, TrainerOptions};
+    pub use musenet::{AblationVariant, MuseNet, MuseNetConfig, Trainable, Trainer, TrainerOptions};
 }
 
 #[cfg(test)]

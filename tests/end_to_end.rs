@@ -60,7 +60,7 @@ fn every_model_kind_fits_and_predicts() {
 fn predict_one(model: &FittedModel, b: &Batch) -> Tensor {
     match model {
         FittedModel::Muse(trainer) => trainer.model().predict(b),
-        FittedModel::Neural(m) => m.predict_batch(b),
+        FittedModel::Neural(trainer) => trainer.model().predict(b),
         FittedModel::Naive(_) => unreachable!("naive baselines have no rollout"),
     }
 }
