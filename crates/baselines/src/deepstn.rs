@@ -3,15 +3,17 @@
 //! channel axis and pushed through a residual CNN whose blocks carry a
 //! long-range "plus" unit (a bottlenecked dense map over the whole grid).
 //!
-//! This is the strongest CNN baseline in the paper and shares its spatial
-//! module with MUSE-Net — the difference is exactly the missing
-//! disentanglement, which is what Table II isolates.
+//! This is the strongest CNN baseline in the paper. Its blocks follow the
+//! layout of MUSE-Net's ResPlus head (a local 3×3 conv path beside a "plus"
+//! path) but are its own `PlusBlock`: leaky-ReLU (slope 0.1) activations
+//! and a pre-activation residual with no ReLU after the add. What it lacks
+//! next to MUSE-Net is the disentanglement, which Table II isolates.
 
 use muse_autograd::Var;
 use muse_nn::{Conv2dLayer, Linear, Param, ParamRef, Session};
 use muse_tensor::init::SeededRng;
 use muse_tensor::{Conv2dSpec, Tensor};
-use muse_traffic::subseries::SubSeriesSpec;
+use muse_traffic::subseries::{last_frame, SubSeriesSpec};
 use muse_traffic::{Batch, GridMap};
 use musenet::Trainable;
 
@@ -138,10 +140,6 @@ impl Trainable for DeepStnForecaster {
         }
         let mut out = self.head.forward(s, h);
         // Per-cell Hadamard fusion of the most recent frames (ST-ResNet).
-        let last_frame = |x: &Tensor| -> Tensor {
-            let ch = x.dims()[1];
-            x.split(1, &[ch - 2, 2]).pop().expect("two chunks")
-        };
         let frames = [last_frame(&batch.closeness), last_frame(&batch.period), last_frame(&batch.trend)];
         for (w, frame) in self.hadamard.iter().zip(frames) {
             let wv = s.param(w);

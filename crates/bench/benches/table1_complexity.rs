@@ -31,7 +31,7 @@ fn bench_paper_dim_forward(c: &mut Criterion) {
         bch.iter(|| {
             let tape = Tape::new();
             let s = Session::new(&tape);
-            black_box(model.eval_graph(&s, &b).terms)
+            black_box(model.train_graph(&s, &b).terms)
         })
     });
 }

@@ -1,11 +1,13 @@
-//! The MUSE-Net model: joint forward pass, objective assembly, prediction,
-//! and representation extraction.
+//! The MUSE-Net model: one shared representation pass (exclusive encoders
+//! → interactive encoder(s) → spatial stack) under the training objective,
+//! the serving pass and representation extraction.
 
 use crate::config::MuseNetConfig;
 use crate::decoder::ReconstructedDecoder;
-use crate::encoders::{EncoderOutput, ExclusiveEncoder, InteractiveEncoder};
+use crate::encoders::{spatial_pool, EncoderOutput, ExclusiveEncoder, InteractiveEncoder};
 use crate::loss::{saturate, LossTerms, ObjectiveWeights};
 use crate::resplus::{PointwiseHead, ResPlus};
+use crate::trainer::Trainable;
 use crate::variational::{Branch, VariationalEncoder};
 use muse_autograd::vae_ops::{kl_between_fused, kl_to_standard_normal, reparameterize, sse_per_sample};
 use muse_autograd::{Tape, Var};
@@ -30,23 +32,18 @@ enum SpatialHead {
 // so the size gap buys nothing to box away.
 #[allow(clippy::large_enum_variant)]
 enum InteractivePath {
-    Multivariate {
-        encoder: InteractiveEncoder,
-        /// `g_τ^i(z^s|i)` per branch (None when pulling is ablated).
-        simplex: Option<[VariationalEncoder; 3]>,
-        /// `d_ω^{i,j}(z^s|i,j)` per unordered pair.
-        duplex: Option<[VariationalEncoder; 3]>,
-    },
-    Pairwise {
-        /// Encoders over pairs `(C,P), (C,T), (P,T)`.
-        encoders: [VariationalPairEncoder; 3],
-    },
+    Multivariate(InteractiveEncoder),
+    /// Encoders over the pairs `(C,P), (C,T), (P,T)`.
+    Pairwise([InteractiveEncoder; 3]),
 }
 
-/// A pairwise interactive encoder (the `w/o-MultiDisentangle` replacement):
-/// shares the [`InteractiveEncoder`] structure over two branches.
-struct VariationalPairEncoder {
-    inner: InteractiveEncoder,
+/// The semantic-pulling encoders (Eq. 29), built for the variants that
+/// train them (all of which use the multivariate `Z^S`).
+struct Pulling {
+    /// `g_τ^i(z^s|i)` per branch.
+    simplex: [VariationalEncoder; 3],
+    /// `d_ω^{i,j}(z^s|i,j)` per unordered pair.
+    duplex: [VariationalEncoder; 3],
 }
 
 /// The MUSE-Net model. See the crate docs for the architecture overview.
@@ -54,6 +51,7 @@ pub struct MuseNet {
     config: MuseNetConfig,
     exclusive: [ExclusiveEncoder; 3],
     interactive: InteractivePath,
+    pulling: Option<Pulling>,
     decoders: [ReconstructedDecoder; 3],
     spatial: SpatialHead,
     /// Reparameterization noise source (deterministic per model seed).
@@ -82,7 +80,8 @@ pub struct Representations {
     pub interactive: Tensor,
     /// Exclusive posterior means `[B, k/4]`, order C, P, T.
     pub exclusive_mu: [Tensor; 3],
-    /// Interactive posterior mean `[B, k]`.
+    /// Interactive posterior mean `[B, k]` (the three pairwise means
+    /// concatenated, `[B, 3k]`, for the `w/o-MultiDisentangle` variant).
     pub interactive_mu: Tensor,
 }
 
@@ -96,6 +95,28 @@ pub struct InferenceOutput {
     /// L2 norm of the interactive posterior mean (of the concatenated
     /// pairwise means for the `w/o-MultiDisentangle` variant).
     pub interactive_mu_norm: f32,
+}
+
+/// What every pass shares: the encoders' outputs and the spatial head's
+/// inputs, recorded on one session.
+struct Encoded<'t> {
+    /// Exclusive encoder outputs, order C, P, T.
+    exclusive: [EncoderOutput<'t>; 3],
+    /// Each interactive output with the branches (0 = C, 1 = P, 2 = T) whose
+    /// features it read: one `Z^S` over all three, or the three pairs.
+    interactive: Vec<(EncoderOutput<'t>, Vec<usize>)>,
+    /// Exclusive then interactive feature maps, along channels.
+    stack: Var<'t>,
+    /// The most recent frame of each sub-series, for the Hadamard fusion.
+    skips: [Var<'t>; 3],
+}
+
+/// Span names of the three exclusive branches, order C, P, T.
+const BRANCH_SPANS: [&str; 3] = ["closeness", "period", "trend"];
+
+/// Left-to-right sum of scalar terms, in the order they are recorded.
+fn sum<'t>(terms: impl IntoIterator<Item = Var<'t>>) -> Var<'t> {
+    terms.into_iter().reduce(|acc, term| acc.add(&term)).expect("at least one term")
 }
 
 impl MuseNet {
@@ -116,33 +137,26 @@ impl MuseNet {
         ];
 
         let interactive = if config.variant.uses_multivariate_interactive() {
-            let encoder = InteractiveEncoder::new(&mut rng, 3, d, cells, k);
-            let (simplex, duplex) = if config.variant.uses_pulling() {
-                (
-                    Some([
-                        VariationalEncoder::new(&mut rng, 1, d, cells, k),
-                        VariationalEncoder::new(&mut rng, 1, d, cells, k),
-                        VariationalEncoder::new(&mut rng, 1, d, cells, k),
-                    ]),
-                    Some([
-                        VariationalEncoder::new(&mut rng, 2, d, cells, k),
-                        VariationalEncoder::new(&mut rng, 2, d, cells, k),
-                        VariationalEncoder::new(&mut rng, 2, d, cells, k),
-                    ]),
-                )
-            } else {
-                (None, None)
-            };
-            InteractivePath::Multivariate { encoder, simplex, duplex }
+            InteractivePath::Multivariate(InteractiveEncoder::new(&mut rng, 3, d, cells, k))
         } else {
-            InteractivePath::Pairwise {
-                encoders: [
-                    VariationalPairEncoder { inner: InteractiveEncoder::new(&mut rng, 2, d, cells, k) },
-                    VariationalPairEncoder { inner: InteractiveEncoder::new(&mut rng, 2, d, cells, k) },
-                    VariationalPairEncoder { inner: InteractiveEncoder::new(&mut rng, 2, d, cells, k) },
-                ],
-            }
+            InteractivePath::Pairwise([
+                InteractiveEncoder::new(&mut rng, 2, d, cells, k),
+                InteractiveEncoder::new(&mut rng, 2, d, cells, k),
+                InteractiveEncoder::new(&mut rng, 2, d, cells, k),
+            ])
         };
+        let pulling = config.variant.uses_pulling().then(|| Pulling {
+            simplex: [
+                VariationalEncoder::new(&mut rng, 1, d, cells, k),
+                VariationalEncoder::new(&mut rng, 1, d, cells, k),
+                VariationalEncoder::new(&mut rng, 1, d, cells, k),
+            ],
+            duplex: [
+                VariationalEncoder::new(&mut rng, 2, d, cells, k),
+                VariationalEncoder::new(&mut rng, 2, d, cells, k),
+                VariationalEncoder::new(&mut rng, 2, d, cells, k),
+            ],
+        });
 
         // Decoder latent width: z^i plus the interactive sample(s) paired
         // with branch i.
@@ -174,7 +188,7 @@ impl MuseNet {
         };
 
         let noise = RefCell::new(SeededRng::new(config.seed.wrapping_add(0x5EED)));
-        MuseNet { config, exclusive, interactive, decoders, spatial, noise }
+        MuseNet { config, exclusive, interactive, pulling, decoders, spatial, noise }
     }
 
     /// The configuration.
@@ -189,23 +203,16 @@ impl MuseNet {
             p.extend(e.params());
         }
         match &self.interactive {
-            InteractivePath::Multivariate { encoder, simplex, duplex } => {
-                p.extend(encoder.params());
-                if let Some(sx) = simplex {
-                    for e in sx {
-                        p.extend(e.params());
-                    }
-                }
-                if let Some(dx) = duplex {
-                    for e in dx {
-                        p.extend(e.params());
-                    }
+            InteractivePath::Multivariate(encoder) => p.extend(encoder.params()),
+            InteractivePath::Pairwise(encoders) => {
+                for e in encoders {
+                    p.extend(e.params());
                 }
             }
-            InteractivePath::Pairwise { encoders } => {
-                for e in encoders {
-                    p.extend(e.inner.params());
-                }
+        }
+        if let Some(pulling) = &self.pulling {
+            for e in pulling.simplex.iter().chain(&pulling.duplex) {
+                p.extend(e.params());
             }
         }
         for d in &self.decoders {
@@ -263,218 +270,138 @@ impl MuseNet {
         Ok(model)
     }
 
-    // ------------------------------------------------------------- training
+    // ---------------------------------------------------------- shared pass
 
-    /// Build the full training graph for one (scaled) batch.
-    pub fn train_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> ForwardPass<'t> {
-        self.graph(s, &batch.closeness, &batch.period, &batch.trend, Some(&batch.target), true)
-    }
-
-    /// Build an evaluation graph (no sampling noise) for a batch; the target
-    /// is still used to report loss terms.
-    pub fn eval_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> ForwardPass<'t> {
-        self.graph(s, &batch.closeness, &batch.period, &batch.trend, Some(&batch.target), false)
-    }
-
-    fn graph<'t>(
+    /// Record the pass every caller shares: the sub-series and their last
+    /// frames as inputs, the three exclusive encoders, the interactive
+    /// encoder(s) over their features, and the spatial head's input stack.
+    fn encode<'t>(
         &self,
         s: &Session<'t>,
         closeness: &Tensor,
         period: &Tensor,
         trend: &Tensor,
-        target: Option<&Tensor>,
-        train: bool,
-    ) -> ForwardPass<'t> {
+    ) -> Encoded<'t> {
+        let series = [closeness, period, trend];
+        let inputs = series.map(|x| s.input(x.clone()));
+        let skips = series.map(|x| s.input(subseries::last_frame(x)));
+        let exclusive = {
+            let _span = obs::span("model.encode");
+            [0, 1, 2].map(|i| {
+                let _branch = obs::span(BRANCH_SPANS[i]);
+                self.exclusive[i].forward(s, inputs[i])
+            })
+        };
+        let features = [exclusive[0].feature, exclusive[1].feature, exclusive[2].feature];
+        let interactive = {
+            let _span = obs::span("model.interactive");
+            let run = |encoder: &InteractiveEncoder, reads: Vec<usize>| {
+                let read: Vec<Var<'t>> = reads.iter().map(|&b| features[b]).collect();
+                (encoder.forward(s, Var::concat(&read, 1)), reads)
+            };
+            match &self.interactive {
+                InteractivePath::Multivariate(encoder) => vec![run(encoder, vec![0, 1, 2])],
+                InteractivePath::Pairwise(encoders) => encoders
+                    .iter()
+                    .zip(Branch::pairs())
+                    .map(|(encoder, (i, j))| run(encoder, vec![i.index(), j.index()]))
+                    .collect(),
+            }
+        };
+        let mut maps = features.to_vec();
+        maps.extend(interactive.iter().map(|(out, _)| out.feature));
+        let stack = Var::concat(&maps, 1);
+        Encoded { exclusive, interactive, stack, skips }
+    }
+
+    /// The spatial head over the encoded stack, Hadamard-fusing the recent
+    /// frames: the forecast `[B, 2, H, W]`.
+    fn spatial_head<'t>(&self, s: &Session<'t>, enc: &Encoded<'t>) -> Var<'t> {
+        let _span = obs::span("model.spatial");
+        match &self.spatial {
+            SpatialHead::ResPlus(r) => r.forward(s, enc.stack, &enc.skips),
+            SpatialHead::Pointwise(h) => h.forward(s, enc.stack, &enc.skips),
+        }
+    }
+
+    // ------------------------------------------------------------- training
+
+    /// Build the full training graph for one (scaled) batch: the shared
+    /// pass plus sampling, the KL terms, reconstruction (semantic pushing,
+    /// Eq. 28), semantic pulling (Eq. 29) and the regression (Eq. 30).
+    pub fn train_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> ForwardPass<'t> {
         let weights =
             ObjectiveWeights::for_variant(self.config.variant, self.config.lambda, self.config.pull_cap);
-        let inputs = [closeness, period, trend];
-        let c = s.input(closeness.clone());
-        let p = s.input(period.clone());
-        let t = s.input(trend.clone());
-        // Most recent frame of each sub-series (last 2 channels), for the
-        // per-cell Hadamard fusion in the spatial head.
-        let last_frame = |x: &Tensor| -> Tensor {
-            let ch = x.dims()[1];
-            x.split(1, &[ch - 2, 2]).pop().expect("two chunks")
-        };
-        let skips = [s.input(last_frame(closeness)), s.input(last_frame(period)), s.input(last_frame(trend))];
+        let enc = self.encode(s, &batch.closeness, &batch.period, &batch.trend);
+        let (exclusive, interactive) = (&enc.exclusive, &enc.interactive);
 
-        // Exclusive branches.
-        let enc: Vec<EncoderOutput<'t>> = {
-            let _span = obs::span("model.encode");
-            vec![
-                {
-                    let _b = obs::span("closeness");
-                    self.exclusive[0].forward(s, c)
-                },
-                {
-                    let _b = obs::span("period");
-                    self.exclusive[1].forward(s, p)
-                },
-                {
-                    let _b = obs::span("trend");
-                    self.exclusive[2].forward(s, t)
-                },
-            ]
-        };
-
+        // Noise draws in order z^c, z^p, z^t, then the interactive latent(s).
         let mut rng = self.noise.borrow_mut();
-        let sample_z = |mu: &Var<'t>, lv: &Var<'t>, rng: &mut SeededRng| -> Var<'t> {
-            if train {
-                reparameterize(mu, lv, rng)
-            } else {
-                *mu
-            }
-        };
-
-        let z_exclusive: Vec<Var<'t>> = enc.iter().map(|e| sample_z(&e.mu, &e.logvar, &mut rng)).collect();
-        let kl_exclusive_var = kl_to_standard_normal(&enc[0].mu, &enc[0].logvar)
-            .add(&kl_to_standard_normal(&enc[1].mu, &enc[1].logvar))
-            .add(&kl_to_standard_normal(&enc[2].mu, &enc[2].logvar));
-
-        // Interactive pathway, reconstruction inputs, spatial stack, pulling.
-        let (kl_interactive_var, recon_var, spatial_stack, pull_var) = match &self.interactive {
-            InteractivePath::Multivariate { encoder, simplex, duplex } => {
-                let (inter, z_s, kl_s) = {
-                    let _span = obs::span("model.interactive");
-                    let feats = Var::concat(&[enc[0].feature, enc[1].feature, enc[2].feature], 1);
-                    let inter = encoder.forward(s, feats);
-                    let z_s = sample_z(&inter.mu, &inter.logvar, &mut rng);
-                    let kl_s = kl_to_standard_normal(&inter.mu, &inter.logvar);
-                    (inter, z_s, kl_s)
-                };
-
-                // Reconstruction (semantic-pushing, Eq. 28).
-                let _recon_span = obs::span("model.reconstruct");
-                let mut recon =
-                    sse_per_sample(&self.decoders[0].forward_pair(s, z_exclusive[0], z_s), inputs[0]);
-                recon = recon
-                    .add(&sse_per_sample(&self.decoders[1].forward_pair(s, z_exclusive[1], z_s), inputs[1]));
-                recon = recon
-                    .add(&sse_per_sample(&self.decoders[2].forward_pair(s, z_exclusive[2], z_s), inputs[2]));
-                drop(_recon_span);
-
-                let stack = Var::concat(&[enc[0].feature, enc[1].feature, enc[2].feature, inter.feature], 1);
-
-                // Semantic-pulling (Eq. 29).
-                let _pull_span = obs::span("model.pulling");
-                let pull = match (simplex, duplex) {
-                    (Some(sx), Some(dx)) => {
-                        // Each branch's simplex posterior g_τ(z|i) appears in
-                        // two of the three pair terms — run the three simplex
-                        // forwards once instead of six times.
-                        let g: Vec<(Var<'t>, Var<'t>)> =
-                            (0..3).map(|b| sx[b].forward(s, enc[b].feature)).collect();
-                        let mut acc: Option<Var<'t>> = None;
-                        for (pair_idx, (bi, bj)) in Branch::pairs().iter().enumerate() {
-                            let fi = enc[bi.index()].feature;
-                            let fj = enc[bj.index()].feature;
-                            let (mu_d, lv_d) = dx[pair_idx].forward(s, Var::concat(&[fi, fj], 1));
-                            let (mu_gi, lv_gi) = g[bi.index()];
-                            let (mu_gj, lv_gj) = g[bj.index()];
-                            // Minimized: + KL(d‖g_i) + KL(d‖g_j) − sat(KL(r_s‖d)).
-                            let term = kl_between_fused(&mu_d, &lv_d, &mu_gi, &lv_gi)
-                                .add(&kl_between_fused(&mu_d, &lv_d, &mu_gj, &lv_gj))
-                                .sub(&saturate(
-                                    kl_between_fused(&inter.mu, &inter.logvar, &mu_d, &lv_d),
-                                    weights.pull_cap,
-                                ));
-                            acc = Some(match acc {
-                                Some(a) => a.add(&term),
-                                None => term,
-                            });
-                        }
-                        Some(acc.expect("three pairs"))
-                    }
-                    _ => None,
-                };
-                drop(_pull_span);
-                (kl_s, recon, stack, pull)
-            }
-            InteractivePath::Pairwise { encoders } => {
-                let _span = obs::span("model.interactive");
-                // w/o-MultiDisentangle: three pairwise interactive paths.
-                let mut pair_out = Vec::with_capacity(3);
-                for (pair_idx, (bi, bj)) in Branch::pairs().iter().enumerate() {
-                    let feats = Var::concat(&[enc[bi.index()].feature, enc[bj.index()].feature], 1);
-                    pair_out.push(encoders[pair_idx].inner.forward(s, feats));
-                }
-                let z_pair: Vec<Var<'t>> =
-                    pair_out.iter().map(|o| sample_z(&o.mu, &o.logvar, &mut rng)).collect();
-                let kl_s = kl_to_standard_normal(&pair_out[0].mu, &pair_out[0].logvar)
-                    .add(&kl_to_standard_normal(&pair_out[1].mu, &pair_out[1].logvar))
-                    .add(&kl_to_standard_normal(&pair_out[2].mu, &pair_out[2].logvar));
-
-                // Branch i reconstructs from z^i plus the two pairwise
-                // latents that involve i: C → (CP, CT), P → (CP, PT),
-                // T → (CT, PT).
-                let pair_for = |branch: usize| -> [usize; 2] {
-                    match branch {
-                        0 => [0, 1],
-                        1 => [0, 2],
-                        _ => [1, 2],
-                    }
-                };
-                let mut recon: Option<Var<'t>> = None;
-                for b in 0..3 {
-                    let [pa, pb] = pair_for(b);
-                    let z = Var::concat(&[z_exclusive[b], z_pair[pa], z_pair[pb]], 1);
-                    let term = sse_per_sample(&self.decoders[b].forward(s, z), inputs[b]);
-                    recon = Some(match recon {
-                        Some(r) => r.add(&term),
-                        None => term,
-                    });
-                }
-                let stack = Var::concat(
-                    &[
-                        enc[0].feature,
-                        enc[1].feature,
-                        enc[2].feature,
-                        pair_out[0].feature,
-                        pair_out[1].feature,
-                        pair_out[2].feature,
-                    ],
-                    1,
-                );
-                (kl_s, recon.expect("three branches"), stack, None)
-            }
-        };
+        let z_exclusive = [0, 1, 2].map(|i| reparameterize(&exclusive[i].mu, &exclusive[i].logvar, &mut rng));
+        let kl_exclusive = sum(exclusive.iter().map(|o| kl_to_standard_normal(&o.mu, &o.logvar)));
+        let z_interactive: Vec<Var<'t>> =
+            interactive.iter().map(|(o, _)| reparameterize(&o.mu, &o.logvar, &mut rng)).collect();
         drop(rng);
+        let kl_interactive = sum(interactive.iter().map(|(o, _)| kl_to_standard_normal(&o.mu, &o.logvar)));
 
-        // Spatial head with Hadamard-fused recent frames.
-        let prediction = {
-            let _span = obs::span("model.spatial");
-            match &self.spatial {
-                SpatialHead::ResPlus(r) => r.forward(s, spatial_stack, &skips),
-                SpatialHead::Pointwise(h) => h.forward(s, spatial_stack, &skips),
-            }
+        // Branch i decodes from z^i plus the interactive latent(s) that read
+        // it: z^s, or the two pairwise latents that involve i.
+        let reconstruction = {
+            let _span = obs::span("model.reconstruct");
+            let series = [&batch.closeness, &batch.period, &batch.trend];
+            sum((0..3).map(|i| {
+                let mut z = vec![z_exclusive[i]];
+                z.extend(
+                    interactive
+                        .iter()
+                        .zip(&z_interactive)
+                        .filter(|((_, reads), _)| reads.contains(&i))
+                        .map(|(_, &z)| z),
+                );
+                sse_per_sample(&self.decoders[i].forward(s, Var::concat(&z, 1)), series[i])
+            }))
         };
 
-        // Regression (Eq. 30).
-        let reg_var = match target {
-            Some(y) => sse_per_sample(&prediction, y),
-            None => s.input(Tensor::scalar(0.0)),
-        };
+        let pulling = self.pulling.as_ref().map(|Pulling { simplex, duplex }| {
+            let _span = obs::span("model.pulling");
+            let inter = &interactive[0].0;
+            // Each branch's simplex posterior g_τ(z|i) appears in two of the
+            // three pair terms — run the three simplex forwards once
+            // instead of six times.
+            let g = [0, 1, 2].map(|i| simplex[i].forward(s, exclusive[i].feature));
+            sum(Branch::pairs().iter().zip(duplex).map(|((bi, bj), dx)| {
+                let (i, j) = (bi.index(), bj.index());
+                let (mu_d, lv_d) =
+                    dx.forward(s, Var::concat(&[exclusive[i].feature, exclusive[j].feature], 1));
+                // Minimized: + KL(d‖g_i) + KL(d‖g_j) − sat(KL(r_s‖d)).
+                kl_between_fused(&mu_d, &lv_d, &g[i].0, &g[i].1)
+                    .add(&kl_between_fused(&mu_d, &lv_d, &g[j].0, &g[j].1))
+                    .sub(&saturate(
+                        kl_between_fused(&inter.mu, &inter.logvar, &mu_d, &lv_d),
+                        weights.pull_cap,
+                    ))
+            }))
+        });
+
+        let prediction = self.spatial_head(s, &enc);
+        let regression = sse_per_sample(&prediction, &batch.target);
 
         // Weighted total (minimization form of Eq. 26).
-        let mut total = kl_exclusive_var
+        let mut total = kl_exclusive
             .mul_scalar(weights.exclusive)
-            .add(&kl_interactive_var)
-            .add(&recon_var.mul_scalar(weights.exclusive))
-            .add(&reg_var);
-        let pulling_value = if let Some(pull) = pull_var {
+            .add(&kl_interactive)
+            .add(&reconstruction.mul_scalar(weights.exclusive))
+            .add(&regression);
+        if let Some(pull) = pulling {
             total = total.add(&pull.mul_scalar(weights.pulling));
-            pull.item()
-        } else {
-            0.0
-        };
+        }
 
         let terms = LossTerms {
-            kl_exclusive: kl_exclusive_var.item(),
-            kl_interactive: kl_interactive_var.item(),
-            reconstruction: recon_var.item(),
-            pulling: pulling_value,
-            regression: reg_var.item(),
+            kl_exclusive: kl_exclusive.item(),
+            kl_interactive: kl_interactive.item(),
+            reconstruction: reconstruction.item(),
+            pulling: pulling.map_or(0.0, |p| p.item()),
+            regression: regression.item(),
             total: total.item(),
         };
         ForwardPass { prediction, loss: total, terms }
@@ -487,21 +414,15 @@ impl MuseNet {
     /// The prediction path is deterministic — it uses the representation
     /// maps, not the sampled latents.
     pub fn predict(&self, batch: &Batch) -> Tensor {
-        self.predict_raw(&batch.closeness, &batch.period, &batch.trend)
-    }
-
-    /// Predict from raw sub-series tensors.
-    pub fn predict_raw(&self, closeness: &Tensor, period: &Tensor, trend: &Tensor) -> Tensor {
         let tape = Tape::forward_only();
         let s = Session::new(&tape);
-        self.infer_raw(&s, closeness, period, trend).prediction
+        self.infer_raw(&s, &batch.closeness, &batch.period, &batch.trend).prediction
     }
 
-    /// Forward-only serving pass: the deterministic prediction plus the
-    /// per-branch posterior-mean norms, skipping the training-only graph
-    /// (decoders, reconstruction, pulling, loss terms). Bit-identical to
-    /// the prediction of [`MuseNet::eval_graph`] — the omitted branches
-    /// never feed the prediction path.
+    /// Forward-only serving pass: the shared pass and the spatial head,
+    /// plus the per-branch posterior-mean norms. Its prediction is
+    /// bit-identical to [`MuseNet::train_graph`]'s — sampling, decoders and
+    /// pulling never feed the prediction path.
     ///
     /// The caller owns the session; a long-lived server hoists one
     /// [`Tape::forward_only`] tape + session and `reset`s both between
@@ -514,51 +435,14 @@ impl MuseNet {
         trend: &Tensor,
     ) -> InferenceOutput {
         let _span = obs::span("model.infer");
-        let c = s.input(closeness.clone());
-        let p = s.input(period.clone());
-        let t = s.input(trend.clone());
-        let last_frame = |x: &Tensor| -> Tensor {
-            let ch = x.dims()[1];
-            x.split(1, &[ch - 2, 2]).pop().expect("two chunks")
-        };
-        let skips = [s.input(last_frame(closeness)), s.input(last_frame(period)), s.input(last_frame(trend))];
-        let enc = [
-            self.exclusive[0].forward(s, c),
-            self.exclusive[1].forward(s, p),
-            self.exclusive[2].forward(s, t),
-        ];
-        let exclusive_mu_norms = [0, 1, 2].map(|i| enc[i].mu.with_value(|mu: &Tensor| mu.norm()));
-        let (spatial_stack, interactive_mu_norm) = match &self.interactive {
-            InteractivePath::Multivariate { encoder, .. } => {
-                let feats = Var::concat(&[enc[0].feature, enc[1].feature, enc[2].feature], 1);
-                let inter = encoder.forward(s, feats);
-                let stack = Var::concat(&[enc[0].feature, enc[1].feature, enc[2].feature, inter.feature], 1);
-                (stack, inter.mu.with_value(|mu: &Tensor| mu.norm()))
-            }
-            InteractivePath::Pairwise { encoders } => {
-                let mut feats = vec![enc[0].feature, enc[1].feature, enc[2].feature];
-                let mut sq_norm = 0.0f32;
-                for (pair_idx, (bi, bj)) in Branch::pairs().iter().enumerate() {
-                    let pair_feats = Var::concat(&[enc[bi.index()].feature, enc[bj.index()].feature], 1);
-                    let out = encoders[pair_idx].inner.forward(s, pair_feats);
-                    feats.push(out.feature);
-                    // ‖concat(mus)‖ = sqrt(Σ‖mu_i‖²), without the concat.
-                    sq_norm += out.mu.with_value(|mu: &Tensor| {
-                        let n = mu.norm();
-                        n * n
-                    });
-                }
-                (Var::concat(&feats, 1), sq_norm.sqrt())
-            }
-        };
-        let prediction = {
-            let _span = obs::span("model.spatial");
-            match &self.spatial {
-                SpatialHead::ResPlus(r) => r.forward(s, spatial_stack, &skips),
-                SpatialHead::Pointwise(h) => h.forward(s, spatial_stack, &skips),
-            }
-        };
-        InferenceOutput { prediction: prediction.value(), exclusive_mu_norms, interactive_mu_norm }
+        let enc = self.encode(s, closeness, period, trend);
+        let exclusive_mu_norms = [0, 1, 2].map(|i| enc.exclusive[i].mu.with_value(|mu: &Tensor| mu.norm()));
+        // ‖concat(mus)‖ = sqrt(Σ‖mu_j‖²), without the concat; for a single
+        // mean, sqrt(‖mu‖²) rounds back to ‖mu‖ exactly in f32.
+        let mu_norms = enc.interactive.iter().map(|(o, _)| o.mu.with_value(|mu: &Tensor| mu.norm()));
+        let interactive_mu_norm = mu_norms.map(|n| n * n).sum::<f32>().sqrt();
+        let prediction = self.spatial_head(s, &enc).value();
+        InferenceOutput { prediction, exclusive_mu_norms, interactive_mu_norm }
     }
 
     /// Autoregressive multi-step forecast: [`subseries::roll_out`] with
@@ -585,55 +469,43 @@ impl MuseNet {
 
     // ------------------------------------------------------------- analysis
 
-    /// Extract deterministic representations for a batch (RQ3–RQ5).
+    /// Extract deterministic representations for a batch (RQ3–RQ5): the
+    /// shared pass on a forward-only tape, spatially pooled.
     pub fn representations(&self, batch: &Batch) -> Representations {
-        let tape = Tape::new();
+        let tape = Tape::forward_only();
         let s = Session::new(&tape);
-        let c = s.input(batch.closeness.clone());
-        let p = s.input(batch.period.clone());
-        let t = s.input(batch.trend.clone());
-        let enc = [
-            self.exclusive[0].forward(&s, c),
-            self.exclusive[1].forward(&s, p),
-            self.exclusive[2].forward(&s, t),
-        ];
-        let pooled = |map: &Tensor| -> Tensor {
-            // [B, d, H, W] → [B, d] by spatial mean.
-            let (b, d) = (map.dims()[0], map.dims()[1]);
-            let cells = map.dims()[2] * map.dims()[3];
-            map.reshaped(&[b, d, cells]).mean_axis(2)
-        };
-        let exclusive_maps: Vec<Tensor> = enc.iter().map(|e| e.feature.value()).collect();
-        let exclusive_mu: Vec<Tensor> = enc.iter().map(|e| e.mu.value()).collect();
-
-        let (interactive_map, interactive_mu) = match &self.interactive {
-            InteractivePath::Multivariate { encoder, .. } => {
-                let feats = Var::concat(&[enc[0].feature, enc[1].feature, enc[2].feature], 1);
-                let inter = encoder.forward(&s, feats);
-                (inter.feature.value(), inter.mu.value())
-            }
-            InteractivePath::Pairwise { encoders } => {
-                let mut maps = Vec::with_capacity(3);
-                let mut mus = Vec::with_capacity(3);
-                for (pair_idx, (bi, bj)) in Branch::pairs().iter().enumerate() {
-                    let feats = Var::concat(&[enc[bi.index()].feature, enc[bj.index()].feature], 1);
-                    let out = encoders[pair_idx].inner.forward(&s, feats);
-                    maps.push(out.feature.value());
-                    mus.push(out.mu.value());
-                }
-                // Mean of the pairwise maps; concatenated posterior means.
-                let mean_map = maps[0].add(&maps[1]).add(&maps[2]).mul_scalar(1.0 / 3.0);
-                let mu_refs: Vec<&Tensor> = mus.iter().collect();
-                (mean_map, Tensor::concat(&mu_refs, 1))
-            }
-        };
-
+        let enc = self.encode(&s, &batch.closeness, &batch.period, &batch.trend);
+        let pooled = |map: Var<'_>| spatial_pool(map).value();
+        // The mean of the interactive maps; their posterior means side by side.
+        let n = enc.interactive.len() as f32;
+        let interactive_map = sum(enc.interactive.iter().map(|(o, _)| o.feature)).mul_scalar(1.0 / n);
+        let interactive_mus: Vec<Var<'_>> = enc.interactive.iter().map(|(o, _)| o.mu).collect();
         Representations {
-            exclusive: [pooled(&exclusive_maps[0]), pooled(&exclusive_maps[1]), pooled(&exclusive_maps[2])],
-            interactive: pooled(&interactive_map),
-            exclusive_mu: [exclusive_mu[0].clone(), exclusive_mu[1].clone(), exclusive_mu[2].clone()],
-            interactive_mu,
+            exclusive: [0, 1, 2].map(|i| pooled(enc.exclusive[i].feature)),
+            interactive: pooled(interactive_map),
+            exclusive_mu: [0, 1, 2].map(|i| enc.exclusive[i].mu.value()),
+            interactive_mu: Var::concat(&interactive_mus, 1).value(),
         }
+    }
+}
+
+impl Trainable for MuseNet {
+    fn name(&self) -> &str {
+        self.config.variant.name()
+    }
+
+    fn params(&self) -> Vec<ParamRef> {
+        MuseNet::params(self)
+    }
+
+    /// The shared pass and the spatial head — nothing training-only.
+    fn predict_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> Var<'t> {
+        let enc = self.encode(s, &batch.closeness, &batch.period, &batch.trend);
+        self.spatial_head(s, &enc)
+    }
+
+    fn train_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> ForwardPass<'t> {
+        MuseNet::train_graph(self, s, batch)
     }
 }
 
@@ -707,31 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_graph_is_deterministic() {
-        let cfg = tiny_config(AblationVariant::Full);
-        let model = MuseNet::new(cfg.clone());
-        let b = tiny_batch(&cfg);
-        let run = || {
-            let tape = Tape::new();
-            let s = Session::new(&tape);
-            model.eval_graph(&s, &b).prediction.value()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn predict_matches_eval_graph_prediction() {
-        let cfg = tiny_config(AblationVariant::Full);
-        let model = MuseNet::new(cfg.clone());
-        let b = tiny_batch(&cfg);
-        let tape = Tape::new();
-        let s = Session::new(&tape);
-        let via_graph = model.eval_graph(&s, &b).prediction.value();
-        let via_predict = model.predict(&b);
-        assert!(via_graph.approx_eq(&via_predict, 1e-5));
-    }
-
-    #[test]
     fn prediction_in_tanh_range() {
         let cfg = tiny_config(AblationVariant::Full);
         let model = MuseNet::new(cfg.clone());
@@ -791,29 +638,47 @@ mod tests {
     }
 
     #[test]
-    fn infer_raw_is_bit_identical_to_eval_graph_prediction() {
+    fn every_path_predicts_the_same_bits() {
+        use crate::trainer::Trainable;
         for variant in AblationVariant::all() {
             let cfg = tiny_config(variant);
             let model = MuseNet::new(cfg.clone());
             let b = tiny_batch(&cfg);
-            let tape = Tape::new();
-            let s = Session::new(&tape);
-            let via_graph = model.eval_graph(&s, &b).prediction.value();
+            // Training samples latents, but the prediction reads only the
+            // representation maps.
+            let train_tape = Tape::new();
+            let train_s = Session::new(&train_tape);
+            let trained = model.train_graph(&train_s, &b).prediction.value();
 
-            let infer_tape = Tape::forward_only();
-            let infer_s = Session::new(&infer_tape);
-            let out = model.infer_raw(&infer_s, &b.closeness, &b.period, &b.trend);
-            assert_eq!(out.prediction.as_slice(), via_graph.as_slice(), "{variant:?}");
-            assert!(out.exclusive_mu_norms.iter().all(|n| n.is_finite()), "{variant:?}");
-            assert!(out.interactive_mu_norm.is_finite(), "{variant:?}");
-
-            // And a reused (reset) session reproduces the same bits.
-            infer_tape.reset();
-            infer_s.reset();
-            let again = model.infer_raw(&infer_s, &b.closeness, &b.period, &b.trend);
-            assert_eq!(again.prediction.as_slice(), via_graph.as_slice(), "{variant:?} after reset");
-            assert_eq!(again.exclusive_mu_norms, out.exclusive_mu_norms, "{variant:?} after reset");
-            assert_eq!(again.interactive_mu_norm, out.interactive_mu_norm, "{variant:?} after reset");
+            let serve_tape = Tape::forward_only();
+            let serve_s = Session::new(&serve_tape);
+            let graph_tape = Tape::forward_only();
+            let graph_s = Session::new(&graph_tape);
+            let reps = model.representations(&b);
+            for round in ["fresh session", "after reset"] {
+                let served = model.infer_raw(&serve_s, &b.closeness, &b.period, &b.trend);
+                assert_eq!(
+                    served.prediction.as_slice(),
+                    trained.as_slice(),
+                    "{variant:?} infer_raw, {round}"
+                );
+                let graph = Trainable::predict_graph(&model, &graph_s, &b).value();
+                assert_eq!(graph.as_slice(), trained.as_slice(), "{variant:?} predict_graph, {round}");
+                for (i, mu) in reps.exclusive_mu.iter().enumerate() {
+                    assert_eq!(
+                        mu.norm().to_bits(),
+                        served.exclusive_mu_norms[i].to_bits(),
+                        "{variant:?} exclusive_mu[{i}], {round}"
+                    );
+                }
+                for (tape, s) in [(&train_tape, &train_s), (&serve_tape, &serve_s), (&graph_tape, &graph_s)] {
+                    tape.reset();
+                    s.reset();
+                }
+            }
+            let retrained = model.train_graph(&train_s, &b).prediction.value();
+            assert_eq!(retrained.as_slice(), trained.as_slice(), "{variant:?} train_graph after reset");
+            assert_eq!(Trainable::predict(&model, &b).as_slice(), trained.as_slice(), "{variant:?} predict");
         }
     }
 

@@ -16,8 +16,8 @@ use std::time::Instant;
 
 /// A model [`Trainer`] can fit: a per-batch prediction graph over named
 /// parameters. The provided methods give MSE regression training and
-/// forward-only prediction; MUSE-Net overrides both with its full objective
-/// and its serving pass.
+/// forward-only prediction; MUSE-Net overrides `train_graph` with its full
+/// objective (Eq. 26).
 pub trait Trainable {
     /// Display name (matching the paper's tables).
     fn name(&self) -> &str;
@@ -72,28 +72,6 @@ impl<M: Trainable + ?Sized> Trainable for Box<M> {
 
     fn predict(&self, batch: &Batch) -> Tensor {
         (**self).predict(batch)
-    }
-}
-
-impl Trainable for MuseNet {
-    fn name(&self) -> &str {
-        self.config().variant.name()
-    }
-
-    fn params(&self) -> Vec<ParamRef> {
-        MuseNet::params(self)
-    }
-
-    fn predict_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> Var<'t> {
-        self.eval_graph(s, batch).prediction
-    }
-
-    fn train_graph<'t>(&self, s: &Session<'t>, batch: &Batch) -> ForwardPass<'t> {
-        MuseNet::train_graph(self, s, batch)
-    }
-
-    fn predict(&self, batch: &Batch) -> Tensor {
-        MuseNet::predict(self, batch)
     }
 }
 
@@ -435,7 +413,7 @@ impl<M: Trainable> Trainer<M> {
     pub fn validation_rmse(&self, flows: &FlowSeries, spec: &SubSeriesSpec, indices: &[usize]) -> f32 {
         let preds = self.predict_indices(flows, spec, indices);
         let truths = stack_frames(flows, indices);
-        muse_metrics_rmse(&preds, &truths)
+        muse_metrics::error::rmse(&preds, &truths)
     }
 
     /// Deterministic predictions for arbitrary target indices, batched for
@@ -465,15 +443,6 @@ fn mean(xs: &[f32]) -> f32 {
     } else {
         xs.iter().sum::<f32>() / xs.len() as f32
     }
-}
-
-// Local RMSE to avoid a dependency edge on muse-metrics from the core crate.
-fn muse_metrics_rmse(pred: &Tensor, truth: &Tensor) -> f32 {
-    assert_eq!(pred.dims(), truth.dims(), "rmse shape mismatch");
-    let mse: f32 =
-        pred.as_slice().iter().zip(truth.as_slice()).map(|(&p, &t)| (p - t) * (p - t)).sum::<f32>()
-            / pred.len() as f32;
-    mse.sqrt()
 }
 
 #[cfg(test)]
@@ -582,23 +551,6 @@ mod tests {
         assert_eq!(preds.dims(), &[7, 2, 3, 3]);
         let truths = stack_frames(&flows, &train[..7]);
         assert_eq!(truths.dims(), preds.dims());
-    }
-
-    #[test]
-    fn musenet_trainable_graph_matches_its_serving_pass() {
-        let (cfg, flows, train, _) = tiny_setup();
-        let model = MuseNet::new(cfg.clone());
-        let b = batch(&flows, &cfg.spec, &train[..3]);
-        let tape = Tape::new();
-        let s = Session::new(&tape);
-        let graph = Trainable::predict_graph(&model, &s, &b).value();
-        let served = Trainable::predict(&model, &b);
-        assert!(
-            graph.approx_eq(&served, 1e-5),
-            "graph and serving pass differ by {}",
-            graph.max_abs_diff(&served)
-        );
-        assert_eq!(Trainable::name(&model), "MUSE-Net");
     }
 
     #[test]

@@ -82,7 +82,10 @@ fn report_flame_and_diff_work_on_a_real_training_trace() {
     assert!(!data.span_exits.is_empty(), "span tracing must be on during fit");
     let paths: Vec<&str> = data.span_exits.iter().map(|s| s.path.as_str()).collect();
     assert!(paths.contains(&"train.fit"));
-    assert!(paths.iter().any(|p| p.starts_with("train.fit/train.forward/model.encode")));
+    for stage in ["model.encode", "model.interactive", "model.pulling", "model.spatial"] {
+        let prefix = format!("train.fit/train.forward/{stage}");
+        assert!(paths.iter().any(|p| p.starts_with(&prefix)), "no {prefix} span");
+    }
     assert!(!data.kernels.is_empty(), "kernel.summary folded");
 
     // `muse-trace report` succeeds and shows the run.

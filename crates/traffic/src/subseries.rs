@@ -153,6 +153,13 @@ impl Batch {
     }
 }
 
+/// The most recent frame of a stacked sub-series `[B, 2·L, H, W]`: its last
+/// two channels, `[B, 2, H, W]`.
+pub fn last_frame(x: &Tensor) -> Tensor {
+    let ch = x.dims()[1];
+    x.split(1, &[ch - 2, 2]).pop().expect("two chunks")
+}
+
 /// Stack `frames` (each `[2, H, W]` at `n - lag`) along the channel axis.
 fn gather_lagged(flows: &FlowSeries, n: usize, lags: &[usize]) -> Tensor {
     let frames: Vec<Tensor> = lags.iter().map(|&lag| flows.frame(n - lag)).collect();
