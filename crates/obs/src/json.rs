@@ -226,14 +226,21 @@ impl<T: ToJson> ToJson for [T] {
 
 // ------------------------------------------------------------------ parsing
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a hostile body of `[[[…` overflows
+/// the stack, which aborts the process rather than panicking. Far above
+/// anything [`Json::render`] emits in this workspace.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document (used by tests and trace post-processing).
 ///
 /// Accepts exactly the subset [`Json::render`] produces plus arbitrary
 /// whitespace; `null` parses as [`Json::Null`] (so non-finite floats
-/// round-trip as null, by design).
+/// round-trip as null, by design). Nesting deeper than [`MAX_DEPTH`] is an
+/// error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -263,6 +270,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -295,11 +304,21 @@ impl<'a> Parser<'a> {
             Some(b't') => self.expect("true").map(|_| Json::Bool(true)),
             Some(b'f') => self.expect("false").map(|_| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, ParseError>) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
@@ -485,6 +504,19 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"\\q\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "rejected at the first level past the bound: {err}");
+        assert!(parse(&format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH))).is_ok());
+        assert!(parse(&"{\"k\":[".repeat(MAX_DEPTH)).is_err());
+        // Far past the bound still returns an error instead of overflowing
+        // the stack.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -107,3 +107,51 @@ fn boundary_numbers_round_trip_exactly() {
         }
     }
 }
+
+/// Containers on the deepest path of `v`.
+fn nesting(v: &Json) -> usize {
+    match v {
+        Json::Arr(items) => 1 + items.iter().map(nesting).max().unwrap_or(0),
+        Json::Obj(fields) => 1 + fields.iter().map(|(_, v)| nesting(v)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+#[test]
+fn mutated_documents_error_instead_of_panicking() {
+    let mut rng = SeededRng::new(0x4a53_4f4e); // "JSON"
+    for case in 0..300 {
+        let value = gen_value(&mut rng, 4);
+        let text = value.render();
+        let bytes = text.as_bytes();
+
+        // Truncation anywhere.
+        let cut = rng.index(bytes.len() + 1);
+        let _ = json::parse(&String::from_utf8_lossy(&bytes[..cut]));
+
+        // A few bit flips.
+        let mut flipped = bytes.to_vec();
+        for _ in 0..1 + rng.index(4) {
+            let i = rng.index(flipped.len());
+            flipped[i] ^= 1 << rng.index(8);
+        }
+        let _ = json::parse(&String::from_utf8_lossy(&flipped));
+
+        // Deep nesting: wrap the document in arrays and objects, up to twice
+        // the bound. It parses exactly when the total depth is within it.
+        let wraps = rng.index(2 * json::MAX_DEPTH);
+        let (mut open, mut close) = (String::new(), String::new());
+        for _ in 0..wraps {
+            if rng.chance(0.5) {
+                open.push('[');
+                close.push(']');
+            } else {
+                open.push_str("{\"k\":");
+                close.push('}');
+            }
+        }
+        let deep = format!("{open}{text}{}", close.chars().rev().collect::<String>());
+        let within = wraps + nesting(&value) <= json::MAX_DEPTH;
+        assert_eq!(json::parse(&deep).is_ok(), within, "case {case}: {wraps} wraps around {text}");
+    }
+}

@@ -2,8 +2,8 @@
 
 //! # muse-parallel
 //!
-//! A zero-dependency, std-only scoped thread pool plus a scratch-buffer
-//! pool, built for the tensor kernels in `muse-tensor`.
+//! A zero-dependency, std-only scoped thread pool for the tensor kernels in
+//! `muse-tensor`, plus the inter-op fleet scheduler.
 //!
 //! ## Threading model
 //!
@@ -35,15 +35,11 @@
 //! worker taking `max(1, MUSE_THREADS / MUSE_JOBS)` intra-op threads so
 //! the two layers never oversubscribe the machine.
 
-pub mod bufpool;
 pub mod pool;
 pub mod scheduler;
-pub mod scratch;
 
-pub use bufpool::BufferPool;
 pub use pool::ThreadPool;
 pub use scheduler::{current_jobs, env_jobs, run_fleet, with_jobs, FleetJob};
-pub use scratch::{take_uninit, take_zeroed, Scratch};
 
 use muse_obs as obs;
 use std::cell::RefCell;

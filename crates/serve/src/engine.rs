@@ -5,8 +5,8 @@
 //! single-threaded by construction — parameters are `Rc`-shared — so the
 //! daemon builds the model *inside* one long-lived engine thread and
 //! serializes all access through message passing. (Activation storage
-//! comes from the process-wide tensor arena, whose shard is fixed per
-//! thread.) HTTP workers block on a reply channel; the
+//! comes from the process-wide tensor arena, shared by every thread.) HTTP
+//! workers block on a reply channel; the
 //! engine answers every forecast already queued behind the first one (at
 //! most `MAX_BATCH` messages) from one rollout.
 //!

@@ -1,7 +1,8 @@
 //! End-to-end: train a tiny MUSE-Net, save a self-describing checkpoint,
 //! boot the daemon on an ephemeral port, ingest frames over HTTP, and
 //! verify `/forecast` is bit-identical to the in-process forward pass —
-//! for every kernel thread count.
+//! for every kernel thread count. Also: a hostile ingest body is a 400,
+//! not a dead daemon.
 
 use muse_obs as obs;
 use muse_obs::http::fetch;
@@ -117,5 +118,32 @@ fn daemon_forecast_is_bit_identical_to_in_process_model() {
             Some(first) => assert_eq!(&bodies, first, "{threads}-thread response bytes diverged"),
         }
     }
+    std::fs::remove_file(ckpt).ok();
+}
+
+#[test]
+fn deeply_nested_json_ingest_is_a_400_and_the_daemon_survives() {
+    let grid = GridMap::new(3, 4);
+    let spec = SubSeriesSpec { lc: 2, lp: 2, lt: 1, intervals_per_day: 3, trend_days: 7 };
+    let mut cfg = MuseNetConfig::cpu_profile(grid, spec);
+    cfg.d = 4;
+    cfg.k = 8;
+    let mut ckpt = std::env::temp_dir();
+    ckpt.push(format!("muse-serve-e2e-nested-{}.ckpt", std::process::id()));
+    MuseNet::new(cfg).save_with_config(&ckpt).unwrap();
+    let engine = Arc::new(Engine::from_checkpoint(&ckpt, EngineOptions::default()).unwrap());
+    let server = Server::start(engine, ServerOptions::default()).unwrap();
+    let addr = server.addr();
+
+    // 1 MiB of `[`: unbounded recursion here would overflow the HTTP
+    // worker's stack, which aborts the process instead of panicking.
+    let body = "[".repeat(1 << 20);
+    let (_, head, reply) =
+        fetch(addr, "POST", "/ingest", Some(("application/json", body.as_bytes()))).unwrap();
+    assert!(head.starts_with("HTTP/1.1 400 "), "{head} {reply}");
+    assert!(reply.contains("nesting deeper than"), "{reply}");
+
+    let (head, _) = get(addr, "/healthz");
+    assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
     std::fs::remove_file(ckpt).ok();
 }

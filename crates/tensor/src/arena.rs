@@ -1,11 +1,12 @@
-//! The tensor-storage arena: a process-wide pool that recycles the
-//! `Vec<f32>` backing stores of dropped [`Tensor`](crate::Tensor)s.
+//! The buffer arena: the process's one pool of recycled `Vec<f32>`
+//! buffers, shared by tensor storage and the conv kernels' column buffers.
 //!
 //! MUSE-Net's training graph has the same shape every batch, so the steady
 //! state re-allocates the same set of buffers over and over. The arena
 //! breaks that cycle: every tensor's storage is returned here on drop (see
-//! `impl Drop for Tensor`) and handed back out by the constructors and
-//! kernels in this crate, making the steady-state batch (nearly)
+//! `impl Drop for Tensor`), kernels return their temporaries with
+//! [`recycle`], and the constructors and kernels in this crate take their
+//! buffers back out, making the steady-state batch (nearly)
 //! allocation-free.
 //!
 //! ## Correctness
@@ -16,114 +17,136 @@
 //! kernels that provably overwrite every element before the buffer becomes
 //! observable. Buffer identity therefore never influences computed values,
 //! which is why pooling preserves the PR 2 determinism contract
-//! (bit-identical results for any `MUSE_THREADS`) — asserted by
-//! `tests/determinism.rs` and the pooled-vs-fresh training test in
-//! `muse-core`.
+//! (bit-identical results for any `MUSE_THREADS` and `MUSE_JOBS`) —
+//! asserted by `tests/determinism.rs` and the pooled-vs-fresh training test
+//! in `muse-core`.
 //!
-//! ## Sharding
+//! ## Bounds
 //!
-//! The arena is split into [`SHARD_COUNT`] independently locked
-//! [`BufferPool`] shards. Each thread is pinned to one shard (round-robin
-//! at first use), so concurrent fleet trainings (`MUSE_JOBS > 1`) recycle
-//! and take from disjoint locks instead of serializing on one pool mutex.
-//! A single-threaded run touches exactly one shard and behaves like the
-//! old unsharded arena. The `MUSE_ARENA_MAX_MB` byte budget is enforced
-//! **globally across shards** (see [`recycle`]), not per shard.
-//!
-//! ## Knobs
-//!
-//! * `MUSE_ARENA_MAX_MB` bounds retained bytes across all shards
-//!   (default 256 MiB).
-//! * [`set_enabled`]`(false)` turns pooling off in-process (every take is a
-//!   fresh allocation, every recycle a free) — the comparison baseline the
-//!   pooled-vs-fresh tests train against.
+//! One mutex guards the shelves. A recycle that would pass either bound
+//! (8192 buffers, 256 MiB) evicts strictly smaller shelved buffers first;
+//! if every shelved buffer is at least as large, the newcomer is freed.
+//! [`set_enabled`]`(false)` turns pooling off in-process (every take is a
+//! fresh allocation, every recycle a free) — the comparison baseline the
+//! pooled-vs-fresh tests train against.
 //!
 //! Raw counters are always maintained (relaxed atomics); the
 //! `tensor.alloc_bytes` / `tensor.pool_hits` / `tensor.pool_misses`
 //! counters and the `tensor.pool_retained_bytes` gauge are additionally
-//! published to `muse-obs` when telemetry is enabled, plus per-shard
-//! `tensor.pool_hits.shard<k>` / `tensor.pool_misses.shard<k>` splits
-//! whose sums equal the aggregate counters.
+//! published to `muse-obs` when telemetry is enabled.
 
 use muse_obs as obs;
-use muse_parallel::BufferPool;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
-/// Maximum number of retained buffers per shard. A full MUSE-Net training
-/// step drops every tape node's value plus all gradients at once (a few
-/// thousand tensors); the count bound only backstops pathological churn —
-/// the real memory ceiling is the global byte bound. Kept at the old
-/// unsharded value so a single-threaded run (one live shard) retains
-/// exactly what it did before sharding.
+/// Maximum number of retained buffers. A full MUSE-Net training step drops
+/// every tape node's value plus all gradients at once (a few thousand
+/// tensors); the count bound only backstops pathological churn — the real
+/// memory ceiling is the byte bound.
 const MAX_BUFFERS: usize = 8192;
-/// Default retained-byte bound (overridable via `MUSE_ARENA_MAX_MB`).
-const DEFAULT_MAX_MB: usize = 256;
+/// Maximum retained bytes.
+const MAX_BYTES: usize = 256 << 20;
 /// Buffers smaller than this many elements are not worth pooling
 /// (scalars and tiny shape-sized tensors churn the shelves for no win).
 const MIN_POOL_LEN: usize = 32;
-/// Number of independently locked arena shards. Enough that concurrent
-/// fleet jobs (MUSE_JOBS is single-digit in practice) rarely collide.
-pub const SHARD_COUNT: usize = 8;
 
+static POOL: BufferPool = BufferPool::new(MAX_BUFFERS, MAX_BYTES);
 static ENABLED: AtomicBool = AtomicBool::new(true);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static POOL_HITS: AtomicU64 = AtomicU64::new(0);
 static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// The sharded arena plus its per-shard raw counters.
-struct Arena {
-    shards: Vec<BufferPool>,
-    shard_hits: Vec<AtomicU64>,
-    shard_misses: Vec<AtomicU64>,
-    /// Global retained-byte budget, enforced across all shards.
+/// A bounded shelf of recycled buffers keyed by capacity, so a request is
+/// served by the smallest retained buffer that already fits it without
+/// ever shrinking a large buffer for a small request.
+struct BufferPool {
+    shelves: Mutex<Shelves>,
+    max_buffers: usize,
     max_bytes: usize,
 }
 
-fn arena() -> &'static Arena {
-    static ARENA: OnceLock<Arena> = OnceLock::new();
-    ARENA.get_or_init(|| {
-        // Environment is read once, at first tensor allocation.
-        let max_mb = std::env::var("MUSE_ARENA_MAX_MB")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_MAX_MB);
-        let max_bytes = max_mb.saturating_mul(1 << 20);
-        Arena {
-            // Each shard's own byte bound is the full global budget — the
-            // binding constraint lives in `recycle`, which evicts across
-            // shards; the per-shard bound only rejects single buffers
-            // larger than the whole budget.
-            shards: (0..SHARD_COUNT).map(|_| BufferPool::new(MAX_BUFFERS, max_bytes)).collect(),
-            shard_hits: (0..SHARD_COUNT).map(|_| AtomicU64::new(0)).collect(),
-            shard_misses: (0..SHARD_COUNT).map(|_| AtomicU64::new(0)).collect(),
+/// The shelves plus their occupancy, all under the pool's one mutex.
+struct Shelves {
+    by_cap: BTreeMap<usize, Vec<Vec<f32>>>,
+    buffers: usize,
+    bytes: usize,
+}
+
+impl Shelves {
+    fn pop_from(&mut self, cap: usize) -> Option<Vec<f32>> {
+        let shelf = self.by_cap.get_mut(&cap)?;
+        let buf = shelf.pop()?;
+        if shelf.is_empty() {
+            self.by_cap.remove(&cap);
+        }
+        self.buffers -= 1;
+        self.bytes -= cap * std::mem::size_of::<f32>();
+        Some(buf)
+    }
+}
+
+impl BufferPool {
+    const fn new(max_buffers: usize, max_bytes: usize) -> Self {
+        BufferPool {
+            shelves: Mutex::new(Shelves { by_cap: BTreeMap::new(), buffers: 0, bytes: 0 }),
+            max_buffers,
             max_bytes,
         }
-    })
-}
-
-/// Round-robin shard assignment, fixed per thread at first arena use:
-/// concurrent fleet workers land on distinct shards (modulo collisions
-/// past `SHARD_COUNT` threads) while a thread's own drop→take cycles stay
-/// shard-local and keep hitting.
-fn my_shard() -> usize {
-    static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static MY_SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
     }
-    MY_SHARD.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            return v;
-        }
-        let v = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARD_COUNT;
-        s.set(v);
-        v
-    })
-}
 
-fn total_retained_bytes(a: &Arena) -> usize {
-    a.shards.iter().map(|s| s.retained_bytes()).sum()
+    /// Recycling runs inside `Tensor`'s `Drop`, where a panic could abort,
+    /// so a poisoned lock is recovered: no panic can stop an update to
+    /// [`Shelves`] half-way.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Shelves> {
+        self.shelves.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Pop a recycled buffer whose capacity is at least `len`, preferring
+    /// the smallest fit. Contents and `len()` are whatever the previous
+    /// owner left.
+    fn try_take(&self, len: usize) -> Option<Vec<f32>> {
+        let mut shelves = self.lock();
+        let cap = *shelves.by_cap.range(len..).next()?.0;
+        shelves.pop_from(cap)
+    }
+
+    /// Shelve `buf`, evicting strictly smaller buffers while a bound would
+    /// be exceeded (or freeing `buf` when none is smaller). Returns the
+    /// bytes retained afterwards.
+    fn recycle(&self, buf: Vec<f32>) -> usize {
+        let cap = buf.capacity();
+        let bytes = cap * std::mem::size_of::<f32>();
+        let mut shelves = self.lock();
+        if cap == 0 || bytes > self.max_bytes {
+            return shelves.bytes;
+        }
+        while shelves.buffers >= self.max_buffers || shelves.bytes + bytes > self.max_bytes {
+            match shelves.by_cap.keys().next().copied() {
+                Some(smallest) if smallest < cap => {
+                    shelves.pop_from(smallest);
+                }
+                _ => return shelves.bytes,
+            }
+        }
+        shelves.buffers += 1;
+        shelves.bytes += bytes;
+        shelves.by_cap.entry(cap).or_default().push(buf);
+        shelves.bytes
+    }
+
+    /// `(retained bytes, retained buffers)`.
+    fn retained(&self) -> (usize, usize) {
+        let shelves = self.lock();
+        (shelves.bytes, shelves.buffers)
+    }
+
+    fn clear(&self) {
+        let mut shelves = self.lock();
+        shelves.by_cap.clear();
+        shelves.buffers = 0;
+        shelves.bytes = 0;
+    }
 }
 
 /// Whether pooling is on. When off, takes are fresh allocations and
@@ -149,8 +172,6 @@ struct ObsCounters {
     hits: &'static obs::Counter,
     misses: &'static obs::Counter,
     retained: &'static obs::Gauge,
-    shard_hits: Vec<&'static obs::Counter>,
-    shard_misses: Vec<&'static obs::Counter>,
 }
 
 fn obs_counters() -> &'static ObsCounters {
@@ -160,39 +181,26 @@ fn obs_counters() -> &'static ObsCounters {
         hits: obs::counter("tensor.pool_hits"),
         misses: obs::counter("tensor.pool_misses"),
         retained: obs::gauge("tensor.pool_retained_bytes"),
-        // Counter names are interned by `&'static str`; the per-shard
-        // names are composed once here and leaked (SHARD_COUNT is tiny).
-        shard_hits: (0..SHARD_COUNT)
-            .map(|k| obs::counter(Box::leak(format!("tensor.pool_hits.shard{k}").into_boxed_str())))
-            .collect(),
-        shard_misses: (0..SHARD_COUNT)
-            .map(|k| obs::counter(Box::leak(format!("tensor.pool_misses.shard{k}").into_boxed_str())))
-            .collect(),
     })
 }
 
 #[inline]
-fn note_hit(shard: usize) {
+fn note_hit() {
     POOL_HITS.fetch_add(1, Ordering::Relaxed);
-    arena().shard_hits[shard].fetch_add(1, Ordering::Relaxed);
     if obs::enabled() {
-        let c = obs_counters();
-        c.hits.add(1);
-        c.shard_hits[shard].add(1);
+        obs_counters().hits.add(1);
     }
 }
 
 #[inline]
-fn note_miss(shard: usize, len: usize) {
+fn note_miss(len: usize) {
     let bytes = (len * std::mem::size_of::<f32>()) as u64;
     POOL_MISSES.fetch_add(1, Ordering::Relaxed);
     ALLOC_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    arena().shard_misses[shard].fetch_add(1, Ordering::Relaxed);
     if obs::enabled() {
         let c = obs_counters();
         c.misses.add(1);
         c.alloc_bytes.add(bytes);
-        c.shard_misses[shard].add(1);
     }
 }
 
@@ -235,67 +243,24 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
 }
 
 fn pooled(len: usize) -> Option<Vec<f32>> {
-    let shard = my_shard();
-    if len < MIN_POOL_LEN || !enabled() {
-        note_miss(shard, len);
-        return None;
+    let buf = if len < MIN_POOL_LEN || !enabled() { None } else { POOL.try_take(len) };
+    match buf {
+        Some(_) => note_hit(),
+        None => note_miss(len),
     }
-    // Takes are shard-local: stealing from another shard's shelf would
-    // re-introduce the cross-thread lock traffic sharding exists to avoid,
-    // and a miss is just one fresh allocation.
-    match arena().shards[shard].try_take(len) {
-        Some(buf) => {
-            note_hit(shard);
-            Some(buf)
-        }
-        None => {
-            note_miss(shard, len);
-            None
-        }
-    }
-}
-
-/// Shelve `buf` into `shards[idx]` while keeping total retained bytes
-/// across all shards within `max_bytes`, evicting strictly smaller
-/// shelved buffers (own shard first, then the others) to make room.
-/// Returns whether the buffer was shelved.
-///
-/// The budget check races benignly with concurrent recycles: each thread
-/// sums the shard counters it can see, so the total can overshoot by at
-/// most one in-flight buffer per thread — bounded slack, never unbounded
-/// growth.
-fn recycle_bounded(shards: &[BufferPool], idx: usize, buf: Vec<f32>, max_bytes: usize) -> bool {
-    let cap = buf.capacity();
-    let bytes = cap * std::mem::size_of::<f32>();
-    if bytes > max_bytes {
-        return false;
-    }
-    while shards.iter().map(|s| s.retained_bytes()).sum::<usize>() + bytes > max_bytes {
-        let freed = shards[idx].evict_smaller_than(cap).or_else(|| {
-            (0..shards.len()).filter(|&k| k != idx).find_map(|k| shards[k].evict_smaller_than(cap))
-        });
-        if freed.is_none() {
-            // Every shelved buffer is at least this large — the newcomer
-            // is the least valuable, so it is the one freed.
-            return false;
-        }
-    }
-    shards[idx].recycle(buf);
-    true
+    buf
 }
 
 /// Return a buffer to the arena (no-op free for tiny buffers or when
-/// pooling is disabled). Called by `Tensor`'s `Drop` for every tensor.
-/// The `MUSE_ARENA_MAX_MB` budget is enforced globally across shards
-/// here, so N concurrent jobs still retain at most one budget in total.
+/// pooling is disabled). Called by `Tensor`'s `Drop` for every tensor and
+/// by kernels for their temporaries.
 pub fn recycle(buf: Vec<f32>) {
     if buf.capacity() < MIN_POOL_LEN || !enabled() {
         return;
     }
-    let a = arena();
-    recycle_bounded(&a.shards, my_shard(), buf, a.max_bytes);
+    let retained = POOL.recycle(buf);
     if obs::enabled() {
-        obs_counters().retained.set(total_retained_bytes(a) as f64);
+        obs_counters().retained.set(retained as f64);
     }
 }
 
@@ -314,51 +279,21 @@ pub struct ArenaStats {
     pub retained_buffers: u64,
 }
 
-/// Snapshot the arena counters (aggregated across shards).
+/// Snapshot the arena counters.
 pub fn stats() -> ArenaStats {
-    let a = arena();
+    let (bytes, buffers) = POOL.retained();
     ArenaStats {
         alloc_bytes: ALLOC_BYTES.load(Ordering::Relaxed),
         pool_hits: POOL_HITS.load(Ordering::Relaxed),
         pool_misses: POOL_MISSES.load(Ordering::Relaxed),
-        retained_bytes: total_retained_bytes(a) as u64,
-        retained_buffers: a.shards.iter().map(|s| s.retained_buffers() as u64).sum(),
+        retained_bytes: bytes as u64,
+        retained_buffers: buffers as u64,
     }
 }
 
-/// Per-shard arena counters since process start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Takes this shard served from its shelf.
-    pub hits: u64,
-    /// Takes on this shard that fell back to a fresh allocation.
-    pub misses: u64,
-    /// Bytes currently shelved in this shard.
-    pub retained_bytes: u64,
-    /// Buffers currently shelved in this shard.
-    pub retained_buffers: u64,
-}
-
-/// Snapshot every shard's counters, indexed by shard. Sums across shards
-/// equal the corresponding [`stats`] aggregates.
-pub fn shard_stats() -> Vec<ShardStats> {
-    let a = arena();
-    (0..SHARD_COUNT)
-        .map(|k| ShardStats {
-            hits: a.shard_hits[k].load(Ordering::Relaxed),
-            misses: a.shard_misses[k].load(Ordering::Relaxed),
-            retained_bytes: a.shards[k].retained_bytes() as u64,
-            retained_buffers: a.shards[k].retained_buffers() as u64,
-        })
-        .collect()
-}
-
-/// Drop every retained buffer in every shard (tests; frees memory, keeps
-/// counters).
+/// Drop every retained buffer (tests; frees memory, keeps counters).
 pub fn clear() {
-    for shard in &arena().shards {
-        shard.clear();
-    }
+    POOL.clear();
 }
 
 #[cfg(test)]
@@ -422,64 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_sum_to_aggregate() {
-        let _g = arena_test_lock();
-        set_enabled(true);
-        // Generate some traffic on this thread's shard.
-        for _ in 0..4 {
-            drop(Tensor::zeros(&[128]));
-            drop(Tensor::zeros(&[128]));
-        }
-        let total = stats();
-        let shards = shard_stats();
-        assert_eq!(shards.len(), SHARD_COUNT);
-        assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), total.pool_hits);
-        assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), total.pool_misses);
-        assert_eq!(shards.iter().map(|s| s.retained_bytes).sum::<u64>(), total.retained_bytes);
-        assert_eq!(shards.iter().map(|s| s.retained_buffers).sum::<u64>(), total.retained_buffers);
-    }
-
-    #[test]
-    fn threads_land_on_distinct_shards_and_budget_is_global() {
-        // Direct test of the cross-shard budget: two "threads" (simulated
-        // by explicit shard indices) recycle into a budget that only fits
-        // one buffer — the total across shards must stay bounded.
-        let shards: Vec<super::BufferPool> = (0..4).map(|_| super::BufferPool::new(64, 4096)).collect();
-        assert!(recycle_bounded(&shards, 0, Vec::with_capacity(512), 4096)); // 2048 bytes
-        assert!(recycle_bounded(&shards, 1, Vec::with_capacity(256), 4096)); // 1024 bytes
-                                                                             // 2048 more would exceed 4096 total: the smaller shelf on shard 1
-                                                                             // is evicted cross-shard to make room.
-        assert!(recycle_bounded(&shards, 2, Vec::with_capacity(512), 4096));
-        let total: usize = shards.iter().map(|s| s.retained_bytes()).sum();
-        assert!(total <= 4096, "global budget exceeded: {total}");
-        assert_eq!(shards[1].retained_buffers(), 0, "smaller cross-shard buffer was evicted");
-        // A buffer bigger than everything shelved is itself dropped.
-        assert!(!recycle_bounded(&shards, 3, Vec::with_capacity(4096), 4096));
-        assert_eq!(shards[3].retained_buffers(), 0);
-    }
-
-    #[test]
-    fn concurrent_threads_use_disjoint_shard_locks() {
-        let _g = arena_test_lock();
-        set_enabled(true);
-        // Each spawned thread gets its own round-robin shard; traffic from
-        // 4 threads must appear in ≥ 2 distinct shards' stats.
-        let before: Vec<u64> = shard_stats().iter().map(|s| s.hits + s.misses).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..8 {
-                        drop(Tensor::zeros(&[96]));
-                    }
-                });
-            }
-        });
-        let after: Vec<u64> = shard_stats().iter().map(|s| s.hits + s.misses).collect();
-        let touched = before.iter().zip(&after).filter(|(b, a)| a.checked_sub(**b).unwrap_or(0) > 0).count();
-        assert!(touched >= 2, "4 threads hit only {touched} shard(s)");
-    }
-
-    #[test]
     fn tiny_buffers_are_not_pooled() {
         // Below MIN_POOL_LEN both take and recycle bypass the pool entirely:
         // the buffer handed out is always a fresh allocation.
@@ -490,5 +367,93 @@ mod tests {
         recycle(v);
         let after = stats();
         assert!(after.alloc_bytes >= before.alloc_bytes + 2 * 4, "tiny takes always allocate");
+    }
+
+    #[test]
+    fn smallest_fit_is_preferred() {
+        let pool = BufferPool::new(8, usize::MAX);
+        pool.recycle(Vec::with_capacity(1024));
+        pool.recycle(Vec::with_capacity(64));
+        let buf = pool.try_take(50).expect("a 64-capacity buffer fits 50");
+        assert!(buf.capacity() >= 50 && buf.capacity() < 1024, "got {}", buf.capacity());
+        // The big buffer is still shelved for bigger requests.
+        assert!(pool.try_take(512).is_some());
+        assert!(pool.try_take(1).is_none());
+    }
+
+    #[test]
+    fn count_bound_is_enforced() {
+        let pool = BufferPool::new(1, usize::MAX);
+        pool.recycle(Vec::with_capacity(16));
+        pool.recycle(Vec::with_capacity(16)); // beyond max_buffers, nothing smaller: freed
+        assert_eq!(pool.retained(), (16 * 4, 1));
+    }
+
+    #[test]
+    fn oversize_buffer_is_freed() {
+        let pool = BufferPool::new(8, 16);
+        pool.recycle(Vec::with_capacity(100)); // 400 bytes > 16-byte bound
+        assert_eq!(pool.retained(), (0, 0));
+    }
+
+    #[test]
+    fn full_pool_evicts_smaller_buffers() {
+        // Count bound: a newcomer displaces the smallest shelved buffer.
+        let pool = BufferPool::new(2, usize::MAX);
+        pool.recycle(Vec::with_capacity(32));
+        pool.recycle(Vec::with_capacity(64));
+        pool.recycle(Vec::with_capacity(1024));
+        assert_eq!(pool.retained().1, 2);
+        assert!(pool.try_take(1024).is_some(), "the newcomer was shelved");
+        assert!(pool.try_take(64).is_some(), "the larger incumbent survived");
+        assert!(pool.try_take(1).is_none(), "the smallest incumbent was evicted");
+
+        // Byte bound: same policy, driven by retained bytes.
+        let pool = BufferPool::new(8, 4096);
+        pool.recycle(Vec::with_capacity(512)); // 2048 bytes
+        pool.recycle(Vec::with_capacity(1024)); // 4096 bytes: evicts the 512
+        assert_eq!(pool.retained(), (4096, 1));
+        assert!(pool.try_take(1024).is_some());
+        // A pool full of larger buffers frees the newcomer instead.
+        let pool = BufferPool::new(8, 4096);
+        pool.recycle(Vec::with_capacity(1024));
+        pool.recycle(Vec::with_capacity(256));
+        assert_eq!(pool.retained(), (4096, 1));
+    }
+
+    #[test]
+    fn clear_frees_everything() {
+        let pool = BufferPool::new(8, usize::MAX);
+        pool.recycle(Vec::with_capacity(128));
+        assert!(pool.retained().0 > 0);
+        pool.clear();
+        assert_eq!(pool.retained(), (0, 0));
+        assert!(pool.try_take(0).is_none());
+    }
+
+    #[test]
+    fn concurrent_recycles_never_exceed_the_byte_bound() {
+        // Both bounds are checked under the pool's mutex, so retained bytes
+        // stay within the bound exactly, whatever the interleaving.
+        const BOUND: usize = 4096;
+        let pool = BufferPool::new(64, BOUND);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (pool, start) = (&pool, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..200 {
+                        let cap = 32 << ((t + i) % 5); // 128 B .. 2 KiB
+                        let retained = pool.recycle(Vec::with_capacity(cap));
+                        assert!(retained <= BOUND, "retained {retained} B past the {BOUND} B bound");
+                        if i % 3 == 0 {
+                            drop(pool.try_take(cap));
+                        }
+                    }
+                });
+            }
+        });
+        assert!(pool.retained().0 <= BOUND);
     }
 }

@@ -9,9 +9,10 @@
 //! * output `[N, OC, OH, OW]`
 //!
 //! Both `conv2d` and `conv2d_backward` fan out **per sample** across the
-//! `muse-parallel` pool: each sample's column buffer comes from the shared
-//! scratch pool and its output lands in a disjoint slice, so no floats are
-//! shared between jobs and results are bit-identical for any thread count.
+//! `muse-parallel` pool: each sample's column buffer comes from the
+//! [`arena`](crate::arena) and its output lands in a disjoint slice, so no
+//! floats are shared between jobs and results are bit-identical for any
+//! thread count.
 //! The backward pass writes per-sample weight/bias partials into
 //! per-sample slots and folds them sequentially in sample order afterward,
 //! which keeps the accumulation association fixed.
@@ -20,7 +21,6 @@ use crate::linalg::{gemm_at_rows, gemm_bt_rows, gemm_rows};
 use crate::simd;
 use crate::tensor::Tensor;
 use muse_obs as obs;
-use muse_parallel::{take_uninit, take_zeroed};
 
 /// Static description of a conv2d: geometry only, no parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +72,7 @@ impl Conv2dSpec {
 
 /// Unfold one `[C, H, W]` image into columns `[C*KH*KW, OH*OW]`, writing
 /// every element of `out` (padding positions get explicit zeros, so `out`
-/// may hold garbage from a recycled scratch buffer).
+/// may hold garbage from a recycled arena buffer).
 pub fn im2col_into(img: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, out: &mut [f32]) {
     let (kh, kw) = spec.kernel;
     let (sh, sw) = spec.stride;
@@ -214,7 +214,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: &Con
     let input_s = input.as_slice();
     let mut out = crate::arena::take_zeroed(n * oc * ohw); // gemm_rows accumulates into zeroes
     muse_parallel::parallel_for_rows(&mut out, oc * ohw, 1, |s0, chunk| {
-        let mut cols = take_uninit(ksize * ohw); // im2col_into writes every element
+        let mut cols = crate::arena::take_uninit(ksize * ohw); // im2col_into writes every element
         for (ds, so) in chunk.chunks_mut(oc * ohw).enumerate() {
             let img = &input_s[(s0 + ds) * chw..][..chw];
             im2col_into(img, c, h, w, spec, &mut cols);
@@ -225,6 +225,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: &Con
                 }
             }
         }
+        crate::arena::recycle(cols);
     });
     Tensor::from_vec(out, &[n, oc, oh, ow])
 }
@@ -253,10 +254,11 @@ pub fn conv2d_backward(
     let input_s = input.as_slice();
     let go_all = grad_out.as_slice();
     let mut grad_input = crate::arena::take_zeroed(n * chw); // col2im accumulates into zeroes
-                                                             // Per-sample partials: each job owns one slot, the fold below walks the
-                                                             // slots in sample order so the accumulation association never depends
-                                                             // on how jobs were scheduled. Every slot is fully assigned (gemm_bt
-                                                             // assigns, db is a plain store), so recycled contents are fine.
+
+    // Per-sample partials: each job owns one slot, the fold below walks the
+    // slots in sample order so the accumulation association never depends
+    // on how jobs were scheduled. Every slot is fully assigned (gemm_bt
+    // assigns, db is a plain store), so recycled contents are fine.
     let mut dw_all = crate::arena::take_uninit(n * oc * ksize);
     let mut db_all = crate::arena::take_uninit(n * oc);
     let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = grad_input
@@ -268,18 +270,20 @@ pub fn conv2d_backward(
             Box::new(move || {
                 let img = &input_s[s * chw..][..chw];
                 let go = &go_all[s * oc * ohw..][..oc * ohw];
-                let mut cols = take_uninit(ksize * ohw); // im2col_into writes every element
+                let mut cols = crate::arena::take_uninit(ksize * ohw); // im2col_into writes every element
                 im2col_into(img, c, h, w, spec, &mut cols);
                 // dW_s = go x cols^T
                 gemm_bt_rows(go, &cols, dw, 0, ohw, ksize);
+                crate::arena::recycle(cols);
                 // db_s = rowsum(go), canonical lane reduction per row
                 for (ocx, d) in db.iter_mut().enumerate() {
                     *d = simd::sum(&go[ocx * ohw..][..ohw]);
                 }
                 // dX_s = col2im(W^T x go)
-                let mut dcols = take_zeroed(ksize * ohw);
+                let mut dcols = crate::arena::take_zeroed(ksize * ohw);
                 gemm_at_rows(wmat, go, &mut dcols, 0, oc, ksize, ohw);
                 col2im_into(&dcols, c, h, w, spec, gi);
+                crate::arena::recycle(dcols);
             }) as Box<dyn FnOnce() + Send + '_>
         })
         .collect();

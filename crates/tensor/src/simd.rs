@@ -104,7 +104,7 @@ fn cpu_level() -> Level {
 }
 
 /// The level this process dispatches to by default: CPU capability masked
-/// by the `MUSE_SIMD` environment knob (read once, like `MUSE_ARENA_MAX_MB`).
+/// by the `MUSE_SIMD` environment knob (read once, like `MUSE_THREADS`).
 /// First call publishes the `simd.level` gauge (1 = `avx2+fma`,
 /// 0 = `scalar`).
 pub fn detected_level() -> Level {

@@ -194,22 +194,17 @@ mod tests {
     }
 
     #[test]
-    fn report_lists_scheduler_and_sharded_pool_metrics() {
+    fn report_lists_scheduler_and_pool_metrics() {
         let data = TraceData {
-            counters: [
-                ("sched.jobs_completed".to_string(), 6.0),
-                ("tensor.pool_hits".to_string(), 10.0),
-                ("tensor.pool_hits.shard0".to_string(), 7.0),
-                ("tensor.pool_hits.shard3".to_string(), 3.0),
-            ]
-            .into(),
+            counters: [("sched.jobs_completed".to_string(), 6.0), ("tensor.pool_hits".to_string(), 10.0)]
+                .into(),
             gauges: [("sched.queue_depth".to_string(), 0.0)].into(),
             ..TraceData::default()
         };
         let text = render(&data);
         assert!(text.contains("sched.jobs_completed"), "scheduler counters shown: {text}");
         assert!(text.contains("sched.queue_depth"), "scheduler gauges shown: {text}");
-        assert!(text.contains("tensor.pool_hits.shard3"), "per-shard rows shown: {text}");
+        assert!(text.contains("tensor.pool_hits"), "pool counters shown: {text}");
     }
 
     #[test]

@@ -39,8 +39,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: cargo test -q"
-cargo test -q
+echo "==> tier-1 and workspace tests at the default thread count: cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> workspace tests, single-threaded pool (MUSE_THREADS=1)"
 MUSE_THREADS=1 cargo test -q --workspace
