@@ -22,12 +22,6 @@ pub fn reparameterize<'t>(mu: &Var<'t>, logvar: &Var<'t>, rng: &mut SeededRng) -
     mu.add(&std.mul(&eps))
 }
 
-/// Deterministic "reparameterization" that returns the mean — used at
-/// evaluation time, when no sampling noise is wanted.
-pub fn reparameterize_mean<'t>(mu: &Var<'t>, _logvar: &Var<'t>) -> Var<'t> {
-    *mu
-}
-
 /// `KL[N(mu, diag(e^logvar)) || N(0, I)]`, summed over latent dims, averaged
 /// over the batch. Returns a rank-0 variable.
 ///
@@ -161,36 +155,19 @@ pub fn sse_per_sample<'t>(pred: &Var<'t>, target: &Tensor) -> Var<'t> {
     pred.sse_scaled(target, 1.0 / batch)
 }
 
-/// Mean absolute-ish (Huber-free) L2 reconstruction term used by Eq. (28):
-/// `-log q_theta(i | z^i, z^s)` under a unit-variance Gaussian decoder is MSE
-/// up to constants; this helper documents that reading at call sites.
-pub fn gaussian_recon_nll<'t>(decoded: &Var<'t>, target: &Tensor) -> Var<'t> {
-    mse(decoded, target)
-}
-
-// ----------------------------------------------------------------- analysis
-
-/// Closed-form value (no gradients) of `KL[N(mu, e^logvar) || N(0, I)]`
-/// summed over dims and averaged over batch — used by diagnostics.
-pub fn kl_to_standard_normal_value(mu: &Tensor, logvar: &Tensor) -> f32 {
-    let batch = mu.dims()[0] as f32;
-    let inner = logvar.add_scalar(1.0).sub(&mu.square()).sub(&logvar.exp());
-    -0.5 * inner.sum() / batch
-}
-
-/// Closed-form value of the diagonal-Gaussian KL between two distributions.
-pub fn kl_between_value(mu1: &Tensor, lv1: &Tensor, mu2: &Tensor, lv2: &Tensor) -> f32 {
-    let batch = mu1.dims()[0] as f32;
-    let diff_sq = mu1.sub(mu2).square();
-    let ratio = lv1.exp().add(&diff_sq).div(&lv2.exp());
-    let inner = lv2.sub(lv1).add(&ratio).add_scalar(-1.0);
-    0.5 * inner.sum() / batch
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tape::Tape;
+
+    /// Closed-form value (no gradients) of `KL[N(mu, e^logvar) || N(0, I)]`
+    /// summed over dims and averaged over batch: the reference the taped
+    /// KL is checked against.
+    fn kl_to_standard_normal_value(mu: &Tensor, logvar: &Tensor) -> f32 {
+        let batch = mu.dims()[0] as f32;
+        let inner = logvar.add_scalar(1.0).sub(&mu.square()).sub(&logvar.exp());
+        -0.5 * inner.sum() / batch
+    }
 
     #[test]
     fn kl_standard_normal_zero_at_standard() {
@@ -316,14 +293,5 @@ mod tests {
         let grads = tape.backward(loss);
         // d/dp mean((p-t)^2) = 2(p-t)/n
         assert_eq!(grads.get(pred).unwrap().as_slice(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn eval_time_mean_passthrough() {
-        let tape = Tape::new();
-        let mu = tape.leaf(Tensor::from_vec(vec![0.5, -0.5], &[1, 2]));
-        let lv = tape.leaf(Tensor::zeros(&[1, 2]));
-        let z = reparameterize_mean(&mu, &lv);
-        assert_eq!(z.value(), mu.value());
     }
 }

@@ -48,15 +48,13 @@ struct Rule {
     bound: Bound,
 }
 
-const RULES: [Rule; 5] = [
+const RULES: [Rule; 4] = [
     // Timings only compare within one instruction set.
     Rule { name: "simd_level", select: simd_stamp, bound: Bound::Equal },
     // Minima resist noise; kernel nano totals vary with calibrated iteration counts.
     Rule { name: "min_ns", select: bench_min_ns, bound: Bound::Ceiling(DEFAULT_TOLERANCE) },
     // Averaged over every bench touching a kernel, so the shape mix jitters.
     Rule { name: "bytes_per_call", select: kernel_bytes, bound: Bound::Drift(DEFAULT_TOLERANCE) },
-    // `<base>_prof<hz>` against `<base>` in one trace: machine speed cancels.
-    Rule { name: "prof_overhead", select: prof_overhead, bound: Bound::Ceiling(0.02) },
     // `<base>_jobs<n>` speedup over `<base>` vs a stamp from the gating machine.
     Rule { name: "fleet_speedup", select: fleet_speedup, bound: Bound::Floor(DEFAULT_TOLERANCE) },
 ];
@@ -269,13 +267,6 @@ fn fleet_speedup(doc: &Json) -> Vec<Sample> {
     keyed(doc, "fleet", "speedup", fleets.collect())
 }
 
-fn prof_overhead(doc: &Json) -> Vec<Sample> {
-    let min_ns = |name: &str| path(["trace", "benches", name, "min_ns"]);
-    let benches = names(doc, &["trace", "benches"]);
-    let profiled = benches.iter().filter_map(|key| Some((key, sibling(key, "_prof")?)));
-    profiled.map(|(key, base)| (key.clone(), min_ns(key), min_ns(base))).collect()
-}
-
 /// `field` of every `section` entry in the baseline, the trace or `extra`.
 fn keyed(doc: &Json, section: &str, field: &str, extra: Vec<String>) -> Vec<Sample> {
     let mut keys = names(doc, &["baseline", section]);
@@ -310,7 +301,7 @@ fn names(doc: &Json, path: &[&str]) -> Vec<String> {
     }
 }
 
-/// `train_step_prof97` with suffix `_prof` → `train_step`; `None` unless
+/// `fleet_jobs4` with suffix `_jobs` → `fleet`; `None` unless
 /// the name ends in `<suffix><digits>` after a non-empty base.
 fn sibling<'a>(name: &'a str, suffix: &str) -> Option<&'a str> {
     let (base, n) = name.rsplit_once(suffix)?;
@@ -333,9 +324,9 @@ mod tests {
     }
 
     /// A trace that gives every rule at least one key, with `scale` applied
-    /// to every timing (fleet and prof ratios are unchanged by it).
+    /// to every timing (the fleet ratio is unchanged by it).
     fn trace(scale: f64) -> TraceData {
-        let benches = [("matmul", 1000.0), ("step", 5000.0), ("step_prof97", 5050.0), ("fleet", 8000.0)];
+        let benches = [("matmul", 1000.0), ("step", 5000.0), ("fleet", 8000.0)];
         let mut benches: Vec<_> = benches.iter().map(|&(n, ns)| bench(n, ns * scale)).collect();
         benches.push(bench("fleet_jobs4", 4000.0 * scale));
         let kernels = vec![
@@ -382,7 +373,7 @@ mod tests {
         assert!(teeth(&RULES, &doc, &honest).unwrap().is_empty());
         // The same proof holds when the honest run already fails a rule.
         let slow = self::doc(&trace(2.0), &[]);
-        let keys = ["matmul", "step", "step_prof97", "fleet", "fleet_jobs4"];
+        let keys = ["matmul", "step", "fleet", "fleet_jobs4"];
         assert_eq!(failing(&slow), keys.map(|key| format!("min_ns/{key}")));
         assert!(teeth(&RULES, &slow, &evaluate(&RULES, &slow).unwrap()).unwrap().is_empty());
     }
@@ -409,37 +400,33 @@ mod tests {
 
     #[test]
     fn a_table_whose_doctor_leaks_into_another_rule_is_refused() {
-        // A prof rule reading the baseline's `step` min_ns shares an input
-        // with the min_ns rule, so doctoring it trips min_ns as well.
+        // A fleet rule reading the baseline's `step` min_ns shares an input
+        // with the min_ns rule. Its doctor raises that baseline a thousandfold,
+        // which clears the honest `step` slowdown from min_ns as well.
         fn leaky(_: &Json) -> Vec<Sample> {
             let at = |side| path([side, "benches", "step", "min_ns"]);
             vec![("step".to_string(), at("trace"), at("baseline"))]
         }
         let mut rules = RULES;
         rules[3] = Rule { select: leaky, ..rules[3] };
-        let err = gate(&rules, &doc(&trace(1.0), &[])).unwrap_err();
-        assert!(err.contains("doctoring rule `prof_overhead` changed rule `min_ns`"), "{err}");
+        let mut t = trace(1.0);
+        t.benches[1].min_ns = 10_000.0; // step: +100% over a +75% ceiling
+        let err = gate(&rules, &doc(&t, &[])).unwrap_err();
+        assert!(err.contains("doctoring rule `fleet_speedup` changed rule `min_ns`"), "{err}");
     }
 
     #[test]
     fn regressions_fail_their_rule() {
         let mut t = trace(1.0);
         t.benches[0].min_ns = 1760.0; // +76% over a +75% ceiling
-        t.benches[2].min_ns = 5110.0; // +2.2% over its sibling
-        t.benches[3].min_ns = 4500.0; // 4500/4000 = 1.125x, floor 2/1.75 = 1.143x
+        t.benches[2].min_ns = 4500.0; // 4500/4000 = 1.125x, floor 2/1.75 = 1.143x
         t.kernels[0].bytes = 3.6e4; // 3600 vs 2000 bytes per call: 80% drift
-        let want = [
-            "min_ns/matmul",
-            "bytes_per_call/tensor.matmul",
-            "prof_overhead/step_prof97",
-            "fleet_speedup/fleet_jobs4",
-        ];
+        let want = ["min_ns/matmul", "bytes_per_call/tensor.matmul", "fleet_speedup/fleet_jobs4"];
         assert_eq!(failing(&doc(&t, &[])), want);
 
         let mut t = trace(1.0);
         t.benches[0].min_ns = 1740.0;
-        t.benches[2].min_ns = 5090.0;
-        t.benches[3].min_ns = 4600.0;
+        t.benches[2].min_ns = 4600.0;
         t.kernels[0].bytes = 3.4e4;
         gate(&RULES, &doc(&t, &[])).unwrap();
     }
@@ -449,13 +436,7 @@ mod tests {
         let mut t = trace(1.0);
         t.benches.retain(|b| b.name != "matmul" && b.name != "step" && b.name != "fleet");
         t.benches.push(bench("fft", 10.0));
-        let want = [
-            "min_ns/matmul",
-            "min_ns/step",
-            "min_ns/fleet",
-            "prof_overhead/step_prof97",
-            "fleet_speedup/fleet_jobs4",
-        ];
+        let want = ["min_ns/matmul", "min_ns/step", "min_ns/fleet", "fleet_speedup/fleet_jobs4"];
         assert_eq!(failing(&doc(&t, &[])), want);
         let lines = evaluate(&RULES, &doc(&t, &[])).unwrap();
         assert!(lines[1].iter().any(|(key, status, _)| key == "fft" && *status == "new"));
@@ -465,12 +446,6 @@ mod tests {
     fn a_rule_that_gates_no_key_fails() {
         let no_fleet = doc(&trace(1.0), &[(r#""fleet_jobs4":{"speedup":2}"#, "")]);
         assert_eq!(failing(&no_fleet), ["fleet_speedup/*"]);
-        let mut t = trace(1.0);
-        t.benches.retain(|b| b.name != "step_prof97");
-        assert_eq!(
-            failing(&doc(&t, &[(r#""step_prof97":{"min_ns":5050,"mean_ns":5555},"#, "")])),
-            ["prof_overhead/*"]
-        );
     }
 
     #[test]

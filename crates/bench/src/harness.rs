@@ -45,11 +45,11 @@ impl Criterion {
 
     /// Run one routine as two interleaved variants (A, B, A, B, …), where
     /// `enter_b`/`exit_b` bracket every B sample outside its timed window
-    /// (e.g. attaching a profiler). Back-to-back benchmarks sit in disjoint
+    /// (e.g. overriding the job count). Back-to-back benchmarks sit in disjoint
     /// wall-clock windows, so frequency scaling or background load between
     /// them can shift a min-vs-min comparison by far more than a small true
     /// difference; interleaving exposes both variants to every machine-speed
-    /// phase, making tight A-vs-B bands (like the sampling-overhead gate)
+    /// phase, making A-vs-B ratios (like the fleet-speedup gate)
     /// meaningful. Emits a `bench.result` per variant like `bench_function`.
     pub fn bench_pair<O>(
         &mut self,
@@ -70,7 +70,7 @@ impl Criterion {
         for _ in 0..self.sample_size {
             // One untimed settle iteration after each enter/exit call, so
             // neither timed window starts in the wake of that call's side
-            // effects (thread spawn/join for a profiler) — otherwise A
+            // effects (say, a thread spawn or join) — otherwise A
             // systematically absorbs the previous round's exit_b cost and
             // the comparison reads biased fast for B.
             black_box(routine());

@@ -38,9 +38,6 @@
 //!                  keep the process (and the metrics endpoint) alive for
 //!                  <n> ms after the last experiment — lets scrapers catch
 //!                  the final state
-//!   --prof         sample wall-clock profiles of the run (MUSE_PROF_HZ or
-//!                  97 Hz) and write a collapsed-stack `.folded` artifact
-//!                  next to the trace (feed it to `muse-trace prof`)
 //! ```
 
 use muse_eval::drivers;
@@ -58,7 +55,6 @@ struct Args {
     trace: Option<PathBuf>,
     serve_metrics: Option<String>,
     linger_ms: u64,
-    prof: bool,
     repeats: usize,
 }
 
@@ -71,7 +67,6 @@ fn parse_args() -> Result<Args, String> {
     let mut trace = None;
     let mut serve_metrics = None;
     let mut linger_ms = 0u64;
-    let mut prof = false;
     let mut repeats = 3usize;
     let mut scale: Option<f32> = None;
     while let Some(flag) = argv.next() {
@@ -132,14 +127,13 @@ fn parse_args() -> Result<Args, String> {
                 linger_ms = v.parse().map_err(|_| format!("bad linger-ms {v}"))?;
             }
             "--auto-periods" => profile.auto_periods = true,
-            "--prof" => prof = true,
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
     if let Some(s) = scale {
         profile = profile.scaled(s);
     }
-    Ok(Args { experiment, profile, dataset, out, trace, serve_metrics, linger_ms, prof, repeats })
+    Ok(Args { experiment, profile, dataset, out, trace, serve_metrics, linger_ms, repeats })
 }
 
 fn usage() -> String {
@@ -147,7 +141,7 @@ fn usage() -> String {
      [--quick|--standard] [--scale f] [--dataset nyc-bike|nyc-taxi|taxibj] [--epochs n] [--max-batches n] \
      [--repeats n] [--seed n] [--auto-periods] [--out dir] \
      [--save-checkpoint path.ckpt] [--load-checkpoint path.ckpt] \
-     [--trace path.jsonl] [--serve-metrics host:port] [--linger-ms n] [--prof]"
+     [--trace path.jsonl] [--serve-metrics host:port] [--linger-ms n]"
         .to_string()
 }
 
@@ -174,24 +168,6 @@ fn main() {
         ("simd_level".to_string(), muse_tensor::simd::level_name().to_string()),
         ("threads".to_string(), muse_parallel::current_threads().to_string()),
     ]);
-    muse_prof::install_debug_handler();
-    // --prof forces sampling on (at MUSE_PROF_HZ if set, else the default
-    // rate); without it the profiler still starts when MUSE_PROF_HZ asks.
-    let profiler = if args.prof {
-        let hz = muse_prof::env_hz().unwrap_or(muse_prof::DEFAULT_HZ);
-        match muse_prof::Profiler::start(hz) {
-            Ok(p) => {
-                eprintln!("[prof] sampling at {} Hz", p.hz());
-                Some(p)
-            }
-            Err(e) => {
-                eprintln!("cannot start profiler: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        muse_prof::Profiler::start_from_env()
-    };
     // A live exporter implies telemetry: enable collection so /metrics has
     // counters to show even without a trace file.
     let server = match &args.serve_metrics {
@@ -252,7 +228,6 @@ fn main() {
                         .map_or(Json::Null, |p| Json::Str(p.display().to_string())),
                 ),
                 ("version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),
-                ("prof_hz", profiler.as_ref().map_or(Json::Null, |p| Json::Num(p.hz()))),
             ],
         );
     }
@@ -276,21 +251,6 @@ fn main() {
             let mut file = std::fs::File::create(&path).expect("create artifact file");
             file.write_all(output.as_bytes()).expect("write artifact");
             eprintln!("[{exp}] wrote {}", path.display());
-        }
-    }
-    if let Some(p) = profiler {
-        p.stop();
-        let samples = obs::counter("prof.samples").get();
-        if args.prof {
-            let folded = muse_prof::collapsed(None);
-            let path = args
-                .trace
-                .as_ref()
-                .map_or_else(|| PathBuf::from("muse-eval.folded"), |t| t.with_extension("folded"));
-            match std::fs::write(&path, folded) {
-                Ok(()) => eprintln!("[prof] wrote {} ({samples} samples)", path.display()),
-                Err(e) => eprintln!("[prof] cannot write {}: {e}", path.display()),
-            }
         }
     }
     if tracing {

@@ -57,10 +57,7 @@ pub use sink::{
     close_trace, emit, emit_with, emitted_events, flush_trace, init_from_env, next_run_id, now_ns,
     open_trace, read_trace, trace_enabled, trace_path,
 };
-pub use span::{
-    prof_frame, prof_frame_under, published_stack, register_thread, sample_stacks, set_stack_publish, span,
-    span_depth, thread_ordinal, FrameStack, SpanGuard, StackSample, MAX_PUBLISHED_FRAMES,
-};
+pub use span::{profile, span, span_depth, thread_ordinal, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

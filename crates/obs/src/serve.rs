@@ -1,7 +1,7 @@
 //! Live metrics exporter: a tiny blocking HTTP listener.
 //!
-//! [`MetricsServer::start`] binds a TCP listener and serves two routes from
-//! a background thread:
+//! [`MetricsServer::start`] binds a TCP listener and serves three routes
+//! from a background thread:
 //!
 //! * `GET /metrics` — the full registry in Prometheus text exposition
 //!   format (version 0.0.4): counters as `muse_<name>_total`, gauges as
@@ -9,6 +9,8 @@
 //!   kernel stats as three labelled counter families.
 //! * `GET /status`  — a JSON snapshot of the run: uptime, scrape count,
 //!   whether a trace is open and where, and the global event watermark.
+//! * `GET /debug/profile` — [`crate::span::profile`]: every closed span's
+//!   self time as collapsed stacks, cumulative like `/metrics`.
 //!
 //! The server is deliberately minimal — one [`crate::http::HttpServer`]
 //! loop, blocking I/O, no keep-alive — because its job is to let
@@ -22,37 +24,11 @@ use crate::metrics;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Prometheus content type for text exposition format 0.0.4.
 pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
-
-/// Handler for `/debug/*` routes, installed by a diagnostic subsystem
-/// (the `muse-prof` sampler) that `muse-obs` itself must not depend on.
-pub type DebugHandler = dyn Fn(&Request) -> Response + Send + Sync;
-
-static DEBUG_HANDLER: Mutex<Option<Arc<DebugHandler>>> = Mutex::new(None);
-
-/// Install the process-wide `/debug/*` handler. Both the MetricsServer and
-/// any embedding HTTP server (muse-serve) route `/debug/` requests here, so
-/// profile rendering lives in one place.
-pub fn set_debug_handler(handler: Arc<DebugHandler>) {
-    *DEBUG_HANDLER.lock().unwrap_or_else(|p| p.into_inner()) = Some(handler);
-}
-
-/// Dispatch a `/debug/*` request to the installed handler, or answer `404`
-/// saying how to install one.
-pub fn debug_request(request: &Request) -> Response {
-    let handler = DEBUG_HANDLER.lock().unwrap_or_else(|p| p.into_inner()).clone();
-    handler.map_or_else(
-        || {
-            let why = "no debug handler installed (set MUSE_PROF_HZ to start the muse-prof sampler)\n";
-            (404, "text/plain; charset=utf-8", why.to_string())
-        },
-        |h| h(request),
-    )
-}
 
 static BUILD_INFO: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
 
@@ -128,7 +104,7 @@ fn route(request: &Request, started: Instant, scrapes: &AtomicU64) -> Response {
             (200, METRICS_CONTENT_TYPE, render_prometheus())
         }
         "/status" => (200, "application/json; charset=utf-8", status_json(started, scrapes).render()),
-        p if p.starts_with("/debug/") => debug_request(request),
+        "/debug/profile" => (200, "text/plain; charset=utf-8", crate::span::profile()),
         _ => (404, "text/plain; charset=utf-8", "not found\n".to_string()),
     }
 }
@@ -380,27 +356,17 @@ mod tests {
     }
 
     #[test]
-    fn debug_routes_dispatch_to_installed_handler() {
+    fn debug_profile_serves_the_span_fold() {
         let _g = crate::test_lock();
+        crate::enable();
+        drop(crate::span("serve_test_profiled"));
         let server = MetricsServer::start("127.0.0.1:0").unwrap();
         let addr = server.addr();
-        // Without a handler, /debug/* explains itself instead of a bare 404.
         let (head, body) = http_get(addr, "/debug/profile");
-        assert!(head.starts_with("HTTP/1.1 404"), "head: {head}");
-        assert!(body.contains("no debug handler"));
-        set_debug_handler(Arc::new(|req: &Request| {
-            if req.path == "/debug/echo" {
-                let n = req.query_param("n").unwrap_or_default();
-                (200, "text/plain; charset=utf-8", format!("echo {n}\n"))
-            } else {
-                (404, "text/plain; charset=utf-8", "not found\n".to_string())
-            }
-        }));
-        let (head, body) = http_get(addr, "/debug/echo?n=42");
         assert!(head.starts_with("HTTP/1.1 200"), "head: {head}");
-        assert_eq!(body, "echo 42\n");
-        let (head, _) = http_get(addr, "/debug/unknown");
-        assert!(head.starts_with("HTTP/1.1 404"));
+        assert!(body.lines().any(|l| l.starts_with("serve_test_profiled ")), "body: {body}");
+        assert!(http_get(addr, "/debug/profile/status").0.starts_with("HTTP/1.1 404"));
         server.shutdown();
+        crate::disable();
     }
 }

@@ -1,4 +1,5 @@
-//! RAII span timers with thread-local nesting.
+//! RAII span timers with thread-local nesting, and the self-time fold
+//! that turns their totals into a collapsed-stack profile.
 //!
 //! A span measures one region of code; nested spans record under a
 //! `outer/inner` path so the console summary shows where time goes at each
@@ -8,33 +9,31 @@
 //! When a JSONL trace is open, every span additionally emits a pair of
 //! `span.enter` / `span.exit` events carrying the full slash-joined path,
 //! a per-thread ordinal (`tid`), the nesting depth, and monotonic
-//! nanosecond timestamps from [`crate::sink::now_ns`]. `muse-trace flame`
-//! folds these into collapsed-stack profiles.
+//! nanosecond timestamps from [`crate::sink::now_ns`].
 //!
-//! ## Published stacks (sampling-profiler support)
+//! ## Profiles
 //!
-//! Independently of tracing, each thread can *publish* its current span
-//! stack through a lock-free per-thread [`StackSlot`]: a seqlock-style
-//! version counter plus a fixed-depth array of interned frame ids. A
-//! sampling profiler (`muse-prof`) snapshots every registered slot with
-//! [`sample_stacks`] without stopping or signalling any thread. Publishing
-//! is off by default ([`set_stack_publish`]) and costs the instrumented
-//! thread a handful of relaxed atomic stores per span when on — it never
-//! changes what the workload computes.
+//! Every closed span adds its exact duration to the `span.<path>`
+//! histogram, so the registry already holds each path's count and total
+//! nanoseconds. [`fold`] turns such `(path, count, total_ns)` rows into
+//! self times (total minus the totals of *direct* children) and
+//! [`collapsed`] renders them as `a;b;c <self_ns>` lines in a fixed flame
+//! order, the format `flamegraph.pl` and speedscope read. [`profile`] does
+//! this live over the registry (`GET /debug/profile`); `muse-trace flame`
+//! does it over a trace's `span.exit` events, with the same output for the
+//! same spans.
 
 use crate::json::Json;
-use crate::metrics::histogram_owned;
+use crate::metrics::{self, histogram_owned};
 use crate::sink;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 thread_local! {
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
     static TID: Cell<u64> = const { Cell::new(0) };
-    static MY_SLOT: Cell<Option<&'static StackSlot>> = const { Cell::new(None) };
 }
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
@@ -52,299 +51,6 @@ pub fn thread_ordinal() -> u64 {
     })
 }
 
-// --- published stacks -----------------------------------------------------
-
-/// Depth of the fixed frame array in each [`StackSlot`]. Frames nested
-/// deeper than this still count toward `depth` but are not published; the
-/// sampler reports such samples as truncated.
-pub const MAX_PUBLISHED_FRAMES: usize = 32;
-
-/// Global switch for stack publication, read with a single relaxed load on
-/// every span open/close. Off by default; flipped by the sampling profiler.
-static PUBLISH: AtomicBool = AtomicBool::new(false);
-
-/// Turn span-stack publication on or off. When off (the default), spans
-/// never touch their thread's [`StackSlot`] and [`sample_stacks`] sees
-/// empty stacks everywhere.
-pub fn set_stack_publish(on: bool) {
-    PUBLISH.store(on, Ordering::Relaxed);
-}
-
-/// Whether span-stack publication is currently on.
-pub fn stack_publish_enabled() -> bool {
-    PUBLISH.load(Ordering::Relaxed)
-}
-
-struct Interner {
-    names: Vec<&'static str>,
-    by_ptr: BTreeMap<(usize, usize), u32>,
-}
-
-static INTERNER: Mutex<Interner> = Mutex::new(Interner { names: Vec::new(), by_ptr: BTreeMap::new() });
-
-/// Intern a `&'static str` frame name, returning its dense id. Keyed by
-/// pointer + length so the hot path never hashes string contents; two
-/// distinct statics with equal text simply get two ids mapping to equal
-/// names, which folds identically downstream.
-pub fn intern_frame(name: &'static str) -> u32 {
-    let key = (name.as_ptr() as usize, name.len());
-    let mut interner = INTERNER.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(&id) = interner.by_ptr.get(&key) {
-        return id;
-    }
-    let id = interner.names.len() as u32;
-    interner.names.push(name);
-    interner.by_ptr.insert(key, id);
-    id
-}
-
-/// Resolve an interned frame id back to its name.
-pub fn frame_name(id: u32) -> Option<&'static str> {
-    INTERNER.lock().unwrap_or_else(|p| p.into_inner()).names.get(id as usize).copied()
-}
-
-/// One thread's published span stack: a single-writer seqlock. The owning
-/// thread bumps `version` to odd, mutates, then bumps to even; a sampler
-/// thread reads `version`, copies the frames, and retries on a mismatch —
-/// no lock is ever held, so the workload thread can never block on the
-/// sampler (or vice versa).
-pub struct StackSlot {
-    tid: u64,
-    version: AtomicU32,
-    depth: AtomicU32,
-    frames: [AtomicU32; MAX_PUBLISHED_FRAMES],
-}
-
-impl StackSlot {
-    fn new(tid: u64) -> StackSlot {
-        StackSlot {
-            tid,
-            version: AtomicU32::new(0),
-            depth: AtomicU32::new(0),
-            frames: std::array::from_fn(|_| AtomicU32::new(0)),
-        }
-    }
-
-    /// Single-writer mutation: odd version while `mutate` runs, even after.
-    /// The release fence keeps the odd store visible before the data
-    /// stores; the final release store publishes the data before the even
-    /// version.
-    #[inline]
-    fn write(&self, mutate: impl FnOnce(&StackSlot)) {
-        let v = self.version.load(Ordering::Relaxed);
-        self.version.store(v.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        mutate(self);
-        self.version.store(v.wrapping_add(2), Ordering::Release);
-    }
-
-    #[inline]
-    fn push(&self, frame: u32) {
-        self.write(|slot| {
-            let depth = slot.depth.load(Ordering::Relaxed);
-            if (depth as usize) < MAX_PUBLISHED_FRAMES {
-                slot.frames[depth as usize].store(frame, Ordering::Relaxed);
-            }
-            slot.depth.store(depth.wrapping_add(1), Ordering::Relaxed);
-        });
-    }
-
-    #[inline]
-    fn pop(&self) {
-        self.write(|slot| {
-            let depth = slot.depth.load(Ordering::Relaxed);
-            slot.depth.store(depth.saturating_sub(1), Ordering::Relaxed);
-        });
-    }
-
-    /// Copy this slot's stack. Only the owning thread calls this, so the
-    /// read cannot race a write.
-    fn snapshot(&self) -> FrameStack {
-        let depth = self.depth.load(Ordering::Relaxed);
-        let mut frames = [0; MAX_PUBLISHED_FRAMES];
-        for (i, frame) in frames.iter_mut().enumerate().take(depth as usize) {
-            *frame = self.frames[i].load(Ordering::Relaxed);
-        }
-        FrameStack { depth, frames }
-    }
-
-    /// Overwrite this slot's stack with `stack` in one seqlock write.
-    fn replace(&self, stack: &FrameStack) {
-        self.write(|slot| {
-            for (i, &frame) in stack.frames.iter().enumerate().take(stack.depth as usize) {
-                slot.frames[i].store(frame, Ordering::Relaxed);
-            }
-            slot.depth.store(stack.depth, Ordering::Relaxed);
-        });
-    }
-
-    /// Seqlock read: retry a few times if the writer is mid-mutation, give
-    /// up (returning `false`) rather than spin — a torn sample is just a
-    /// dropped sample.
-    fn read_into(&self, out: &mut StackSample) -> bool {
-        for _ in 0..3 {
-            let v1 = self.version.load(Ordering::Acquire);
-            if v1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let depth = self.depth.load(Ordering::Relaxed);
-            let stored = (depth as usize).min(MAX_PUBLISHED_FRAMES);
-            for (i, frame) in out.frames[..stored].iter_mut().enumerate() {
-                *frame = self.frames[i].load(Ordering::Relaxed);
-            }
-            fence(Ordering::Acquire);
-            if self.version.load(Ordering::Relaxed) == v1 {
-                out.tid = self.tid;
-                out.depth = depth;
-                out.truncated = depth as usize > MAX_PUBLISHED_FRAMES;
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// Registry of every thread's slot. Slots are leaked (`&'static`) so the
-/// sampler can keep reading them after the owning thread exits; threads
-/// are few and slots are ~150 bytes, so the leak is bounded and harmless.
-static SLOTS: Mutex<Vec<&'static StackSlot>> = Mutex::new(Vec::new());
-
-fn local_slot() -> &'static StackSlot {
-    MY_SLOT.with(|cell| match cell.get() {
-        Some(slot) => slot,
-        None => {
-            let slot: &'static StackSlot = Box::leak(Box::new(StackSlot::new(thread_ordinal())));
-            SLOTS.lock().unwrap_or_else(|p| p.into_inner()).push(slot);
-            cell.set(Some(slot));
-            slot
-        }
-    })
-}
-
-/// Register the calling thread with the sampling profiler. Spans register
-/// their thread lazily on first publication; long-lived worker threads
-/// (thread pools, servers) should call this once up front so they are
-/// visible to the sampler even before their first span.
-pub fn register_thread() {
-    let _ = local_slot();
-}
-
-/// Number of threads currently registered for stack sampling.
-pub fn registered_threads() -> usize {
-    SLOTS.lock().unwrap_or_else(|p| p.into_inner()).len()
-}
-
-/// One sampled thread stack: interned frame ids, shallowest first.
-#[derive(Clone)]
-pub struct StackSample {
-    /// Thread ordinal ([`thread_ordinal`]) of the sampled thread.
-    pub tid: u64,
-    /// Logical stack depth at sample time (may exceed the stored frames).
-    pub depth: u32,
-    /// True when `depth > MAX_PUBLISHED_FRAMES` and deep frames were lost.
-    pub truncated: bool,
-    /// Interned frame ids; only the first `min(depth, MAX_PUBLISHED_FRAMES)`
-    /// entries are meaningful.
-    pub frames: [u32; MAX_PUBLISHED_FRAMES],
-}
-
-impl StackSample {
-    /// An empty sample, for preallocating reusable buffers.
-    pub fn empty() -> StackSample {
-        StackSample { tid: 0, depth: 0, truncated: false, frames: [0; MAX_PUBLISHED_FRAMES] }
-    }
-}
-
-/// Snapshot every registered thread's published stack into `out` (cleared
-/// first); threads with an empty stack are skipped. Returns the number of
-/// torn reads abandoned (a thread kept mutating its slot across all
-/// retries) — callers count those as dropped samples.
-pub fn sample_stacks(out: &mut Vec<StackSample>) -> usize {
-    out.clear();
-    let slots: Vec<&'static StackSlot> = SLOTS.lock().unwrap_or_else(|p| p.into_inner()).clone();
-    let mut torn = 0;
-    let mut sample = StackSample::empty();
-    for slot in slots {
-        if slot.read_into(&mut sample) {
-            if sample.depth > 0 {
-                out.push(sample.clone());
-            }
-        } else {
-            torn += 1;
-        }
-    }
-    torn
-}
-
-/// A copy of one thread's published stack, taken by [`published_stack`]
-/// so work handed to another thread can be billed to the spans that asked
-/// for it.
-#[derive(Clone, Copy)]
-pub struct FrameStack {
-    depth: u32,
-    frames: [u32; MAX_PUBLISHED_FRAMES],
-}
-
-/// The calling thread's published stack, or `None` when publication is off.
-#[inline]
-pub fn published_stack() -> Option<FrameStack> {
-    PUBLISH.load(Ordering::Relaxed).then(|| local_slot().snapshot())
-}
-
-/// Publish a lightweight frame on this thread's sampled stack without the
-/// histogram/trace machinery of a full [`span`]. A single relaxed load when
-/// publication is off; used by infrastructure where full spans would be
-/// too hot.
-#[inline]
-pub fn prof_frame(name: &'static str) -> FrameGuard {
-    if !PUBLISH.load(Ordering::Relaxed) {
-        return FrameGuard { active: false, restore: None };
-    }
-    local_slot().push(intern_frame(name));
-    FrameGuard { active: true, restore: None }
-}
-
-/// Like [`prof_frame`], but `name` goes on top of `parent` — a stack taken
-/// on the thread that submitted the work — which stands in for this
-/// thread's own frames until the guard drops. Pool workers use it so a
-/// `parallel.job` sample reads `<submitter's spans>;parallel.job`. With no
-/// `parent` (publication was off at submit time) it is [`prof_frame`].
-#[inline]
-pub fn prof_frame_under(parent: Option<&FrameStack>, name: &'static str) -> FrameGuard {
-    let Some(parent) = parent else { return prof_frame(name) };
-    if !PUBLISH.load(Ordering::Relaxed) {
-        return FrameGuard { active: false, restore: None };
-    }
-    let slot = local_slot();
-    let own = slot.snapshot();
-    let mut stack = *parent;
-    if (stack.depth as usize) < MAX_PUBLISHED_FRAMES {
-        stack.frames[stack.depth as usize] = intern_frame(name);
-    }
-    stack.depth += 1;
-    slot.replace(&stack);
-    FrameGuard { active: true, restore: Some(own) }
-}
-
-/// Guard returned by [`prof_frame`] and [`prof_frame_under`]; unpublishes
-/// the frame (or puts back the thread's own stack) on drop.
-pub struct FrameGuard {
-    active: bool,
-    restore: Option<FrameStack>,
-}
-
-impl Drop for FrameGuard {
-    fn drop(&mut self) {
-        if self.active {
-            match &self.restore {
-                Some(own) => local_slot().replace(own),
-                None => local_slot().pop(),
-            }
-        }
-    }
-}
-
 // --- spans ----------------------------------------------------------------
 
 /// Open a timed span. Drop closes it and records its duration (in
@@ -353,14 +59,8 @@ impl Drop for FrameGuard {
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
-        return SpanGuard { run: None, trace: None, published: false };
+        return SpanGuard { run: None, trace: None };
     }
-    let published = if PUBLISH.load(Ordering::Relaxed) {
-        local_slot().push(intern_frame(name));
-        true
-    } else {
-        false
-    };
     let depth = SPAN_STACK.with(|s| {
         let mut stack = s.borrow_mut();
         stack.push(name);
@@ -383,7 +83,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     } else {
         None
     };
-    SpanGuard { run: Some(Instant::now()), trace, published }
+    SpanGuard { run: Some(Instant::now()), trace }
 }
 
 /// Current nesting depth of this thread's span stack.
@@ -399,8 +99,6 @@ pub struct SpanGuard {
     run: Option<Instant>,
     /// `(path, tid)` captured at enter when a trace was open.
     trace: Option<(String, u64)>,
-    /// Whether this span pushed a frame onto the published stack slot.
-    published: bool,
 }
 
 impl SpanGuard {
@@ -413,9 +111,6 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.run.take() else { return };
-        if self.published {
-            local_slot().pop();
-        }
         let nanos = start.elapsed().as_nanos() as u64;
         let path = match self.trace.take() {
             // Reuse the enter-time path: the exit event must pair with the
@@ -442,6 +137,123 @@ impl Drop for SpanGuard {
         };
         histogram_owned(&format!("span.{path}")).record(nanos as f64);
     }
+}
+
+// --- profiles -------------------------------------------------------------
+
+/// Aggregated times for one span path.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FoldedSpan {
+    /// Slash-joined path (`train.fit/train.forward/model.encode`).
+    pub path: String,
+    /// Times this span path was closed.
+    pub count: u64,
+    /// Cumulative nanoseconds, including children.
+    pub total_ns: u64,
+    /// Cumulative nanoseconds minus direct children's totals (clamped at
+    /// zero — clock jitter can make children appear to outlast parents by
+    /// nanoseconds).
+    pub self_ns: u64,
+}
+
+/// Fold `(path, count, total_ns)` rows into per-path totals with self
+/// time, sorted by path. Rows that share a path are summed, so one row per
+/// closed span works as well as one row per path.
+pub fn fold<'a>(rows: impl IntoIterator<Item = (&'a str, u64, u64)>) -> Vec<FoldedSpan> {
+    let mut totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new(); // path → (count, total)
+    for (path, count, total_ns) in rows {
+        let slot = totals.entry(path).or_insert((0, 0));
+        slot.0 += count;
+        slot.1 += total_ns;
+    }
+    totals
+        .iter()
+        .map(|(path, &(count, total_ns))| {
+            let children_ns: u64 = totals
+                .range::<str, _>((std::ops::Bound::Excluded(*path), std::ops::Bound::Unbounded))
+                .take_while(|(p, _)| p.starts_with(*path))
+                .filter(|(p, _)| is_direct_child(path, p))
+                .map(|(_, &(_, t))| t)
+                .sum();
+            FoldedSpan {
+                path: path.to_string(),
+                count,
+                total_ns,
+                self_ns: total_ns.saturating_sub(children_ns),
+            }
+        })
+        .collect()
+}
+
+/// Is `candidate` exactly one segment below `parent`?
+fn is_direct_child(parent: &str, candidate: &str) -> bool {
+    candidate
+        .strip_prefix(parent)
+        .and_then(|rest| rest.strip_prefix('/'))
+        .is_some_and(|tail| !tail.is_empty() && !tail.contains('/'))
+}
+
+/// Render folded spans as collapsed stacks: one `seg;seg;seg self_ns` line
+/// per path with non-zero self time, in deterministic flame order — a
+/// depth-first tree walk with siblings sorted hottest (self time) first,
+/// name as tie-break — so profiles of the same spans are stable and
+/// profile diffs line up row for row.
+pub fn collapsed(folded: &[FoldedSpan]) -> String {
+    let rows: Vec<(&str, u64)> = folded.iter().map(|f| (f.path.as_str(), f.self_ns)).collect();
+    let mut out = String::new();
+    for idx in tree_order_indices(&rows, '/') {
+        let span = &folded[idx];
+        if span.self_ns == 0 {
+            continue;
+        }
+        out.push_str(&span.path.replace('/', ";"));
+        out.push(' ');
+        out.push_str(&span.self_ns.to_string());
+        out.push('\n');
+    }
+    out
+}
+
+/// Deterministic flame ordering over `(path, self_weight)` rows: indices in
+/// depth-first tree order, siblings sorted by self weight descending then
+/// path. Rows whose parent path is absent are treated as roots. Shared by
+/// span profiles ('/'-separated paths) and `muse-trace prof`
+/// (';'-separated folded stacks).
+pub fn tree_order_indices(rows: &[(&str, u64)], sep: char) -> Vec<usize> {
+    let by_path: BTreeMap<&str, usize> = rows.iter().enumerate().map(|(i, r)| (r.0, i)).collect();
+    // parent index (or None for roots) → children indices.
+    let mut children: BTreeMap<Option<usize>, Vec<usize>> = BTreeMap::new();
+    for (i, (path, _)) in rows.iter().enumerate() {
+        let parent = path.rfind(sep).and_then(|cut| by_path.get(&path[..cut]).copied());
+        children.entry(parent).or_default().push(i);
+    }
+    for siblings in children.values_mut() {
+        siblings.sort_by(|&a, &b| rows[b].1.cmp(&rows[a].1).then_with(|| rows[a].0.cmp(rows[b].0)));
+    }
+    let mut order = Vec::with_capacity(rows.len());
+    let mut stack: Vec<usize> = children.get(&None).cloned().unwrap_or_default();
+    stack.reverse();
+    while let Some(idx) = stack.pop() {
+        order.push(idx);
+        if let Some(kids) = children.get(&Some(idx)) {
+            stack.extend(kids.iter().rev());
+        }
+    }
+    order
+}
+
+/// The live profile: every `span.*` histogram's count and total
+/// nanoseconds, folded and rendered by [`collapsed`]. Cumulative since
+/// process start or the last [`crate::reset_metrics`]; a time window is the
+/// difference of two calls. Only closed spans count, so the children of a
+/// span that is still open show up as roots.
+pub fn profile() -> String {
+    let snapshot = metrics::export_snapshot();
+    let rows = snapshot.histograms.iter().filter_map(|(name, count, sum_ns, _)| {
+        let path = name.strip_prefix("span.")?;
+        (*count > 0).then_some((path, *count, *sum_ns as u64))
+    });
+    collapsed(&fold(rows))
 }
 
 #[cfg(test)]
@@ -510,79 +322,97 @@ mod tests {
         assert_eq!(thread_ordinal(), here);
     }
 
+    fn closed(path: &str, dur_ns: u64) -> (&str, u64, u64) {
+        (path, 1, dur_ns)
+    }
+
     #[test]
-    fn published_stacks_are_sampleable() {
+    fn self_time_subtracts_direct_children_only() {
+        let rows = vec![
+            closed("a", 1000),
+            closed("a/b", 600),
+            closed("a/b/c", 100),
+            closed("a/d", 150),
+            // Not a child of "a": shares the prefix string but not the path.
+            closed("ax", 42),
+        ];
+        let folded = fold(rows);
+        let get = |p: &str| folded.iter().find(|f| f.path == p).unwrap();
+        assert_eq!(get("a").total_ns, 1000);
+        // a's direct children are a/b and a/d — NOT a/b/c, not ax.
+        assert_eq!(get("a").self_ns, 1000 - 600 - 150);
+        assert_eq!(get("a/b").self_ns, 500);
+        assert_eq!(get("a/b/c").self_ns, 100);
+        assert_eq!(get("ax").self_ns, 42);
+    }
+
+    #[test]
+    fn repeated_paths_accumulate() {
+        let folded = fold([closed("x", 10), closed("x", 30), closed("x/y", 5)]);
+        let x = folded.iter().find(|f| f.path == "x").unwrap();
+        assert_eq!(x.count, 2);
+        assert_eq!(x.total_ns, 40);
+        assert_eq!(x.self_ns, 35);
+        // Pre-summed rows fold to the same numbers.
+        assert_eq!(fold([("x", 2, 40), ("x/y", 1, 5)]), folded);
+    }
+
+    #[test]
+    fn child_outlasting_parent_clamps_to_zero() {
+        let folded = fold([closed("p", 100), closed("p/q", 120)]);
+        assert_eq!(folded.iter().find(|f| f.path == "p").unwrap().self_ns, 0);
+    }
+
+    #[test]
+    fn collapsed_format_is_semicolon_separated() {
+        let text = collapsed(&fold([closed("a", 100), closed("a/b", 100)]));
+        // "a" has zero self time and is omitted; a/b keeps its 100.
+        assert_eq!(text, "a;b 100\n");
+    }
+
+    #[test]
+    fn collapsed_orders_siblings_by_self_time_then_name() {
+        let rows = vec![
+            closed("root", 1000),
+            closed("root/cold", 50),
+            closed("root/hot", 500),
+            closed("root/hot/leaf", 200),
+            closed("root/warm", 250),
+            // Two zero-padded siblings tie on self time → name order.
+            closed("root/bbb", 10),
+            closed("root/aaa", 10),
+        ];
+        let text = collapsed(&fold(rows));
+        let paths: Vec<&str> = text.lines().map(|l| l.rsplit_once(' ').unwrap().0).collect();
+        // Depth-first: hot subtree (self 300) first, its child inside it,
+        // then warm (250), cold (50), then the 10/10 tie in name order.
+        // root itself has self 1000-820=180... listed first as the root.
+        assert_eq!(
+            paths,
+            vec!["root", "root;hot", "root;hot;leaf", "root;warm", "root;cold", "root;aaa", "root;bbb"],
+            "text:\n{text}"
+        );
+    }
+
+    #[test]
+    fn live_profile_folds_closed_spans_and_roots_children_of_open_ones() {
         let _g = crate::test_lock();
         crate::enable();
-        set_stack_publish(true);
-        let my_tid = thread_ordinal();
-        let mut samples = Vec::new();
+        crate::reset_metrics();
+        let mine = |text: &str| -> Vec<String> {
+            let stacks = text.lines().map(|l| l.rsplit_once(' ').unwrap().0.to_string());
+            stacks.filter(|stack| stack.starts_with("profile_")).collect()
+        };
         {
-            let _outer = span("pub_outer");
-            let _inner = span("pub_inner");
-            sample_stacks(&mut samples);
+            let _outer = span("profile_outer");
+            drop(span("profile_inner"));
+            // The outer span is still open: its child is a root for now.
+            assert_eq!(mine(&profile()), ["profile_outer;profile_inner"]);
         }
-        set_stack_publish(false);
+        assert_eq!(mine(&profile()), ["profile_outer", "profile_outer;profile_inner"]);
+        crate::reset_metrics();
+        assert!(mine(&profile()).is_empty());
         crate::disable();
-        let mine = samples.iter().find(|s| s.tid == my_tid).expect("own thread sampled");
-        assert_eq!(mine.depth, 2);
-        assert!(!mine.truncated);
-        assert_eq!(frame_name(mine.frames[0]), Some("pub_outer"));
-        assert_eq!(frame_name(mine.frames[1]), Some("pub_inner"));
-        // After the spans close, this thread's stack is empty again and no
-        // longer shows up in a snapshot.
-        sample_stacks(&mut samples);
-        assert!(samples.iter().all(|s| s.tid != my_tid));
-    }
-
-    #[test]
-    fn deep_stacks_truncate_but_keep_depth() {
-        let _g = crate::test_lock();
-        crate::enable();
-        set_stack_publish(true);
-        let my_tid = thread_ordinal();
-        let mut guards = Vec::new();
-        for _ in 0..(MAX_PUBLISHED_FRAMES + 4) {
-            guards.push(span("deep_frame"));
-        }
-        let mut samples = Vec::new();
-        sample_stacks(&mut samples);
-        drop(guards);
-        set_stack_publish(false);
-        crate::disable();
-        let mine = samples.iter().find(|s| s.tid == my_tid).expect("own thread sampled");
-        assert_eq!(mine.depth as usize, MAX_PUBLISHED_FRAMES + 4);
-        assert!(mine.truncated);
-        assert_eq!(frame_name(mine.frames[MAX_PUBLISHED_FRAMES - 1]), Some("deep_frame"));
-    }
-
-    #[test]
-    fn prof_frame_is_inert_unless_publishing() {
-        let _g = crate::test_lock();
-        let my_tid = thread_ordinal();
-        let mut samples = Vec::new();
-        {
-            let _f = prof_frame("never_published");
-            sample_stacks(&mut samples);
-            assert!(samples.iter().all(|s| s.tid != my_tid));
-        }
-        set_stack_publish(true);
-        {
-            let _f = prof_frame("now_published");
-            sample_stacks(&mut samples);
-            let mine = samples.iter().find(|s| s.tid == my_tid).expect("frame published");
-            assert_eq!(frame_name(mine.frames[0]), Some("now_published"));
-        }
-        set_stack_publish(false);
-    }
-
-    #[test]
-    fn interner_is_stable_per_static() {
-        let name: &'static str = "intern_stable_test";
-        let id = intern_frame(name);
-        assert_eq!(intern_frame(name), id);
-        assert_eq!(frame_name(id), Some(name));
-        assert_eq!(frame_name(u32::MAX), None);
     }
 
     #[test]

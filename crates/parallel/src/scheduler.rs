@@ -130,15 +130,15 @@ pub fn partition_threads(jobs: usize) -> usize {
 /// Run `jobs` to completion with up to [`current_jobs`] of them executing
 /// concurrently, returning their results **in submission order**.
 ///
-/// Each worker thread registers with the profiler, installs a private
-/// intra-op pool of [`partition_threads`]`(j)` threads (no
-/// oversubscription), and drains a shared queue — a fast job's worker
-/// immediately steals the next pending one. With an effective concurrency
+/// Each worker thread installs a private intra-op pool of
+/// [`partition_threads`]`(j)` threads (no oversubscription) and drains a
+/// shared queue — a fast job's worker immediately steals the next pending
+/// one. With an effective concurrency
 /// of 1 (the default), jobs run inline on the caller in order, preserving
 /// today's sequential behavior exactly.
 ///
 /// Telemetry per job (when observability is on): a `sched.job` span (trace
-/// rows + profiler attribution), a `sched.job` event carrying the fleet
+/// rows + profile root), a `sched.job` event carrying the fleet
 /// label / job index / worker ordinal / duration, and the
 /// `sched.active_jobs` / `sched.queue_depth` gauges plus the
 /// `sched.jobs_completed` counter.
@@ -177,9 +177,6 @@ pub fn run_fleet<'a, R: Send>(label: &str, jobs: Vec<FleetJob<'a, R>>) -> Vec<R>
             std::thread::Builder::new()
                 .name(format!("muse-fleet-{worker}"))
                 .spawn_scoped(scope, move || {
-                    // Visible to the sampling profiler even before the
-                    // first `sched.job` frame.
-                    obs::register_thread();
                     IN_FLEET.with(|f| f.set(true));
                     // The worker's private intra-op pool: its share of the
                     // caller's thread budget, installed as a thread-local
@@ -221,9 +218,9 @@ pub fn run_fleet<'a, R: Send>(label: &str, jobs: Vec<FleetJob<'a, R>>) -> Vec<R>
 fn run_job<R>(label: &str, idx: usize, worker: usize, threads: usize, job: FleetJob<'_, R>) -> R {
     ACTIVE_JOBS.fetch_add(1, Ordering::Relaxed);
     publish_sched_gauges();
-    // The span publishes a `sched.job` profiler frame (per-job sample
-    // attribution in `muse-trace prof`), trace span rows, and a duration
-    // histogram; it degrades to a single relaxed load when obs is off.
+    // The span records trace span rows and the duration histogram that
+    // roots the job's profile stacks; it degrades to a single relaxed
+    // load when obs is off.
     let _span = obs::span("sched.job");
     let t0 = Instant::now();
     let out = job();

@@ -18,7 +18,7 @@
 //! | `/alerts`              | GET    | alert rule states                        |
 //! | `/spectrum`            | GET    | detected periodicities of the window     |
 //! | `/metrics`             | GET    | Prometheus text exposition               |
-//! | `/debug/*`             | GET    | sampling profiler (muse-prof handler)    |
+//! | `/debug/profile`       | GET    | span self times as collapsed stacks      |
 
 use std::io;
 use std::net::SocketAddr;
@@ -116,16 +116,13 @@ fn route(request: &Request, engine: &Engine) -> Response {
         ("GET", "/spectrum") => reply(engine.spectrum()),
         ("GET", "/metrics") => (200, obs::serve::METRICS_CONTENT_TYPE, obs::render_prometheus()),
         ("POST", "/ingest") => ingest(request, engine),
-        // The sampling profiler (muse-prof) owns /debug/*: the handler is
-        // shared with the muse-obs MetricsServer so both expose identical
-        // profile endpoints.
-        ("GET", p) if p.starts_with("/debug/") => obs::serve::debug_request(request),
+        // The same live profile the muse-obs MetricsServer serves.
+        ("GET", "/debug/profile") => (200, TEXT_CONTENT_TYPE, obs::profile()),
         (
             _,
             "/healthz" | "/stats" | "/forecast" | "/metrics" | "/ingest" | "/quality" | "/alerts"
-            | "/spectrum",
+            | "/spectrum" | "/debug/profile",
         ) => (405, TEXT_CONTENT_TYPE, "method not allowed\n".to_string()),
-        (_, p) if p.starts_with("/debug/") => (405, TEXT_CONTENT_TYPE, "method not allowed\n".to_string()),
         _ => (404, TEXT_CONTENT_TYPE, "not found\n".to_string()),
     }
 }
@@ -406,14 +403,24 @@ mod tests {
     #[test]
     fn debug_routes_and_build_info_surface() {
         let _g = obs::test_lock();
+        obs::enable();
         let server = boot();
         let addr = server.addr();
-        // No profiler handler installed in this test binary: /debug/* gets
-        // the self-explanatory 404, wrong methods a 405.
+        let info = server.engine().info().clone();
+        let raw_frame: Vec<u8> = (0..info.frame_len).flat_map(|i| (0.1 * i as f32).to_le_bytes()).collect();
+        let ingest = || post(addr, "/ingest", "application/octet-stream", &raw_frame).0;
+        for _ in 0..info.window_capacity {
+            assert!(ingest().starts_with("HTTP/1.1 200 "));
+        }
+        assert!(get(addr, "/forecast?horizon=1").0.starts_with("HTTP/1.1 200 "));
+        // The forecast's closed spans are in the live profile; wrong methods
+        // get a 405 and no other /debug/ route exists.
         let (head, body) = get(addr, "/debug/profile");
-        assert!(head.starts_with("HTTP/1.1 404 "), "{head}");
-        assert!(body.contains("MUSE_PROF_HZ"), "{body}");
+        assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+        assert!(body.lines().any(|l| l.starts_with("serve.forecast.batch")), "{body}");
         assert!(post(addr, "/debug/profile", "text/plain", b"").0.starts_with("HTTP/1.1 405 "));
+        assert!(get(addr, "/debug/profile/status").0.starts_with("HTTP/1.1 404 "));
+        obs::disable();
         // Build info set at boot shows up in /stats under "build".
         obs::serve::set_build_info(vec![
             ("version".to_string(), "0.0.0-test".to_string()),

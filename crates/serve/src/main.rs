@@ -123,13 +123,6 @@ fn main() {
         ("simd_level".to_string(), muse_tensor::simd::level_name().to_string()),
         ("threads".to_string(), args.threads.unwrap_or_else(muse_parallel::env_threads).to_string()),
     ]);
-    // Answer /debug/profile[/status] even when sampling is off (the status
-    // then reports running:false); MUSE_PROF_HZ turns sampling on.
-    muse_prof::install_debug_handler();
-    let profiler = muse_prof::Profiler::start_from_env();
-    if let Some(p) = &profiler {
-        eprintln!("muse-serve: muse-prof sampling at {} Hz (GET /debug/profile)", p.hz());
-    }
 
     let engine_opts = EngineOptions {
         threads: args.threads,
@@ -182,7 +175,6 @@ fn main() {
                 ("threads", args.threads.map_or(Json::Null, |t| Json::Num(t as f64))),
                 ("simd", Json::Str(muse_tensor::simd::level_name().to_string())),
                 ("version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),
-                ("prof_hz", profiler.as_ref().map_or(Json::Null, |p| Json::Num(p.hz()))),
             ],
         );
     }

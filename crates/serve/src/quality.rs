@@ -33,6 +33,12 @@ use crate::window::FlowWindow;
 /// it stores micro-units.
 const ERR_HIST_SCALE: f64 = 1e6;
 
+/// Smoothing factor of the headline MAE/RMSE EWMAs.
+const EWMA_ALPHA: f64 = 0.1;
+
+/// Half-life (in scored forecasts) of the decayed error histogram.
+const DECAY_HALF_LIFE: f64 = 128.0;
+
 /// Quality-subsystem tuning knobs (part of the engine options).
 #[derive(Debug, Clone)]
 pub struct QualityConfig {
@@ -40,10 +46,6 @@ pub struct QualityConfig {
     pub journal_capacity: usize,
     /// Exact rolling-window depth of the error estimators.
     pub window: usize,
-    /// Smoothing factor of the headline MAE/RMSE EWMAs.
-    pub ewma_alpha: f64,
-    /// Half-life (in scored forecasts) of the decayed error histogram.
-    pub decay_half_life: f64,
     /// Install the built-in `mae_drift` / `flow_level_shift` rules.
     pub default_alerts: bool,
     /// Additional alert rules (see [`AlertRule::parse`]).
@@ -52,14 +54,7 @@ pub struct QualityConfig {
 
 impl Default for QualityConfig {
     fn default() -> Self {
-        QualityConfig {
-            journal_capacity: 4096,
-            window: 256,
-            ewma_alpha: 0.1,
-            decay_half_life: 128.0,
-            default_alerts: true,
-            alerts: Vec::new(),
-        }
+        QualityConfig { journal_capacity: 4096, window: 256, default_alerts: true, alerts: Vec::new() }
     }
 }
 
@@ -94,8 +89,8 @@ impl HorizonStats {
         HorizonStats {
             mae_win: RollingStats::new(cfg.window),
             rmse_win: RollingStats::new(cfg.window),
-            mae_ewma: Ewma::new(cfg.ewma_alpha),
-            rmse_ewma: Ewma::new(cfg.ewma_alpha),
+            mae_ewma: Ewma::new(EWMA_ALPHA),
+            rmse_ewma: Ewma::new(EWMA_ALPHA),
             scored: 0,
         }
     }
@@ -131,13 +126,13 @@ impl QualityTracker {
             cfg: cfg.clone(),
             slots: slots.max(1),
             alerts: AlertEngine::with_rules(rules),
-            mae_ewma: Ewma::new(cfg.ewma_alpha),
-            rmse_ewma: Ewma::new(cfg.ewma_alpha),
+            mae_ewma: Ewma::new(EWMA_ALPHA),
+            rmse_ewma: Ewma::new(EWMA_ALPHA),
             mae_win: RollingStats::new(cfg.window),
             rmse_win: RollingStats::new(cfg.window),
-            mae_inflow: Ewma::new(cfg.ewma_alpha),
-            mae_outflow: Ewma::new(cfg.ewma_alpha),
-            err_hist: DecayingHistogram::with_half_life(cfg.decay_half_life),
+            mae_inflow: Ewma::new(EWMA_ALPHA),
+            mae_outflow: Ewma::new(EWMA_ALPHA),
+            err_hist: DecayingHistogram::with_half_life(DECAY_HALF_LIFE),
             per_horizon: BTreeMap::new(),
             scored: 0,
             dropped: 0,

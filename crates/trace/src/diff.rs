@@ -145,8 +145,8 @@ pub fn diff(baseline: &TraceData, current: &TraceData, tol: f64) -> DiffReport {
     }
 
     if !baseline.span_exits.is_empty() && !current.span_exits.is_empty() {
-        let bf = flame::fold(&baseline.span_exits);
-        let cf = flame::fold(&current.span_exits);
+        let bf = flame::fold_exits(&baseline.span_exits);
+        let cf = flame::fold_exits(&current.span_exits);
         text.push_str("span totals (informational):\n");
         for span in flame::by_self_time(&bf).into_iter().take(6) {
             if let Some(cur) = cf.iter().find(|s| s.path == span.path) {

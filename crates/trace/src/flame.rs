@@ -1,112 +1,19 @@
 //! Fold span exit events into collapsed-stack flame profiles.
 //!
 //! Each `span.exit` event carries its full slash-joined path and duration,
-//! so folding is pure aggregation: total time per path, self time = total
-//! minus the totals of *direct* children. The collapsed output
-//! (`a;b;c <self_ns>` per line) is the format `flamegraph.pl` and
-//! speedscope consume directly.
+//! so folding is pure aggregation. The fold itself is
+//! [`muse_obs::span::fold`], the one the live `/debug/profile` uses over the
+//! `span.*` histograms: the same spans give the same profile either way.
+//! Render with [`muse_obs::span::collapsed`] (`a;b;c <self_ns>` per line,
+//! the format `flamegraph.pl` and speedscope consume directly).
 
 use crate::ingest::SpanExit;
-use std::collections::BTreeMap;
-
-/// Aggregated times for one span path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FoldedSpan {
-    /// Slash-joined path (`train.fit/train.forward/model.encode`).
-    pub path: String,
-    /// Times this span path was closed.
-    pub count: u64,
-    /// Cumulative nanoseconds, including children.
-    pub total_ns: u64,
-    /// Cumulative nanoseconds minus direct children's totals (clamped at
-    /// zero — clock jitter can make children appear to outlast parents by
-    /// nanoseconds).
-    pub self_ns: u64,
-}
+use muse_obs::span::{fold, FoldedSpan};
 
 /// Aggregate span exits into per-path totals with self time, sorted by
 /// path for determinism.
-pub fn fold(exits: &[SpanExit]) -> Vec<FoldedSpan> {
-    let mut totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new(); // path → (count, total)
-    for e in exits {
-        let slot = totals.entry(e.path.as_str()).or_insert((0, 0));
-        slot.0 += 1;
-        slot.1 += e.dur_ns;
-    }
-    totals
-        .iter()
-        .map(|(path, &(count, total_ns))| {
-            let children_ns: u64 = totals
-                .range::<str, _>((std::ops::Bound::Excluded(*path), std::ops::Bound::Unbounded))
-                .take_while(|(p, _)| p.starts_with(*path))
-                .filter(|(p, _)| is_direct_child(path, p))
-                .map(|(_, &(_, t))| t)
-                .sum();
-            FoldedSpan {
-                path: path.to_string(),
-                count,
-                total_ns,
-                self_ns: total_ns.saturating_sub(children_ns),
-            }
-        })
-        .collect()
-}
-
-/// Is `candidate` exactly one segment below `parent`?
-fn is_direct_child(parent: &str, candidate: &str) -> bool {
-    candidate
-        .strip_prefix(parent)
-        .and_then(|rest| rest.strip_prefix('/'))
-        .is_some_and(|tail| !tail.is_empty() && !tail.contains('/'))
-}
-
-/// Render folded spans as collapsed stacks: one `seg;seg;seg self_ns` line
-/// per path with non-zero self time, in deterministic flame order — a
-/// depth-first tree walk with siblings sorted hottest (self time) first,
-/// name as tie-break — so flame outputs of the same trace are stable and
-/// profile diffs line up row for row.
-pub fn collapsed(folded: &[FoldedSpan]) -> String {
-    let rows: Vec<(&str, u64)> = folded.iter().map(|f| (f.path.as_str(), f.self_ns)).collect();
-    let mut out = String::new();
-    for idx in tree_order_indices(&rows, '/') {
-        let span = &folded[idx];
-        if span.self_ns == 0 {
-            continue;
-        }
-        out.push_str(&span.path.replace('/', ";"));
-        out.push(' ');
-        out.push_str(&span.self_ns.to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Deterministic flame ordering over `(path, self_weight)` rows: indices in
-/// depth-first tree order, siblings sorted by self weight descending then
-/// path. Rows whose parent path is absent are treated as roots. Shared by
-/// the span-event flame ('/'-separated paths) and `muse-trace prof`
-/// (';'-separated folded stacks).
-pub fn tree_order_indices(rows: &[(&str, u64)], sep: char) -> Vec<usize> {
-    let by_path: BTreeMap<&str, usize> = rows.iter().enumerate().map(|(i, r)| (r.0, i)).collect();
-    // parent index (or None for roots) → children indices.
-    let mut children: BTreeMap<Option<usize>, Vec<usize>> = BTreeMap::new();
-    for (i, (path, _)) in rows.iter().enumerate() {
-        let parent = path.rfind(sep).and_then(|cut| by_path.get(&path[..cut]).copied());
-        children.entry(parent).or_default().push(i);
-    }
-    for siblings in children.values_mut() {
-        siblings.sort_by(|&a, &b| rows[b].1.cmp(&rows[a].1).then_with(|| rows[a].0.cmp(rows[b].0)));
-    }
-    let mut order = Vec::with_capacity(rows.len());
-    let mut stack: Vec<usize> = children.get(&None).cloned().unwrap_or_default();
-    stack.reverse();
-    while let Some(idx) = stack.pop() {
-        order.push(idx);
-        if let Some(kids) = children.get(&Some(idx)) {
-            stack.extend(kids.iter().rev());
-        }
-    }
-    order
+pub fn fold_exits(exits: &[SpanExit]) -> Vec<FoldedSpan> {
+    fold(exits.iter().map(|e| (e.path.as_str(), 1, e.dur_ns)))
 }
 
 /// Folded spans ranked by self time, descending (path as tie-break).
@@ -125,78 +32,14 @@ mod tests {
     }
 
     #[test]
-    fn self_time_subtracts_direct_children_only() {
-        let exits = vec![
-            exit("a", 1000),
-            exit("a/b", 600),
-            exit("a/b/c", 100),
-            exit("a/d", 150),
-            // Not a child of "a": shares the prefix string but not the path.
-            exit("ax", 42),
-        ];
-        let folded = fold(&exits);
-        let get = |p: &str| folded.iter().find(|f| f.path == p).unwrap();
-        assert_eq!(get("a").total_ns, 1000);
-        // a's direct children are a/b and a/d — NOT a/b/c, not ax.
-        assert_eq!(get("a").self_ns, 1000 - 600 - 150);
-        assert_eq!(get("a/b").self_ns, 500);
-        assert_eq!(get("a/b/c").self_ns, 100);
-        assert_eq!(get("ax").self_ns, 42);
-    }
-
-    #[test]
-    fn repeated_paths_accumulate() {
-        let exits = vec![exit("x", 10), exit("x", 30), exit("x/y", 5)];
-        let folded = fold(&exits);
-        let x = folded.iter().find(|f| f.path == "x").unwrap();
-        assert_eq!(x.count, 2);
-        assert_eq!(x.total_ns, 40);
-        assert_eq!(x.self_ns, 35);
-    }
-
-    #[test]
-    fn child_outlasting_parent_clamps_to_zero() {
-        let exits = vec![exit("p", 100), exit("p/q", 120)];
-        let folded = fold(&exits);
-        assert_eq!(folded.iter().find(|f| f.path == "p").unwrap().self_ns, 0);
-    }
-
-    #[test]
-    fn collapsed_format_is_semicolon_separated() {
-        let exits = vec![exit("a", 100), exit("a/b", 100)];
-        let text = collapsed(&fold(&exits));
-        // "a" has zero self time and is omitted; a/b keeps its 100.
-        assert_eq!(text, "a;b 100\n");
-    }
-
-    #[test]
-    fn collapsed_orders_siblings_by_self_time_then_name() {
-        let exits = vec![
-            exit("root", 1000),
-            exit("root/cold", 50),
-            exit("root/hot", 500),
-            exit("root/hot/leaf", 200),
-            exit("root/warm", 250),
-            // Two zero-padded siblings tie on self time → name order.
-            exit("root/bbb", 10),
-            exit("root/aaa", 10),
-        ];
-        let text = collapsed(&fold(&exits));
-        let paths: Vec<&str> = text.lines().map(|l| l.rsplit_once(' ').unwrap().0).collect();
-        // Depth-first: hot subtree (self 300) first, its child inside it,
-        // then warm (250), cold (50), then the 10/10 tie in name order.
-        // root itself has self 1000-820=180... listed first as the root.
-        assert_eq!(
-            paths,
-            vec!["root", "root;hot", "root;hot;leaf", "root;warm", "root;cold", "root;aaa", "root;bbb"],
-            "text:\n{text}"
-        );
+    fn exits_of_one_path_sum_into_one_row() {
+        let folded = fold_exits(&[exit("x", 10), exit("x", 30), exit("x/y", 5)]);
+        assert_eq!(folded, fold([("x", 2, 40), ("x/y", 1, 5)]));
     }
 
     #[test]
     fn ranking_is_by_self_time() {
-        let exits = vec![exit("slow", 900), exit("fast", 10), exit("mid", 50)];
-        let folded = fold(&exits);
+        let folded = fold_exits(&[exit("slow", 900), exit("fast", 10), exit("mid", 50)]);
         let ranked = by_self_time(&folded);
         assert_eq!(ranked[0].path, "slow");
         assert_eq!(ranked[2].path, "fast");

@@ -25,7 +25,7 @@
 //! muse-trace spectrum <trace.jsonl>           period-drift story: dominant-
 //!                                             period trajectory across
 //!                                             spectral sweeps + alert moves
-//! muse-trace prof <profile.folded>            sampled-profile report: top-N
+//! muse-trace prof <profile.folded>            folded-profile report: top-N
 //!                                             self/total tables, flame
 //!                                             re-emission, share diffs
 //! ```

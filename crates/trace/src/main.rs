@@ -7,7 +7,7 @@
 //! muse-trace promcheck <file|->                     validate /metrics output
 //! muse-trace quality <trace.jsonl>                  serve-path quality story
 //! muse-trace spectrum <trace.jsonl>                 period-drift story
-//! muse-trace prof <p.folded> [--out <file>]         sampled-profile report
+//! muse-trace prof <p.folded> [--out <file>]         folded-profile report
 //! muse-trace prof diff <base.folded> <new.folded> [tol]  share diff
 //! ```
 //!
@@ -88,8 +88,8 @@ fn cmd_flame(trace: &str, out: Option<&str>) -> Result<(), String> {
              or with telemetry disabled?)"
         ));
     }
-    let folded = flame::fold(&data.span_exits);
-    let collapsed = flame::collapsed(&folded);
+    let folded = flame::fold_exits(&data.span_exits);
+    let collapsed = muse_obs::span::collapsed(&folded);
     match out {
         Some(path) => {
             std::fs::write(path, &collapsed).map_err(|e| format!("cannot write {path}: {e}"))?;

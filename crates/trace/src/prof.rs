@@ -1,23 +1,22 @@
 //! Analysis of collapsed folded-stack profiles (`frame;frame <weight>`),
-//! the format the `muse-prof` sampler and `muse-eval --prof` emit.
+//! the format `muse-trace flame` writes and `GET /debug/profile` serves.
 //!
-//! Folded weights are sample counts scaled to nanoseconds (sampling period
-//! × hits), so everything here works in time shares rather than absolute
-//! durations: two profiles of the same workload at different lengths or
-//! rates still line up. [`report`] renders top-N self/total tables plus a
+//! Folded weights are self nanoseconds, and everything here works in time
+//! shares rather than absolute durations: two profiles of the same workload
+//! over runs of different lengths still line up. [`report`] renders top-N self/total tables plus a
 //! `dominant:` line, [`flame`] re-emits the stacks in deterministic flame
 //! order, and [`diff`] compares two profiles' self-time shares with the
 //! shared [`crate::tolerance`] bands.
 
-use crate::flame::tree_order_indices;
 use crate::tolerance;
+use muse_obs::span::tree_order_indices;
 use std::collections::BTreeMap;
 
 /// A parsed folded profile: leaf stacks with weights.
 pub struct FoldedProfile {
     /// `(frames, weight)` per input line, shallowest frame first.
     pub stacks: Vec<(Vec<String>, u64)>,
-    /// Sum of all weights (≈ total sampled nanoseconds).
+    /// Sum of all weights (total self nanoseconds).
     pub total: u64,
 }
 
@@ -43,7 +42,7 @@ pub fn parse(text: &str) -> Result<FoldedProfile, String> {
         stacks.push((frames, weight));
     }
     if stacks.is_empty() {
-        return Err("profile contains no stacks (was the sampler running?)".to_string());
+        return Err("profile contains no stacks (were any spans closed?)".to_string());
     }
     Ok(FoldedProfile { stacks, total })
 }
@@ -53,9 +52,9 @@ pub fn parse(text: &str) -> Result<FoldedProfile, String> {
 pub struct Node {
     /// Semicolon-joined frame path.
     pub path: String,
-    /// Weight sampled with this exact path as the leaf.
+    /// Weight with this exact path as the leaf.
     pub self_w: u64,
-    /// Weight sampled at or below this path.
+    /// Weight at or below this path.
     pub total_w: u64,
 }
 
@@ -100,7 +99,7 @@ pub fn report(profile: &FoldedProfile, top: usize) -> String {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "folded profile: {} distinct stacks, {:.3} s sampled\n",
+        "folded profile: {} distinct stacks, {:.3} s in total\n",
         profile.stacks.len(),
         profile.total as f64 * 1e-9
     ));
@@ -150,7 +149,7 @@ pub fn flame(profile: &FoldedProfile) -> String {
 }
 
 /// Minimum self-time share (percent) a path must hold in either profile to
-/// participate in a diff; below this, sampling noise dominates.
+/// participate in a diff; below this, run-to-run noise dominates.
 pub const DIFF_SHARE_FLOOR_PCT: f64 = 1.0;
 
 /// One row of a profile diff: self-time shares in percent.
@@ -158,9 +157,9 @@ pub const DIFF_SHARE_FLOOR_PCT: f64 = 1.0;
 pub struct DiffRow {
     /// Semicolon-joined frame path.
     pub path: String,
-    /// Self share in the baseline profile (percent of sampled time).
+    /// Self share in the baseline profile (percent of its total).
     pub base_pct: f64,
-    /// Self share in the current profile (percent of sampled time).
+    /// Self share in the current profile (percent of its total).
     pub cur_pct: f64,
     /// Whether the share drifted beyond the tolerance band (two-sided,
     /// via [`tolerance::drifted`] on the percent values).

@@ -89,7 +89,7 @@ pub fn render(data: &TraceData) -> String {
     }
 
     if !data.span_exits.is_empty() {
-        let folded = flame::fold(&data.span_exits);
+        let folded = flame::fold_exits(&data.span_exits);
         out.push_str(&format!("top spans by self time (of {} paths):\n", folded.len()));
         for span in flame::by_self_time(&folded).into_iter().take(TOP_N) {
             out.push_str(&format!(

@@ -1,6 +1,7 @@
-//! The tolerance band shared by the perf gate and `muse-trace diff`.
+//! The tolerance band shared by the perf gate, `muse-trace diff` and
+//! `muse-trace prof diff`.
 //!
-//! Both tools answer the same question — "is the current number worse than
+//! All three answer the same question — "is the current number worse than
 //! the baseline by more than we allow?" — and they must answer it the same
 //! way, or a trace that passes the gate could be flagged by `diff` (or
 //! vice versa). The two comparison modes:
@@ -9,7 +10,8 @@
 //!   Used for timings, where faster is always fine.
 //! * [`drifted`] — two-sided: any relative change beyond the band fails.
 //!   Used for bytes-per-call, where movement in either direction means the
-//!   kernel's data movement genuinely changed.
+//!   kernel's data movement genuinely changed, and for a profile path's
+//!   share of self time.
 
 /// Default relative tolerance: a value may be up to this much worse than
 /// baseline before a comparison fails. Generous because CI machines are

@@ -4,8 +4,7 @@
 # Replays the kernels micro-bench suite with a MUSE_OBS trace attached,
 # then judges it against the committed baseline with the rule table in
 # crates/bench/src/bin/perf_gate.rs: SIMD level, per-iteration bench
-# timings, per-call kernel byte traffic, sampling overhead and fleet
-# speedup. Before judging, `check` proves each rule fails on a doctored
+# timings, per-call kernel byte traffic and fleet speedup. Before judging, `check` proves each rule fails on a doctored
 # copy of its inputs.
 #
 # Usage:
