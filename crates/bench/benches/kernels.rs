@@ -118,7 +118,8 @@ fn bench_serve_forecast(c: &mut Criterion) {
     }
     // The rollout is memoized per window state: one ingest per iteration
     // moves the forecast base, so these time a computed rollout (plus the
-    // ingest's channel round trip and quality scoring).
+    // ingest and its quality scoring, the miss's engine round trip and the
+    // step's JSON rendering).
     for (name, horizon) in [("serve_forecast_h1", 1), ("serve_forecast_h3", 3)] {
         c.bench_function(name, |bch| {
             bch.iter(|| {

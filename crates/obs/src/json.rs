@@ -6,7 +6,8 @@
 //! object keys keep insertion order so emitted lines are stable and
 //! diff-friendly.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,6 +24,11 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object with insertion-ordered keys.
     Obj(Vec<(String, Json)>),
+    /// Pre-rendered JSON text, written verbatim by [`Json::render`]: a value
+    /// rendered once and spliced into many documents. Whoever builds it
+    /// vouches that it holds exactly one valid JSON value; [`parse`] never
+    /// produces it.
+    Raw(Arc<str>),
 }
 
 impl Json {
@@ -76,6 +82,7 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_number(*n, out),
             Json::Str(s) => write_string(s, out),
+            Json::Raw(text) => out.push_str(text),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -116,10 +123,11 @@ fn write_number(n: f64, out: &mut String) {
         out.push_str("-0");
     } else if n == n.trunc() && n.abs() < 9.0e15 {
         // Integer-valued: no fractional part, so u64 counters stay exact.
-        out.push_str(&format!("{}", n as i64));
+        // Writing into `out` (never fails) skips a `String` per number.
+        let _ = write!(out, "{}", n as i64);
     } else {
         // Shortest f64 round-trip formatting (Rust's default `{}` is).
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
@@ -135,7 +143,7 @@ fn write_string(s: &str, out: &mut String) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0C}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -517,6 +525,16 @@ mod tests {
         // Far past the bound still returns an error instead of overflowing
         // the stack.
         assert!(parse(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn raw_text_is_spliced_verbatim() {
+        let cached = Json::Arr(vec![Json::Num(0.25), Json::Num(-1.0)]);
+        let raw = Json::Raw(cached.render().into());
+        let doc = Json::obj([("a", raw.clone()), ("b", Json::Arr(vec![raw, Json::Null]))]);
+        let plain = Json::obj([("a", cached.clone()), ("b", Json::Arr(vec![cached, Json::Null]))]);
+        assert_eq!(doc.render(), plain.render());
+        assert_eq!(parse(&doc.render()).unwrap(), plain, "parse builds values, never Raw");
     }
 
     #[test]

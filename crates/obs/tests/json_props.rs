@@ -117,6 +117,60 @@ fn nesting(v: &Json) -> usize {
     }
 }
 
+/// The number formatting `render` used when every number went through its
+/// own `format!` string: the reference the in-place writer must match.
+fn formatted_number(n: f64) -> String {
+    if !n.is_finite() {
+        "null".to_string()
+    } else if n == 0.0 && n.is_sign_negative() {
+        "-0".to_string()
+    } else if n == n.trunc() && n.abs() < 9.0e15 {
+        format!("{}", n as i64)
+    } else {
+        format!("{n}")
+    }
+}
+
+#[test]
+fn numbers_render_as_format_did() {
+    let mut rng = SeededRng::new(0x4e55_4d53); // "NUMS"
+    let mut cases = vec![
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        9.0e15,
+        -9.0e15,
+        9.0e15 - 1.0,
+        -(9.0e15 - 1.0),
+        9.0e15 + 2.0,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE / 3.0,
+        f64::MAX,
+        f64::MIN,
+        f32::MIN_POSITIVE as f64 / 7.0,
+    ];
+    for _ in 0..20_000 {
+        cases.push(match rng.index(4) {
+            0 => f64::from_bits(rng.next_u64()), // any bit pattern, NaN and subnormals included
+            1 => rng.normal() as f64,            // the served predictions are widened f32s
+            2 => (rng.next_u64() % 20_000_000_000_000_000) as f64 - 1.0e16, // either side of 9e15
+            3 => f32::from_bits(rng.next_u64() as u32) as f64,
+            _ => unreachable!(),
+        });
+    }
+    for n in cases {
+        let want = formatted_number(n);
+        assert_eq!(Json::Num(n).render(), want, "{n:e} ({:#x})", n.to_bits());
+        // In a container the writer appends to the text already there.
+        assert_eq!(Json::Arr(vec![Json::Num(n), Json::Num(n)]).render(), format!("[{want},{want}]"));
+    }
+}
+
 #[test]
 fn mutated_documents_error_instead_of_panicking() {
     let mut rng = SeededRng::new(0x4a53_4f4e); // "JSON"

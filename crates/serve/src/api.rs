@@ -6,6 +6,8 @@
 //! narrows back without changing the bits — the e2e suite leans on this to
 //! assert the served forecast equals the in-process forward pass.
 
+use std::sync::Arc;
+
 use muse_obs::Json;
 
 /// Acknowledgement returned by `POST /ingest`.
@@ -93,21 +95,53 @@ pub struct ForecastResponse {
     pub prediction: Vec<f32>,
     /// Latent norms of the rollout step that produced this frame.
     pub latent_norms: LatentNorms,
-    /// How many concurrent forecast requests were coalesced into the batched
-    /// rollout that answered this one.
+    /// Forecasts answered together with this one. The engine answers each
+    /// forecast on its own, so a served response always says `1`.
     pub batch_size: usize,
+    /// `prediction` and `latent_norms` as the engine rendered them when it
+    /// computed the rollout step; [`ForecastResponse::to_json`] splices
+    /// this text in instead of formatting the floats again, so editing
+    /// those two fields of a served response does not change its JSON.
+    pub(crate) rendered: StepJson,
+}
+
+/// A rollout step's `prediction` and `latent_norms`, rendered to JSON once
+/// and shared by every forecast the memo answers with that step. It is a
+/// cache of those two fields, so it takes no part in equality.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StepJson(Option<[Json; 2]>);
+
+impl StepJson {
+    pub(crate) fn render(prediction: &[f32], latent_norms: &LatentNorms) -> StepJson {
+        let raw = |json: Json| Json::Raw(Arc::from(json.render()));
+        StepJson(Some([raw(prediction_json(prediction)), raw(latent_norms.to_json())]))
+    }
+}
+
+impl PartialEq for StepJson {
+    fn eq(&self, _: &StepJson) -> bool {
+        true
+    }
+}
+
+fn prediction_json(prediction: &[f32]) -> Json {
+    Json::Arr(prediction.iter().map(|&v| Json::Num(v as f64)).collect())
 }
 
 impl ForecastResponse {
     /// Render as a JSON object.
     pub fn to_json(&self) -> Json {
+        let [prediction, latent_norms] = match &self.rendered.0 {
+            Some(rendered) => rendered.clone(),
+            None => [prediction_json(&self.prediction), self.latent_norms.to_json()],
+        };
         Json::obj([
             ("request_id", Json::Num(self.request_id as f64)),
             ("horizon", Json::Num(self.horizon as f64)),
             ("target_index", Json::Num(self.target_index as f64)),
             ("shape", Json::Arr(self.shape.iter().map(|&d| Json::Num(d as f64)).collect())),
-            ("prediction", Json::Arr(self.prediction.iter().map(|&v| Json::Num(v as f64)).collect())),
-            ("latent_norms", self.latent_norms.to_json()),
+            ("prediction", prediction),
+            ("latent_norms", latent_norms),
             ("batch_size", Json::Num(self.batch_size as f64)),
         ])
     }
@@ -148,6 +182,7 @@ impl ForecastResponse {
             prediction,
             latent_norms,
             batch_size: num("batch_size")? as usize,
+            rendered: StepJson::default(),
         })
     }
 }
@@ -190,6 +225,7 @@ mod tests {
             prediction: vec![0.1, -2.5e-8, f32::MIN_POSITIVE, 1.0 / 3.0],
             latent_norms: LatentNorms { closeness: 1.25, period: 0.3, trend: 7.5e-3, interactive: 42.0 },
             batch_size: 2,
+            rendered: StepJson::default(),
         };
         let text = resp.to_json().render();
         let back = ForecastResponse::from_json(&muse_obs::json::parse(&text).unwrap()).unwrap();
@@ -197,6 +233,13 @@ mod tests {
         for (a, b) in back.prediction.iter().zip(&resp.prediction) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+        // The text a memo step caches renders the same bytes.
+        let cached = ForecastResponse {
+            rendered: StepJson::render(&resp.prediction, &resp.latent_norms),
+            ..resp.clone()
+        };
+        assert!(matches!(cached.to_json().get("prediction"), Some(Json::Raw(_))));
+        assert_eq!(cached.to_json().render(), text);
     }
 
     #[test]

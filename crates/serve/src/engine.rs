@@ -1,14 +1,27 @@
-//! The inference engine: a dedicated thread that owns the model and the
-//! flow window, fed through a channel.
+//! The inference engine: the serving state behind one lock, and a thread
+//! that owns the model.
 //!
 //! `MuseNet` (like every tape-adjacent structure in this repo) is
 //! single-threaded by construction — parameters are `Rc`-shared — so the
-//! daemon builds the model *inside* one long-lived engine thread and
-//! serializes all access through message passing. (Activation storage
-//! comes from the process-wide tensor arena, shared by every thread.) HTTP
-//! workers block on a reply channel; the
-//! engine answers every forecast already queued behind the first one (at
-//! most `MAX_BATCH` messages) from one rollout.
+//! daemon builds the model *inside* one long-lived engine thread and never
+//! lets it leave. (Activation storage comes from the process-wide tensor
+//! arena, shared by every thread.) Everything else the daemon serves from —
+//! the flow window, the rollout memo, the quality tracker, the spectral
+//! sweeper and the counters — is one `State` behind one `Mutex`, shared by
+//! the HTTP workers and the engine thread.
+//!
+//! The calling worker answers, under that lock: ingests, stats, quality,
+//! alerts and spectrum reads, horizon and readiness checks, and every
+//! forecast whose step the memo already holds for the current window. Only
+//! a forecast that needs steps the memo lacks crosses the engine's channel
+//! (the only other message is shutdown); the engine thread takes the lock,
+//! extends the memo with the model and answers through the same code the
+//! hits use. No caller holds the lock while it waits on the channel; the
+//! engine holds it while the model runs, the same serialisation one thread
+//! gives. Each forecast is answered on its own, a batch of one: the
+//! `req.coalesce` event, the `batches` counter and the `batch_size` fields
+//! keep their names and say `1`. Forecasts of one window state share
+//! computed steps through the memo instead.
 //!
 //! The rollout is [`muse_traffic::Rollout`], the one implementation of the
 //! Table III scheme that `MuseNet::predict_multi_step` also drives, run at
@@ -17,7 +30,14 @@
 //! that index fixes every frame a rollout reads, and step `h` reads only
 //! window frames and steps `0..h`. A forecast at an unchanged window
 //! computes only the steps past the cached prefix — none for a horizon
-//! already served — and an accepted ingest starts a new memo.
+//! already served — and an accepted ingest starts a new memo. Each step's
+//! `prediction` and `latent_norms` are rendered to JSON once, when the step
+//! is computed; every forecast answered with that step splices the text in.
+//!
+//! A panic while the model extends the memo is contained: that forecast is
+//! answered [`EngineError::Panicked`], counted in `serve.panics`, and the
+//! memo is discarded while the window stays. The lock recovers from
+//! poisoning, so no panic turns every later request into an error.
 //!
 //! One [`Tape::forward_only`] tape and [`Session`] are hoisted for the
 //! engine's lifetime and `reset` between passes, so activations recycle
@@ -26,9 +46,10 @@
 //! hundred small heap allocations (graph nodes, shapes); only tensor storage
 //! is recycled.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -37,9 +58,9 @@ use muse_nn::Session;
 use muse_obs as obs;
 use muse_obs::Json;
 use muse_traffic::{GridMap, Rollout, SubSeriesSpec};
-use musenet::MuseNet;
+use musenet::{MuseNet, MuseNetConfig};
 
-use crate::api::{ForecastResponse, IngestAck, LatentNorms};
+use crate::api::{ForecastResponse, IngestAck, LatentNorms, StepJson};
 use crate::quality::{QualityConfig, QualityTracker};
 use crate::spectral::SpectralSweeper;
 use crate::window::FlowWindow;
@@ -53,9 +74,6 @@ static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 fn next_request_id() -> u64 {
     NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed)
 }
-
-/// Most queued messages swept into one batch behind a forecast.
-const MAX_BATCH: usize = 64;
 
 /// Ways a serving request can fail.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,7 +101,10 @@ pub enum EngineError {
         /// Horizon of the refused step.
         horizon: usize,
     },
-    /// The engine thread is gone (shutdown or startup failure).
+    /// The model panicked while computing this forecast's steps. The memo
+    /// was discarded; the window and later requests are unaffected.
+    Panicked,
+    /// The engine was shut down (or its thread is gone).
     Stopped,
 }
 
@@ -98,6 +119,7 @@ impl std::fmt::Display for EngineError {
                 write!(f, "horizon {horizon} outside 1..={max}")
             }
             EngineError::NonFinite { horizon } => write!(f, "non-finite prediction at horizon {horizon}"),
+            EngineError::Panicked => write!(f, "the model panicked during the rollout"),
             EngineError::Stopped => write!(f, "engine stopped"),
         }
     }
@@ -161,11 +183,12 @@ pub struct StatsSnapshot {
     pub next_index: u64,
     /// Forecast requests answered.
     pub forecasts: u64,
-    /// Batches of forecasts answered together.
+    /// Batches of forecasts answered together. Each forecast is answered
+    /// on its own, so this equals `forecasts`.
     pub batches: u64,
-    /// Size of the most recent batch.
+    /// Size of the most recent batch (`1` once any forecast was answered).
     pub last_batch_size: usize,
-    /// Largest batch coalesced so far.
+    /// Largest batch so far (`1` once any forecast was answered).
     pub max_batch_size: usize,
     /// Rollout steps computed (`infer_raw` passes).
     pub rollout_steps: u64,
@@ -198,23 +221,27 @@ impl StatsSnapshot {
 
 type ForecastReply = Sender<Result<ForecastResponse, EngineError>>;
 
-/// A forecast waiting for its batch: `(horizon, request id, reply)`.
-type Pending = (usize, u64, ForecastReply);
+/// What the engine thread sends back once the model is built.
+type Boot = Result<(EngineInfo, Arc<Mutex<State>>), String>;
 
-enum Request {
-    Ingest { req: u64, frame: Vec<f32>, reply: Sender<Result<IngestAck, EngineError>> },
-    Forecast { req: u64, horizon: usize, reply: ForecastReply },
-    Stats { reply: Sender<StatsSnapshot> },
-    Quality { reply: Sender<Json> },
-    Alerts { reply: Sender<Json> },
-    Spectrum { reply: Sender<Json> },
+/// Work only the engine thread can do.
+enum Job {
+    /// A forecast whose step the memo lacks.
+    Forecast {
+        req: u64,
+        horizon: usize,
+        reply: ForecastReply,
+    },
     Shutdown,
 }
 
-/// Handle to the engine thread. Cheap to share behind an `Arc`; all methods
-/// take `&self` and block until the engine replies.
+/// Handle to the engine. Cheap to share behind an `Arc`; all methods take
+/// `&self` and run on the calling thread under the state lock, except a
+/// forecast the memo cannot answer, which blocks until the engine thread
+/// has run the model.
 pub struct Engine {
-    tx: Sender<Request>,
+    state: Arc<Mutex<State>>,
+    tx: Sender<Job>,
     handle: Mutex<Option<JoinHandle<()>>>,
     info: EngineInfo,
 }
@@ -227,21 +254,23 @@ impl Engine {
         build: impl FnOnce() -> Result<MuseNet, String> + Send + 'static,
         opts: EngineOptions,
     ) -> Result<Engine, String> {
-        let (tx, rx) = mpsc::channel::<Request>();
-        let (info_tx, info_rx) = mpsc::channel::<Result<EngineInfo, String>>();
+        // Interned now so `muse_serve_panics_total` exports before any panic.
+        obs::counter("serve.panics");
+        let (tx, rx) = mpsc::channel::<Job>();
+        let (boot_tx, boot_rx) = mpsc::channel::<Boot>();
         let threads = opts.threads;
         let handle = std::thread::Builder::new()
             .name("muse-serve-engine".to_string())
             .spawn(move || {
-                let body = move || run_engine(build, opts, rx, info_tx);
+                let body = move || run_engine(build, opts, rx, boot_tx);
                 match threads {
                     Some(n) => muse_parallel::with_threads(n, body),
                     None => body(),
                 }
             })
             .map_err(|e| format!("failed to spawn engine thread: {e}"))?;
-        match info_rx.recv() {
-            Ok(Ok(info)) => Ok(Engine { tx, handle: Mutex::new(Some(handle)), info }),
+        match boot_rx.recv() {
+            Ok(Ok((info, state))) => Ok(Engine { state, tx, handle: Mutex::new(Some(handle)), info }),
             Ok(Err(e)) => {
                 let _ = handle.join();
                 Err(e)
@@ -274,55 +303,67 @@ impl Engine {
         &self.info
     }
 
+    /// The serving state, locked, unless the engine was shut down.
+    fn state(&self) -> Result<MutexGuard<'_, State>, EngineError> {
+        let state = lock(&self.state);
+        if state.stopped {
+            return Err(EngineError::Stopped);
+        }
+        Ok(state)
+    }
+
     /// Ingest one `2·H·W` frame (scaled units, matching training).
     pub fn ingest(&self, frame: Vec<f32>) -> Result<IngestAck, EngineError> {
         let req = next_request_id();
-        let (reply, rx) = mpsc::channel();
-        self.tx.send(Request::Ingest { req, frame, reply }).map_err(|_| EngineError::Stopped)?;
-        rx.recv().map_err(|_| EngineError::Stopped)?
+        self.state()?.ingest(req, &frame)
     }
 
-    /// Forecast `horizon` steps past the last ingested frame.
+    /// Forecast `horizon` steps past the last ingested frame: from the
+    /// memo on the calling thread when it holds the step, otherwise by the
+    /// model on the engine thread.
     pub fn forecast(&self, horizon: usize) -> Result<ForecastResponse, EngineError> {
         let req = next_request_id();
+        {
+            let mut state = self.state()?;
+            state.check(req, horizon)?;
+            let cached = state.staging.cached(state.window.next_index());
+            if horizon <= cached {
+                return state.answer(req, horizon, cached, Instant::now());
+            }
+        }
         let (reply, rx) = mpsc::channel();
-        self.tx.send(Request::Forecast { req, horizon, reply }).map_err(|_| EngineError::Stopped)?;
+        self.tx.send(Job::Forecast { req, horizon, reply }).map_err(|_| EngineError::Stopped)?;
         rx.recv().map_err(|_| EngineError::Stopped)?
     }
 
     /// Live counters.
     pub fn stats(&self) -> Result<StatsSnapshot, EngineError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx.send(Request::Stats { reply }).map_err(|_| EngineError::Stopped)?;
-        rx.recv().map_err(|_| EngineError::Stopped)
+        Ok(self.state()?.snapshot())
     }
 
     /// Quality snapshot: scored/dropped counts, rolling MAE/RMSE, alerts
     /// (the `GET /quality` payload).
     pub fn quality(&self) -> Result<Json, EngineError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx.send(Request::Quality { reply }).map_err(|_| EngineError::Stopped)?;
-        rx.recv().map_err(|_| EngineError::Stopped)
+        Ok(self.state()?.tracker.snapshot_json())
     }
 
     /// Alert rule statuses (the `GET /alerts` payload).
     pub fn alerts(&self) -> Result<Json, EngineError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx.send(Request::Alerts { reply }).map_err(|_| EngineError::Stopped)?;
-        rx.recv().map_err(|_| EngineError::Stopped)
+        Ok(self.state()?.tracker.alerts_json())
     }
 
     /// Last spectral-sweep result (the `GET /spectrum` payload).
     pub fn spectrum(&self) -> Result<Json, EngineError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx.send(Request::Spectrum { reply }).map_err(|_| EngineError::Stopped)?;
-        rx.recv().map_err(|_| EngineError::Stopped)
+        let state = self.state()?;
+        Ok(spectrum_json(&state.sweeper, &state.tracker))
     }
 
-    /// Stop the engine thread and wait for it. Idempotent.
+    /// Stop the engine thread and wait for it; every later call answers
+    /// [`EngineError::Stopped`]. Idempotent.
     pub fn shutdown(&self) {
-        let _ = self.tx.send(Request::Shutdown);
-        if let Some(handle) = self.handle.lock().expect("engine handle lock").take() {
+        lock(&self.state).stopped = true;
+        let _ = self.tx.send(Job::Shutdown);
+        if let Some(handle) = lock(&self.handle).take() {
             let _ = handle.join();
         }
     }
@@ -334,16 +375,40 @@ impl Drop for Engine {
     }
 }
 
+/// Lock `m` even if a panic poisoned it. The engine thread contains model
+/// panics before they can poison the state lock; anything else that
+/// unwinds while holding it (an HTTP handler, say) leaves the state
+/// usable, and one panic must not turn every later request into a `500`.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// One computed rollout step's latent norms and rendered JSON.
+struct Step {
+    norms: LatentNorms,
+    json: StepJson,
+}
+
 /// The rollout memo: a batch-1 [`Rollout`] from window state
-/// `rollout.bases()[0]`, plus the latent norms of each computed step.
+/// `rollout.bases()[0]`, plus what each computed step answers with besides
+/// its prediction.
 struct Staging {
     rollout: Rollout,
-    norms: Vec<LatentNorms>,
+    steps: Vec<Step>,
 }
 
 impl Staging {
     fn new(grid: GridMap, spec: &SubSeriesSpec) -> Staging {
-        Staging { rollout: Rollout::new(grid, *spec), norms: Vec::with_capacity(spec.intervals_per_day) }
+        Staging { rollout: Rollout::new(grid, *spec), steps: Vec::with_capacity(spec.intervals_per_day) }
+    }
+
+    /// Steps held for the window state whose next frame is `next`.
+    fn cached(&self, next: u64) -> usize {
+        if self.rollout.bases() == [next as usize] {
+            self.rollout.computed()
+        } else {
+            0
+        }
     }
 
     /// Extend the memo to `max_h` rollout steps past the window's newest
@@ -357,23 +422,25 @@ impl Staging {
         window: &FlowWindow,
         max_h: usize,
     ) -> usize {
-        let next = window.next_index() as usize;
-        if self.rollout.bases() != [next] {
-            self.rollout.start(&[next]);
-            self.norms.clear();
+        let next = window.next_index();
+        let cached = self.cached(next);
+        if cached == 0 {
+            self.rollout.start(&[next as usize]);
+            self.steps.clear();
         }
-        let cached = self.rollout.computed();
         while self.rollout.computed() < max_h {
             self.rollout.advance(window, |b| {
                 tape.reset();
                 session.reset();
                 let out = model.infer_raw(session, &b.closeness, &b.period, &b.trend);
-                self.norms.push(LatentNorms {
+                let norms = LatentNorms {
                     closeness: out.exclusive_mu_norms[0],
                     period: out.exclusive_mu_norms[1],
                     trend: out.exclusive_mu_norms[2],
                     interactive: out.interactive_mu_norm,
-                });
+                };
+                let json = StepJson::render(out.prediction.as_slice(), &norms);
+                self.steps.push(Step { norms, json });
                 out.prediction
             });
         }
@@ -381,9 +448,9 @@ impl Staging {
     }
 }
 
-/// Everything the engine thread owns besides the hoisted tape and session.
-struct Serving {
-    model: MuseNet,
+/// Everything the daemon serves from except the model, shared by the HTTP
+/// workers and the engine thread behind one lock.
+struct State {
     spec: SubSeriesSpec,
     grid: GridMap,
     window: FlowWindow,
@@ -393,45 +460,40 @@ struct Serving {
     spectral_every: u64,
     frames_ingested: u64,
     forecasts: u64,
-    batches: u64,
-    last_batch_size: usize,
-    max_batch_size: usize,
     rollout_steps: u64,
     memo_hits: u64,
+    /// Set by [`Engine::shutdown`].
+    stopped: bool,
 }
 
-impl Serving {
-    fn new(model: MuseNet, opts: &EngineOptions) -> Serving {
-        let config = model.config();
+impl State {
+    fn new(config: &MuseNetConfig, opts: &EngineOptions) -> State {
         let (spec, grid) = (config.spec, config.grid);
-        Serving {
+        State {
             window: FlowWindow::for_spec(grid, &spec),
             staging: Staging::new(grid, &spec),
             tracker: QualityTracker::new(spec.intervals_per_day, &opts.quality),
             sweeper: SpectralSweeper::new(),
             spectral_every: opts.spectral_every,
-            model,
             spec,
             grid,
             frames_ingested: 0,
             forecasts: 0,
-            batches: 0,
-            last_batch_size: 0,
-            max_batch_size: 0,
             rollout_steps: 0,
             memo_hits: 0,
+            stopped: false,
         }
     }
 
-    fn info(&self) -> EngineInfo {
-        let config = self.model.config();
+    fn info(&self, model: &MuseNet) -> EngineInfo {
+        let config = model.config();
         EngineInfo {
             grid: self.grid,
             spec: self.spec,
             frame_len: self.window.frame_len(),
             window_capacity: self.window.capacity(),
             max_horizon: self.spec.intervals_per_day,
-            param_count: self.model.param_count(),
+            param_count: model.param_count(),
             variant: config.variant.name().to_string(),
             d: config.d,
             k: config.k,
@@ -446,61 +508,18 @@ impl Serving {
             ready: self.window.ready(),
             next_index: self.window.next_index(),
             forecasts: self.forecasts,
-            batches: self.batches,
-            last_batch_size: self.last_batch_size,
-            max_batch_size: self.max_batch_size,
+            batches: self.forecasts,
+            last_batch_size: usize::from(self.forecasts > 0),
+            max_batch_size: usize::from(self.forecasts > 0),
             rollout_steps: self.rollout_steps,
             memo_hits: self.memo_hits,
             simd_level: muse_tensor::simd::level_name(),
         }
     }
 
-    /// One turn of the engine loop: handle `msg`; if it is a forecast, sweep
-    /// the queued backlog behind it (at most [`MAX_BATCH`] messages) and answer
-    /// every forecast collected with one rollout. Ingests land in arrival
-    /// order before that rollout, so every forecast in the batch sees the
-    /// same, freshest window. Returns whether a shutdown was requested.
-    fn turn(&mut self, msg: Request, rx: &Receiver<Request>, session: &Session<'_>, tape: &Tape) -> bool {
-        let mut waiting = Vec::new();
-        let mut stop = self.handle(msg, &mut waiting);
-        if !waiting.is_empty() {
-            // Only what is already queued: a forecast never waits for company.
-            for extra in rx.try_iter().take(MAX_BATCH) {
-                stop |= self.handle(extra, &mut waiting);
-            }
-            self.answer(waiting, session, tape);
-        }
-        stop
-    }
-
-    /// Answer `msg` unless it is a forecast, which joins `waiting` instead.
-    /// Returns whether it was a shutdown request.
-    fn handle(&mut self, msg: Request, waiting: &mut Vec<Pending>) -> bool {
-        match msg {
-            Request::Shutdown => return true,
-            Request::Forecast { req, horizon, reply } => waiting.push((horizon, req, reply)),
-            Request::Ingest { req, frame, reply } => {
-                let _ = reply.send(self.ingest(req, frame));
-            }
-            Request::Stats { reply } => {
-                let _ = reply.send(self.snapshot());
-            }
-            Request::Quality { reply } => {
-                let _ = reply.send(self.tracker.snapshot_json());
-            }
-            Request::Alerts { reply } => {
-                let _ = reply.send(self.tracker.alerts_json());
-            }
-            Request::Spectrum { reply } => {
-                let _ = reply.send(spectrum_json(&self.sweeper, &self.tracker));
-            }
-        }
-        false
-    }
-
-    fn ingest(&mut self, req: u64, frame: Vec<f32>) -> Result<IngestAck, EngineError> {
+    fn ingest(&mut self, req: u64, frame: &[f32]) -> Result<IngestAck, EngineError> {
         let _span = obs::span("serve.ingest");
-        let index = match self.window.push(&frame) {
+        let index = match self.window.push(frame) {
             Ok(index) => index,
             Err(e) => {
                 reject(req, "ingest", e.clone());
@@ -512,7 +531,7 @@ impl Serving {
         obs::emit_with("req.ingest", || {
             vec![("request", Json::Num(req as f64)), ("index", Json::Num(index as f64))]
         });
-        self.tracker.on_ingest(&self.window, index, &frame);
+        self.tracker.on_ingest(&self.window, index, frame);
         if self.spectral_every > 0
             && self.frames_ingested.is_multiple_of(self.spectral_every)
             && self.sweeper.sweep(&self.window).is_some()
@@ -522,113 +541,130 @@ impl Serving {
         Ok(IngestAck { request_id: req, index, frames: self.window.len(), ready: self.window.ready() })
     }
 
-    /// Answer one batch of forecasts from the memo, extended to the largest
-    /// valid horizon in the batch.
-    fn answer(&mut self, mut waiting: Vec<Pending>, session: &Session<'_>, tape: &Tape) {
+    /// Refuse a horizon outside `1..=max`, then a window not yet full.
+    fn check(&self, req: u64, horizon: usize) -> Result<(), EngineError> {
         let max = self.spec.intervals_per_day;
-        waiting.retain(|&(horizon, req, ref reply)| {
-            let valid = (1..=max).contains(&horizon);
-            if !valid {
-                reject(req, "forecast", format!("bad horizon {horizon}"));
-                let _ = reply.send(Err(EngineError::BadHorizon { horizon, max }));
-            }
-            valid
-        });
-        if waiting.is_empty() {
-            return;
+        if !(1..=max).contains(&horizon) {
+            reject(req, "forecast", format!("bad horizon {horizon}"));
+            return Err(EngineError::BadHorizon { horizon, max });
         }
         if !self.window.ready() {
-            let err = EngineError::NotReady { have: self.window.len(), need: self.window.capacity() };
-            for (_, req, reply) in waiting {
-                reject(req, "forecast", "not_ready".to_string());
-                let _ = reply.send(Err(err.clone()));
-            }
-            return;
+            reject(req, "forecast", "not_ready".to_string());
+            return Err(EngineError::NotReady { have: self.window.len(), need: self.window.capacity() });
         }
+        Ok(())
+    }
 
-        let batch_size = waiting.len();
-        let max_h = waiting.iter().map(|&(h, _, _)| h).max().expect("non-empty batch");
-        let rollout_id = self.batches + 1;
+    /// Extend the memo to `horizon` steps with the model, then answer. A
+    /// panic in the model discards the memo and refuses this forecast.
+    fn compute(
+        &mut self,
+        req: u64,
+        horizon: usize,
+        model: &MuseNet,
+        session: &Session<'_>,
+        tape: &Tape,
+    ) -> Result<ForecastResponse, EngineError> {
+        let started = Instant::now();
+        let State { staging, window, .. } = self;
+        let extended = catch_unwind(AssertUnwindSafe(|| {
+            let _span = obs::span("serve.forecast.batch");
+            staging.extend(model, session, tape, window, horizon)
+        }));
+        match extended {
+            Ok(cached) => self.answer(req, horizon, cached, started),
+            Err(_) => {
+                obs::counter("serve.panics").add(1);
+                reject(req, "forecast", "panic".to_string());
+                self.staging = Staging::new(self.grid, &self.spec);
+                Err(EngineError::Panicked)
+            }
+        }
+    }
+
+    /// Answer a forecast, as a batch of one, from a memo that holds its
+    /// step; `cached` steps were held before `started`.
+    fn answer(
+        &mut self,
+        req: u64,
+        horizon: usize,
+        cached: usize,
+        started: Instant,
+    ) -> Result<ForecastResponse, EngineError> {
+        let rollout_id = self.forecasts + 1;
         obs::emit_with("req.coalesce", || {
             vec![
                 ("rollout", Json::Num(rollout_id as f64)),
-                ("batch_size", Json::Num(batch_size as f64)),
-                ("requests", Json::Arr(waiting.iter().map(|&(_, req, _)| Json::Num(req as f64)).collect())),
+                ("batch_size", Json::Num(1.0)),
+                ("requests", Json::Arr(vec![Json::Num(req as f64)])),
             ]
         });
-        let started = Instant::now();
-        let cached = {
-            let _span = obs::span("serve.forecast.batch");
-            self.staging.extend(&self.model, session, tape, &self.window, max_h)
-        };
-        obs::histogram("serve.forecast.batch_size").record(batch_size as f64);
+        obs::histogram("serve.forecast.batch_size").record(1.0);
         obs::histogram("serve.forecast.rollout_ns").record(started.elapsed().as_nanos() as f64);
-        obs::counter("serve.forecasts").add(batch_size as u64);
-        let steps = max_h.saturating_sub(cached) as u64;
-        let hits = waiting.iter().filter(|&&(h, _, _)| h <= cached).count() as u64;
+        obs::counter("serve.forecasts").add(1);
+        let steps = horizon.saturating_sub(cached) as u64;
+        let hits = u64::from(horizon <= cached);
         obs::counter("serve.rollout.steps").add(steps);
         obs::counter("serve.rollout.memo_hits").add(hits);
-
-        let base = self.window.next_index();
-        for (horizon, req, reply) in waiting {
-            let prediction = self.staging.rollout.step(horizon - 1).as_slice();
-            if !prediction.iter().all(|v| v.is_finite()) {
-                obs::counter("serve.forecasts_non_finite").add(1);
-                reject(req, "forecast", "non_finite".to_string());
-                let _ = reply.send(Err(EngineError::NonFinite { horizon }));
-                continue;
-            }
-            let target = base + horizon as u64 - 1;
-            self.tracker.record_forecast(req, rollout_id, horizon, target, prediction);
-            obs::emit_with("req.forecast", || {
-                vec![
-                    ("request", Json::Num(req as f64)),
-                    ("rollout", Json::Num(rollout_id as f64)),
-                    ("horizon", Json::Num(horizon as f64)),
-                    ("target", Json::Num(target as f64)),
-                ]
-            });
-            let _ = reply.send(Ok(ForecastResponse {
-                request_id: req,
-                horizon,
-                target_index: target,
-                shape: [2, self.grid.height, self.grid.width],
-                prediction: prediction.to_vec(),
-                latent_norms: self.staging.norms[horizon - 1],
-                batch_size,
-            }));
-        }
-        self.forecasts += batch_size as u64;
-        self.batches += 1;
-        self.last_batch_size = batch_size;
-        self.max_batch_size = self.max_batch_size.max(batch_size);
+        self.forecasts += 1;
         self.rollout_steps += steps;
         self.memo_hits += hits;
+
+        let prediction = self.staging.rollout.step(horizon - 1).as_slice();
+        if !prediction.iter().all(|v| v.is_finite()) {
+            obs::counter("serve.forecasts_non_finite").add(1);
+            reject(req, "forecast", "non_finite".to_string());
+            return Err(EngineError::NonFinite { horizon });
+        }
+        let target = self.window.next_index() + horizon as u64 - 1;
+        self.tracker.record_forecast(req, rollout_id, horizon, target, prediction);
+        obs::emit_with("req.forecast", || {
+            vec![
+                ("request", Json::Num(req as f64)),
+                ("rollout", Json::Num(rollout_id as f64)),
+                ("horizon", Json::Num(horizon as f64)),
+                ("target", Json::Num(target as f64)),
+            ]
+        });
+        let step = &self.staging.steps[horizon - 1];
+        Ok(ForecastResponse {
+            request_id: req,
+            horizon,
+            target_index: target,
+            shape: [2, self.grid.height, self.grid.width],
+            prediction: prediction.to_vec(),
+            latent_norms: step.norms,
+            batch_size: 1,
+            rendered: step.json.clone(),
+        })
     }
 }
 
 fn run_engine(
     build: impl FnOnce() -> Result<MuseNet, String>,
     opts: EngineOptions,
-    rx: Receiver<Request>,
-    info_tx: Sender<Result<EngineInfo, String>>,
+    rx: Receiver<Job>,
+    boot: Sender<Boot>,
 ) {
-    let mut serving = match build() {
-        Ok(model) => Serving::new(model, &opts),
+    let model = match build() {
+        Ok(model) => model,
         Err(e) => {
-            let _ = info_tx.send(Err(e));
+            let _ = boot.send(Err(e));
             return;
         }
     };
-    if info_tx.send(Ok(serving.info())).is_err() {
+    let state = State::new(model.config(), &opts);
+    let info = state.info(&model);
+    let state = Arc::new(Mutex::new(state));
+    if boot.send(Ok((info, Arc::clone(&state)))).is_err() {
         return;
     }
     let tape = Tape::forward_only();
     let session = Session::new(&tape);
-    while let Ok(msg) = rx.recv() {
-        if serving.turn(msg, &rx, &session, &tape) {
-            break;
-        }
+    // Until `Job::Shutdown` or the last handle drops.
+    while let Ok(Job::Forecast { req, horizon, reply }) = rx.recv() {
+        let result = lock(&state).compute(req, horizon, &model, &session, &tape);
+        let _ = reply.send(result);
     }
 }
 
@@ -678,6 +714,8 @@ mod tests {
     //! Every test here holds `obs::test_lock()`: the serving counters are
     //! process-global, and `http::tests` asserts exact counts.
     use super::*;
+    use crate::api::parse_ingest_frame;
+    use muse_tensor::init::SeededRng;
     use muse_tensor::Tensor;
     use muse_traffic::FlowSeries;
     use musenet::MuseNetConfig;
@@ -755,6 +793,10 @@ mod tests {
         assert_eq!(err, EngineError::NotReady { have: 0, need: info.window_capacity });
         engine.shutdown();
         assert_eq!(engine.forecast(1), Err(EngineError::Stopped));
+        assert_eq!(engine.ingest(vec![0.0; info.frame_len]), Err(EngineError::Stopped));
+        assert_eq!(engine.stats(), Err(EngineError::Stopped));
+        assert_eq!(engine.quality(), Err(EngineError::Stopped));
+        assert_eq!(engine.spectrum(), Err(EngineError::Stopped));
     }
 
     #[test]
@@ -907,64 +949,137 @@ mod tests {
     }
 
     #[test]
-    fn queued_ingests_land_before_the_batch_and_forecasts_share_it() {
+    fn queued_misses_see_every_landed_ingest_and_share_the_memo() {
         let _g = obs::test_lock();
         let cfg = tiny_config();
-        let n = cfg.spec.min_target() as u64;
-        let frame_len = 2 * cfg.grid.cells();
-        let mut serving = Serving::new(musenet::MuseNet::new(cfg), &EngineOptions::default());
-        for i in 0..n {
-            serving.ingest(0, frame_at(i, frame_len)).unwrap();
-        }
-        // Queue an ingest and a second forecast behind the first forecast,
-        // then a shutdown: one turn answers all of it.
-        let (tx, rx) = mpsc::channel();
-        let (ingest_reply, ingest_rx) = mpsc::channel();
-        let (second_reply, second_rx) = mpsc::channel();
-        tx.send(Request::Ingest { req: 2, frame: frame_at(n, frame_len), reply: ingest_reply }).unwrap();
-        tx.send(Request::Forecast { req: 3, horizon: 2, reply: second_reply }).unwrap();
-        tx.send(Request::Shutdown).unwrap();
-        let (first_reply, first_rx) = mpsc::channel();
-        let tape = Tape::forward_only();
-        let session = Session::new(&tape);
-        let first = Request::Forecast { req: 1, horizon: 1, reply: first_reply };
-        assert!(serving.turn(first, &rx, &session, &tape), "the queued shutdown is reported");
-
-        assert_eq!(ingest_rx.recv().unwrap().unwrap().index, n);
-        let (first, second) = (first_rx.recv().unwrap().unwrap(), second_rx.recv().unwrap().unwrap());
-        // next_index is n+1 once the queued frame lands, so horizon 1
-        // targets frame n+1.
-        assert_eq!(first.target_index, n + 1, "forecast must target the post-ingest index");
-        assert_eq!(second.target_index, n + 2);
-        assert_eq!((first.batch_size, second.batch_size), (2, 2));
-        let stats = serving.snapshot();
-        assert_eq!((stats.batches, stats.forecasts, stats.rollout_steps), (1, 2, 2));
+        let n = cfg.spec.min_target();
+        let engine = start_filled(&cfg, n);
+        let frame_len = engine.info().frame_len;
+        // Two misses queue behind the held lock; an ingest lands before
+        // the engine thread can take it.
+        let (first, second) = {
+            let mut state = lock(&engine.state);
+            let (first_reply, first) = mpsc::channel();
+            let (second_reply, second) = mpsc::channel();
+            engine.tx.send(Job::Forecast { req: 1, horizon: 2, reply: first_reply }).unwrap();
+            engine.tx.send(Job::Forecast { req: 2, horizon: 1, reply: second_reply }).unwrap();
+            state.ingest(3, &frame_at(n as u64, frame_len)).unwrap();
+            (first, second)
+        };
+        let (first, second) = (first.recv().unwrap().unwrap(), second.recv().unwrap().unwrap());
+        assert_eq!(first.target_index, n as u64 + 2, "the forecast must see the landed ingest");
+        assert_eq!(second.target_index, n as u64 + 1);
+        let expected = reference(&cfg, n + 1, 2);
+        assert_bits(&first, &expected[1]);
+        assert_bits(&second, &expected[0]);
+        assert_eq!((first.batch_size, second.batch_size), (1, 1));
+        let stats = engine.stats().unwrap();
+        assert_eq!((stats.batches, stats.forecasts), (2, 2), "each forecast is a batch of one");
+        assert_eq!((stats.rollout_steps, stats.memo_hits), (2, 1), "the second miss found its step computed");
     }
 
     #[test]
-    fn a_turn_sweeps_at_most_max_batch_queued_messages() {
+    fn memo_hits_splice_the_text_rendered_with_the_step() {
+        let _g = obs::test_lock();
+        let cfg = day_config();
+        let engine = start_filled(&cfg, cfg.spec.min_target());
+        let computed = engine.forecast(24).unwrap();
+        for h in [24, 3, 1] {
+            let resp = engine.forecast(h).unwrap();
+            let json = resp.to_json();
+            assert!(matches!(json.get("prediction"), Some(Json::Raw(_))), "horizon {h}");
+            let fresh = ForecastResponse { rendered: StepJson::default(), ..resp.clone() };
+            assert_eq!(json.render(), fresh.to_json().render(), "horizon {h}: cached text diverged");
+        }
+        assert!(matches!(computed.to_json().get("latent_norms"), Some(Json::Raw(_))), "computed on a miss");
+        assert_eq!(engine.stats().unwrap().memo_hits, 3);
+    }
+
+    #[test]
+    fn mutated_ingest_bodies_are_refused_and_leave_the_state_alone() {
         let _g = obs::test_lock();
         let cfg = tiny_config();
         let n = cfg.spec.min_target() as u64;
-        let frame_len = 2 * cfg.grid.cells();
-        let mut serving = Serving::new(musenet::MuseNet::new(cfg), &EngineOptions::default());
-        for i in 0..n {
-            serving.ingest(0, frame_at(i, frame_len)).unwrap();
+        let engine = start_filled(&cfg, n as usize);
+        let frame_len = engine.info().frame_len;
+        engine.forecast(2).unwrap();
+        let observed = |engine: &Engine| {
+            let state = lock(&engine.state);
+            let memo = (state.staging.rollout.bases().to_vec(), state.staging.rollout.computed());
+            (state.frames_ingested, state.window.next_index(), memo)
+        };
+        let mut rng = SeededRng::new(0x494e_4753); // "INGS"
+        let mut accepted = 0;
+        for case in 0..600u64 {
+            let frame = frame_at(n + case, frame_len);
+            let raw: Vec<u8> = frame.iter().flat_map(|v| v.to_le_bytes()).collect();
+            let mut body = raw.clone();
+            let mut content_type = "application/octet-stream";
+            match rng.index(6) {
+                // Truncated anywhere, including inside one float.
+                0 => body.truncate(rng.index(raw.len())),
+                // One value turned into a NaN or an infinity.
+                1 => {
+                    let at = 4 * rng.index(frame_len);
+                    // Exponent all ones: ±infinity, or a NaN when the mantissa is non-zero.
+                    let sign_and_mantissa =
+                        if rng.chance(0.5) { 0 } else { rng.next_u64() as u32 & 0x807f_ffff };
+                    let bits = 0x7f80_0000 | sign_and_mantissa;
+                    body[at..at + 4].copy_from_slice(&bits.to_le_bytes());
+                }
+                // Random bit flips: some still decode to a finite frame.
+                2 => {
+                    for _ in 0..1 + rng.index(3) {
+                        let at = rng.index(body.len());
+                        body[at] ^= 1 << rng.index(8);
+                    }
+                }
+                // Oversized: extra floats, or the frame many times over.
+                3 => {
+                    let copies = if rng.chance(0.5) { 2 } else { 1 + rng.index(4096) };
+                    body = raw.repeat(copies);
+                    body.extend_from_slice(&raw[..4 * rng.index(frame_len)]);
+                }
+                // JSON variants.
+                _ => {
+                    content_type = "application/json";
+                    let mut values: Vec<String> = frame.iter().map(|v| v.to_string()).collect();
+                    let at = rng.index(frame_len);
+                    match rng.index(8) {
+                        0 => values[at] = "null".into(),
+                        1 => values[at] = "1e999".into(),
+                        2 => values[at] = "-1e39".into(),
+                        3 => values[at] = "\"0.5\"".into(),
+                        4 => values[at] = "[0.5]".into(),
+                        5 => drop(values.pop()),
+                        6 => values.push("0.5".into()),
+                        _ => {}
+                    }
+                    let key = if rng.chance(0.1) { "frames" } else { "frame" };
+                    let text = format!("{{\"{key}\": [{}]}}", values.join(","));
+                    let cut = if rng.chance(0.2) { rng.index(text.len()) } else { text.len() };
+                    body = text.into_bytes();
+                    body.truncate(cut);
+                }
+            }
+            let before = observed(&engine);
+            let result = match parse_ingest_frame(content_type, &body) {
+                Ok(frame) => engine.ingest(frame),
+                Err(msg) => Err(EngineError::BadFrame(msg)),
+            };
+            match result {
+                Ok(ack) => {
+                    assert_eq!(ack.index, before.1, "case {case}");
+                    accepted += 1;
+                }
+                Err(EngineError::BadFrame(_)) => {
+                    assert_eq!(observed(&engine), before, "case {case}: a refused frame changed the state")
+                }
+                Err(other) => panic!("case {case}: refused as {other:?}"),
+            }
         }
-        let (tx, rx) = mpsc::channel();
-        let (reply, replies) = mpsc::channel();
-        for req in 0..MAX_BATCH as u64 + 3 {
-            tx.send(Request::Forecast { req, horizon: 1, reply: reply.clone() }).unwrap();
-        }
-        let tape = Tape::forward_only();
-        let session = Session::new(&tape);
-        let first = rx.recv().unwrap();
-        assert!(!serving.turn(first, &rx, &session, &tape));
-
-        assert_eq!(replies.try_iter().count(), MAX_BATCH + 1, "the first forecast plus MAX_BATCH swept");
-        assert_eq!(rx.try_iter().count(), 2, "the rest waits for the next turn");
-        let stats = serving.snapshot();
-        assert_eq!((stats.batches, stats.last_batch_size), (1, MAX_BATCH + 1));
+        assert!((1..600).contains(&accepted), "the sweep needs both outcomes ({accepted} accepted)");
+        assert_eq!(engine.stats().unwrap().frames_ingested, n + accepted);
     }
 
     #[test]

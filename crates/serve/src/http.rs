@@ -245,7 +245,7 @@ fn engine_error(err: EngineError) -> Response {
             fields.push(("horizon", Json::Num(*horizon as f64)));
             500
         }
-        EngineError::Stopped => 500,
+        EngineError::Panicked | EngineError::Stopped => 500,
     };
     (status, JSON_CONTENT_TYPE, Json::obj(fields).render())
 }
@@ -259,9 +259,11 @@ mod tests {
     use musenet::{MuseNet, MuseNetConfig};
 
     fn boot() -> Server {
-        let grid = GridMap::new(2, 3);
-        let spec = SubSeriesSpec { lc: 2, lp: 1, lt: 1, intervals_per_day: 2, trend_days: 7 };
-        let mut cfg = MuseNetConfig::cpu_profile(grid, spec);
+        serve(SubSeriesSpec { lc: 2, lp: 1, lt: 1, intervals_per_day: 2, trend_days: 7 })
+    }
+
+    fn serve(spec: SubSeriesSpec) -> Server {
+        let mut cfg = MuseNetConfig::cpu_profile(GridMap::new(2, 3), spec);
         cfg.d = 4;
         cfg.k = 8;
         cfg.seed = 3;
@@ -390,6 +392,35 @@ mod tests {
         assert!(post(addr, "/spectrum", "text/plain", b"").0.starts_with("HTTP/1.1 405 "));
         assert!(raw(addr, b"GET /healthz HTTP/1.1\nHost: x\r\n\r\n").starts_with("HTTP/1.1 400 "));
         assert!(raw(addr, b"FROB /healthz HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 405 "));
+    }
+
+    #[test]
+    fn a_panicking_rollout_is_a_500_and_serving_goes_on() {
+        let _g = obs::test_lock();
+        // Two-day period lags on a window one day deep: the spec passes
+        // `MuseNetConfig::validate`, but every rollout step reads a frame
+        // the window never held and panics on the engine thread.
+        let server = serve(SubSeriesSpec { lc: 2, lp: 2, lt: 1, intervals_per_day: 2, trend_days: 1 });
+        let addr = server.addr();
+        let info = server.engine().info().clone();
+        let raw_frame: Vec<u8> = (0..info.frame_len).flat_map(|i| (0.1 * i as f32).to_le_bytes()).collect();
+        let ingest = || post(addr, "/ingest", "application/octet-stream", &raw_frame).0;
+        for _ in 0..info.window_capacity {
+            assert!(ingest().starts_with("HTTP/1.1 200 "));
+        }
+        let panics = obs::counter("serve.panics").get();
+        for _ in 0..2 {
+            let (head, body) = get(addr, "/forecast?horizon=1");
+            assert!(head.starts_with("HTTP/1.1 500 "), "{head}");
+            assert!(body.contains("panicked"), "{body}");
+        }
+        assert_eq!(obs::counter("serve.panics").get(), panics + 2, "each refused forecast is counted");
+        let (head, body) = get(addr, "/healthz");
+        assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+        assert!(body.contains("\"ready\":true"), "{body}");
+        assert!(ingest().starts_with("HTTP/1.1 200 "), "the window survives the panic");
+        let (_, body) = get(addr, "/metrics");
+        assert!(body.contains(&format!("muse_serve_panics_total {}", panics + 2)), "{body}");
     }
 
     #[test]

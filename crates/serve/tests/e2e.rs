@@ -1,17 +1,19 @@
 //! End-to-end: train a tiny MUSE-Net, save a self-describing checkpoint,
 //! boot the daemon on an ephemeral port, ingest frames over HTTP, and
 //! verify `/forecast` is bit-identical to the in-process forward pass —
-//! for every kernel thread count. Also: a hostile ingest body is a 400,
-//! not a dead daemon.
+//! for every kernel thread count, and under concurrent clients. Also: a
+//! hostile ingest body is a 400, not a dead daemon.
 
 use muse_obs as obs;
 use muse_obs::http::fetch;
 use muse_serve::{Engine, EngineOptions, ForecastResponse, Server, ServerOptions};
+use muse_tensor::init::SeededRng;
 use muse_tensor::Tensor;
 use muse_traffic::{FlowSeries, GridMap, SubSeriesSpec};
 use musenet::{MuseNet, MuseNetConfig, Trainer, TrainerOptions};
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn synthetic_series(grid: GridMap, spec: &SubSeriesSpec, t: usize) -> FlowSeries {
     let frame_len = 2 * grid.cells();
@@ -146,4 +148,81 @@ fn deeply_nested_json_ingest_is_a_400_and_the_daemon_survives() {
     let (head, _) = get(addr, "/healthz");
     assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
     std::fs::remove_file(ckpt).ok();
+}
+
+#[test]
+fn concurrent_clients_get_the_in_process_rollout_of_their_window() {
+    let grid = GridMap::new(3, 4);
+    let spec = SubSeriesSpec { lc: 2, lp: 1, lt: 1, intervals_per_day: 4, trend_days: 2 };
+    let mut cfg = MuseNetConfig::cpu_profile(grid, spec);
+    cfg.d = 4;
+    cfg.k = 8;
+    cfg.seed = 29;
+    let (fill, max) = (spec.min_target(), spec.intervals_per_day);
+    let t = fill + 40;
+    let flows = synthetic_series(grid, &spec, t);
+    // Every window state the clients can see, every horizon.
+    let bases: Vec<usize> = (fill..=t).collect();
+    let expected = MuseNet::new(cfg.clone()).predict_multi_step(&flows, &spec, &bases, max);
+
+    let engine = Engine::start(move || Ok(MuseNet::new(cfg)), EngineOptions::default()).unwrap();
+    let server = Server::start(Arc::new(engine), ServerOptions::default()).unwrap();
+    let addr = server.addr();
+    let frame_len = 2 * grid.cells();
+    let frame = |i: usize| flows.tensor().as_slice()[i * frame_len..(i + 1) * frame_len].to_vec();
+    for i in 0..fill {
+        assert!(post_raw_frame(addr, &frame(i)).0.starts_with("HTTP/1.1 200 "));
+    }
+
+    // The next frame to ingest, held while it is posted so frames land in
+    // order whichever client sends them.
+    let next = Mutex::new(fill);
+    let started = Instant::now();
+    let served: Vec<ForecastResponse> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4u64)
+            .map(|client| {
+                let (next, frame) = (&next, &frame);
+                scope.spawn(move || {
+                    let mut rng = SeededRng::new(0x434c_4945 + client); // "CLIE"
+                    let mut served = Vec::new();
+                    loop {
+                        if rng.chance(0.25) {
+                            let mut next = next.lock().unwrap();
+                            if *next == t {
+                                return served;
+                            }
+                            let (head, _) = post_raw_frame(addr, &frame(*next));
+                            assert!(head.starts_with("HTTP/1.1 200 "), "frame {next}: {head}");
+                            *next += 1;
+                        } else {
+                            let h = 1 + rng.index(max);
+                            let (head, body) = get(addr, &format!("/forecast?horizon={h}"));
+                            assert!(head.starts_with("HTTP/1.1 200 "), "{head} {body}");
+                            served.push(
+                                ForecastResponse::from_json(&obs::json::parse(&body).unwrap()).unwrap(),
+                            );
+                        }
+                    }
+                })
+            })
+            .collect();
+        clients.into_iter().flat_map(|c| c.join().unwrap()).collect()
+    });
+    assert!(started.elapsed() < Duration::from_secs(60), "took {:?}", started.elapsed());
+
+    for resp in &served {
+        let base = resp.target_index as usize + 1 - resp.horizon;
+        assert!((fill..=t).contains(&base), "base {base} was never a window state");
+        let row =
+            &expected[resp.horizon - 1].as_slice()[(base - fill) * frame_len..(base - fill + 1) * frame_len];
+        let got: Vec<u32> = resp.prediction.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "horizon {} from base {base} diverged", resp.horizon);
+    }
+    let (_, body) = get(addr, "/stats");
+    let stats = obs::json::parse(&body).unwrap();
+    let serving = |name: &str| stats.get("serving").and_then(|s| s.get(name)).and_then(|v| v.as_f64());
+    assert_eq!(serving("forecasts"), Some(served.len() as f64), "/stats counts every 200");
+    assert_eq!(serving("frames_ingested"), Some(t as f64));
+    assert!(serving("memo_hits") > Some(0.0), "concurrent forecasts share the memo");
 }

@@ -222,8 +222,9 @@ pub struct RequestEvent {
     pub reason: Option<String>,
 }
 
-/// One `req.coalesce` event: the engine batching several pending forecast
-/// requests into a single model rollout.
+/// One `req.coalesce` event: the forecast requests one answer served. The
+/// daemon answers each forecast on its own, so it emits batches of one;
+/// the reader accepts any size.
 #[derive(Debug, Clone)]
 pub struct CoalesceEvent {
     /// Rollout batch id assigned to the coalesced work.

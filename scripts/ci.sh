@@ -109,13 +109,14 @@ serve_checks() {
     # No ingest in between: the same window state answers from the rollout memo.
     curl -sf "http://$SERVE_ADDR/forecast?horizon=1" -o /dev/null
     memo_hits=$(curl -sf "http://$SERVE_ADDR/stats" | grep -o '"memo_hits":[0-9]*' | cut -d: -f2)
-    [ "${memo_hits:-0}" -ge 1 ] || { echo "/stats reports no rollout memo hit (memo_hits=${memo_hits:-missing})" >&2; exit 1; }
+    [ "${memo_hits:-}" = 1 ] || { echo "/stats reports memo_hits=${memo_hits:-missing} after one computed and one memo-hit forecast, want 1" >&2; exit 1; }
     curl -sf "http://$SERVE_ADDR/debug/profile" | grep -q '^serve\.forecast\.batch'
     curl -sf "http://$SERVE_ADDR/metrics" -o target/ci_serve_metrics.txt
     cargo run -q --release -p muse-trace -- promcheck target/ci_serve_metrics.txt
     grep -q '^muse_serve_forecasts_total' target/ci_serve_metrics.txt
     grep -q '^muse_serve_rollout_steps_total' target/ci_serve_metrics.txt
     grep -q '^muse_serve_rollout_memo_hits_total' target/ci_serve_metrics.txt
+    grep -q '^muse_serve_panics_total' target/ci_serve_metrics.txt
     grep -q '^muse_build_info{' target/ci_serve_metrics.txt
 }
 with_daemon "http://$SERVE_ADDR/healthz" . serve_checks \
