@@ -6,6 +6,9 @@
 //! timers with nesting, atomic counters/gauges, value histograms, a global
 //! registry, and two sinks — a human console summary and a JSONL event
 //! stream written through the hand-rolled JSON encoder in [`json`].
+//! Its [`rolling`] estimators summarise live scalar streams for their
+//! owners; the drift rules that judge those streams live with their one
+//! user, `muse-serve`.
 //!
 //! Design constraints:
 //!
@@ -39,7 +42,6 @@
 //! object per line. See the repository README ("Telemetry & tracing") for
 //! the event schema.
 
-pub mod alerts;
 pub mod http;
 pub mod json;
 pub mod metrics;
@@ -48,7 +50,6 @@ pub mod serve;
 pub mod sink;
 pub mod span;
 
-pub use alerts::{AlertEngine, AlertRule, AlertState, AlertTransition};
 pub use json::{Json, ToJson};
 pub use metrics::{counter, gauge, gauge_owned, histogram, kernel, Counter, Gauge, Histogram, KernelStat};
 pub use rolling::{DecayingHistogram, Ewma, RollingStats};

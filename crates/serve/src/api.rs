@@ -95,9 +95,6 @@ pub struct ForecastResponse {
     pub prediction: Vec<f32>,
     /// Latent norms of the rollout step that produced this frame.
     pub latent_norms: LatentNorms,
-    /// Forecasts answered together with this one. The engine answers each
-    /// forecast on its own, so a served response always says `1`.
-    pub batch_size: usize,
     /// `prediction` and `latent_norms` as the engine rendered them when it
     /// computed the rollout step; [`ForecastResponse::to_json`] splices
     /// this text in instead of formatting the floats again, so editing
@@ -142,7 +139,6 @@ impl ForecastResponse {
             ("shape", Json::Arr(self.shape.iter().map(|&d| Json::Num(d as f64)).collect())),
             ("prediction", prediction),
             ("latent_norms", latent_norms),
-            ("batch_size", Json::Num(self.batch_size as f64)),
         ])
     }
 
@@ -181,7 +177,6 @@ impl ForecastResponse {
             shape,
             prediction,
             latent_norms,
-            batch_size: num("batch_size")? as usize,
             rendered: StepJson::default(),
         })
     }
@@ -224,7 +219,6 @@ mod tests {
             shape: [2, 4, 5],
             prediction: vec![0.1, -2.5e-8, f32::MIN_POSITIVE, 1.0 / 3.0],
             latent_norms: LatentNorms { closeness: 1.25, period: 0.3, trend: 7.5e-3, interactive: 42.0 },
-            batch_size: 2,
             rendered: StepJson::default(),
         };
         let text = resp.to_json().render();

@@ -18,10 +18,8 @@
 //! extends the memo with the model and answers through the same code the
 //! hits use. No caller holds the lock while it waits on the channel; the
 //! engine holds it while the model runs, the same serialisation one thread
-//! gives. Each forecast is answered on its own, a batch of one: the
-//! `req.coalesce` event, the `batches` counter and the `batch_size` fields
-//! keep their names and say `1`. Forecasts of one window state share
-//! computed steps through the memo instead.
+//! gives. Each forecast is answered on its own; forecasts of one window
+//! state share computed steps through the memo.
 //!
 //! The rollout is [`muse_traffic::Rollout`], the one implementation of the
 //! Table III scheme that `MuseNet::predict_multi_step` also drives, run at
@@ -45,6 +43,9 @@
 //! steady state is not allocation-free: a forward pass still makes a few
 //! hundred small heap allocations (graph nodes, shapes); only tensor storage
 //! is recycled.
+//!
+//! Every serving counter and histogram is looked up in the registry once,
+//! when the engine boots; requests update them through the held handles.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,7 +57,7 @@ use std::time::Instant;
 use muse_autograd::Tape;
 use muse_nn::Session;
 use muse_obs as obs;
-use muse_obs::Json;
+use muse_obs::{Counter, Histogram, Json};
 use muse_traffic::{GridMap, Rollout, SubSeriesSpec};
 use musenet::{MuseNet, MuseNetConfig};
 
@@ -67,7 +68,7 @@ use crate::window::FlowWindow;
 
 /// Process-wide request ID source. Every `/ingest` and `/forecast` gets a
 /// unique ID minted at the handle, echoed in the response, and threaded
-/// through the `req.ingest` / `req.coalesce` / `req.forecast` trace events
+/// through the `req.ingest` / `req.forecast` trace events
 /// so `muse-trace quality` can reconstruct per-request lifecycles.
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -186,10 +187,6 @@ pub struct StatsSnapshot {
     /// Batches of forecasts answered together. Each forecast is answered
     /// on its own, so this equals `forecasts`.
     pub batches: u64,
-    /// Size of the most recent batch (`1` once any forecast was answered).
-    pub last_batch_size: usize,
-    /// Largest batch so far (`1` once any forecast was answered).
-    pub max_batch_size: usize,
     /// Rollout steps computed (`infer_raw` passes).
     pub rollout_steps: u64,
     /// Forecasts answered from the memo without computing a step.
@@ -210,8 +207,6 @@ impl StatsSnapshot {
             ("next_index", Json::Num(self.next_index as f64)),
             ("forecasts", Json::Num(self.forecasts as f64)),
             ("batches", Json::Num(self.batches as f64)),
-            ("last_batch_size", Json::Num(self.last_batch_size as f64)),
-            ("max_batch_size", Json::Num(self.max_batch_size as f64)),
             ("rollout_steps", Json::Num(self.rollout_steps as f64)),
             ("memo_hits", Json::Num(self.memo_hits as f64)),
             ("simd_level", Json::Str(self.simd_level.to_string())),
@@ -254,8 +249,6 @@ impl Engine {
         build: impl FnOnce() -> Result<MuseNet, String> + Send + 'static,
         opts: EngineOptions,
     ) -> Result<Engine, String> {
-        // Interned now so `muse_serve_panics_total` exports before any panic.
-        obs::counter("serve.panics");
         let (tx, rx) = mpsc::channel::<Job>();
         let (boot_tx, boot_rx) = mpsc::channel::<Boot>();
         let threads = opts.threads;
@@ -448,6 +441,32 @@ impl Staging {
     }
 }
 
+/// The serving counters and histograms, interned at boot (so each exports
+/// from then on, `muse_serve_panics_total` before any panic).
+struct Metrics {
+    frames_ingested: &'static Counter,
+    forecasts: &'static Counter,
+    rollout_steps: &'static Counter,
+    memo_hits: &'static Counter,
+    non_finite: &'static Counter,
+    panics: &'static Counter,
+    rollout_ns: &'static Histogram,
+}
+
+impl Metrics {
+    fn intern() -> Metrics {
+        Metrics {
+            frames_ingested: obs::counter("serve.frames_ingested"),
+            forecasts: obs::counter("serve.forecasts"),
+            rollout_steps: obs::counter("serve.rollout.steps"),
+            memo_hits: obs::counter("serve.rollout.memo_hits"),
+            non_finite: obs::counter("serve.forecasts_non_finite"),
+            panics: obs::counter("serve.panics"),
+            rollout_ns: obs::histogram("serve.forecast.rollout_ns"),
+        }
+    }
+}
+
 /// Everything the daemon serves from except the model, shared by the HTTP
 /// workers and the engine thread behind one lock.
 struct State {
@@ -458,6 +477,7 @@ struct State {
     tracker: QualityTracker,
     sweeper: SpectralSweeper,
     spectral_every: u64,
+    metrics: Metrics,
     frames_ingested: u64,
     forecasts: u64,
     rollout_steps: u64,
@@ -475,6 +495,7 @@ impl State {
             tracker: QualityTracker::new(spec.intervals_per_day, &opts.quality),
             sweeper: SpectralSweeper::new(),
             spectral_every: opts.spectral_every,
+            metrics: Metrics::intern(),
             spec,
             grid,
             frames_ingested: 0,
@@ -509,8 +530,6 @@ impl State {
             next_index: self.window.next_index(),
             forecasts: self.forecasts,
             batches: self.forecasts,
-            last_batch_size: usize::from(self.forecasts > 0),
-            max_batch_size: usize::from(self.forecasts > 0),
             rollout_steps: self.rollout_steps,
             memo_hits: self.memo_hits,
             simd_level: muse_tensor::simd::level_name(),
@@ -527,7 +546,7 @@ impl State {
             }
         };
         self.frames_ingested += 1;
-        obs::counter("serve.frames_ingested").add(1);
+        self.metrics.frames_ingested.add(1);
         obs::emit_with("req.ingest", || {
             vec![("request", Json::Num(req as f64)), ("index", Json::Num(index as f64))]
         });
@@ -574,7 +593,7 @@ impl State {
         match extended {
             Ok(cached) => self.answer(req, horizon, cached, started),
             Err(_) => {
-                obs::counter("serve.panics").add(1);
+                self.metrics.panics.add(1);
                 reject(req, "forecast", "panic".to_string());
                 self.staging = Staging::new(self.grid, &self.spec);
                 Err(EngineError::Panicked)
@@ -582,8 +601,8 @@ impl State {
         }
     }
 
-    /// Answer a forecast, as a batch of one, from a memo that holds its
-    /// step; `cached` steps were held before `started`.
+    /// Answer a forecast from a memo that holds its step; `cached` steps
+    /// were held before `started`.
     fn answer(
         &mut self,
         req: u64,
@@ -592,27 +611,20 @@ impl State {
         started: Instant,
     ) -> Result<ForecastResponse, EngineError> {
         let rollout_id = self.forecasts + 1;
-        obs::emit_with("req.coalesce", || {
-            vec![
-                ("rollout", Json::Num(rollout_id as f64)),
-                ("batch_size", Json::Num(1.0)),
-                ("requests", Json::Arr(vec![Json::Num(req as f64)])),
-            ]
-        });
-        obs::histogram("serve.forecast.batch_size").record(1.0);
-        obs::histogram("serve.forecast.rollout_ns").record(started.elapsed().as_nanos() as f64);
-        obs::counter("serve.forecasts").add(1);
+        let m = &self.metrics;
+        m.rollout_ns.record(started.elapsed().as_nanos() as f64);
+        m.forecasts.add(1);
         let steps = horizon.saturating_sub(cached) as u64;
         let hits = u64::from(horizon <= cached);
-        obs::counter("serve.rollout.steps").add(steps);
-        obs::counter("serve.rollout.memo_hits").add(hits);
+        m.rollout_steps.add(steps);
+        m.memo_hits.add(hits);
         self.forecasts += 1;
         self.rollout_steps += steps;
         self.memo_hits += hits;
 
         let prediction = self.staging.rollout.step(horizon - 1).as_slice();
         if !prediction.iter().all(|v| v.is_finite()) {
-            obs::counter("serve.forecasts_non_finite").add(1);
+            self.metrics.non_finite.add(1);
             reject(req, "forecast", "non_finite".to_string());
             return Err(EngineError::NonFinite { horizon });
         }
@@ -634,7 +646,6 @@ impl State {
             shape: [2, self.grid.height, self.grid.width],
             prediction: prediction.to_vec(),
             latent_norms: step.norms,
-            batch_size: 1,
             rendered: step.json.clone(),
         })
     }
@@ -680,7 +691,7 @@ fn reject(req: u64, stage: &str, reason: String) {
 }
 
 /// The `GET /spectrum` payload: the last sweep's detections plus the
-/// spectral-shift alert state.
+/// `spectral_shift` alert state.
 fn spectrum_json(sweeper: &SpectralSweeper, tracker: &QualityTracker) -> Json {
     Json::obj([
         ("sweeps", Json::Num(sweeper.sweeps() as f64)),
@@ -702,11 +713,24 @@ fn spectrum_json(sweeper: &SpectralSweeper, tracker: &QualityTracker) -> Json {
             ),
         ),
         ("dominant", sweeper.last().first().map_or(Json::Null, |p| Json::Num(p.intervals as f64))),
-        (
-            "alert",
-            Json::Str(tracker.alert_state("spectral_shift").map_or("disabled", |s| s.as_str()).to_string()),
-        ),
+        ("alert", Json::Str(tracker.spectral_shift_state().as_str().to_string())),
     ])
+}
+
+#[cfg(test)]
+impl Engine {
+    /// Swap in a full window only `depth` frames deep: it reads as ready,
+    /// but is too shallow for the spec's lags, so every later rollout step
+    /// panics on the engine thread.
+    pub(crate) fn shrink_window(&self, depth: usize) {
+        let mut state = lock(&self.state);
+        let mut window = FlowWindow::new(state.grid, depth);
+        let frame = vec![0.0; window.frame_len()];
+        for _ in 0..depth {
+            window.push(&frame).unwrap();
+        }
+        state.window = window;
+    }
 }
 
 #[cfg(test)]
@@ -972,7 +996,6 @@ mod tests {
         let expected = reference(&cfg, n + 1, 2);
         assert_bits(&first, &expected[1]);
         assert_bits(&second, &expected[0]);
-        assert_eq!((first.batch_size, second.batch_size), (1, 1));
         let stats = engine.stats().unwrap();
         assert_eq!((stats.batches, stats.forecasts), (2, 2), "each forecast is a batch of one");
         assert_eq!((stats.rollout_steps, stats.memo_hits), (2, 1), "the second miss found its step computed");

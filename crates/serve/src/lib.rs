@@ -17,8 +17,10 @@
 //!   rendered to JSON once), misses sent to the model;
 //! * [`journal`] — served forecasts awaiting ground truth, scored when the
 //!   target frame later arrives over `/ingest`;
-//! * [`quality`] — rolling MAE/RMSE estimators and the drift alert engine
-//!   behind `GET /quality` and `GET /alerts`;
+//! * [`quality`] — rolling MAE/RMSE estimators behind `GET /quality`, and
+//!   the drift rules behind `GET /alerts`;
+//! * [`alerts`] — the three drift rules (`mae_drift`, `flow_level_shift`,
+//!   `spectral_shift`) and their `ok/warning/firing` lifecycle;
 //! * [`spectral`] — the periodic FFT sweep over the live window behind
 //!   `GET /spectrum` and the `spectral_shift` alert;
 //! * [`api`] — wire types (`/ingest`, `/forecast`) over the repo's own JSON;
@@ -31,6 +33,7 @@
 //! Determinism carries over from the kernels: for a fixed checkpoint and
 //! ingestion sequence, `/forecast` is bit-identical for any `MUSE_THREADS`.
 
+pub mod alerts;
 pub mod api;
 pub mod engine;
 pub mod http;
@@ -39,6 +42,7 @@ pub mod quality;
 pub mod spectral;
 pub mod window;
 
+pub use alerts::AlertState;
 pub use api::{ForecastResponse, IngestAck, LatentNorms};
 pub use engine::{Engine, EngineError, EngineInfo, EngineOptions, StatsSnapshot};
 pub use http::{Server, ServerOptions};

@@ -11,19 +11,15 @@
 //!                    1 serves connections sequentially)
 //!   --threads <n>    kernel threads for inference (default: MUSE_THREADS/auto)
 //!   --trace <p>      write a JSONL telemetry trace to <p> (same as MUSE_OBS=<p>)
-//!   --alert <spec>   add an alert rule (repeatable); spec syntax:
-//!                    name:kind:metric=<m>:warn=..:fire=..[:for=n] with kinds
-//!                    threshold | ewma | periodic | spectral-shift
-//!                    (see muse_obs::alerts)
-//!   --no-default-alerts  drop the built-in mae_drift / flow_level_shift /
-//!                        spectral_shift rules
 //!   --journal <n>    pending-forecast journal capacity (default 4096)
 //!   --quality-window <n>  rolling error-window depth (default 256)
 //!   --spectral-every <n>  run the spectral sweep every n ingests (default 32)
 //!   --no-spectral    disable the spectral sweep and /spectrum detections
 //! ```
+//!
+//! Three drift rules always run: `mae_drift`, `flow_level_shift` and
+//! `spectral_shift` (see `muse_serve::alerts`).
 
-use muse_obs::alerts::AlertRule;
 use muse_obs::{self as obs, Json, ToJson};
 use muse_serve::{Engine, EngineOptions, QualityConfig, Server, ServerOptions};
 use std::path::PathBuf;
@@ -42,10 +38,8 @@ struct Args {
 
 fn usage() -> String {
     "usage: muse-serve --checkpoint path.ckpt [--addr host:port] [--workers n] \
-     [--threads n] [--trace path.jsonl] \
-     [--alert name:kind:...]... [--no-default-alerts] [--journal n] [--quality-window n] \
-     [--spectral-every n] [--no-spectral]\n\
-     alert kinds: threshold | ewma | periodic | spectral-shift"
+     [--threads n] [--trace path.jsonl] [--journal n] [--quality-window n] \
+     [--spectral-every n] [--no-spectral]"
         .to_string()
 }
 
@@ -72,11 +66,6 @@ fn parse_args() -> Result<Args, String> {
                 threads = Some(v.parse().map_err(|_| format!("bad threads {v}"))?);
             }
             "--trace" => trace = Some(PathBuf::from(value("--trace")?)),
-            "--alert" => {
-                let spec = value("--alert")?;
-                quality.alerts.push(AlertRule::parse(&spec).map_err(|e| format!("--alert {spec}: {e}"))?);
-            }
-            "--no-default-alerts" => quality.default_alerts = false,
             "--journal" => {
                 let v = value("--journal")?;
                 quality.journal_capacity = v.parse().map_err(|_| format!("bad journal {v}"))?;

@@ -5,26 +5,28 @@
 //! The engine owns one [`QualityTracker`]. On every `/forecast` it records
 //! the served prediction in a [`ForecastJournal`]; on every `/ingest` it
 //! settles the journal against the newly arrived ground truth, folds the
-//! scores into rolling estimators ([`muse_obs::rolling`]), feeds the alert
-//! engine ([`muse_obs::alerts`]), and publishes everything three ways:
+//! scores into rolling estimators ([`muse_obs::rolling`]), feeds the drift
+//! rules ([`crate::alerts`]), and publishes everything three ways:
 //!
 //! * gauges/counters on the registry (scraped via `/metrics`),
 //! * `forecast.scored` / `forecast.dropped` / `alert.transition` events in
 //!   the JSONL trace (analyzed by `muse-trace quality`),
 //! * JSON snapshots behind `GET /quality` and `GET /alerts`.
 //!
-//! Two default alert rules watch for the paper's distribution shifts:
-//! `mae_drift` (EWMA level shift on scored MAE — needs the model to be
-//! wrong) and `flow_level_shift` (periodic-mean residual blowout on the
-//! ingested flow level itself — fires on drift even before any forecast is
-//! scored, PRNet-style per-slot expected values as the baseline).
+//! Three drift rules watch for the paper's distribution shifts, each fed
+//! its own stream: `mae_drift` (EWMA level shift on scored MAE — needs the
+//! model to be wrong), `flow_level_shift` (periodic-mean residual blowout
+//! on the ingested flow level itself — fires on drift even before any
+//! forecast is scored, PRNet-style per-slot expected values as the
+//! baseline) and `spectral_shift` (the dominant detected period against a
+//! frozen baseline).
 
 use muse_fft::DetectedPeriod;
-use muse_obs::alerts::{self, AlertEngine, AlertRule, AlertState};
 use muse_obs::rolling::{DecayingHistogram, Ewma, RollingStats};
-use muse_obs::{self as obs, Json};
+use muse_obs::{self as obs, Gauge, Json};
 use std::collections::BTreeMap;
 
+use crate::alerts::{Alert, AlertState};
 use crate::journal::{ForecastJournal, PendingForecast, Settled};
 use crate::window::FlowWindow;
 
@@ -46,32 +48,12 @@ pub struct QualityConfig {
     pub journal_capacity: usize,
     /// Exact rolling-window depth of the error estimators.
     pub window: usize,
-    /// Install the built-in `mae_drift` / `flow_level_shift` rules.
-    pub default_alerts: bool,
-    /// Additional alert rules (see [`AlertRule::parse`]).
-    pub alerts: Vec<AlertRule>,
 }
 
 impl Default for QualityConfig {
     fn default() -> Self {
-        QualityConfig { journal_capacity: 4096, window: 256, default_alerts: true, alerts: Vec::new() }
+        QualityConfig { journal_capacity: 4096, window: 256 }
     }
-}
-
-/// The built-in alert rules, parameterized by the day length (periodic
-/// slots). Kept as specs so the README can document exactly these strings.
-pub fn default_rules(slots: usize) -> Vec<AlertRule> {
-    [
-        "mae_drift:ewma:metric=quality.mae:fast=0.3:slow=0.03:warn=1.6:fire=2.2:warmup=12:for=3".to_string(),
-        format!(
-            "flow_level_shift:periodic:metric=serve.flow.mean:slots={slots}:warn=0.35:fire=0.6:min_periods=2:floor=0.05:for=2"
-        ),
-        "spectral_shift:spectral-shift:metric=spectral.period_intervals:warn=0.2:fire=0.4:warmup=3:for=2"
-            .to_string(),
-    ]
-    .iter()
-    .map(|spec| AlertRule::parse(spec).expect("built-in alert specs parse"))
-    .collect()
 }
 
 /// Rolling error estimators for one horizon.
@@ -82,27 +64,33 @@ struct HorizonStats {
     mae_ewma: Ewma,
     rmse_ewma: Ewma,
     scored: u64,
+    /// The interned `quality.{mae,rmse}.h<h>` gauges.
+    mae_gauge: &'static Gauge,
+    rmse_gauge: &'static Gauge,
 }
 
 impl HorizonStats {
-    fn new(cfg: &QualityConfig) -> HorizonStats {
+    fn new(horizon: usize, window: usize) -> HorizonStats {
         HorizonStats {
-            mae_win: RollingStats::new(cfg.window),
-            rmse_win: RollingStats::new(cfg.window),
+            mae_win: RollingStats::new(window),
+            rmse_win: RollingStats::new(window),
             mae_ewma: Ewma::new(EWMA_ALPHA),
             rmse_ewma: Ewma::new(EWMA_ALPHA),
             scored: 0,
+            mae_gauge: obs::gauge_owned(&format!("quality.mae.h{horizon}")),
+            rmse_gauge: obs::gauge_owned(&format!("quality.rmse.h{horizon}")),
         }
     }
 }
 
-/// The engine-owned quality state: journal + estimators + alert engine.
+/// The engine-owned quality state: journal + estimators + drift rules.
 pub struct QualityTracker {
     journal: ForecastJournal,
-    cfg: QualityConfig,
-    /// Time-of-day slots (intervals per day) for periodic baselines.
-    slots: usize,
-    alerts: AlertEngine,
+    /// Rolling-window depth of each horizon's estimators.
+    window: usize,
+    mae_drift: Alert,
+    flow_level_shift: Alert,
+    spectral_shift: Alert,
     mae_ewma: Ewma,
     rmse_ewma: Ewma,
     mae_win: RollingStats,
@@ -119,13 +107,12 @@ pub struct QualityTracker {
 impl QualityTracker {
     /// Build the tracker for a model with `slots` intervals per day.
     pub fn new(slots: usize, cfg: &QualityConfig) -> QualityTracker {
-        let mut rules = if cfg.default_alerts { default_rules(slots.max(1)) } else { Vec::new() };
-        rules.extend(cfg.alerts.iter().cloned());
         QualityTracker {
             journal: ForecastJournal::new(cfg.journal_capacity),
-            cfg: cfg.clone(),
-            slots: slots.max(1),
-            alerts: AlertEngine::with_rules(rules),
+            window: cfg.window,
+            mae_drift: Alert::mae_drift(),
+            flow_level_shift: Alert::flow_level_shift(slots.max(1)),
+            spectral_shift: Alert::spectral_shift(),
             mae_ewma: Ewma::new(EWMA_ALPHA),
             rmse_ewma: Ewma::new(EWMA_ALPHA),
             mae_win: RollingStats::new(cfg.window),
@@ -162,7 +149,8 @@ impl QualityTracker {
     }
 
     /// Fold in one ingested ground-truth frame: update the flow-level
-    /// signal, settle every now-scorable journal entry, and run alerts.
+    /// signal, settle every now-scorable journal entry, and run the drift
+    /// rules.
     pub fn on_ingest(&mut self, window: &FlowWindow, index: u64, frame: &[f32]) {
         let mean = if frame.is_empty() {
             0.0
@@ -171,8 +159,7 @@ impl QualityTracker {
         };
         self.last_flow_mean = mean;
         obs::gauge("serve.flow.mean").set(mean);
-        let slot = (index % self.slots as u64) as usize;
-        let mut transitions = self.alerts.observe_slot("serve.flow.mean", slot, mean);
+        self.flow_level_shift.observe(index, mean);
 
         for settled in self.journal.settle(window) {
             match settled {
@@ -185,7 +172,10 @@ impl QualityTracker {
                     self.mae_inflow.update(s.mae_inflow);
                     self.mae_outflow.update(s.mae_outflow);
                     self.err_hist.record(s.mae * ERR_HIST_SCALE);
-                    let h = self.per_horizon.entry(s.horizon).or_insert_with(|| HorizonStats::new(&self.cfg));
+                    let h = self
+                        .per_horizon
+                        .entry(s.horizon)
+                        .or_insert_with(|| HorizonStats::new(s.horizon, self.window));
                     h.scored += 1;
                     h.mae_win.push(s.mae);
                     h.rmse_win.push(s.rmse);
@@ -195,8 +185,8 @@ impl QualityTracker {
                     obs::counter("serve.forecasts_scored").add(1);
                     obs::gauge("quality.mae").set(self.mae_ewma.value());
                     obs::gauge("quality.rmse").set(self.rmse_ewma.value());
-                    obs::gauge_owned(&format!("quality.mae.h{}", s.horizon)).set(h.mae_ewma.value());
-                    obs::gauge_owned(&format!("quality.rmse.h{}", s.horizon)).set(h.rmse_ewma.value());
+                    h.mae_gauge.set(h.mae_ewma.value());
+                    h.rmse_gauge.set(h.rmse_ewma.value());
                     obs::emit_with("forecast.scored", || {
                         vec![
                             ("request", Json::Num(s.request as f64)),
@@ -209,15 +199,13 @@ impl QualityTracker {
                             ("mae_outflow", Json::Num(s.mae_outflow)),
                         ]
                     });
-                    transitions.extend(self.alerts.observe("quality.mae", s.mae));
-                    transitions.extend(self.alerts.observe("quality.rmse", s.rmse));
+                    self.mae_drift.observe(0, s.mae);
                 }
                 Settled::Dropped { request, horizon, target } => {
                     self.count_dropped(request, horizon, target, "target_evicted");
                 }
             }
         }
-        alerts::publish(&self.alerts, &transitions);
     }
 
     /// Fold in one spectral-sweep result: publish the dominant-period
@@ -251,8 +239,7 @@ impl QualityTracker {
             ]
         });
         if let Some(p) = dominant {
-            let transitions = self.alerts.observe("spectral.period_intervals", p.intervals as f64);
-            alerts::publish(&self.alerts, &transitions);
+            self.spectral_shift.observe(0, p.intervals as f64);
         }
     }
 
@@ -279,14 +266,19 @@ impl QualityTracker {
         self.dropped
     }
 
-    /// Worst state across the alert rules.
-    pub fn worst_alert(&self) -> AlertState {
-        self.alerts.worst()
+    /// The drift rules, in `/alerts` order.
+    fn alerts(&self) -> [&Alert; 3] {
+        [&self.mae_drift, &self.flow_level_shift, &self.spectral_shift]
     }
 
-    /// State of one named alert (test/assertion helper).
-    pub fn alert_state(&self, name: &str) -> Option<AlertState> {
-        self.alerts.state_of(name)
+    /// Worst state across the drift rules.
+    pub fn worst_alert(&self) -> AlertState {
+        self.alerts().iter().map(|a| a.state()).max().unwrap_or(AlertState::Ok)
+    }
+
+    /// State of the `spectral_shift` rule.
+    pub fn spectral_shift_state(&self) -> AlertState {
+        self.spectral_shift.state()
     }
 
     /// The `GET /quality` payload.
@@ -341,15 +333,15 @@ impl QualityTracker {
             ),
             ("horizons", horizons),
             ("flow_mean", Json::Num(self.last_flow_mean)),
-            ("worst_alert", Json::Str(self.alerts.worst().as_str().to_string())),
+            ("worst_alert", Json::Str(self.worst_alert().as_str().to_string())),
         ])
     }
 
     /// The `GET /alerts` payload.
     pub fn alerts_json(&self) -> Json {
         Json::obj([
-            ("worst", Json::Str(self.alerts.worst().as_str().to_string())),
-            ("alerts", self.alerts.statuses_json()),
+            ("worst", Json::Str(self.worst_alert().as_str().to_string())),
+            ("alerts", Json::Arr(self.alerts().iter().map(|a| a.status_json()).collect())),
         ])
     }
 }
@@ -399,7 +391,7 @@ mod tests {
                 index += 1;
             }
         }
-        assert_eq!(t.alert_state("flow_level_shift"), Some(AlertState::Ok));
+        assert_eq!(t.flow_level_shift.state(), AlertState::Ok);
         // 3x level shift: fires after `for=2` consecutive blown residuals.
         let mut fired_after = None;
         for step in 0..(2 * slots) {
@@ -407,7 +399,7 @@ mod tests {
             w.push(&[v, v]).unwrap();
             t.on_ingest(&w, index, &[v, v]);
             index += 1;
-            if fired_after.is_none() && t.alert_state("flow_level_shift") == Some(AlertState::Firing) {
+            if fired_after.is_none() && t.flow_level_shift.state() == AlertState::Firing {
                 fired_after = Some(step + 1);
             }
         }
@@ -417,28 +409,27 @@ mod tests {
     #[test]
     fn spectral_shift_alert_fires_when_the_dominant_period_moves() {
         let mut t = tracker(24);
-        assert_eq!(t.alert_state("spectral_shift"), Some(AlertState::Ok));
+        assert_eq!(t.spectral_shift_state(), AlertState::Ok);
         let daily = |p: usize| DetectedPeriod { intervals: p, power_share: 0.7, snr: 50.0 };
         // Warmup (3) + steady sweeps at a 24-interval dominant period.
         for sweep in 0..6u64 {
             t.on_spectral(sweep, sweep * 32, &[daily(24)]);
         }
-        assert_eq!(t.alert_state("spectral_shift"), Some(AlertState::Ok));
+        assert_eq!(t.spectral_shift_state(), AlertState::Ok);
         // Empty sweeps are "no information" and must not disturb the state.
         t.on_spectral(6, 6 * 32, &[]);
-        assert_eq!(t.alert_state("spectral_shift"), Some(AlertState::Ok));
+        assert_eq!(t.spectral_shift_state(), AlertState::Ok);
         // Cadence change: dominant period halves; fires after for=2 sweeps.
         t.on_spectral(7, 7 * 32, &[daily(12)]);
-        assert_eq!(t.alert_state("spectral_shift"), Some(AlertState::Ok), "for=2 needs two");
+        assert_eq!(t.spectral_shift_state(), AlertState::Ok, "for=2 needs two");
         t.on_spectral(8, 8 * 32, &[daily(12)]);
-        assert_eq!(t.alert_state("spectral_shift"), Some(AlertState::Firing));
+        assert_eq!(t.spectral_shift_state(), AlertState::Firing);
         assert_eq!(t.worst_alert(), AlertState::Firing);
     }
 
     #[test]
     fn journal_overflow_and_eviction_count_as_dropped() {
-        let mut cfg = QualityConfig { journal_capacity: 1, ..QualityConfig::default() };
-        cfg.default_alerts = false;
+        let cfg = QualityConfig { journal_capacity: 1, ..QualityConfig::default() };
         let mut w = FlowWindow::new(GridMap::new(1, 1), 2);
         let mut t = QualityTracker::new(4, &cfg);
         // Second record evicts the first (journal capacity 1).
@@ -459,21 +450,16 @@ mod tests {
     }
 
     #[test]
-    fn custom_rules_replace_defaults_when_disabled() {
-        let cfg = QualityConfig {
-            default_alerts: false,
-            alerts: vec![
-                AlertRule::parse("mae_cap:threshold:metric=quality.mae:warn=1:fire=2:for=1").unwrap()
-            ],
-            ..QualityConfig::default()
-        };
-        let mut t = QualityTracker::new(4, &cfg);
-        assert_eq!(t.alert_state("flow_level_shift"), None);
-        let mut w = FlowWindow::new(GridMap::new(1, 1), 4);
-        t.record_forecast(1, 1, 1, 0, &[5.0, 5.0]);
-        w.push(&[0.0, 0.0]).unwrap();
-        t.on_ingest(&w, 0, &[0.0, 0.0]);
-        assert_eq!(t.alert_state("mae_cap"), Some(AlertState::Firing));
-        assert_eq!(t.alerts_json().get("worst").unwrap().as_str(), Some("firing"));
+    fn a_fresh_tracker_reports_the_three_rules() {
+        let want = concat!(
+            r#"{"worst":"ok","alerts":["#,
+            r#"{"name":"mae_drift","metric":"quality.mae","kind":"ewma","state":"ok","for":3,"#,
+            r#""last_value":0,"observations":0,"transitions":0},"#,
+            r#"{"name":"flow_level_shift","metric":"serve.flow.mean","kind":"periodic","state":"ok","for":2,"#,
+            r#""last_value":0,"observations":0,"transitions":0},"#,
+            r#"{"name":"spectral_shift","metric":"spectral.period_intervals","kind":"spectral-shift","#,
+            r#""state":"ok","for":2,"last_value":0,"observations":0,"transitions":0}]}"#,
+        );
+        assert_eq!(tracker(24).alerts_json().render(), want);
     }
 }

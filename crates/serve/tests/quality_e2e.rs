@@ -7,9 +7,9 @@
 //! * the `flow_level_shift` periodic drift alert reaches `firing`
 //!   deterministically, two frames after the shift (`/alerts`, the
 //!   `muse_alert_*_state` gauge);
-//! * the JSONL trace records the full story: `req.ingest` → `req.coalesce`
-//!   → `req.forecast` lifecycles, `forecast.scored` samples, and
-//!   `alert.transition` events, correlated by request ID.
+//! * the JSONL trace records the full story: `req.ingest` → `req.forecast`
+//!   → `forecast.scored` lifecycles and `alert.transition` events,
+//!   correlated by request ID.
 
 use muse_obs as obs;
 use muse_obs::http::fetch;
@@ -151,8 +151,8 @@ fn drift_is_scored_alerted_and_traced() {
     std::fs::remove_file(&path).ok();
 
     // The trace tells the same story. Pick a scored request and follow its
-    // lifecycle: req.coalesce names it, req.forecast assigns its rollout and
-    // target, forecast.scored closes it out.
+    // lifecycle: req.forecast assigns its rollout and target, and
+    // forecast.scored closes it out with the same two.
     let events: Vec<Json> = text.lines().filter_map(|l| obs::json::parse(l).ok()).collect();
     let ev = |name: &str| -> Vec<&Json> {
         events.iter().filter(|e| e.get("ev").and_then(Json::as_str) == Some(name)).collect()
@@ -164,21 +164,14 @@ fn drift_is_scored_alerted_and_traced() {
         .iter()
         .find(|e| e.get("request").and_then(Json::as_f64) == Some(traced_request))
         .expect("first forecast request traced");
-    let rollout = mine.get("rollout").unwrap().as_f64().unwrap();
-    assert!(
-        ev("req.coalesce").iter().any(|e| {
-            e.get("rollout").and_then(Json::as_f64) == Some(rollout)
-                && e.get("requests")
-                    .and_then(Json::as_arr)
-                    .is_some_and(|reqs| reqs.iter().any(|r| r.as_f64() == Some(traced_request)))
-        }),
-        "coalesce event names the request"
-    );
     let scored_events = ev("forecast.scored");
-    assert!(
-        scored_events.iter().any(|e| e.get("request").and_then(Json::as_f64) == Some(traced_request)),
-        "scored event closes the request lifecycle"
-    );
+    let scored = scored_events
+        .iter()
+        .find(|e| e.get("request").and_then(Json::as_f64) == Some(traced_request))
+        .expect("scored event closes the request lifecycle");
+    for field in ["rollout", "target"] {
+        assert_eq!(scored.get(field), mine.get(field), "{field} of the scored forecast");
+    }
     // And the alert transition to firing is on record.
     assert!(
         ev("alert.transition").iter().any(|e| {

@@ -222,19 +222,6 @@ pub struct RequestEvent {
     pub reason: Option<String>,
 }
 
-/// One `req.coalesce` event: the forecast requests one answer served. The
-/// daemon answers each forecast on its own, so it emits batches of one;
-/// the reader accepts any size.
-#[derive(Debug, Clone)]
-pub struct CoalesceEvent {
-    /// Rollout batch id assigned to the coalesced work.
-    pub rollout: u64,
-    /// How many requests were folded into the rollout.
-    pub batch_size: usize,
-    /// The request ids, in service order.
-    pub requests: Vec<u64>,
-}
-
 /// One detected period inside a `spectral.sweep` event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPeriod {
@@ -310,8 +297,6 @@ pub struct TraceData {
     pub alert_events: Vec<AlertEvent>,
     /// Request lifecycle events (`req.ingest`/`req.forecast`/`req.reject`).
     pub request_events: Vec<RequestEvent>,
-    /// `req.coalesce` events in order.
-    pub coalesces: Vec<CoalesceEvent>,
     /// `spectral.sweep` events in order (the period-drift trajectory).
     pub spectral_sweeps: Vec<SpectralSweep>,
 }
@@ -501,18 +486,6 @@ impl TraceData {
                         periods,
                     });
                 }
-                "req.coalesce" => {
-                    let requests = ev
-                        .get("requests")
-                        .and_then(Json::as_arr)
-                        .map(|rs| rs.iter().filter_map(Json::as_f64).map(|v| v.max(0.0) as u64).collect())
-                        .unwrap_or_default();
-                    data.coalesces.push(CoalesceEvent {
-                        rollout: unum(ev, "rollout"),
-                        batch_size: unum(ev, "batch_size") as usize,
-                        requests,
-                    });
-                }
                 _ => {}
             }
         }
@@ -621,7 +594,6 @@ mod tests {
             "ingest_quality.jsonl",
             &[
                 r#"{"ev":"req.ingest","seq":0,"request":1,"index":21}"#,
-                r#"{"ev":"req.coalesce","seq":1,"rollout":1,"batch_size":2,"requests":[2,3]}"#,
                 r#"{"ev":"req.forecast","seq":2,"request":2,"rollout":1,"horizon":1,"target":21}"#,
                 r#"{"ev":"req.forecast","seq":3,"request":3,"rollout":1,"horizon":2,"target":22}"#,
                 r#"{"ev":"req.reject","seq":4,"request":4,"stage":"forecast","reason":"bad_horizon"}"#,
@@ -649,8 +621,6 @@ mod tests {
         assert_eq!(data.request_events[1].rollout, Some(1));
         assert_eq!(data.request_events[3].kind, "reject");
         assert_eq!(data.request_events[3].reason.as_deref(), Some("bad_horizon"));
-        assert_eq!(data.coalesces.len(), 1);
-        assert_eq!(data.coalesces[0].requests, vec![2, 3]);
         assert_eq!(data.spectral_sweeps.len(), 2);
         assert_eq!(data.spectral_sweeps[0].sweep, 1);
         assert_eq!(data.spectral_sweeps[0].index, 64);

@@ -41,6 +41,6 @@ pub mod spectrum;
 pub mod tolerance;
 
 pub use ingest::{
-    AlertEvent, BenchResult, CoalesceEvent, DroppedForecast, EpochRow, KernelRow, QualitySample,
-    RequestEvent, SpanExit, SpectralSweep, SweepPeriod, TraceData, TrainRun,
+    AlertEvent, BenchResult, DroppedForecast, EpochRow, KernelRow, QualitySample, RequestEvent, SpanExit,
+    SpectralSweep, SweepPeriod, TraceData, TrainRun,
 };

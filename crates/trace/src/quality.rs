@@ -1,6 +1,6 @@
 //! `muse-trace quality` — reconstruct the serve-path quality story from a
 //! trace: the forecast error trajectory, the alert transition chronology,
-//! and per-request lifecycles (ingest → coalesce → rollout → score),
+//! and per-request lifecycles (ingest → forecast → score),
 //! correlated by the request ids the daemon threads through its events.
 
 use crate::ingest::{QualitySample, TraceData};
@@ -117,18 +117,12 @@ fn render_alerts(out: &mut String, data: &TraceData) {
     }
 }
 
-/// Request lifecycles: join req.forecast rows with their coalesce batch and
-/// eventual score/drop by request id.
+/// Request lifecycles: join req.forecast rows with their eventual
+/// score/drop by request id.
 fn render_lifecycles(out: &mut String, data: &TraceData) {
     let forecasts: Vec<_> = data.request_events.iter().filter(|r| r.kind == "forecast").collect();
     if forecasts.is_empty() {
         return;
-    }
-    let mut batch_of: BTreeMap<u64, usize> = BTreeMap::new();
-    for c in &data.coalesces {
-        for &req in &c.requests {
-            batch_of.insert(req, c.batch_size);
-        }
     }
     let scored_mae: BTreeMap<u64, f64> = data.quality_samples.iter().map(|s| (s.request, s.mae)).collect();
     let drop_reason: BTreeMap<u64, &str> =
@@ -140,8 +134,8 @@ fn render_lifecycles(out: &mut String, data: &TraceData) {
         forecasts.len()
     ));
     out.push_str(&format!(
-        "  {:>8} {:>8} {:>6} {:>8} {:>6} {:>10}\n",
-        "request", "rollout", "h", "target", "batch", "outcome"
+        "  {:>8} {:>8} {:>6} {:>8} {:>10}\n",
+        "request", "rollout", "h", "target", "outcome"
     ));
     for f in forecasts.iter().take(LIFECYCLE_ROWS) {
         let outcome = match (scored_mae.get(&f.request), drop_reason.get(&f.request)) {
@@ -150,12 +144,11 @@ fn render_lifecycles(out: &mut String, data: &TraceData) {
             (None, None) => "pending".to_string(),
         };
         out.push_str(&format!(
-            "  {:>8} {:>8} {:>6} {:>8} {:>6} {:>10}\n",
+            "  {:>8} {:>8} {:>6} {:>8} {:>10}\n",
             f.request,
             f.rollout.map(|r| r.to_string()).unwrap_or_else(|| "-".into()),
             f.horizon.map(|h| h.to_string()).unwrap_or_else(|| "-".into()),
             f.target.map(|t| t.to_string()).unwrap_or_else(|| "-".into()),
-            batch_of.get(&f.request).map(|b| b.to_string()).unwrap_or_else(|| "-".into()),
             outcome,
         ));
     }
@@ -192,7 +185,7 @@ fn bucket_means(values: &[f64], n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::{AlertEvent, CoalesceEvent, DroppedForecast, QualitySample, RequestEvent};
+    use crate::ingest::{AlertEvent, DroppedForecast, QualitySample, RequestEvent};
 
     fn sample(request: u64, horizon: usize, mae: f64) -> QualitySample {
         QualitySample {
@@ -235,7 +228,6 @@ mod tests {
             data.quality_samples.push(sample(i + 1, 1, mae));
             data.request_events.push(forecast_event(i + 1));
         }
-        data.coalesces.push(CoalesceEvent { rollout: 1, batch_size: 1, requests: vec![1] });
         data.dropped_forecasts.push(DroppedForecast {
             request: 99,
             horizon: 1,

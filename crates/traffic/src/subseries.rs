@@ -31,9 +31,14 @@ impl SubSeriesSpec {
         SubSeriesSpec { lc: 3, lp: 4, lt: 4, intervals_per_day, trend_days: 7 }
     }
 
-    /// Smallest target index `n` with full history available
-    /// (`Lt` trend steps back).
+    /// Smallest target index `n` with full history available: the deepest
+    /// lag of the three sub-series.
     pub fn min_target(&self) -> usize {
+        self.trend_depth().max(self.lp * self.intervals_per_day).max(self.lc)
+    }
+
+    /// How far back the trend sub-series reaches (`Lt` trend steps).
+    fn trend_depth(&self) -> usize {
         self.lt * self.intervals_per_day * self.trend_days
     }
 
@@ -83,19 +88,21 @@ impl SubSeriesSpec {
             _ => 7, // one period detected: keep the paper's weekly trend
         };
         let mut spec = SubSeriesSpec { lc: 3, lp: 4, lt: 4, intervals_per_day, trend_days };
-        while spec.lt > 1 && spec.min_target() >= series_len {
+        while spec.lt > 1 && spec.trend_depth() >= series_len {
             spec.lt -= 1;
         }
-        if spec.min_target() >= series_len {
+        if spec.trend_depth() >= series_len {
             return Err(format!(
                 "series of {series_len} intervals cannot cover one trend step of \
                  {intervals_per_day}x{trend_days} intervals"
             ));
         }
-        while spec.lp > 1 && spec.lp * spec.intervals_per_day > spec.min_target() {
+        // Shrink the shorter lags into the trend depth, so `min_target` is
+        // the trend depth and fits the series.
+        while spec.lp > 1 && spec.lp * spec.intervals_per_day > spec.trend_depth() {
             spec.lp -= 1;
         }
-        while spec.lc > 1 && spec.lc > spec.min_target() {
+        while spec.lc > 1 && spec.lc > spec.trend_depth() {
             spec.lc -= 1;
         }
         Ok(spec)
@@ -417,6 +424,19 @@ mod tests {
     }
 
     #[test]
+    fn min_target_covers_period_lags_past_the_trend() {
+        // Two-day period lags over a one-day trend: the period branch
+        // reaches four frames back, the trend only two.
+        let s = SubSeriesSpec { lc: 2, lp: 2, lt: 1, intervals_per_day: 2, trend_days: 1 };
+        assert_eq!(s.min_target(), 4);
+        let smp = sample(&indexed_series(5), &s, s.min_target());
+        // Period: frames 0 and 2; trend: frame 2; closeness: frames 2, 3.
+        assert_eq!(smp.period.at(&[0, 0, 0]), 0.0);
+        assert_eq!(smp.trend.at(&[0, 0, 0]), 2.0);
+        assert_eq!(smp.closeness.at(&[2, 0, 0]), 3.0);
+    }
+
+    #[test]
     fn lags_match_equations() {
         let s = spec4();
         assert_eq!(s.closeness_lags(), vec![3, 2, 1]); // X_{n-3}..X_{n-1}
@@ -590,7 +610,7 @@ mod tests {
         let spec = SubSeriesSpec::from_detected(&[dp(24, 0.6), dp(168, 0.3)], len).expect("derivable");
         assert_eq!(spec.lt, 1);
         assert!(spec.min_target() < len);
-        assert!(spec.lp * spec.intervals_per_day <= spec.min_target());
+        assert_eq!(spec.min_target(), spec.trend_depth(), "period and closeness lags fit the trend");
     }
 
     #[test]

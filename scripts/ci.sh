@@ -118,6 +118,11 @@ serve_checks() {
     grep -q '^muse_serve_rollout_memo_hits_total' target/ci_serve_metrics.txt
     grep -q '^muse_serve_panics_total' target/ci_serve_metrics.txt
     grep -q '^muse_build_info{' target/ci_serve_metrics.txt
+    # The drift rules' state gauges are interned at boot: all three export
+    # whether or not a rule has moved.
+    for rule in mae_drift flow_level_shift spectral_shift; do
+        grep -q "^muse_alert_${rule}_state " target/ci_serve_metrics.txt
+    done
 }
 with_daemon "http://$SERVE_ADDR/healthz" . serve_checks \
     cargo run -q --release -p muse-serve -- --checkpoint "$SERVE_CKPT" --addr "$SERVE_ADDR"
