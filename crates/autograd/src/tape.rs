@@ -8,7 +8,7 @@ use std::cell::RefCell;
 /// accumulates parent contributions into a [`GradSink`]. Closures capture
 /// only node ids, scalars, and op specs — never tensor clones — so recording
 /// a node allocates nothing beyond its forward value.
-pub(crate) type BackwardFn = Box<dyn Fn(&BackwardCtx<'_>, &mut GradSink<'_>)>;
+pub(crate) type BackwardFn = Box<dyn Fn(&BackwardCtx<'_>, &mut GradSink<'_>) + Send>;
 
 pub(crate) struct Node {
     /// Short op name ("add", "matmul", …) for backward-time attribution.
@@ -156,8 +156,10 @@ impl GradSink<'_> {
 
 /// A recording of a forward computation, enabling one reverse sweep.
 ///
-/// `Tape` is single-threaded by design (the training loop is too); interior
-/// mutability lets `Var` methods push nodes through a shared reference.
+/// A `Tape` is `Send` but not `Sync`: one thread records on it at a time
+/// (the training loop is single-threaded, and the daemon runs its forward
+/// passes under one lock), and interior mutability lets `Var` methods push
+/// nodes through a shared reference.
 ///
 /// A tape is reusable: [`Tape::reset`] clears the recording while keeping the
 /// node vector's capacity (and, via the tensor arena, the value buffers), so

@@ -107,7 +107,7 @@ fn bench_serve_forecast(c: &mut Criterion) {
     // No spectral sweep: every 32nd ingest would otherwise add an FFT pass
     // to one sample and nothing to the rest.
     let opts = EngineOptions { spectral_every: 0, ..EngineOptions::default() };
-    let engine = Engine::start(move || Ok(MuseNet::new(cfg)), opts).expect("engine boots");
+    let engine = Engine::new(MuseNet::new(cfg), opts);
     let frame_len = engine.info().frame_len;
     let src = prepared.scaled.tensor().as_slice();
     let frames = prepared.scaled.len();
@@ -118,8 +118,7 @@ fn bench_serve_forecast(c: &mut Criterion) {
     }
     // The rollout is memoized per window state: one ingest per iteration
     // moves the forecast base, so these time a computed rollout (plus the
-    // ingest and its quality scoring, the miss's engine round trip and the
-    // step's JSON rendering).
+    // ingest and its quality scoring and the step's JSON rendering).
     for (name, horizon) in [("serve_forecast_h1", 1), ("serve_forecast_h3", 3)] {
         c.bench_function(name, |bch| {
             bch.iter(|| {

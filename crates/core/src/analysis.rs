@@ -3,7 +3,6 @@
 
 use crate::model::Representations;
 use muse_tensor::Tensor;
-use muse_traffic::subseries::SubSeriesSpec;
 
 /// Asymptotic complexity entry of Table I.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,11 +154,6 @@ fn pad_to(x: &Tensor, target: usize) -> Tensor {
         out.as_mut_slice()[i * target..i * target + d].copy_from_slice(&x.as_slice()[i * d..(i + 1) * d]);
     }
     out
-}
-
-/// The `L` of Table I for a given interception spec.
-pub fn total_length(spec: &SubSeriesSpec) -> usize {
-    spec.total_frames()
 }
 
 #[cfg(test)]

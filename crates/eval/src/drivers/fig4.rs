@@ -51,8 +51,7 @@ pub fn run(preset: DatasetPreset, profile: &Profile, window: usize) -> Fig4Resul
     let truth = citywide_inflow(&truth_frames);
 
     // One fleet job per lineup model: the model is built, trained, and
-    // consumed inside its job (models are !Send), returning only the
-    // plain-data curve.
+    // consumed inside its job, returning only the plain-data curve.
     let prepared_ref = &prepared;
     let indices_ref = &indices;
     let truth_ref = &truth;

@@ -37,12 +37,7 @@ pub struct MaskedTable {
 
 /// Shared machinery for Tables IV and V: evaluate the lineup one-step and
 /// split errors by a boolean per-target mask.
-pub fn masked_comparison(
-    prepared: &Prepared,
-    profile: &Profile,
-    mask: &[bool],
-    labels: (&str, &str),
-) -> Vec<MaskedRow> {
+pub fn masked_comparison(prepared: &Prepared, profile: &Profile, mask: &[bool]) -> Vec<MaskedRow> {
     let lineup = ModelKind::multiperiodic_lineup();
     let plan = prepared.eval_plan(profile);
     assert_eq!(mask.len(), plan.indices.len(), "mask/indices mismatch");
@@ -50,7 +45,6 @@ pub fn masked_comparison(
     // per-model jobs.
     let (truth_out, truth_in) = split_channels(&plan.truth);
     let inverse: Vec<bool> = mask.iter().map(|&b| !b).collect();
-    let _ = labels;
     let plan_ref = plan.as_ref();
     let inverse_ref = &inverse;
     let truth_out_ref = &truth_out;
@@ -123,7 +117,7 @@ pub fn run(set: EvalSet, profile: &Profile) -> Table4Result {
             let prepared = prepare(preset, profile);
             let eval_idx = prepared.eval_indices(profile);
             let mask = peak_mask(&eval_idx, prepared.dataset.intervals_per_day);
-            let rows = masked_comparison(&prepared, profile, &mask, ("Peak", "Non-peak"));
+            let rows = masked_comparison(&prepared, profile, &mask);
             MaskedTable {
                 dataset: preset.name().to_string(),
                 rows,

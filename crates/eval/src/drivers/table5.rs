@@ -39,7 +39,7 @@ pub fn run(set: EvalSet, profile: &Profile) -> Table5Result {
             let eval_idx = prepared.eval_indices(profile);
             let mask =
                 weekday_mask(&eval_idx, prepared.dataset.intervals_per_day, prepared.dataset.start_weekday);
-            let rows = masked_comparison(&prepared, profile, &mask, ("Weekday", "Weekend"));
+            let rows = masked_comparison(&prepared, profile, &mask);
             MaskedTable {
                 dataset: preset.name().to_string(),
                 rows,

@@ -3,27 +3,36 @@
 use muse_autograd::{Tape, Var};
 use muse_tensor::Tensor;
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A learnable tensor with its accumulated gradient.
 ///
-/// Layers hold `Rc<Param>` ([`ParamRef`]) so the same parameter can be bound
-/// into any number of forward passes and shared with an optimizer.
+/// Layers hold `Arc<Param>` ([`ParamRef`]) so the same parameter can be bound
+/// into any number of forward passes and shared with an optimizer. The value
+/// and gradient sit behind uncontended mutexes, which makes every model
+/// `Send`: a daemon can run one on whichever thread holds its lock, while
+/// training stays single-threaded.
 #[derive(Debug)]
 pub struct Param {
     name: String,
-    value: RefCell<Tensor>,
-    grad: RefCell<Tensor>,
+    value: Mutex<Tensor>,
+    grad: Mutex<Tensor>,
 }
 
 /// Shared handle to a [`Param`].
-pub type ParamRef = Rc<Param>;
+pub type ParamRef = Arc<Param>;
+
+/// Lock `m` even if a panic poisoned it: no update changes a tensor's
+/// shape, so the value behind a poisoned lock is still a valid tensor.
+fn lock(m: &Mutex<Tensor>) -> MutexGuard<'_, Tensor> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 impl Param {
     /// Create a named parameter with an initial value and zero gradient.
     pub fn new(name: impl Into<String>, value: Tensor) -> ParamRef {
         let grad = Tensor::zeros(value.dims());
-        Rc::new(Param { name: name.into(), value: RefCell::new(value), grad: RefCell::new(grad) })
+        Arc::new(Param { name: name.into(), value: Mutex::new(value), grad: Mutex::new(grad) })
     }
 
     /// Human-readable name (used in diagnostics).
@@ -33,37 +42,37 @@ impl Param {
 
     /// Clone of the current value.
     pub fn value(&self) -> Tensor {
-        self.value.borrow().clone()
+        lock(&self.value).clone()
     }
 
     /// Clone of the accumulated gradient.
     pub fn grad(&self) -> Tensor {
-        self.grad.borrow().clone()
+        lock(&self.grad).clone()
     }
 
     /// Run `f` against the current value without cloning it.
     pub fn with_value<R>(&self, f: impl FnOnce(&Tensor) -> R) -> R {
-        f(&self.value.borrow())
+        f(&lock(&self.value))
     }
 
     /// Run `f` against the accumulated gradient without cloning it.
     pub fn with_grad<R>(&self, f: impl FnOnce(&Tensor) -> R) -> R {
-        f(&self.grad.borrow())
+        f(&lock(&self.grad))
     }
 
     /// Scale the accumulated gradient in place (global-norm clipping).
     pub fn scale_grad(&self, scale: f32) {
-        self.grad.borrow_mut().scale_assign(scale);
+        lock(&self.grad).scale_assign(scale);
     }
 
     /// Dimension extents of the parameter.
     pub fn dims(&self) -> Vec<usize> {
-        self.value.borrow().dims().to_vec()
+        lock(&self.value).dims().to_vec()
     }
 
     /// Element count.
     pub fn len(&self) -> usize {
-        self.value.borrow().len()
+        lock(&self.value).len()
     }
 
     /// Whether the parameter holds zero elements.
@@ -73,23 +82,23 @@ impl Param {
 
     /// Overwrite the value (e.g. optimizer update or checkpoint restore).
     pub fn set_value(&self, value: Tensor) {
-        assert_eq!(value.dims(), self.value.borrow().dims(), "set_value shape mismatch for {}", self.name);
-        *self.value.borrow_mut() = value;
+        assert_eq!(value.dims(), lock(&self.value).dims(), "set_value shape mismatch for {}", self.name);
+        *lock(&self.value) = value;
     }
 
     /// Add `delta` into the accumulated gradient.
     pub fn accumulate_grad(&self, delta: &Tensor) {
-        self.grad.borrow_mut().add_assign(delta);
+        lock(&self.grad).add_assign(delta);
     }
 
     /// Reset the gradient to zero, reusing its buffer.
     pub fn zero_grad(&self) {
-        self.grad.borrow_mut().as_mut_slice().fill(0.0);
+        lock(&self.grad).as_mut_slice().fill(0.0);
     }
 
     /// In-place SGD-style update: `value -= lr * update`.
     pub fn apply_update(&self, update: &Tensor, lr: f32) {
-        self.value.borrow_mut().axpy_assign(-lr, update);
+        lock(&self.value).axpy_assign(-lr, update);
     }
 }
 
@@ -125,7 +134,7 @@ impl<'t> Session<'t> {
     /// Bind a parameter into this pass, returning its tape variable.
     pub fn param(&self, p: &ParamRef) -> Var<'t> {
         let var = self.tape.leaf(p.value());
-        self.bindings.borrow_mut().push((Rc::clone(p), var.id()));
+        self.bindings.borrow_mut().push((Arc::clone(p), var.id()));
         var
     }
 

@@ -12,11 +12,11 @@
 //!
 //! ## Thread confinement
 //!
-//! Models and `Tape`s are `!Send`, so a job is a `Send` closure that
-//! *builds and consumes* its model entirely inside the worker thread (the
-//! same pattern `muse-serve`'s `Engine` uses) and returns plain `Send`
-//! data. Workers pull `(index, job)` pairs from a shared queue — dynamic
-//! load balancing without ever moving a live model across threads.
+//! A job is a `Send` closure that *builds and consumes* its model entirely
+//! inside the worker thread and returns plain `Send` data, so nothing but
+//! inputs and results crosses threads. (Models and `Tape`s are `Send`, but
+//! a job has no reason to move one.) Workers pull `(index, job)` pairs from
+//! a shared queue — dynamic load balancing over self-contained jobs.
 //!
 //! ## Determinism contract
 //!

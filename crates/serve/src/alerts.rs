@@ -31,7 +31,7 @@
 //! interned when the alert is built.
 
 use muse_obs::rolling::Ewma;
-use muse_obs::{self as obs, Gauge, Json};
+use muse_obs::{self as obs, Counter, Gauge, Json};
 
 /// Guard against division by a near-zero baseline in ratio judges.
 const BASELINE_EPS: f64 = 1e-9;
@@ -165,6 +165,8 @@ pub struct Alert {
     transitions: u64,
     /// The interned `alert.<name>.state` gauge.
     gauge: &'static Gauge,
+    /// The interned `alerts.transitions` counter, shared by every rule.
+    transitions_total: &'static Counter,
 }
 
 impl Alert {
@@ -199,6 +201,7 @@ impl Alert {
     ) -> Alert {
         let gauge = obs::gauge_owned(&format!("alert.{name}.state"));
         gauge.set(AlertState::Ok.gauge_value());
+        let transitions_total = obs::counter("alerts.transitions");
         Alert {
             name,
             metric,
@@ -214,6 +217,7 @@ impl Alert {
             observations: 0,
             transitions: 0,
             gauge,
+            transitions_total,
         }
     }
 
@@ -260,7 +264,7 @@ impl Alert {
         let from = std::mem::replace(&mut self.state, to);
         self.transitions += 1;
         self.gauge.set(to.gauge_value());
-        obs::counter("alerts.transitions").add(1);
+        self.transitions_total.add(1);
         obs::emit_with("alert.transition", || {
             vec![
                 ("alert", Json::Str(self.name.to_string())),
@@ -290,6 +294,9 @@ impl Alert {
 
 #[cfg(test)]
 mod tests {
+    //! Every test that can move a rule holds `obs::test_lock()`: the
+    //! `alerts.transitions` counter is process-global, and
+    //! `transitions_set_the_interned_gauge_and_count` asserts its exact count.
     use super::*;
     use AlertState::{Firing, Ok, Warning};
 
@@ -318,6 +325,7 @@ mod tests {
 
     #[test]
     fn lifecycle_with_hysteresis() {
+        let _g = obs::test_lock();
         // Baseline 1: a sample's score is its distance from 1.
         let mut a = frozen("test_lifecycle", 0.5, 1.0, 1, 2);
         assert_eq!(a.observe(0, 1.0), None, "the warmup sample sets the baseline");
@@ -333,6 +341,7 @@ mod tests {
 
     #[test]
     fn firing_requires_consecutive_breaches() {
+        let _g = obs::test_lock();
         let mut a = frozen("test_debounce", 1.0, 1.0, 1, 3);
         a.observe(0, 1.0);
         for _ in 0..5 {
@@ -344,6 +353,7 @@ mod tests {
 
     #[test]
     fn ewma_shift_detects_level_shift() {
+        let _g = obs::test_lock();
         let mut a = ewma("test_ewma", 0.4, 0.02, 1.5, 2.0, 8, 2);
         for _ in 0..50 {
             assert_eq!(a.observe(0, 1.0), None, "stable stream must not alert");
@@ -359,6 +369,7 @@ mod tests {
 
     #[test]
     fn periodic_residual_ignores_normal_seasonality_but_fires_on_shift() {
+        let _g = obs::test_lock();
         let mut a = periodic(4, 0.3, 0.5, 2, 0.0, 2);
         // Strongly periodic signal: slot values 1, 10, 5, 2 repeating.
         let pattern = [1.0, 10.0, 5.0, 2.0];
@@ -384,6 +395,7 @@ mod tests {
 
     #[test]
     fn periodic_floor_damps_low_volume_slots() {
+        let _g = obs::test_lock();
         // A 3am-style slot with a tiny baseline: pure relative residual
         // would treat 0.001 -> 0.004 as a 3x blowout, the floor does not.
         let mut floored = periodic(1, 0.35, 0.6, 2, 0.05, 1);
@@ -400,6 +412,7 @@ mod tests {
 
     #[test]
     fn periodic_warmup_respects_min_periods() {
+        let _g = obs::test_lock();
         let mut a = periodic(2, 0.1, 0.2, 3, 0.0, 1);
         // Wildly varying samples during warmup never alert: the slot has
         // fewer than min_periods baseline points.
@@ -413,6 +426,7 @@ mod tests {
 
     #[test]
     fn spectral_shift_freezes_baseline_and_fires_on_departure() {
+        let _g = obs::test_lock();
         let mut a = frozen("test_spectral", 0.2, 0.4, 3, 2);
         // Warmup: three sweeps agreeing on a 24-interval dominant period.
         for _ in 0..3 {
@@ -451,6 +465,7 @@ mod tests {
 
     #[test]
     fn status_json_shape() {
+        let _g = obs::test_lock();
         let mut a = frozen("test_status", 1.0, 2.0, 1, 1);
         a.observe(0, 1.0);
         a.observe(0, 2.5);

@@ -1,25 +1,21 @@
-//! The inference engine: the serving state behind one lock, and a thread
-//! that owns the model.
+//! The inference engine: the model and everything the daemon serves from,
+//! behind one lock.
 //!
-//! `MuseNet` (like every tape-adjacent structure in this repo) is
-//! single-threaded by construction — parameters are `Rc`-shared — so the
-//! daemon builds the model *inside* one long-lived engine thread and never
-//! lets it leave. (Activation storage comes from the process-wide tensor
-//! arena, shared by every thread.) Everything else the daemon serves from —
-//! the flow window, the rollout memo, the quality tracker, the spectral
-//! sweeper and the counters — is one `State` behind one `Mutex`, shared by
-//! the HTTP workers and the engine thread.
+//! The model, one hoisted forward-only tape, the flow window, the rollout
+//! memo, the quality tracker, the spectral sweeper and the counters are one
+//! `State` behind one `Mutex`. The HTTP worker that receives a request
+//! answers it under that lock: ingests, stats, quality, alerts and spectrum
+//! reads, horizon and readiness checks, and every forecast. A forecast whose
+//! step the memo already holds for the current window is answered from it;
+//! otherwise the worker first extends the memo with the model, then answers
+//! through the same code the hits use. The worker holds the lock while the
+//! model runs, so forward passes are serialised as one thread would
+//! serialise them. Each forecast is answered on its own; forecasts of one
+//! window state share computed steps through the memo. (`MuseNet` is
+//! `Send`: its parameters are `Arc`-shared behind uncontended mutexes.)
 //!
-//! The calling worker answers, under that lock: ingests, stats, quality,
-//! alerts and spectrum reads, horizon and readiness checks, and every
-//! forecast whose step the memo already holds for the current window. Only
-//! a forecast that needs steps the memo lacks crosses the engine's channel
-//! (the only other message is shutdown); the engine thread takes the lock,
-//! extends the memo with the model and answers through the same code the
-//! hits use. No caller holds the lock while it waits on the channel; the
-//! engine holds it while the model runs, the same serialisation one thread
-//! gives. Each forecast is answered on its own; forecasts of one window
-//! state share computed steps through the memo.
+//! The forward pass dispatches its kernels to the process pool, sized by
+//! `MUSE_THREADS` as in every other binary; the bits do not depend on it.
 //!
 //! The rollout is [`muse_traffic::Rollout`], the one implementation of the
 //! Table III scheme that `MuseNet::predict_multi_step` also drives, run at
@@ -37,21 +33,18 @@
 //! memo is discarded while the window stays. The lock recovers from
 //! poisoning, so no panic turns every later request into an error.
 //!
-//! One [`Tape::forward_only`] tape and [`Session`] are hoisted for the
-//! engine's lifetime and `reset` between passes, so activations recycle
-//! arena buffers and the rollout's staging batch is filled in place. The
-//! steady state is not allocation-free: a forward pass still makes a few
-//! hundred small heap allocations (graph nodes, shapes); only tensor storage
-//! is recycled.
+//! One [`Tape::forward_only`] tape is hoisted for the engine's lifetime and
+//! `reset` between passes, so activations recycle arena buffers and the
+//! rollout's staging batch is filled in place. The steady state is not
+//! allocation-free: a forward pass still makes a few hundred small heap
+//! allocations (graph nodes, shapes); only tensor storage is recycled.
 //!
 //! Every serving counter and histogram is looked up in the registry once,
-//! when the engine boots; requests update them through the held handles.
+//! when the engine is built; requests update them through the held handles.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use muse_autograd::Tape;
@@ -59,7 +52,7 @@ use muse_nn::Session;
 use muse_obs as obs;
 use muse_obs::{Counter, Histogram, Json};
 use muse_traffic::{GridMap, Rollout, SubSeriesSpec};
-use musenet::{MuseNet, MuseNetConfig};
+use musenet::{MuseNet, Trainer};
 
 use crate::api::{ForecastResponse, IngestAck, LatentNorms, StepJson};
 use crate::quality::{QualityConfig, QualityTracker};
@@ -105,7 +98,7 @@ pub enum EngineError {
     /// The model panicked while computing this forecast's steps. The memo
     /// was discarded; the window and later requests are unaffected.
     Panicked,
-    /// The engine was shut down (or its thread is gone).
+    /// The engine was shut down.
     Stopped,
 }
 
@@ -129,10 +122,6 @@ impl std::fmt::Display for EngineError {
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
-    /// Kernel threads for the engine thread's forward passes (`None` =
-    /// inherit `MUSE_THREADS` / auto). The engine pins this itself because
-    /// the pool's thread-local override does not cross thread boundaries.
-    pub threads: Option<usize>,
     /// Quality-monitoring configuration (journal, estimators, alerts).
     pub quality: QualityConfig,
     /// Run a spectral periodicity sweep every this many ingested frames
@@ -142,7 +131,7 @@ pub struct EngineOptions {
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        EngineOptions { threads: None, quality: QualityConfig::default(), spectral_every: 32 }
+        EngineOptions { quality: QualityConfig::default(), spectral_every: 32 }
     }
 }
 
@@ -214,65 +203,31 @@ impl StatsSnapshot {
     }
 }
 
-type ForecastReply = Sender<Result<ForecastResponse, EngineError>>;
-
-/// What the engine thread sends back once the model is built.
-type Boot = Result<(EngineInfo, Arc<Mutex<State>>), String>;
-
-/// Work only the engine thread can do.
-enum Job {
-    /// A forecast whose step the memo lacks.
-    Forecast {
-        req: u64,
-        horizon: usize,
-        reply: ForecastReply,
-    },
-    Shutdown,
-}
-
-/// Handle to the engine. Cheap to share behind an `Arc`; all methods take
-/// `&self` and run on the calling thread under the state lock, except a
-/// forecast the memo cannot answer, which blocks until the engine thread
-/// has run the model.
+/// Handle to the engine. Cheap to share behind an `Arc`; every method
+/// takes `&self` and runs on the calling thread under the state lock.
 pub struct Engine {
-    state: Arc<Mutex<State>>,
-    tx: Sender<Job>,
-    handle: Mutex<Option<JoinHandle<()>>>,
+    state: Mutex<State>,
     info: EngineInfo,
 }
 
+// The engine runs the model on whichever HTTP worker holds its lock. A
+// model that stops being `Send` (an `Rc` in a layer, say) fails the build
+// here instead of quietly needing a model-owning thread again.
+const _: () = {
+    const fn send<T: Send>() {}
+    const fn sync<T: Sync>() {}
+    send::<MuseNet>();
+    send::<Tape>();
+    send::<Trainer>();
+    sync::<Engine>();
+};
+
 impl Engine {
-    /// Boot an engine around the model returned by `build`, which runs *on*
-    /// the engine thread (the model never crosses threads). Blocks until
-    /// the model is constructed; a `build` failure is returned here.
-    pub fn start(
-        build: impl FnOnce() -> Result<MuseNet, String> + Send + 'static,
-        opts: EngineOptions,
-    ) -> Result<Engine, String> {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let (boot_tx, boot_rx) = mpsc::channel::<Boot>();
-        let threads = opts.threads;
-        let handle = std::thread::Builder::new()
-            .name("muse-serve-engine".to_string())
-            .spawn(move || {
-                let body = move || run_engine(build, opts, rx, boot_tx);
-                match threads {
-                    Some(n) => muse_parallel::with_threads(n, body),
-                    None => body(),
-                }
-            })
-            .map_err(|e| format!("failed to spawn engine thread: {e}"))?;
-        match boot_rx.recv() {
-            Ok(Ok((info, state))) => Ok(Engine { state, tx, handle: Mutex::new(Some(handle)), info }),
-            Ok(Err(e)) => {
-                let _ = handle.join();
-                Err(e)
-            }
-            Err(_) => {
-                let _ = handle.join();
-                Err("engine thread died during startup".to_string())
-            }
-        }
+    /// An engine serving `model`.
+    pub fn new(model: MuseNet, opts: EngineOptions) -> Engine {
+        let state = State::new(model, &opts);
+        let info = state.info();
+        Engine { state: Mutex::new(state), info }
     }
 
     /// Boot an engine from a self-describing checkpoint
@@ -282,13 +237,9 @@ impl Engine {
         opts: EngineOptions,
     ) -> Result<Engine, String> {
         let path = path.into();
-        Engine::start(
-            move || {
-                MuseNet::from_checkpoint(&path)
-                    .map_err(|e| format!("loading checkpoint {}: {e}", path.display()))
-            },
-            opts,
-        )
+        let model = MuseNet::from_checkpoint(&path)
+            .map_err(|e| format!("loading checkpoint {}: {e}", path.display()))?;
+        Ok(Engine::new(model, opts))
     }
 
     /// Static facts about the served model.
@@ -312,21 +263,15 @@ impl Engine {
     }
 
     /// Forecast `horizon` steps past the last ingested frame: from the
-    /// memo on the calling thread when it holds the step, otherwise by the
-    /// model on the engine thread.
+    /// memo when it holds the step, otherwise after the model extends it.
     pub fn forecast(&self, horizon: usize) -> Result<ForecastResponse, EngineError> {
         let req = next_request_id();
-        {
-            let mut state = self.state()?;
-            state.check(req, horizon)?;
-            let cached = state.staging.cached(state.window.next_index());
-            if horizon <= cached {
-                return state.answer(req, horizon, cached, Instant::now());
-            }
-        }
-        let (reply, rx) = mpsc::channel();
-        self.tx.send(Job::Forecast { req, horizon, reply }).map_err(|_| EngineError::Stopped)?;
-        rx.recv().map_err(|_| EngineError::Stopped)?
+        let mut state = self.state()?;
+        state.check(req, horizon)?;
+        let started = Instant::now();
+        let cached = state.staging.cached(state.window.next_index());
+        let cached = if horizon <= cached { cached } else { state.compute(req, horizon)? };
+        state.answer(req, horizon, cached, started)
     }
 
     /// Live counters.
@@ -351,24 +296,14 @@ impl Engine {
         Ok(spectrum_json(&state.sweeper, &state.tracker))
     }
 
-    /// Stop the engine thread and wait for it; every later call answers
-    /// [`EngineError::Stopped`]. Idempotent.
+    /// Stop serving: every later call answers [`EngineError::Stopped`].
+    /// Idempotent.
     pub fn shutdown(&self) {
         lock(&self.state).stopped = true;
-        let _ = self.tx.send(Job::Shutdown);
-        if let Some(handle) = lock(&self.handle).take() {
-            let _ = handle.join();
-        }
     }
 }
 
-impl Drop for Engine {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Lock `m` even if a panic poisoned it. The engine thread contains model
+/// Lock `m` even if a panic poisoned it. [`State::compute`] contains model
 /// panics before they can poison the state lock; anything else that
 /// unwinds while holding it (an HTTP handler, say) leaves the state
 /// usable, and one panic must not turn every later request into a `500`.
@@ -407,14 +342,8 @@ impl Staging {
     /// Extend the memo to `max_h` rollout steps past the window's newest
     /// frame and return how many steps were already cached. Step `h`
     /// forecasts absolute frame `next_index + h`.
-    fn extend(
-        &mut self,
-        model: &MuseNet,
-        session: &Session<'_>,
-        tape: &Tape,
-        window: &FlowWindow,
-        max_h: usize,
-    ) -> usize {
+    fn extend(&mut self, model: &MuseNet, tape: &Tape, window: &FlowWindow, max_h: usize) -> usize {
+        let session = Session::new(tape);
         let next = window.next_index();
         let cached = self.cached(next);
         if cached == 0 {
@@ -425,7 +354,7 @@ impl Staging {
             self.rollout.advance(window, |b| {
                 tape.reset();
                 session.reset();
-                let out = model.infer_raw(session, &b.closeness, &b.period, &b.trend);
+                let out = model.infer_raw(&session, &b.closeness, &b.period, &b.trend);
                 let norms = LatentNorms {
                     closeness: out.exclusive_mu_norms[0],
                     period: out.exclusive_mu_norms[1],
@@ -441,8 +370,9 @@ impl Staging {
     }
 }
 
-/// The serving counters and histograms, interned at boot (so each exports
-/// from then on, `muse_serve_panics_total` before any panic).
+/// The serving counters and histograms, interned when the engine is built
+/// (so each exports from then on, `muse_serve_panics_total` before any
+/// panic).
 struct Metrics {
     frames_ingested: &'static Counter,
     forecasts: &'static Counter,
@@ -467,9 +397,12 @@ impl Metrics {
     }
 }
 
-/// Everything the daemon serves from except the model, shared by the HTTP
-/// workers and the engine thread behind one lock.
+/// Everything the daemon serves from, shared by the HTTP workers behind
+/// one lock.
 struct State {
+    model: MuseNet,
+    /// Forward-only, `reset` before every pass.
+    tape: Tape,
     spec: SubSeriesSpec,
     grid: GridMap,
     window: FlowWindow,
@@ -487,9 +420,11 @@ struct State {
 }
 
 impl State {
-    fn new(config: &MuseNetConfig, opts: &EngineOptions) -> State {
-        let (spec, grid) = (config.spec, config.grid);
+    fn new(model: MuseNet, opts: &EngineOptions) -> State {
+        let (spec, grid) = (model.config().spec, model.config().grid);
         State {
+            model,
+            tape: Tape::forward_only(),
             window: FlowWindow::for_spec(grid, &spec),
             staging: Staging::new(grid, &spec),
             tracker: QualityTracker::new(spec.intervals_per_day, &opts.quality),
@@ -506,15 +441,15 @@ impl State {
         }
     }
 
-    fn info(&self, model: &MuseNet) -> EngineInfo {
-        let config = model.config();
+    fn info(&self) -> EngineInfo {
+        let config = self.model.config();
         EngineInfo {
             grid: self.grid,
             spec: self.spec,
             frame_len: self.window.frame_len(),
             window_capacity: self.window.capacity(),
             max_horizon: self.spec.intervals_per_day,
-            param_count: model.param_count(),
+            param_count: self.model.param_count(),
             variant: config.variant.name().to_string(),
             d: config.d,
             k: config.k,
@@ -574,31 +509,21 @@ impl State {
         Ok(())
     }
 
-    /// Extend the memo to `horizon` steps with the model, then answer. A
-    /// panic in the model discards the memo and refuses this forecast.
-    fn compute(
-        &mut self,
-        req: u64,
-        horizon: usize,
-        model: &MuseNet,
-        session: &Session<'_>,
-        tape: &Tape,
-    ) -> Result<ForecastResponse, EngineError> {
-        let started = Instant::now();
-        let State { staging, window, .. } = self;
+    /// Extend the memo to `horizon` steps with the model and return how
+    /// many steps were already cached. A panic in the model discards the
+    /// memo and refuses this forecast.
+    fn compute(&mut self, req: u64, horizon: usize) -> Result<usize, EngineError> {
+        let State { staging, window, model, tape, .. } = self;
         let extended = catch_unwind(AssertUnwindSafe(|| {
             let _span = obs::span("serve.forecast.batch");
-            staging.extend(model, session, tape, window, horizon)
+            staging.extend(model, tape, window, horizon)
         }));
-        match extended {
-            Ok(cached) => self.answer(req, horizon, cached, started),
-            Err(_) => {
-                self.metrics.panics.add(1);
-                reject(req, "forecast", "panic".to_string());
-                self.staging = Staging::new(self.grid, &self.spec);
-                Err(EngineError::Panicked)
-            }
-        }
+        extended.map_err(|_| {
+            self.metrics.panics.add(1);
+            reject(req, "forecast", "panic".to_string());
+            self.staging = Staging::new(self.grid, &self.spec);
+            EngineError::Panicked
+        })
     }
 
     /// Answer a forecast from a memo that holds its step; `cached` steps
@@ -651,34 +576,6 @@ impl State {
     }
 }
 
-fn run_engine(
-    build: impl FnOnce() -> Result<MuseNet, String>,
-    opts: EngineOptions,
-    rx: Receiver<Job>,
-    boot: Sender<Boot>,
-) {
-    let model = match build() {
-        Ok(model) => model,
-        Err(e) => {
-            let _ = boot.send(Err(e));
-            return;
-        }
-    };
-    let state = State::new(model.config(), &opts);
-    let info = state.info(&model);
-    let state = Arc::new(Mutex::new(state));
-    if boot.send(Ok((info, Arc::clone(&state)))).is_err() {
-        return;
-    }
-    let tape = Tape::forward_only();
-    let session = Session::new(&tape);
-    // Until `Job::Shutdown` or the last handle drops.
-    while let Ok(Job::Forecast { req, horizon, reply }) = rx.recv() {
-        let result = lock(&state).compute(req, horizon, &model, &session, &tape);
-        let _ = reply.send(result);
-    }
-}
-
 /// Trace a rejected request.
 fn reject(req: u64, stage: &str, reason: String) {
     obs::emit_with("req.reject", || {
@@ -721,7 +618,7 @@ fn spectrum_json(sweeper: &SpectralSweeper, tracker: &QualityTracker) -> Json {
 impl Engine {
     /// Swap in a full window only `depth` frames deep: it reads as ready,
     /// but is too shallow for the spec's lags, so every later rollout step
-    /// panics on the engine thread.
+    /// panics.
     pub(crate) fn shrink_window(&self, depth: usize) {
         let mut state = lock(&self.state);
         let mut window = FlowWindow::new(state.grid, depth);
@@ -743,6 +640,7 @@ mod tests {
     use muse_tensor::Tensor;
     use muse_traffic::FlowSeries;
     use musenet::MuseNetConfig;
+    use std::time::Duration;
 
     fn tiny_config() -> MuseNetConfig {
         let grid = GridMap::new(3, 4);
@@ -766,16 +664,13 @@ mod tests {
         (0..frame_len).map(|c| ((i as f32) * 0.05 + c as f32 * 0.01).sin() * 0.5 + 0.5).collect()
     }
 
-    fn start_tiny(opts: EngineOptions) -> Engine {
-        let cfg = tiny_config();
-        Engine::start(move || Ok(musenet::MuseNet::new(cfg)), opts).unwrap()
+    fn start_tiny() -> Engine {
+        Engine::new(MuseNet::new(tiny_config()), EngineOptions::default())
     }
 
     /// An engine serving an untrained `cfg` model, filled with frames `0..n`.
     fn start_filled(cfg: &MuseNetConfig, n: usize) -> Engine {
-        let build = cfg.clone();
-        let engine =
-            Engine::start(move || Ok(musenet::MuseNet::new(build)), EngineOptions::default()).unwrap();
+        let engine = Engine::new(MuseNet::new(cfg.clone()), EngineOptions::default());
         for i in 0..n as u64 {
             engine.ingest(frame_at(i, engine.info().frame_len)).unwrap();
         }
@@ -791,7 +686,7 @@ mod tests {
             cfg.grid,
             Tensor::from_vec(data, &[base, 2, cfg.grid.height, cfg.grid.width]),
         );
-        musenet::MuseNet::new(cfg.clone()).predict_multi_step(&flows, &cfg.spec, &[base], horizons)
+        MuseNet::new(cfg.clone()).predict_multi_step(&flows, &cfg.spec, &[base], horizons)
     }
 
     fn assert_bits(resp: &ForecastResponse, want: &Tensor) {
@@ -805,7 +700,7 @@ mod tests {
     #[test]
     fn rejects_bad_frames_and_horizons_and_not_ready() {
         let _g = obs::test_lock();
-        let engine = start_tiny(EngineOptions::default());
+        let engine = start_tiny();
         let info = engine.info().clone();
         assert!(matches!(engine.ingest(vec![0.0; 3]), Err(EngineError::BadFrame(_))));
         assert_eq!(engine.forecast(0), Err(EngineError::BadHorizon { horizon: 0, max: info.max_horizon }));
@@ -851,18 +746,13 @@ mod tests {
         let _g = obs::test_lock();
         let cfg = tiny_config();
         let n = cfg.spec.min_target();
-        let frame_len = 2 * cfg.grid.cells();
-        let mut baseline: Option<Vec<u32>> = None;
+        let expected = reference(&cfg, n, 2);
         for threads in [1usize, 2, 4] {
-            let engine = start_tiny(EngineOptions { threads: Some(threads), ..Default::default() });
-            for i in 0..n as u64 {
-                engine.ingest(frame_at(i, frame_len)).unwrap();
-            }
-            let bits: Vec<u32> = engine.forecast(2).unwrap().prediction.iter().map(|v| v.to_bits()).collect();
-            match &baseline {
-                None => baseline = Some(bits),
-                Some(want) => assert_eq!(&bits, want, "{threads} threads diverged"),
-            }
+            // The model runs on the calling thread, so its pool is the caller's.
+            let engine = start_filled(&cfg, n);
+            let resp = muse_parallel::with_threads(threads, || engine.forecast(2)).unwrap();
+            assert_eq!(engine.stats().unwrap().rollout_steps, 2, "{threads} threads: computed, not a hit");
+            assert_bits(&resp, &expected[1]);
         }
     }
 
@@ -948,18 +838,11 @@ mod tests {
         let cfg = tiny_config();
         let n = cfg.spec.min_target();
         let frame_len = 2 * cfg.grid.cells();
-        let build = cfg.clone();
-        let engine = Engine::start(
-            move || {
-                let model = musenet::MuseNet::new(build);
-                let params = model.params();
-                let weight = params.last().expect("model has parameters");
-                weight.set_value(Tensor::from_vec(vec![f32::NAN; weight.len()], &weight.dims()));
-                Ok(model)
-            },
-            EngineOptions::default(),
-        )
-        .unwrap();
+        let model = MuseNet::new(cfg.clone());
+        let params = model.params();
+        let weight = params.last().expect("model has parameters");
+        weight.set_value(Tensor::from_vec(vec![f32::NAN; weight.len()], &weight.dims()));
+        let engine = Engine::new(model, EngineOptions::default());
         for i in 0..n as u64 {
             engine.ingest(frame_at(i, frame_len)).unwrap();
         }
@@ -979,18 +862,21 @@ mod tests {
         let n = cfg.spec.min_target();
         let engine = start_filled(&cfg, n);
         let frame_len = engine.info().frame_len;
-        // Two misses queue behind the held lock; an ingest lands before
-        // the engine thread can take it.
-        let (first, second) = {
+        // Two misses block on the held lock; an ingest lands before either
+        // can take it.
+        let (first, second) = std::thread::scope(|scope| {
             let mut state = lock(&engine.state);
-            let (first_reply, first) = mpsc::channel();
-            let (second_reply, second) = mpsc::channel();
-            engine.tx.send(Job::Forecast { req: 1, horizon: 2, reply: first_reply }).unwrap();
-            engine.tx.send(Job::Forecast { req: 2, horizon: 1, reply: second_reply }).unwrap();
-            state.ingest(3, &frame_at(n as u64, frame_len)).unwrap();
-            (first, second)
-        };
-        let (first, second) = (first.recv().unwrap().unwrap(), second.recv().unwrap().unwrap());
+            let minted = NEXT_REQUEST_ID.load(Ordering::Relaxed);
+            let first = scope.spawn(|| engine.forecast(2));
+            let second = scope.spawn(|| engine.forecast(1));
+            // Each forecast mints its request ID just before it takes the lock.
+            while NEXT_REQUEST_ID.load(Ordering::Relaxed) < minted + 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            state.ingest(next_request_id(), &frame_at(n as u64, frame_len)).unwrap();
+            drop(state);
+            (first.join().unwrap().unwrap(), second.join().unwrap().unwrap())
+        });
         assert_eq!(first.target_index, n as u64 + 2, "the forecast must see the landed ingest");
         assert_eq!(second.target_index, n as u64 + 1);
         let expected = reference(&cfg, n + 1, 2);
@@ -998,7 +884,8 @@ mod tests {
         assert_bits(&second, &expected[0]);
         let stats = engine.stats().unwrap();
         assert_eq!((stats.batches, stats.forecasts), (2, 2), "each forecast is a batch of one");
-        assert_eq!((stats.rollout_steps, stats.memo_hits), (2, 1), "the second miss found its step computed");
+        // Whichever takes the lock first, the other finds its steps computed.
+        assert_eq!(stats.rollout_steps, 2, "no step is computed twice");
     }
 
     #[test]
@@ -1111,7 +998,7 @@ mod tests {
         let cfg = tiny_config();
         let n = cfg.spec.min_target();
         let frame_len = 2 * cfg.grid.cells();
-        let engine = start_tiny(EngineOptions::default());
+        let engine = start_tiny();
         for i in 0..n as u64 {
             let ack = engine.ingest(frame_at(i, frame_len)).unwrap();
             assert!(ack.request_id > 0);

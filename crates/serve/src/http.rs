@@ -52,7 +52,7 @@ impl Default for ServerOptions {
 }
 
 /// A running daemon front end; dropping it stops the listener (the engine
-/// is shared and shuts down when its last handle drops).
+/// is shared and lives until its last handle drops).
 pub struct Server {
     http: HttpServer,
     engine: Arc<Engine>,
@@ -274,8 +274,7 @@ mod tests {
         cfg.d = 4;
         cfg.k = 8;
         cfg.seed = 3;
-        let engine =
-            Arc::new(Engine::start(move || Ok(MuseNet::new(cfg)), EngineOptions::default()).unwrap());
+        let engine = Arc::new(Engine::new(MuseNet::new(cfg), EngineOptions::default()));
         Server::start(engine, ServerOptions::default()).unwrap()
     }
 
@@ -407,7 +406,7 @@ mod tests {
         let server = boot();
         let addr = server.addr();
         // A ready window one frame deep: every rollout step reads a frame
-        // the window never held and panics on the engine thread.
+        // the window never held and panics on the HTTP worker.
         server.engine().shrink_window(1);
         let frame_len = server.engine().info().frame_len;
         let raw_frame: Vec<u8> = (0..frame_len).flat_map(|i| (0.1 * i as f32).to_le_bytes()).collect();

@@ -5,16 +5,16 @@
 //! is the other half of that contract: boot a model from such a checkpoint,
 //! ingest live flow frames into a rolling window, and answer forecasts over
 //! HTTP — forward-only on a hoisted tape that recycles tensor storage, with
-//! the rollout memoized per window state and memo hits answered on the
-//! HTTP worker that received them.
+//! the rollout memoized per window state and every request answered on the
+//! HTTP worker that received it.
 //!
 //! Layering (each module usable on its own):
 //!
 //! * [`window`] — ring buffer of `2×H×W` frames with absolute indexing, the
 //!   frame source of the shared `muse_traffic::Rollout`;
-//! * [`engine`] — the serving state behind one lock and the model-owning
-//!   thread: checkpoint loading, the autoregressive rollout memo (each step
-//!   rendered to JSON once), misses sent to the model;
+//! * [`engine`] — the model and the serving state behind one lock:
+//!   checkpoint loading, the autoregressive rollout memo (each step
+//!   rendered to JSON once), misses computed on the calling worker;
 //! * [`journal`] — served forecasts awaiting ground truth, scored when the
 //!   target frame later arrives over `/ingest`;
 //! * [`quality`] — rolling MAE/RMSE estimators behind `GET /quality`, and

@@ -9,13 +9,15 @@
 //!   --addr <a>       bind address (default 127.0.0.1:9600; port 0 = ephemeral)
 //!   --workers <n>    server loops, one connection each at a time (default 4;
 //!                    1 serves connections sequentially)
-//!   --threads <n>    kernel threads for inference (default: MUSE_THREADS/auto)
 //!   --trace <p>      write a JSONL telemetry trace to <p> (same as MUSE_OBS=<p>)
 //!   --journal <n>    pending-forecast journal capacity (default 4096)
 //!   --quality-window <n>  rolling error-window depth (default 256)
-//!   --spectral-every <n>  run the spectral sweep every n ingests (default 32)
-//!   --no-spectral    disable the spectral sweep and /spectrum detections
+//!   --spectral-every <n>  run the spectral sweep every n ingests (default 32;
+//!                    0 disables the sweep and /spectrum detections)
 //! ```
+//!
+//! Forecasts run on the HTTP worker that receives them, with kernels on the
+//! process pool sized by `MUSE_THREADS` (default: every core).
 //!
 //! Three drift rules always run: `mae_drift`, `flow_level_shift` and
 //! `spectral_shift` (see `muse_serve::alerts`).
@@ -30,7 +32,6 @@ struct Args {
     checkpoint: PathBuf,
     addr: String,
     workers: usize,
-    threads: Option<usize>,
     trace: Option<PathBuf>,
     quality: QualityConfig,
     spectral_every: u64,
@@ -38,8 +39,7 @@ struct Args {
 
 fn usage() -> String {
     "usage: muse-serve --checkpoint path.ckpt [--addr host:port] [--workers n] \
-     [--threads n] [--trace path.jsonl] [--journal n] [--quality-window n] \
-     [--spectral-every n] [--no-spectral]"
+     [--trace path.jsonl] [--journal n] [--quality-window n] [--spectral-every n]"
         .to_string()
 }
 
@@ -48,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
     let mut checkpoint = None;
     let mut addr = "127.0.0.1:9600".to_string();
     let mut workers = 4usize;
-    let mut threads = None;
     let mut trace = None;
     let mut quality = QualityConfig::default();
     let mut spectral_every = EngineOptions::default().spectral_every;
@@ -60,10 +59,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => {
                 let v = value("--workers")?;
                 workers = v.parse().map_err(|_| format!("bad workers {v}"))?;
-            }
-            "--threads" => {
-                let v = value("--threads")?;
-                threads = Some(v.parse().map_err(|_| format!("bad threads {v}"))?);
             }
             "--trace" => trace = Some(PathBuf::from(value("--trace")?)),
             "--journal" => {
@@ -78,12 +73,11 @@ fn parse_args() -> Result<Args, String> {
                 let v = value("--spectral-every")?;
                 spectral_every = v.parse().map_err(|_| format!("bad spectral-every {v}"))?;
             }
-            "--no-spectral" => spectral_every = 0,
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
     let checkpoint = checkpoint.ok_or(format!("--checkpoint is required\n{}", usage()))?;
-    Ok(Args { checkpoint, addr, workers, threads, trace, quality, spectral_every })
+    Ok(Args { checkpoint, addr, workers, trace, quality, spectral_every })
 }
 
 fn main() {
@@ -110,14 +104,10 @@ fn main() {
     obs::serve::set_build_info(vec![
         ("version".to_string(), env!("CARGO_PKG_VERSION").to_string()),
         ("simd_level".to_string(), muse_tensor::simd::level_name().to_string()),
-        ("threads".to_string(), args.threads.unwrap_or_else(muse_parallel::env_threads).to_string()),
+        ("threads".to_string(), muse_parallel::current_threads().to_string()),
     ]);
 
-    let engine_opts = EngineOptions {
-        threads: args.threads,
-        quality: args.quality.clone(),
-        spectral_every: args.spectral_every,
-    };
+    let engine_opts = EngineOptions { quality: args.quality.clone(), spectral_every: args.spectral_every };
     let engine = match Engine::from_checkpoint(&args.checkpoint, engine_opts) {
         Ok(engine) => Arc::new(engine),
         Err(e) => {
@@ -161,7 +151,7 @@ fn main() {
                 ("window_capacity", info.window_capacity.to_json()),
                 ("max_horizon", info.max_horizon.to_json()),
                 ("workers", args.workers.to_json()),
-                ("threads", args.threads.map_or(Json::Null, |t| Json::Num(t as f64))),
+                ("threads", muse_parallel::current_threads().to_json()),
                 ("simd", Json::Str(muse_tensor::simd::level_name().to_string())),
                 ("version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),
             ],

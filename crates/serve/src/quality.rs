@@ -23,7 +23,7 @@
 
 use muse_fft::DetectedPeriod;
 use muse_obs::rolling::{DecayingHistogram, Ewma, RollingStats};
-use muse_obs::{self as obs, Gauge, Json};
+use muse_obs::{self as obs, Counter, Gauge, Json};
 use std::collections::BTreeMap;
 
 use crate::alerts::{Alert, AlertState};
@@ -83,6 +83,32 @@ impl HorizonStats {
     }
 }
 
+/// The tracker's counters and gauges, interned when it is built (so each
+/// exports from then on, at 0 until its first update).
+struct Metrics {
+    flow_mean: &'static Gauge,
+    scored: &'static Counter,
+    dropped: &'static Counter,
+    mae: &'static Gauge,
+    rmse: &'static Gauge,
+    spectral_period: &'static Gauge,
+    spectral_power_share: &'static Gauge,
+}
+
+impl Metrics {
+    fn intern() -> Metrics {
+        Metrics {
+            flow_mean: obs::gauge("serve.flow.mean"),
+            scored: obs::counter("serve.forecasts_scored"),
+            dropped: obs::counter("serve.forecasts_dropped"),
+            mae: obs::gauge("quality.mae"),
+            rmse: obs::gauge("quality.rmse"),
+            spectral_period: obs::gauge("spectral.period_intervals"),
+            spectral_power_share: obs::gauge("spectral.power_share"),
+        }
+    }
+}
+
 /// The engine-owned quality state: journal + estimators + drift rules.
 pub struct QualityTracker {
     journal: ForecastJournal,
@@ -102,6 +128,7 @@ pub struct QualityTracker {
     scored: u64,
     dropped: u64,
     last_flow_mean: f64,
+    metrics: Metrics,
 }
 
 impl QualityTracker {
@@ -124,6 +151,7 @@ impl QualityTracker {
             scored: 0,
             dropped: 0,
             last_flow_mean: 0.0,
+            metrics: Metrics::intern(),
         }
     }
 
@@ -158,7 +186,7 @@ impl QualityTracker {
             frame.iter().map(|&v| v as f64).sum::<f64>() / frame.len() as f64
         };
         self.last_flow_mean = mean;
-        obs::gauge("serve.flow.mean").set(mean);
+        self.metrics.flow_mean.set(mean);
         self.flow_level_shift.observe(index, mean);
 
         for settled in self.journal.settle(window) {
@@ -182,9 +210,9 @@ impl QualityTracker {
                     h.mae_ewma.update(s.mae);
                     h.rmse_ewma.update(s.rmse);
 
-                    obs::counter("serve.forecasts_scored").add(1);
-                    obs::gauge("quality.mae").set(self.mae_ewma.value());
-                    obs::gauge("quality.rmse").set(self.rmse_ewma.value());
+                    self.metrics.scored.add(1);
+                    self.metrics.mae.set(self.mae_ewma.value());
+                    self.metrics.rmse.set(self.rmse_ewma.value());
                     h.mae_gauge.set(h.mae_ewma.value());
                     h.rmse_gauge.set(h.rmse_ewma.value());
                     obs::emit_with("forecast.scored", || {
@@ -215,8 +243,8 @@ impl QualityTracker {
     /// feed the shift baseline.
     pub fn on_spectral(&mut self, sweep: u64, index: u64, periods: &[DetectedPeriod]) {
         let dominant = periods.first();
-        obs::gauge("spectral.period_intervals").set(dominant.map_or(0.0, |p| p.intervals as f64));
-        obs::gauge("spectral.power_share").set(dominant.map_or(0.0, |p| p.power_share));
+        self.metrics.spectral_period.set(dominant.map_or(0.0, |p| p.intervals as f64));
+        self.metrics.spectral_power_share.set(dominant.map_or(0.0, |p| p.power_share));
         obs::emit_with("spectral.sweep", || {
             vec![
                 ("sweep", Json::Num(sweep as f64)),
@@ -245,7 +273,7 @@ impl QualityTracker {
 
     fn count_dropped(&mut self, request: u64, horizon: usize, target: u64, reason: &'static str) {
         self.dropped += 1;
-        obs::counter("serve.forecasts_dropped").add(1);
+        self.metrics.dropped.add(1);
         obs::emit_with("forecast.dropped", || {
             vec![
                 ("request", Json::Num(request as f64)),
@@ -348,6 +376,9 @@ impl QualityTracker {
 
 #[cfg(test)]
 mod tests {
+    //! Every test holds `obs::test_lock()`: the tracker's rules bump the
+    //! process-global `alerts.transitions` counter, whose exact count
+    //! `alerts::tests` asserts.
     use super::*;
     use muse_traffic::GridMap;
 
@@ -357,6 +388,7 @@ mod tests {
 
     #[test]
     fn scores_flow_into_estimators_and_snapshot() {
+        let _g = obs::test_lock();
         let mut w = FlowWindow::new(GridMap::new(1, 1), 8);
         let mut t = tracker(4);
         // Forecast frame 0 as [1,3]; truth arrives as [2,1] → mae 1.5.
@@ -378,6 +410,7 @@ mod tests {
 
     #[test]
     fn flow_level_shift_alert_fires_on_injected_drift() {
+        let _g = obs::test_lock();
         let mut w = FlowWindow::new(GridMap::new(1, 1), 8);
         let slots = 4;
         let mut t = tracker(slots);
@@ -408,6 +441,7 @@ mod tests {
 
     #[test]
     fn spectral_shift_alert_fires_when_the_dominant_period_moves() {
+        let _g = obs::test_lock();
         let mut t = tracker(24);
         assert_eq!(t.spectral_shift_state(), AlertState::Ok);
         let daily = |p: usize| DetectedPeriod { intervals: p, power_share: 0.7, snr: 50.0 };
@@ -429,6 +463,7 @@ mod tests {
 
     #[test]
     fn journal_overflow_and_eviction_count_as_dropped() {
+        let _g = obs::test_lock();
         let cfg = QualityConfig { journal_capacity: 1, ..QualityConfig::default() };
         let mut w = FlowWindow::new(GridMap::new(1, 1), 2);
         let mut t = QualityTracker::new(4, &cfg);
@@ -451,6 +486,7 @@ mod tests {
 
     #[test]
     fn a_fresh_tracker_reports_the_three_rules() {
+        let _g = obs::test_lock();
         let want = concat!(
             r#"{"worst":"ok","alerts":["#,
             r#"{"name":"mae_drift","metric":"quality.mae","kind":"ewma","state":"ok","for":3,"#,

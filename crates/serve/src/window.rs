@@ -133,7 +133,7 @@ impl FlowWindow {
     /// evicted or not ingested yet. The forecast journal settles against
     /// ground truth with this: a target frame that fell off the ring (the
     /// daemon outlived the journal's patience) must score as *dropped*,
-    /// never panic the engine thread.
+    /// never panic the worker serving the ingest.
     pub fn try_frame(&self, abs: u64) -> Option<&[f32]> {
         if abs >= self.next || self.next - abs > self.capacity as u64 {
             return None;

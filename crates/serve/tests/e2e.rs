@@ -1,8 +1,9 @@
 //! End-to-end: train a tiny MUSE-Net, save a self-describing checkpoint,
 //! boot the daemon on an ephemeral port, ingest frames over HTTP, and
 //! verify `/forecast` is bit-identical to the in-process forward pass —
-//! for every kernel thread count, and under concurrent clients. Also: a
-//! hostile ingest body is a 400, not a dead daemon.
+//! byte for byte against the engine under every kernel thread count, and
+//! under concurrent clients. Also: a hostile ingest body is a 400, not a
+//! dead daemon.
 
 use muse_obs as obs;
 use muse_obs::http::fetch;
@@ -31,6 +32,14 @@ fn synthetic_series(grid: GridMap, spec: &SubSeriesSpec, t: usize) -> FlowSeries
 fn get(addr: SocketAddr, path: &str) -> (String, String) {
     let (_, head, body) = fetch(addr, "GET", path, None).unwrap();
     (head, body)
+}
+
+/// `body` with its `"request_id"` value replaced by `0`.
+fn zero_request_id(body: &str) -> String {
+    let key = "\"request_id\":";
+    let start = body.find(key).expect("a request id") + key.len();
+    let end = start + body[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    format!("{}0{}", &body[..start], &body[end..])
 }
 
 fn post_raw_frame(addr: SocketAddr, frame: &[f32]) -> (String, String) {
@@ -73,51 +82,54 @@ fn daemon_forecast_is_bit_identical_to_in_process_model() {
         expected.iter().map(|p| p.as_slice().iter().map(|v| v.to_bits()).collect()).collect();
 
     let frame_len = 2 * grid.cells();
-    let mut bodies_by_threads: Vec<String> = Vec::new();
+    let src = flows.tensor().as_slice();
+    let frame = |i: usize| src[i * frame_len..(i + 1) * frame_len].to_vec();
+    let engine = Engine::from_checkpoint(&ckpt, EngineOptions::default()).unwrap();
+    let server = Server::start(Arc::new(engine), ServerOptions::default()).unwrap();
+    let addr = server.addr();
+
+    let (head, body) = get(addr, "/healthz");
+    assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+    assert!(body.contains("\"ready\":false"));
+
+    // Ingest the whole series; the ring keeps the last min_target frames.
+    for i in 0..t {
+        let (head, _) = post_raw_frame(addr, &frame(i));
+        assert!(head.starts_with("HTTP/1.1 200 "), "frame {i}: {head}");
+    }
+
+    let mut bodies = Vec::new();
+    for h in 1..=horizons {
+        let (head, body) = get(addr, &format!("/forecast?horizon={h}"));
+        assert!(head.starts_with("HTTP/1.1 200 "), "{head} {body}");
+        let resp = ForecastResponse::from_json(&obs::json::parse(&body).unwrap()).unwrap();
+        assert_eq!(resp.horizon, h);
+        assert_eq!(resp.target_index, (t + h - 1) as u64);
+        assert_eq!(resp.shape, [2, grid.height, grid.width]);
+        let got: Vec<u32> = resp.prediction.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, expected_bits[h - 1], "daemon diverged from in-process rollout at horizon {h}");
+        assert!(resp.latent_norms.closeness.is_finite());
+        assert!(resp.latent_norms.interactive.is_finite());
+        bodies.push(zero_request_id(&body));
+    }
+
+    // The daemon's workers run the model on the process pool; the same
+    // forecasts on the caller under every pool size match the wire bytes.
     for threads in [1usize, 2, 4] {
-        let engine = Arc::new(
-            Engine::from_checkpoint(&ckpt, EngineOptions { threads: Some(threads), ..Default::default() })
-                .unwrap(),
-        );
-        let server = Server::start(Arc::clone(&engine), ServerOptions::default()).unwrap();
-        let addr = server.addr();
-
-        let (head, body) = get(addr, "/healthz");
-        assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
-        assert!(body.contains("\"ready\":false"));
-
-        // Ingest the whole series; the ring keeps the last min_target frames.
-        let src = flows.tensor().as_slice();
+        let engine = Engine::from_checkpoint(&ckpt, EngineOptions::default()).unwrap();
         for i in 0..t {
-            let (head, _) = post_raw_frame(addr, &src[i * frame_len..(i + 1) * frame_len]);
-            assert!(head.starts_with("HTTP/1.1 200 "), "frame {i}: {head}");
+            engine.ingest(frame(i)).unwrap();
         }
-
-        let mut bodies = String::new();
         for h in 1..=horizons {
-            let (head, body) = get(addr, &format!("/forecast?horizon={h}"));
-            assert!(head.starts_with("HTTP/1.1 200 "), "{head} {body}");
-            let mut resp = ForecastResponse::from_json(&obs::json::parse(&body).unwrap()).unwrap();
-            assert_eq!(resp.horizon, h);
-            assert_eq!(resp.target_index, (t + h - 1) as u64);
-            assert_eq!(resp.shape, [2, grid.height, grid.width]);
-            let got: Vec<u32> = resp.prediction.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                got,
-                expected_bits[h - 1],
-                "{threads}-thread daemon diverged from in-process rollout at horizon {h}"
-            );
-            assert!(resp.latent_norms.closeness.is_finite());
-            assert!(resp.latent_norms.interactive.is_finite());
+            let mut resp = muse_parallel::with_threads(threads, || engine.forecast(h)).unwrap();
             // Request IDs are unique per request by design; normalize them
-            // before comparing the rest of the payload byte-for-byte.
+            // before comparing the rest of the payload byte for byte.
             resp.request_id = 0;
-            bodies.push_str(&resp.to_json().render());
-            bodies.push('\n');
-        }
-        match bodies_by_threads.first() {
-            None => bodies_by_threads.push(bodies),
-            Some(first) => assert_eq!(&bodies, first, "{threads}-thread response bytes diverged"),
+            assert_eq!(
+                resp.to_json().render(),
+                bodies[h - 1],
+                "{threads} threads, horizon {h}: bytes diverged"
+            );
         }
     }
     std::fs::remove_file(ckpt).ok();
@@ -165,7 +177,7 @@ fn concurrent_clients_get_the_in_process_rollout_of_their_window() {
     let bases: Vec<usize> = (fill..=t).collect();
     let expected = MuseNet::new(cfg.clone()).predict_multi_step(&flows, &spec, &bases, max);
 
-    let engine = Engine::start(move || Ok(MuseNet::new(cfg)), EngineOptions::default()).unwrap();
+    let engine = Engine::new(MuseNet::new(cfg), EngineOptions::default());
     let server = Server::start(Arc::new(engine), ServerOptions::default()).unwrap();
     let addr = server.addr();
     let frame_len = 2 * grid.cells();

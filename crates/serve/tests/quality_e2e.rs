@@ -76,7 +76,7 @@ fn drift_is_scored_alerted_and_traced() {
     let frame_len = 2 * grid.cells();
     let ipd = spec.intervals_per_day;
 
-    let engine = Arc::new(Engine::start(move || Ok(MuseNet::new(cfg)), EngineOptions::default()).unwrap());
+    let engine = Arc::new(Engine::new(MuseNet::new(cfg), EngineOptions::default()));
     let server = Server::start(Arc::clone(&engine), ServerOptions::default()).unwrap();
     let addr = server.addr();
     let capacity = engine.info().window_capacity;
@@ -142,7 +142,7 @@ fn drift_is_scored_alerted_and_traced() {
     assert!(metrics.contains("muse_serve_flow_mean "), "{metrics}");
     assert!(metrics.contains("muse_alerts_transitions_total"), "{metrics}");
 
-    // Tear down so the engine thread stops writing before we read the trace.
+    // Tear down so nothing writes to the trace while we read it.
     drop(server);
     engine.shutdown();
     let path = obs::close_trace().unwrap();

@@ -92,11 +92,6 @@ impl SeededRng {
         }
         idx
     }
-
-    /// Split off an independent child generator (for parallel-safe seeding).
-    pub fn fork(&mut self) -> SeededRng {
-        SeededRng::new(self.next_u64())
-    }
 }
 
 impl Tensor {

@@ -260,15 +260,6 @@ impl Tensor {
     }
 }
 
-/// Mean of a slice of scalars; 0.0 when empty.
-pub fn mean_of(xs: &[f32]) -> f32 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f32>() / xs.len() as f32
-    }
-}
-
 /// Build a one-hot rank-1 tensor of length `n` with 1.0 at `index`.
 pub fn one_hot(n: usize, index: usize) -> Tensor {
     assert!(index < n, "one_hot index {index} out of range {n}");

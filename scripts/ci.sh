@@ -93,6 +93,15 @@ serve_checks() {
     frame_len=$(grep -o '"frame_len":[0-9]*' target/ci_serve_stats.json | head -1 | cut -d: -f2)
     capacity=$(grep -o '"window_capacity":[0-9]*' target/ci_serve_stats.json | head -1 | cut -d: -f2)
     [ -n "$frame_len" ] && [ -n "$capacity" ] || { echo "/stats missing frame_len/window_capacity" >&2; exit 1; }
+    # The quality tracker interns its families at boot: they export before
+    # the first ingest.
+    curl -sf "http://$SERVE_ADDR/metrics" -o target/ci_serve_boot_metrics.txt
+    for family in muse_serve_flow_mean muse_serve_forecasts_scored_total; do
+        grep -q "^$family " target/ci_serve_boot_metrics.txt || {
+            echo "$family missing from /metrics before the first ingest" >&2
+            exit 1
+        }
+    done
     awk -v n="$frame_len" 'BEGIN {
         printf "{\"frame\":[";
         for (i = 0; i < n; i++) printf "%s%.4f", (i ? "," : ""), 0.3 + 0.2 * sin(i * 0.37);
