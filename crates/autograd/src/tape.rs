@@ -3,6 +3,7 @@
 use muse_obs as obs;
 use muse_tensor::Tensor;
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// Backward closure: reads operand values through a [`BackwardCtx`] and
 /// accumulates parent contributions into a [`GradSink`]. Closures capture
@@ -302,9 +303,12 @@ impl Tape {
         assert!(loss.id < nodes.len(), "loss var not on this tape");
         let telemetry = obs::enabled();
         if telemetry {
-            obs::gauge("autograd.tape_len").set(nodes.len() as f64);
+            static TAPE_LEN: OnceLock<&obs::Gauge> = OnceLock::new();
+            TAPE_LEN.get_or_init(|| obs::gauge("autograd.tape_len")).set(nodes.len() as f64);
         }
         let _sweep = obs::span("autograd.backward");
+        // Per-op backward histograms, looked up once per op per sweep.
+        let mut op_histograms: Vec<(&'static str, &'static obs::Histogram)> = Vec::new();
         // Reuse slot storage from the previous sweep when available.
         let mut grads = std::mem::take(&mut *self.grads_cache.borrow_mut());
         grads.clear();
@@ -323,10 +327,16 @@ impl Tape {
                     back(&ctx, &mut sink);
                 }
                 if let Some(t0) = t0 {
-                    obs::record_duration(
-                        &format!("autograd.backward.{}", nodes[id].op),
-                        t0.elapsed().as_nanos() as u64,
-                    );
+                    let op = nodes[id].op;
+                    let histogram = match op_histograms.iter().find(|(seen, _)| *seen == op) {
+                        Some(&(_, h)) => h,
+                        None => {
+                            let h = obs::metrics::histogram_owned(&format!("autograd.backward.{op}"));
+                            op_histograms.push((op, h));
+                            h
+                        }
+                    };
+                    histogram.record(t0.elapsed().as_nanos() as u64 as f64);
                 }
             }
             grads[id] = Some(grad);

@@ -12,6 +12,7 @@ use muse_tensor::init::SeededRng;
 use muse_tensor::{arena, Tensor};
 use muse_traffic::subseries::{batch, batch_into, Batch, SubSeriesSpec};
 use muse_traffic::FlowSeries;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// A model [`Trainer`] can fit: a per-batch prediction graph over named
@@ -303,7 +304,10 @@ impl<M: Trainable> Trainer<M> {
                     continue;
                 }
                 losses.push(pass.terms.total);
-                obs::gauge("train.loss_ewma").set(loss_ewma.update(pass.terms.total as f64));
+                static LOSS_EWMA: OnceLock<&obs::Gauge> = OnceLock::new();
+                LOSS_EWMA
+                    .get_or_init(|| obs::gauge("train.loss_ewma"))
+                    .set(loss_ewma.update(pass.terms.total as f64));
                 regs.push(pass.terms.regression);
                 term_sums[0] += pass.terms.kl_exclusive as f64;
                 term_sums[1] += pass.terms.kl_interactive as f64;

@@ -244,6 +244,10 @@ fn main() {
                     ("duration_s", f64::from(started.elapsed().as_secs_f32()).to_json()),
                 ],
             );
+            // A snapshot after each experiment, flushed, so the trace of an
+            // interrupted run still carries its span totals and kernels.
+            obs::emit("kernel.summary", vec![("metrics", obs::snapshot())]);
+            obs::flush_trace();
         }
         if let Some(dir) = &args.out {
             std::fs::create_dir_all(dir).expect("create output dir");
@@ -254,7 +258,6 @@ fn main() {
         }
     }
     if tracing {
-        obs::emit("kernel.summary", vec![("metrics", obs::snapshot())]);
         if let Some(path) = obs::close_trace() {
             eprintln!("[trace] wrote {}", path.display());
         }

@@ -4,6 +4,7 @@
 use crate::param::ParamRef;
 use muse_obs as obs;
 use muse_tensor::Tensor;
+use std::sync::OnceLock;
 
 /// Common optimizer interface: owns its parameter list and per-parameter
 /// state, consumes accumulated `.grad`s on [`Optimizer::step`].
@@ -168,11 +169,20 @@ pub fn clip_grad_norm(params: &[ParamRef], max_norm: f32) -> f32 {
         norm
     };
     if obs::enabled() {
-        obs::gauge("nn.grad_norm.pre_clip").set(norm as f64);
-        obs::gauge("nn.grad_norm.post_clip").set(clipped_norm as f64);
-        obs::histogram("nn.grad_norm").record(norm as f64);
+        static NORMS: OnceLock<(&obs::Gauge, &obs::Gauge, &obs::Histogram)> = OnceLock::new();
+        static CLIPPED: OnceLock<&obs::Counter> = OnceLock::new();
+        let (pre_clip, post_clip, hist) = NORMS.get_or_init(|| {
+            (
+                obs::gauge("nn.grad_norm.pre_clip"),
+                obs::gauge("nn.grad_norm.post_clip"),
+                obs::histogram("nn.grad_norm"),
+            )
+        });
+        pre_clip.set(norm as f64);
+        post_clip.set(clipped_norm as f64);
+        hist.record(norm as f64);
         if norm > max_norm {
-            obs::counter("nn.grad_clip.clipped").add(1);
+            CLIPPED.get_or_init(|| obs::counter("nn.grad_clip.clipped")).add(1);
         }
     }
     norm

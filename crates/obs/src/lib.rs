@@ -55,10 +55,10 @@ pub use metrics::{counter, gauge, gauge_owned, histogram, kernel, Counter, Gauge
 pub use rolling::{DecayingHistogram, Ewma, RollingStats};
 pub use serve::{render_prometheus, MetricsServer};
 pub use sink::{
-    close_trace, emit, emit_with, emitted_events, flush_trace, init_from_env, next_run_id, now_ns,
-    open_trace, read_trace, trace_enabled, trace_path,
+    close_trace, emit, emit_with, emitted_events, flush_trace, init_from_env, next_run_id, open_trace,
+    read_trace, trace_enabled, trace_path,
 };
-pub use span::{profile, span, span_depth, thread_ordinal, SpanGuard};
+pub use span::{profile, span, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -92,15 +92,6 @@ pub fn kernel_timer(name: &'static str, bytes: u64) -> metrics::KernelTimer {
         metrics::KernelTimer::running(kernel(name), bytes)
     } else {
         metrics::KernelTimer::inert()
-    }
-}
-
-/// Record a named duration into the histogram registry (used for per-op
-/// backward attribution, where names are composed at runtime).
-#[inline]
-pub fn record_duration(name: &str, nanos: u64) {
-    if enabled() {
-        metrics::histogram_owned(name).record(nanos as f64);
     }
 }
 

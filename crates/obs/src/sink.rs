@@ -9,6 +9,11 @@
 //! plus event-specific fields. Writers hold a mutex only long enough to
 //! append one line; when no trace is open [`emit`]/[`emit_with`] are a
 //! single atomic load.
+//!
+//! Spans write no events: their totals reach a trace inside the
+//! `kernel.summary` snapshot (`metrics` = [`crate::snapshot`]), which
+//! `muse-eval` appends after each experiment and `muse-serve` before each
+//! once-a-second flush that follows new events.
 
 use crate::json::Json;
 use std::fs::File;
@@ -27,24 +32,6 @@ struct Trace {
 static TRACE_OPEN: AtomicBool = AtomicBool::new(false);
 static SEQ: AtomicU64 = AtomicU64::new(0);
 static RUN_ID: AtomicU64 = AtomicU64::new(0);
-/// Nanoseconds from the process epoch to the moment the trace was opened;
-/// lets [`now_ns`] report trace-relative time without taking the trace lock.
-static OPEN_OFFSET_NS: AtomicU64 = AtomicU64::new(0);
-
-fn process_epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Monotonic nanoseconds since the trace was opened (or since first use,
-/// when no trace has been opened). Span enter/exit events timestamp with
-/// this clock, so trace post-processing never sees time move backwards and
-/// span times line up with the `t_ms` field of ordinary events.
-pub fn now_ns() -> u64 {
-    let abs = process_epoch().elapsed().as_nanos() as u64;
-    abs.saturating_sub(OPEN_OFFSET_NS.load(Ordering::Relaxed))
-}
-
 /// Total events emitted to traces so far (the global `seq` watermark).
 pub fn emitted_events() -> u64 {
     SEQ.load(Ordering::Relaxed)
@@ -76,7 +63,6 @@ pub fn open_trace(path: impl AsRef<Path>) -> io::Result<()> {
     }
     let file = File::create(&path)?;
     let mut slot = lock_trace();
-    OPEN_OFFSET_NS.store(process_epoch().elapsed().as_nanos() as u64, Ordering::Relaxed);
     *slot = Some(Trace { writer: BufWriter::new(file), path, opened: Instant::now() });
     TRACE_OPEN.store(true, Ordering::Relaxed);
     crate::enable();
@@ -235,13 +221,6 @@ mod tests {
         let a = next_run_id();
         let b = next_run_id();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn now_ns_is_monotonic() {
-        let a = now_ns();
-        let b = now_ns();
-        assert!(b >= a);
     }
 
     #[test]

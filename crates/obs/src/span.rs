@@ -6,136 +6,90 @@
 //! level. When telemetry is disabled a span is a single flag check — no
 //! clock read, no allocation.
 //!
-//! When a JSONL trace is open, every span additionally emits a pair of
-//! `span.enter` / `span.exit` events carrying the full slash-joined path,
-//! a per-thread ordinal (`tid`), the nesting depth, and monotonic
-//! nanosecond timestamps from [`crate::sink::now_ns`].
+//! A span's one record is its `span.<path>` histogram. Each thread keeps
+//! its open path as one string, `span.` plus the `/`-joined open names; a
+//! span appends its name, looks its histogram up once when it opens, and
+//! on close records into that handle and cuts the string back. A warm
+//! open/close allocates nothing.
 //!
 //! ## Profiles
 //!
-//! Every closed span adds its exact duration to the `span.<path>`
-//! histogram, so the registry already holds each path's count and total
-//! nanoseconds. [`fold`] turns such `(path, count, total_ns)` rows into
-//! self times (total minus the totals of *direct* children) and
-//! [`collapsed`] renders them as `a;b;c <self_ns>` lines in a fixed flame
-//! order, the format `flamegraph.pl` and speedscope read. [`profile`] does
-//! this live over the registry (`GET /debug/profile`); `muse-trace flame`
-//! does it over a trace's `span.exit` events, with the same output for the
-//! same spans.
+//! Every closed span adds its exact duration to its histogram, so the
+//! registry already holds each path's count and total nanoseconds.
+//! [`fold`] turns such `(path, count, total_ns)` rows into self times
+//! (total minus the totals of *direct* children) and [`collapsed`] renders
+//! them as `a;b;c <self_ns>` lines in a fixed flame order, the format
+//! `flamegraph.pl` and speedscope read. [`profile`] does this live over the
+//! registry (`GET /debug/profile`); `muse-trace flame` does it over the
+//! `span.*` histograms of a trace's last `kernel.summary` snapshot, through
+//! the same [`fold_histograms`], so the same spans give the same bytes.
 
-use crate::json::Json;
-use crate::metrics::{self, histogram_owned};
-use crate::sink;
-use std::cell::{Cell, RefCell};
+use crate::metrics::{self, histogram_owned, Histogram};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+/// Prefix of every span histogram's name.
+const PREFIX: &str = "span.";
+
 thread_local! {
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    static TID: Cell<u64> = const { Cell::new(0) };
-}
-
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-
-/// Small, stable, per-thread ordinal used to separate span streams of
-/// different threads in a trace (assigned on first use, starting at 1).
-pub fn thread_ordinal() -> u64 {
-    TID.with(|t| {
-        let mut id = t.get();
-        if id == 0 {
-            id = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            t.set(id);
-        }
-        id
-    })
+    /// `span.` plus the `/`-joined names of this thread's open spans (empty
+    /// until the first span opens).
+    static SPAN_PATH: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
 // --- spans ----------------------------------------------------------------
 
 /// Open a timed span. Drop closes it and records its duration (in
-/// nanoseconds) into the `span.<path>` histogram; with a trace open, enter
-/// and exit events are emitted as well.
+/// nanoseconds) into the `span.<path>` histogram.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
-        return SpanGuard { run: None, trace: None };
+        return SpanGuard { run: None };
     }
-    let depth = SPAN_STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        stack.push(name);
-        stack.len()
+    let (histogram, parent_len) = SPAN_PATH.with(|p| {
+        let mut path = p.borrow_mut();
+        if path.is_empty() {
+            path.push_str(PREFIX);
+        }
+        let parent_len = path.len();
+        if parent_len > PREFIX.len() {
+            path.push('/');
+        }
+        path.push_str(name);
+        (histogram_owned(&path), parent_len)
     });
-    let trace = if sink::trace_enabled() {
-        let path = SPAN_STACK.with(|s| s.borrow().join("/"));
-        let tid = thread_ordinal();
-        let t_ns = sink::now_ns();
-        sink::emit(
-            "span.enter",
-            vec![
-                ("path", Json::Str(path.clone())),
-                ("tid", Json::Num(tid as f64)),
-                ("depth", Json::Num(depth as f64)),
-                ("t_ns", Json::Num(t_ns as f64)),
-            ],
-        );
-        Some((path, tid))
-    } else {
-        None
-    };
-    SpanGuard { run: Some(Instant::now()), trace }
-}
-
-/// Current nesting depth of this thread's span stack.
-pub fn span_depth() -> usize {
-    if !crate::enabled() {
-        return 0;
-    }
-    SPAN_STACK.with(|s| s.borrow().len())
+    SpanGuard { run: Some((Instant::now(), histogram, parent_len)) }
 }
 
 /// Guard returned by [`span`]; records on drop.
 pub struct SpanGuard {
-    run: Option<Instant>,
-    /// `(path, tid)` captured at enter when a trace was open.
-    trace: Option<(String, u64)>,
+    /// Open time, this span's histogram, and the length of the parent's
+    /// path to cut back to.
+    run: Option<(Instant, &'static Histogram, usize)>,
 }
 
 impl SpanGuard {
     /// Nanoseconds since the span opened (0 when telemetry is disabled).
     pub fn elapsed_nanos(&self) -> u64 {
-        self.run.map_or(0, |t| t.elapsed().as_nanos() as u64)
+        self.run.map_or(0, |(t, ..)| t.elapsed().as_nanos() as u64)
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(start) = self.run.take() else { return };
-        let nanos = start.elapsed().as_nanos() as u64;
-        let path = match self.trace.take() {
-            // Reuse the enter-time path: the exit event must pair with the
-            // enter event even if the stack was torn by a panic unwind.
-            Some((path, tid)) => {
-                sink::emit(
-                    "span.exit",
-                    vec![
-                        ("path", Json::Str(path.clone())),
-                        ("tid", Json::Num(tid as f64)),
-                        ("t_ns", Json::Num(sink::now_ns() as f64)),
-                        ("dur_ns", Json::Num(nanos as f64)),
-                    ],
-                );
-                SPAN_STACK.with(|s| s.borrow_mut().pop());
-                path
+        let Some((start, histogram, parent_len)) = self.run.take() else { return };
+        histogram.record(start.elapsed().as_nanos() as u64 as f64);
+        // A guard dropped out of order has already recorded under its own
+        // path; cutting back closes the names opened after it as well. Only
+        // after out-of-order drops can the cut split a character, and then
+        // it is skipped rather than allowed to panic.
+        SPAN_PATH.with(|p| {
+            let mut path = p.borrow_mut();
+            if path.is_char_boundary(parent_len) {
+                path.truncate(parent_len);
             }
-            None => SPAN_STACK.with(|s| {
-                let mut stack = s.borrow_mut();
-                let path = stack.join("/");
-                stack.pop();
-                path
-            }),
-        };
-        histogram_owned(&format!("span.{path}")).record(nanos as f64);
+        });
     }
 }
 
@@ -158,23 +112,23 @@ pub struct FoldedSpan {
 
 /// Fold `(path, count, total_ns)` rows into per-path totals with self
 /// time, sorted by path. Rows that share a path are summed, so one row per
-/// closed span works as well as one row per path.
+/// closed span works as well as one row per path. Every sum saturates at
+/// `u64::MAX`: a trace is untrusted input.
 pub fn fold<'a>(rows: impl IntoIterator<Item = (&'a str, u64, u64)>) -> Vec<FoldedSpan> {
     let mut totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new(); // path → (count, total)
     for (path, count, total_ns) in rows {
         let slot = totals.entry(path).or_insert((0, 0));
-        slot.0 += count;
-        slot.1 += total_ns;
+        slot.0 = slot.0.saturating_add(count);
+        slot.1 = slot.1.saturating_add(total_ns);
     }
     totals
         .iter()
         .map(|(path, &(count, total_ns))| {
-            let children_ns: u64 = totals
+            let children_ns = totals
                 .range::<str, _>((std::ops::Bound::Excluded(*path), std::ops::Bound::Unbounded))
                 .take_while(|(p, _)| p.starts_with(*path))
                 .filter(|(p, _)| is_direct_child(path, p))
-                .map(|(_, &(_, t))| t)
-                .sum();
+                .fold(0u64, |sum, (_, &(_, t))| sum.saturating_add(t));
             FoldedSpan {
                 path: path.to_string(),
                 count,
@@ -183,6 +137,16 @@ pub fn fold<'a>(rows: impl IntoIterator<Item = (&'a str, u64, u64)>) -> Vec<Fold
             }
         })
         .collect()
+}
+
+/// Fold `(histogram name, count, sum_ns)` rows of a metrics snapshot: the
+/// `span.*` histograms with a non-zero count, under their span path. The
+/// live [`profile`] and `muse-trace flame` both fold through this.
+pub fn fold_histograms<'a>(rows: impl IntoIterator<Item = (&'a str, u64, u64)>) -> Vec<FoldedSpan> {
+    fold(rows.into_iter().filter_map(|(name, count, sum_ns)| {
+        let path = name.strip_prefix(PREFIX)?;
+        (count > 0).then_some((path, count, sum_ns))
+    }))
 }
 
 /// Is `candidate` exactly one segment below `parent`?
@@ -249,34 +213,58 @@ pub fn tree_order_indices(rows: &[(&str, u64)], sep: char) -> Vec<usize> {
 /// span that is still open show up as roots.
 pub fn profile() -> String {
     let snapshot = metrics::export_snapshot();
-    let rows = snapshot.histograms.iter().filter_map(|(name, count, sum_ns, _)| {
-        let path = name.strip_prefix("span.")?;
-        (*count > 0).then_some((path, *count, *sum_ns as u64))
-    });
-    collapsed(&fold(rows))
+    let rows =
+        snapshot.histograms.iter().map(|(name, count, sum_ns, _)| (name.as_str(), *count, *sum_ns as u64));
+    collapsed(&fold_histograms(rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// This thread's open path.
+    fn open_path() -> String {
+        SPAN_PATH.with(|p| p.borrow().clone())
+    }
+
     #[test]
-    fn nesting_paths_and_depth() {
+    fn nesting_paths() {
         let _g = crate::test_lock();
         crate::enable();
-        assert_eq!(span_depth(), 0);
         {
             let _a = span("outer_test");
-            assert_eq!(span_depth(), 1);
+            assert_eq!(open_path(), "span.outer_test");
             {
                 let _b = span("inner_test");
-                assert_eq!(span_depth(), 2);
+                assert_eq!(open_path(), "span.outer_test/inner_test");
             }
-            assert_eq!(span_depth(), 1);
+            assert_eq!(open_path(), "span.outer_test");
         }
-        assert_eq!(span_depth(), 0);
+        assert_eq!(open_path(), "span.");
         assert!(histogram_owned("span.outer_test").count() >= 1);
         assert!(histogram_owned("span.outer_test/inner_test").count() >= 1);
+        crate::disable();
+    }
+
+    #[test]
+    fn out_of_order_drops_record_under_their_own_paths() {
+        let _g = crate::test_lock();
+        crate::enable();
+        crate::reset_metrics();
+        let outer = span("ooo_outer");
+        let middle = span("ooo_middle");
+        let inner = span("ooo_inner");
+        drop(middle);
+        assert_eq!(open_path(), "span.ooo_outer");
+        drop(outer);
+        drop(inner);
+        assert_eq!(open_path(), "span.", "the stack returns to the root");
+        for path in ["span.ooo_outer", "span.ooo_outer/ooo_middle", "span.ooo_outer/ooo_middle/ooo_inner"] {
+            assert_eq!(histogram_owned(path).count(), 1, "{path}");
+        }
+        // A later span nests under nothing left over.
+        drop(span("ooo_after"));
+        assert_eq!(histogram_owned("span.ooo_after").count(), 1);
         crate::disable();
     }
 
@@ -288,38 +276,6 @@ mod tests {
         assert_eq!(g.elapsed_nanos(), 0);
         drop(g);
         assert_eq!(histogram_owned("span.never_recorded").count(), 0);
-    }
-
-    #[test]
-    fn thread_ordinals_are_stable_and_distinct() {
-        let here = thread_ordinal();
-        assert_eq!(here, thread_ordinal());
-        let other = std::thread::spawn(thread_ordinal).join().unwrap();
-        assert_ne!(here, other);
-    }
-
-    #[test]
-    fn thread_ordinals_survive_thread_churn() {
-        let here = thread_ordinal();
-        let mut seen = vec![here];
-        // Spawn-and-join a burst of short-lived threads: every one must get
-        // a fresh ordinal (ordinals are never recycled), the current
-        // thread's ordinal must not move, and each spawned thread must see
-        // its own ordinal as stable across repeated calls.
-        for _ in 0..16 {
-            let got = std::thread::spawn(|| {
-                let first = thread_ordinal();
-                for _ in 0..3 {
-                    assert_eq!(thread_ordinal(), first);
-                }
-                first
-            })
-            .join()
-            .unwrap();
-            assert!(!seen.contains(&got), "ordinal {got} was recycled");
-            seen.push(got);
-        }
-        assert_eq!(thread_ordinal(), here);
     }
 
     fn closed(path: &str, dur_ns: u64) -> (&str, u64, u64) {
@@ -355,6 +311,17 @@ mod tests {
         assert_eq!(x.self_ns, 35);
         // Pre-summed rows fold to the same numbers.
         assert_eq!(fold([("x", 2, 40), ("x/y", 1, 5)]), folded);
+    }
+
+    #[test]
+    fn sums_saturate_at_u64_max() {
+        let huge = u64::MAX - 1;
+        let folded = fold([("a", huge, huge), ("a", 5, 10), ("a/b", 1, huge), ("a/c", 1, huge)]);
+        let get = |p: &str| folded.iter().find(|f| f.path == p).unwrap();
+        assert_eq!((get("a").count, get("a").total_ns), (u64::MAX, u64::MAX));
+        // The children's totals saturate too, so a's self time is zero.
+        assert_eq!(get("a").self_ns, 0);
+        assert_eq!(get("a/b").self_ns, huge);
     }
 
     #[test]
@@ -416,31 +383,18 @@ mod tests {
     }
 
     #[test]
-    fn spans_emit_enter_exit_events_when_tracing() {
+    fn spans_write_no_trace_events() {
         let _g = crate::test_lock();
         let path = std::env::temp_dir().join("muse-obs-test").join("span_events.jsonl");
-        sink::open_trace(&path).unwrap();
+        crate::sink::open_trace(&path).unwrap();
         {
             let _outer = span("ev_outer");
             let _inner = span("ev_inner");
         }
-        sink::close_trace().unwrap();
+        crate::sink::close_trace().unwrap();
         crate::disable();
-        let events = sink::read_trace(&path).unwrap();
-        let kinds: Vec<&str> = events.iter().filter_map(|e| e.get("ev").and_then(Json::as_str)).collect();
-        assert_eq!(kinds, ["span.enter", "span.enter", "span.exit", "span.exit"]);
-        // Inner exits first, with the nested path and a smaller duration.
-        assert_eq!(events[2].get("path").unwrap().as_str(), Some("ev_outer/ev_inner"));
-        assert_eq!(events[3].get("path").unwrap().as_str(), Some("ev_outer"));
-        let inner_dur = events[2].get("dur_ns").unwrap().as_f64().unwrap();
-        let outer_dur = events[3].get("dur_ns").unwrap().as_f64().unwrap();
-        assert!(outer_dur >= inner_dur);
-        // Enter timestamps are monotonic per thread.
-        let t0 = events[0].get("t_ns").unwrap().as_f64().unwrap();
-        let t1 = events[1].get("t_ns").unwrap().as_f64().unwrap();
-        assert!(t1 >= t0);
-        assert_eq!(events[0].get("depth").unwrap().as_f64(), Some(1.0));
-        assert_eq!(events[1].get("depth").unwrap().as_f64(), Some(2.0));
+        assert!(crate::sink::read_trace(&path).unwrap().is_empty());
+        assert!(histogram_owned("span.ev_outer/ev_inner").count() >= 1);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -20,7 +20,7 @@ use muse_obs as obs;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -36,9 +36,12 @@ static ACTIVE: AtomicU64 = AtomicU64::new(0);
 /// Publish queue/worker occupancy to the gauge registry. The atomics are
 /// always kept accurate so the first enabled read is already correct.
 fn publish_pool_gauges() {
+    static GAUGES: OnceLock<[&obs::Gauge; 2]> = OnceLock::new();
     if obs::enabled() {
-        obs::gauge("parallel.queue_depth").set(QUEUED.load(Ordering::Relaxed) as f64);
-        obs::gauge("parallel.active_workers").set(ACTIVE.load(Ordering::Relaxed) as f64);
+        let [queue_depth, active_workers] = GAUGES
+            .get_or_init(|| [obs::gauge("parallel.queue_depth"), obs::gauge("parallel.active_workers")]);
+        queue_depth.set(QUEUED.load(Ordering::Relaxed) as f64);
+        active_workers.set(ACTIVE.load(Ordering::Relaxed) as f64);
     }
 }
 
@@ -81,7 +84,8 @@ impl JobQueue {
         drop(state);
         QUEUED.fetch_add(1, Ordering::Relaxed);
         if obs::enabled() {
-            obs::counter("parallel.jobs_submitted").add(1);
+            static SUBMITTED: OnceLock<&obs::Counter> = OnceLock::new();
+            SUBMITTED.get_or_init(|| obs::counter("parallel.jobs_submitted")).add(1);
         }
         publish_pool_gauges();
         self.available.notify_one();
@@ -345,7 +349,8 @@ fn run_marked(job: Job) {
     let result = catch_unwind(AssertUnwindSafe(job));
     ACTIVE.fetch_sub(1, Ordering::Relaxed);
     if obs::enabled() {
-        obs::counter("parallel.jobs_completed").add(1);
+        static COMPLETED: OnceLock<&obs::Counter> = OnceLock::new();
+        COMPLETED.get_or_init(|| obs::counter("parallel.jobs_completed")).add(1);
     }
     publish_pool_gauges();
     IN_WORKER.with(|w| w.set(false));

@@ -42,7 +42,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// A type-erased fleet job: built on the caller, run to completion on one
@@ -58,9 +58,12 @@ static ACTIVE_JOBS: AtomicU64 = AtomicU64::new(0);
 /// / `muse_sched_queue_depth` on `/metrics`). The atomics are always kept
 /// accurate so the first enabled read is already correct.
 fn publish_sched_gauges() {
+    static GAUGES: OnceLock<[&obs::Gauge; 2]> = OnceLock::new();
     if obs::enabled() {
-        obs::gauge("sched.active_jobs").set(ACTIVE_JOBS.load(Ordering::Relaxed) as f64);
-        obs::gauge("sched.queue_depth").set(QUEUED_JOBS.load(Ordering::Relaxed) as f64);
+        let [active_jobs, queue_depth] =
+            GAUGES.get_or_init(|| [obs::gauge("sched.active_jobs"), obs::gauge("sched.queue_depth")]);
+        active_jobs.set(ACTIVE_JOBS.load(Ordering::Relaxed) as f64);
+        queue_depth.set(QUEUED_JOBS.load(Ordering::Relaxed) as f64);
     }
 }
 
@@ -218,16 +221,16 @@ pub fn run_fleet<'a, R: Send>(label: &str, jobs: Vec<FleetJob<'a, R>>) -> Vec<R>
 fn run_job<R>(label: &str, idx: usize, worker: usize, threads: usize, job: FleetJob<'_, R>) -> R {
     ACTIVE_JOBS.fetch_add(1, Ordering::Relaxed);
     publish_sched_gauges();
-    // The span records trace span rows and the duration histogram that
-    // roots the job's profile stacks; it degrades to a single relaxed
-    // load when obs is off.
+    // The span's duration histogram roots the job's profile stacks; it
+    // degrades to a single relaxed load when obs is off.
     let _span = obs::span("sched.job");
     let t0 = Instant::now();
     let out = job();
     let dur_ns = t0.elapsed().as_nanos() as f64;
     ACTIVE_JOBS.fetch_sub(1, Ordering::Relaxed);
     if obs::enabled() {
-        obs::counter("sched.jobs_completed").add(1);
+        static COMPLETED: OnceLock<&obs::Counter> = OnceLock::new();
+        COMPLETED.get_or_init(|| obs::counter("sched.jobs_completed")).add(1);
     }
     publish_sched_gauges();
     obs::emit_with("sched.job", || {

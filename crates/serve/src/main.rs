@@ -160,10 +160,21 @@ fn main() {
     // Serve until the process is killed; the server loops run on their own
     // threads and there is no signal handling without a libc dependency. The
     // trace is flushed every second so an external `kill` (which never runs
-    // close_trace) still leaves a usable JSONL file for `muse-trace`.
+    // close_trace) still leaves a usable JSONL file for `muse-trace`. A
+    // second that wrote events first appends a `kernel.summary` snapshot:
+    // it carries the span totals, so the last one lets `muse-trace flame`
+    // fold a killed daemon's trace. An idle daemon writes nothing.
+    let mut summarized = obs::emitted_events();
     loop {
         std::thread::sleep(Duration::from_secs(1));
         if tracing {
+            let seen = obs::emitted_events();
+            if seen != summarized {
+                obs::emit("kernel.summary", vec![("metrics", obs::snapshot())]);
+                // Counts the snapshot itself; any event that slipped in
+                // since `seen` makes the next second snapshot again.
+                summarized = seen + 1;
+            }
             obs::flush_trace();
         }
     }

@@ -144,12 +144,10 @@ pub fn diff(baseline: &TraceData, current: &TraceData, tol: f64) -> DiffReport {
         }
     }
 
-    if !baseline.span_exits.is_empty() && !current.span_exits.is_empty() {
-        let bf = flame::fold_exits(&baseline.span_exits);
-        let cf = flame::fold_exits(&current.span_exits);
+    if !baseline.spans.is_empty() && !current.spans.is_empty() {
         text.push_str("span totals (informational):\n");
-        for span in flame::by_self_time(&bf).into_iter().take(6) {
-            if let Some(cur) = cf.iter().find(|s| s.path == span.path) {
+        for span in flame::by_self_time(&baseline.spans).into_iter().take(6) {
+            if let Some(cur) = current.spans.iter().find(|s| s.path == span.path) {
                 text.push_str(&format!(
                     "       {:<44} {:>10.3} -> {:>10.3} ms total\n",
                     span.path,

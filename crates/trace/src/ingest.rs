@@ -7,8 +7,9 @@
 //!   one [`EpochRow`] per `train.epoch`, divergence/early-stop markers,
 //!   totals from `train.end`;
 //! * per-bench results (`bench.result`) and the final `kernel.summary`
-//!   (kernel totals plus counter/gauge snapshots);
-//! * span exit events for flame folding;
+//!   (kernel totals, counter/gauge snapshots, and the span totals folded
+//!   from its `span.*` histograms — the input to `flame`, `report` and
+//!   `diff`);
 //! * serve-path quality events: scored/dropped forecasts, alert
 //!   transitions, request lifecycles, and rollout coalescing (the input
 //!   to `muse-trace quality`).
@@ -16,6 +17,7 @@
 //! Unknown events are kept in [`TraceData::events`] but otherwise ignored,
 //! so traces from newer writers stay loadable.
 
+use muse_obs::span::{fold_histograms, FoldedSpan};
 use muse_obs::Json;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -252,19 +254,6 @@ impl SpectralSweep {
     }
 }
 
-/// One `span.exit` event.
-#[derive(Debug, Clone)]
-pub struct SpanExit {
-    /// Slash-joined span path (e.g. `train.fit/train.forward/model.encode`).
-    pub path: String,
-    /// Per-thread ordinal the span ran on.
-    pub tid: u64,
-    /// Exit timestamp, trace-relative monotonic nanoseconds.
-    pub t_ns: u64,
-    /// Span duration in nanoseconds.
-    pub dur_ns: u64,
-}
-
 /// A fully parsed trace.
 #[derive(Debug, Default)]
 pub struct TraceData {
@@ -287,8 +276,10 @@ pub struct TraceData {
     pub counters: BTreeMap<String, f64>,
     /// Gauge snapshot from the final `kernel.summary`.
     pub gauges: BTreeMap<String, f64>,
-    /// `span.exit` events in order (the input to flame folding).
-    pub span_exits: Vec<SpanExit>,
+    /// Span totals with self time, folded from the `span.*` histograms of
+    /// the final `kernel.summary` by [`muse_obs::span::fold_histograms`],
+    /// the fold the live `/debug/profile` uses.
+    pub spans: Vec<FoldedSpan>,
     /// `forecast.scored` events in order (the serve-path error trajectory).
     pub quality_samples: Vec<QualitySample>,
     /// `forecast.dropped` events in order.
@@ -389,6 +380,7 @@ impl TraceData {
                     data.kernels.clear();
                     data.counters.clear();
                     data.gauges.clear();
+                    data.spans.clear();
                     let Some(metrics) = ev.get("metrics") else { continue };
                     if let Some(Json::Obj(ks)) = metrics.get("kernels") {
                         for (name, stat) in ks {
@@ -414,14 +406,11 @@ impl TraceData {
                             }
                         }
                     }
-                }
-                "span.exit" => {
-                    data.span_exits.push(SpanExit {
-                        path: ev.get("path").and_then(Json::as_str).unwrap_or("?").to_string(),
-                        tid: unum(ev, "tid"),
-                        t_ns: unum(ev, "t_ns"),
-                        dur_ns: unum(ev, "dur_ns"),
-                    });
+                    if let Some(Json::Obj(hs)) = metrics.get("histograms") {
+                        let rows =
+                            hs.iter().map(|(name, h)| (name.as_str(), unum(h, "count"), unum(h, "sum")));
+                        data.spans = fold_histograms(rows);
+                    }
                 }
                 "forecast.scored" => {
                     data.quality_samples.push(QualitySample {
@@ -538,8 +527,7 @@ mod tests {
                 r#"{"ev":"train.end","seq":6,"run":1,"epochs_run":2,"best_val_rmse":0.3,"skipped_batches":1,"duration_ms":19.5}"#,
                 r#"{"ev":"eval.experiment","seq":7,"experiment":"fig4","duration_s":1.25}"#,
                 r#"{"ev":"bench.result","seq":8,"name":"gemm","min_ns":100.0,"mean_ns":120.0,"max_ns":150.0,"samples":10}"#,
-                r#"{"ev":"span.exit","seq":9,"path":"train.fit","tid":1,"t_ns":500,"dur_ns":400}"#,
-                r#"{"ev":"kernel.summary","seq":10,"metrics":{"counters":{"parallel.jobs_submitted":8},"gauges":{"parallel.pool_size":1},"kernels":{"tensor.matmul":{"calls":4,"nanos":2000,"bytes":800}}}}"#,
+                r#"{"ev":"kernel.summary","seq":9,"metrics":{"counters":{"parallel.jobs_submitted":8},"gauges":{"parallel.pool_size":1},"histograms":{"nn.grad_norm":{"count":3,"sum":1.5},"span.train.fit":{"count":1,"sum":400,"mean":400,"min":400,"max":400}},"kernels":{"tensor.matmul":{"calls":4,"nanos":2000,"bytes":800}}}}"#,
             ],
         );
         let data = TraceData::load(&path).unwrap();
@@ -564,8 +552,8 @@ mod tests {
         assert_eq!(data.kernels[0].nanos_per_call(), 500.0);
         assert_eq!(data.kernels[0].bytes_per_call(), 200.0);
         assert_eq!(data.counters.get("parallel.jobs_submitted"), Some(&8.0));
-        assert_eq!(data.span_exits.len(), 1);
-        assert_eq!(data.span_exits[0].dur_ns, 400);
+        // Only `span.*` histograms are spans.
+        assert_eq!(data.spans, muse_obs::span::fold([("train.fit", 1, 400)]));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -638,12 +626,16 @@ mod tests {
         let path = write_lines(
             "ingest_summary.jsonl",
             &[
-                r#"{"ev":"kernel.summary","seq":0,"metrics":{"kernels":{"a":{"calls":1,"nanos":10,"bytes":1}}}}"#,
-                r#"{"ev":"kernel.summary","seq":1,"metrics":{"kernels":{"b":{"calls":2,"nanos":20,"bytes":2},"c":{"calls":3,"nanos":5,"bytes":9}}}}"#,
+                r#"{"ev":"kernel.summary","seq":0,"metrics":{"kernels":{"a":{"calls":1,"nanos":10,"bytes":1}},"histograms":{"span.old":{"count":1,"sum":7},"span.run":{"count":1,"sum":50}}}}"#,
+                r#"{"ev":"kernel.summary","seq":1,"metrics":{"kernels":{"b":{"calls":2,"nanos":20,"bytes":2},"c":{"calls":3,"nanos":5,"bytes":9}},"histograms":{"span.old":{"count":0,"sum":0},"span.run":{"count":3,"sum":90},"span.run/step":{"count":2,"sum":60}}}}"#,
             ],
         );
         let data = TraceData::load(&path).unwrap();
         assert_eq!(data.kernels.len(), 2);
+        // Snapshots are cumulative: the last one's span totals replace the
+        // earlier ones, and a path with no closes drops out.
+        assert_eq!(data.spans, muse_obs::span::fold([("run", 3, 90), ("run/step", 2, 60)]));
+        assert_eq!(data.spans[0].self_ns, 30);
         let by_time = data.kernels_by_time();
         assert_eq!(by_time[0].name, "b");
         let by_bytes = data.kernels_by_bytes();

@@ -3,8 +3,9 @@
 //! # muse-trace
 //!
 //! Analysis layer over `muse-obs` JSONL traces: parse a trace back into
-//! typed run records, summarize and compare runs, and fold span
-//! enter/exit events into collapsed-stack flame profiles.
+//! typed run records, summarize and compare runs, and render the span
+//! totals of a trace's last `kernel.summary` snapshot as collapsed-stack
+//! flame profiles.
 //!
 //! Like the rest of the workspace this crate is `std`-only. It is both a
 //! library (used by the perf gate for the shared tolerance band, and by
@@ -41,6 +42,6 @@ pub mod spectrum;
 pub mod tolerance;
 
 pub use ingest::{
-    AlertEvent, BenchResult, DroppedForecast, EpochRow, KernelRow, QualitySample, RequestEvent, SpanExit,
+    AlertEvent, BenchResult, DroppedForecast, EpochRow, KernelRow, QualitySample, RequestEvent,
     SpectralSweep, SweepPeriod, TraceData, TrainRun,
 };

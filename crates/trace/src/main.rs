@@ -82,14 +82,14 @@ fn cmd_diff(base: &str, current: &str, tol_arg: Option<&str>) -> Result<(), Stri
 
 fn cmd_flame(trace: &str, out: Option<&str>) -> Result<(), String> {
     let data = load(trace)?;
-    if data.span_exits.is_empty() {
+    if data.spans.is_empty() {
         return Err(format!(
-            "trace {trace} has no span.exit events (was it recorded before span tracing, \
-             or with telemetry disabled?)"
+            "trace {trace} has no span totals: its last kernel.summary holds no closed span.* \
+             histogram, or it has no kernel.summary (telemetry disabled, or killed before the \
+             first snapshot?)"
         ));
     }
-    let folded = flame::fold_exits(&data.span_exits);
-    let collapsed = muse_obs::span::collapsed(&folded);
+    let collapsed = muse_obs::span::collapsed(&data.spans);
     match out {
         Some(path) => {
             std::fs::write(path, &collapsed).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -100,7 +100,7 @@ fn cmd_flame(trace: &str, out: Option<&str>) -> Result<(), String> {
     // Always surface the ranking on stderr so `flame --out` in CI logs the
     // hot paths without another invocation.
     eprintln!("top spans by self time:");
-    for span in flame::by_self_time(&folded).into_iter().take(5) {
+    for span in flame::by_self_time(&data.spans).into_iter().take(5) {
         eprintln!(
             "  {:<44} {:>8}x  self {:>10.3} ms  total {:>10.3} ms",
             span.path,

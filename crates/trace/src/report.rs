@@ -88,10 +88,9 @@ pub fn render(data: &TraceData) -> String {
         }
     }
 
-    if !data.span_exits.is_empty() {
-        let folded = flame::fold_exits(&data.span_exits);
-        out.push_str(&format!("top spans by self time (of {} paths):\n", folded.len()));
-        for span in flame::by_self_time(&folded).into_iter().take(TOP_N) {
+    if !data.spans.is_empty() {
+        out.push_str(&format!("top spans by self time (of {} paths):\n", data.spans.len()));
+        for span in flame::by_self_time(&data.spans).into_iter().take(TOP_N) {
             out.push_str(&format!(
                 "  {:<44} {:>8}x  self {:>10.3} ms  total {:>10.3} ms\n",
                 span.path,
@@ -154,7 +153,7 @@ fn fmt_opt(v: Option<f64>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::{EpochRow, KernelRow, SpanExit, TrainRun};
+    use crate::ingest::{EpochRow, KernelRow, TrainRun};
 
     #[test]
     fn report_mentions_runs_kernels_and_divergence() {
@@ -182,7 +181,7 @@ mod tests {
                 ..TrainRun::default()
             }],
             kernels: vec![KernelRow { name: "tensor.matmul".into(), calls: 2.0, nanos: 100.0, bytes: 64.0 }],
-            span_exits: vec![SpanExit { path: "train.fit".into(), tid: 1, t_ns: 9, dur_ns: 9 }],
+            spans: muse_obs::span::fold([("train.fit", 1, 9)]),
             ..TraceData::default()
         };
         let text = render(&data);

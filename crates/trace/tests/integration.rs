@@ -2,64 +2,12 @@
 //! analyze that trace with the library and with the actual `muse-trace`
 //! CLI binary.
 
+mod common;
+
+use common::record_training_trace;
 use muse_obs as obs;
-use muse_tensor::Tensor;
 use muse_trace::ingest::TraceData;
-use muse_traffic::{FlowSeries, GridMap, SubSeriesSpec};
-use musenet::config::MuseNetConfig;
-use musenet::model::MuseNet;
-use musenet::trainer::{Trainer, TrainerOptions};
-use std::path::PathBuf;
 use std::process::Command;
-
-/// A tiny synthetic flow series with a strong daily pattern.
-fn patterned_flows(grid: GridMap, days: usize, f: usize) -> FlowSeries {
-    let t = days * f;
-    let mut data = Vec::with_capacity(t * 2 * grid.cells());
-    for i in 0..t {
-        let hour = (i % f) as f32 / f as f32;
-        let level = (2.0 * std::f32::consts::PI * hour).sin() * 0.6;
-        for ch in 0..2 {
-            for cell in 0..grid.cells() {
-                let phase = 0.1 * (cell as f32) + 0.05 * ch as f32;
-                data.push((level + phase).tanh());
-            }
-        }
-    }
-    FlowSeries::from_tensor(grid, Tensor::from_vec(data, &[t, 2, grid.height, grid.width]))
-}
-
-/// Train a tiny model with the trace open; returns the trace path.
-fn record_training_trace(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("muse-trace-integration");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    obs::reset_metrics();
-    obs::open_trace(&path).unwrap();
-    obs::enable();
-
-    let grid = GridMap::new(3, 3);
-    let spec = SubSeriesSpec { lc: 2, lp: 2, lt: 1, intervals_per_day: 6, trend_days: 7 };
-    let mut cfg = MuseNetConfig::cpu_profile(grid, spec);
-    cfg.d = 4;
-    cfg.k = 8;
-    let flows = patterned_flows(grid, 10, 6);
-    let first = spec.min_target();
-    let train: Vec<usize> = (first..first + 12).collect();
-    let val: Vec<usize> = (first + 12..first + 16).collect();
-    let mut trainer = Trainer::new(
-        MuseNet::new(cfg.clone()),
-        TrainerOptions { epochs: 2, batch_size: 4, learning_rate: 3e-3, ..Default::default() },
-    );
-    let report = trainer.fit(&flows, &cfg.spec, &train, &val);
-    assert_eq!(report.epochs.len(), 2, "training must complete");
-
-    obs::emit("kernel.summary", vec![("metrics", obs::snapshot())]);
-    obs::close_trace().expect("trace was open");
-    obs::disable();
-    obs::reset_metrics();
-    path
-}
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_muse-trace"))
@@ -79,8 +27,8 @@ fn report_flame_and_diff_work_on_a_real_training_trace() {
     assert!(run.epochs_planned == 2 && run.batch_size == 4);
     assert!(run.batches > 0);
     assert!(run.duration_ms.is_some());
-    assert!(!data.span_exits.is_empty(), "span tracing must be on during fit");
-    let paths: Vec<&str> = data.span_exits.iter().map(|s| s.path.as_str()).collect();
+    assert!(!data.spans.is_empty(), "the kernel.summary snapshot carries the span totals");
+    let paths: Vec<&str> = data.spans.iter().map(|s| s.path.as_str()).collect();
     assert!(paths.contains(&"train.fit"));
     for stage in ["model.encode", "model.interactive", "model.pulling", "model.spatial"] {
         let prefix = format!("train.fit/train.forward/{stage}");
@@ -123,7 +71,7 @@ fn flame_refuses_spanless_trace_and_report_survives_truncation() {
     let dir = std::env::temp_dir().join("muse-trace-integration");
     std::fs::create_dir_all(&dir).unwrap();
 
-    // A trace with no span events: flame errors (exit 1), report still works.
+    // A trace with no kernel.summary: flame errors (exit 1), report still works.
     let spanless = dir.join("spanless.jsonl");
     std::fs::write(
         &spanless,
@@ -132,7 +80,7 @@ fn flame_refuses_spanless_trace_and_report_survives_truncation() {
     .unwrap();
     let out = cli().args(["flame", spanless.to_str().unwrap()]).output().unwrap();
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("no span.exit"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("kernel.summary"));
     let out = cli().args(["report", spanless.to_str().unwrap()]).output().unwrap();
     assert!(out.status.success());
 

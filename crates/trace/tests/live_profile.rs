@@ -1,7 +1,7 @@
 //! The live profile (`GET /debug/profile`) and `muse-trace flame` fold the
-//! same spans into the same bytes: one sums the `span.*` histograms, the
-//! other the trace's `span.exit` events, and both hold the same integer
-//! nanoseconds.
+//! same spans into the same bytes: one reads the `span.*` histograms in
+//! the registry, the other the same histograms in the trace's
+//! `kernel.summary` snapshot, and both hold the same integer nanoseconds.
 
 use muse_obs as obs;
 use std::hint::black_box;
@@ -39,6 +39,7 @@ fn live_profile_equals_the_flame_of_the_same_spans() {
         scope.spawn(nested_spans);
         nested_spans();
     });
+    obs::emit("kernel.summary", vec![("metrics", obs::snapshot())]);
     obs::close_trace().unwrap();
     let live = obs::span::profile();
     obs::disable();

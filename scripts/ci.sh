@@ -188,7 +188,10 @@ cargo run -q --release -p muse-trace -- quality "$QUALITY_TRACE" | tee target/ci
 grep -q 'alert transitions:' target/ci_quality_report.txt
 grep -q 'flow_level_shift' target/ci_quality_report.txt
 grep -q 'forecast lifecycles' target/ci_quality_report.txt
-echo "    drift alert fired, quality metrics well-formed, trace reconstructs the story"
+# the killed daemon's last once-a-second kernel.summary still folds to a profile
+cargo run -q --release -p muse-trace -- flame "$QUALITY_TRACE" >target/ci_quality_flame.txt
+grep -Eq '^serve\.ingest[ ;]' target/ci_quality_flame.txt
+echo "    drift alert fired, quality metrics well-formed, trace reconstructs the story and folds"
 
 echo "==> spectral periodicity: detection vs presets, live sweep, cadence-shift alert"
 cargo run -q --release -p muse-eval -- detect | tee target/ci_detect.txt
