@@ -33,7 +33,7 @@
 //!   --trace <p>    write a JSONL telemetry trace to <p> (same as MUSE_OBS=<p>)
 //!   --serve-metrics <addr>
 //!                  serve /metrics (Prometheus) and /status (JSON) on <addr>
-//!                  while the run is live (same as MUSE_OBS_ADDR=<addr>)
+//!                  while the run is live
 //!   --linger-ms <n>
 //!                  keep the process (and the metrics endpoint) alive for
 //!                  <n> ms after the last experiment — lets scrapers catch
@@ -170,27 +170,17 @@ fn main() {
     ]);
     // A live exporter implies telemetry: enable collection so /metrics has
     // counters to show even without a trace file.
-    let server = match &args.serve_metrics {
-        Some(addr) => match obs::MetricsServer::start(addr.as_str()) {
-            Ok(server) => {
-                obs::enable();
-                eprintln!("[metrics] serving http://{}/metrics", server.addr());
-                Some(server)
-            }
-            Err(e) => {
-                eprintln!("cannot serve metrics on {addr}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => {
-            let server = obs::MetricsServer::start_from_env();
-            if let Some(s) = &server {
-                obs::enable();
-                eprintln!("[metrics] serving http://{}/metrics", s.addr());
-            }
+    let server = args.serve_metrics.as_ref().map(|addr| match obs::MetricsServer::start(addr.as_str()) {
+        Ok(server) => {
+            obs::enable();
+            eprintln!("[metrics] serving http://{}/metrics", server.addr());
             server
         }
-    };
+        Err(e) => {
+            eprintln!("cannot serve metrics on {addr}: {e}");
+            std::process::exit(2);
+        }
+    });
     let experiments: Vec<String> = if args.experiment == "all" {
         [
             "table1", "table2", "table3", "table4", "table5", "table6", "fig1", "fig2", "fig4", "fig5",

@@ -66,23 +66,6 @@ impl MetricsServer {
         Ok(MetricsServer { http })
     }
 
-    /// Honour the `MUSE_OBS_ADDR` environment variable: when set to a bind
-    /// address, start an exporter there. Returns the running server, or
-    /// `None` when the variable is unset/empty (bind errors are reported to
-    /// stderr, not fatal).
-    pub fn start_from_env() -> Option<MetricsServer> {
-        match std::env::var("MUSE_OBS_ADDR") {
-            Ok(addr) if !addr.is_empty() => match MetricsServer::start(addr.as_str()) {
-                Ok(server) => Some(server),
-                Err(e) => {
-                    eprintln!("muse-obs: cannot serve metrics on {addr}: {e}");
-                    None
-                }
-            },
-            _ => None,
-        }
-    }
-
     /// The bound address (resolves port 0 to the actual ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.http.addr()

@@ -163,9 +163,8 @@ fn is_direct_child(parent: &str, candidate: &str) -> bool {
 /// name as tie-break — so profiles of the same spans are stable and
 /// profile diffs line up row for row.
 pub fn collapsed(folded: &[FoldedSpan]) -> String {
-    let rows: Vec<(&str, u64)> = folded.iter().map(|f| (f.path.as_str(), f.self_ns)).collect();
     let mut out = String::new();
-    for idx in tree_order_indices(&rows, '/') {
+    for idx in tree_order_indices(folded) {
         let span = &folded[idx];
         if span.self_ns == 0 {
             continue;
@@ -178,23 +177,24 @@ pub fn collapsed(folded: &[FoldedSpan]) -> String {
     out
 }
 
-/// Deterministic flame ordering over `(path, self_weight)` rows: indices in
-/// depth-first tree order, siblings sorted by self weight descending then
-/// path. Rows whose parent path is absent are treated as roots. Shared by
-/// span profiles ('/'-separated paths) and `muse-trace prof`
-/// (';'-separated folded stacks).
-pub fn tree_order_indices(rows: &[(&str, u64)], sep: char) -> Vec<usize> {
-    let by_path: BTreeMap<&str, usize> = rows.iter().enumerate().map(|(i, r)| (r.0, i)).collect();
+/// Indices of `folded` in depth-first tree order, siblings sorted by self
+/// time descending then path. Spans whose parent path is absent are
+/// treated as roots.
+fn tree_order_indices(folded: &[FoldedSpan]) -> Vec<usize> {
+    let by_path: BTreeMap<&str, usize> =
+        folded.iter().enumerate().map(|(i, f)| (f.path.as_str(), i)).collect();
     // parent index (or None for roots) → children indices.
     let mut children: BTreeMap<Option<usize>, Vec<usize>> = BTreeMap::new();
-    for (i, (path, _)) in rows.iter().enumerate() {
-        let parent = path.rfind(sep).and_then(|cut| by_path.get(&path[..cut]).copied());
+    for (i, span) in folded.iter().enumerate() {
+        let parent = span.path.rfind('/').and_then(|cut| by_path.get(&span.path[..cut]).copied());
         children.entry(parent).or_default().push(i);
     }
     for siblings in children.values_mut() {
-        siblings.sort_by(|&a, &b| rows[b].1.cmp(&rows[a].1).then_with(|| rows[a].0.cmp(rows[b].0)));
+        siblings.sort_by(|&a, &b| {
+            folded[b].self_ns.cmp(&folded[a].self_ns).then_with(|| folded[a].path.cmp(&folded[b].path))
+        });
     }
-    let mut order = Vec::with_capacity(rows.len());
+    let mut order = Vec::with_capacity(folded.len());
     let mut stack: Vec<usize> = children.get(&None).cloned().unwrap_or_default();
     stack.reverse();
     while let Some(idx) = stack.pop() {

@@ -9,12 +9,19 @@
 //!   drift;
 //! * training runs (paired by position) — final loss and best validation
 //!   RMSE one-sided (higher fails), throughput one-sided (lower fails);
-//! * span totals — reported, never failed (span totals scale with run
-//!   length, which legitimately differs between traces).
+//! * spans — each path's share of all self time two-sided (a drifted share
+//!   fails), over the paths holding at least [`SPAN_SHARE_FLOOR_PCT`] of
+//!   either trace. Shares, unlike span totals, do not grow with run
+//!   length, so traces of runs of different lengths still line up.
 
 use crate::flame;
 use crate::ingest::TraceData;
 use crate::tolerance;
+use std::collections::BTreeMap;
+
+/// Minimum self-time share (percent) a span path must hold in either trace
+/// to be compared; below it, run-to-run noise dominates.
+pub const SPAN_SHARE_FLOOR_PCT: f64 = 1.0;
 
 /// Outcome of a diff: the rendered text and whether any regression was
 /// found (drives the CLI exit code).
@@ -145,15 +152,25 @@ pub fn diff(baseline: &TraceData, current: &TraceData, tol: f64) -> DiffReport {
     }
 
     if !baseline.spans.is_empty() && !current.spans.is_empty() {
-        text.push_str("span totals (informational):\n");
-        for span in flame::by_self_time(&baseline.spans).into_iter().take(6) {
-            if let Some(cur) = current.spans.iter().find(|s| s.path == span.path) {
-                text.push_str(&format!(
-                    "       {:<44} {:>10.3} -> {:>10.3} ms total\n",
-                    span.path,
-                    span.total_ns as f64 / 1e6,
-                    cur.total_ns as f64 / 1e6,
-                ));
+        text.push_str(&format!("span self-time shares (paths ≥{SPAN_SHARE_FLOOR_PCT}% in either trace):\n"));
+        let mut shares: BTreeMap<&str, (f64, f64)> = BTreeMap::new();
+        for (span, share) in flame::by_self_time(&baseline.spans) {
+            shares.entry(&span.path).or_default().0 = share;
+        }
+        for (span, share) in flame::by_self_time(&current.spans) {
+            shares.entry(&span.path).or_default().1 = share;
+        }
+        let mut rows: Vec<(&str, f64, f64)> = shares
+            .into_iter()
+            .filter(|(_, (b, c))| b.max(*c) >= SPAN_SHARE_FLOOR_PCT)
+            .map(|(path, (b, c))| (path, b, c))
+            .collect();
+        rows.sort_by(|a, b| (b.2 - b.1).abs().total_cmp(&(a.2 - a.1).abs()).then_with(|| a.0.cmp(b.0)));
+        for (path, b, c) in rows {
+            let fail = tolerance::drifted(b, c, tol);
+            text.push_str(&format!("  {} {b:>5.1}% -> {c:>5.1}% self  {path}\n", verdict(fail)));
+            if fail {
+                regressions.push(format!("span `{path}` self share drifted {b:.1}% -> {c:.1}%"));
             }
         }
     }
@@ -222,6 +239,56 @@ mod tests {
         assert!(!diff(&mk(1000.0), &mk(1100.0), 0.75).regressions.iter().any(|r| r.contains("drifted")));
         assert!(diff(&mk(1000.0), &mk(10.0), 0.75).regressions.iter().any(|r| r.contains("drifted")));
         assert!(diff(&mk(1000.0), &mk(5000.0), 0.75).regressions.iter().any(|r| r.contains("drifted")));
+    }
+
+    fn spans(rows: &[(&str, u64)]) -> TraceData {
+        TraceData {
+            spans: muse_obs::span::fold(rows.iter().map(|&(path, total_ns)| (path, 1, total_ns))),
+            ..TraceData::default()
+        }
+    }
+
+    /// Self times: train.fit 1000, backward 500, autograd.backward 6000,
+    /// forward 2500 (10% / 5% / 60% / 25%).
+    fn training(autograd_ns: u64, forward_ns: u64) -> TraceData {
+        spans(&[
+            ("train.fit", 1500 + autograd_ns + forward_ns),
+            ("train.fit/train.backward", 500 + autograd_ns),
+            ("train.fit/train.backward/autograd.backward", autograd_ns),
+            ("train.fit/train.forward", forward_ns),
+        ])
+    }
+
+    #[test]
+    fn span_self_diff_is_clean() {
+        let report = diff(&training(6000, 2500), &training(6000, 2500), 0.5);
+        assert!(report.regressions.is_empty(), "{}", report.text);
+        assert_eq!(report.text.matches("% self  ").count(), 4, "{}", report.text);
+        // A run ten times as long with the same mix has the same shares.
+        let longer = spans(&[
+            ("train.fit", 100_000),
+            ("train.fit/train.backward", 65_000),
+            ("train.fit/train.backward/autograd.backward", 60_000),
+            ("train.fit/train.forward", 25_000),
+        ]);
+        assert!(diff(&training(6000, 2500), &longer, 0.5).regressions.is_empty());
+    }
+
+    #[test]
+    fn moving_backward_time_into_forward_drifts_both() {
+        let report = diff(&training(6000, 2500), &training(1000, 7500), 0.5);
+        let drifted = |path: &str| report.regressions.iter().any(|r| r.contains(&format!("`{path}`")));
+        assert!(drifted("train.fit/train.backward/autograd.backward"), "{}", report.text);
+        assert!(drifted("train.fit/train.forward"), "{}", report.text);
+        assert!(!drifted("train.fit"), "train.fit keeps its 10%: {}", report.text);
+        assert_eq!(report.regressions.len(), 2, "{}", report.text);
+    }
+
+    #[test]
+    fn sub_floor_span_paths_are_ignored() {
+        let report = diff(&spans(&[("hot", 995), ("cold", 5)]), &spans(&[("hot", 1000)]), 0.5);
+        assert!(!report.text.contains("cold"), "0.5% path compared: {}", report.text);
+        assert!(report.regressions.is_empty(), "{}", report.text);
     }
 
     #[test]

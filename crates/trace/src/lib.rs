@@ -12,10 +12,12 @@
 //! tests) and the `muse-trace` CLI:
 //!
 //! ```text
-//! muse-trace report <trace.jsonl>             per-run summary
+//! muse-trace report <trace.jsonl>             per-run summary, with the
+//!                                             dominant self-time span path
 //! muse-trace diff   <base.jsonl> <new.jsonl>  side-by-side with regression
 //!                                             highlighting (shared perf-gate
-//!                                             tolerance band)
+//!                                             tolerance band), span
+//!                                             self-time shares included
 //! muse-trace flame  <trace.jsonl>             collapsed stacks (self time),
 //!                                             flamegraph.pl-compatible
 //! muse-trace promcheck <file|->               validate Prometheus text
@@ -26,15 +28,11 @@
 //! muse-trace spectrum <trace.jsonl>           period-drift story: dominant-
 //!                                             period trajectory across
 //!                                             spectral sweeps + alert moves
-//! muse-trace prof <profile.folded>            folded-profile report: top-N
-//!                                             self/total tables, flame
-//!                                             re-emission, share diffs
 //! ```
 
 pub mod diff;
 pub mod flame;
 pub mod ingest;
-pub mod prof;
 pub mod prometheus;
 pub mod quality;
 pub mod report;

@@ -7,14 +7,12 @@
 //! muse-trace promcheck <file|->                     validate /metrics output
 //! muse-trace quality <trace.jsonl>                  serve-path quality story
 //! muse-trace spectrum <trace.jsonl>                 period-drift story
-//! muse-trace prof <p.folded> [--out <file>]         folded-profile report
-//! muse-trace prof diff <base.folded> <new.folded> [tol]  share diff
 //! ```
 //!
 //! Exit codes: 0 ok, 1 regression/validation failure or unreadable input,
 //! 2 usage error.
 
-use muse_trace::{diff, flame, ingest::TraceData, prof, prometheus, quality, report, spectrum, tolerance};
+use muse_trace::{diff, ingest::TraceData, prometheus, quality, report, spectrum, tolerance};
 use std::io::Read;
 use std::process::ExitCode;
 
@@ -30,10 +28,6 @@ fn main() -> ExitCode {
         ["promcheck", input] => cmd_promcheck(input),
         ["quality", trace] => cmd_quality(trace),
         ["spectrum", trace] => cmd_spectrum(trace),
-        ["prof", "diff", base, current] => cmd_prof_diff(base, current, None),
-        ["prof", "diff", base, current, tol] => cmd_prof_diff(base, current, Some(tol)),
-        ["prof", folded] => cmd_prof(folded, None),
-        ["prof", folded, "--out", out] => cmd_prof(folded, Some(out)),
         _ => {
             eprintln!(
                 "usage: muse-trace report <trace.jsonl>\n       \
@@ -41,9 +35,7 @@ fn main() -> ExitCode {
                  muse-trace flame <trace.jsonl> [--out <collapsed.txt>]\n       \
                  muse-trace promcheck <metrics.txt|->\n       \
                  muse-trace quality <trace.jsonl>\n       \
-                 muse-trace spectrum <trace.jsonl>\n       \
-                 muse-trace prof <profile.folded> [--out <flame.txt>]\n       \
-                 muse-trace prof diff <base.folded> <new.folded> [tolerance]"
+                 muse-trace spectrum <trace.jsonl>"
             );
             return ExitCode::from(2);
         }
@@ -97,18 +89,6 @@ fn cmd_flame(trace: &str, out: Option<&str>) -> Result<(), String> {
         }
         None => print!("{collapsed}"),
     }
-    // Always surface the ranking on stderr so `flame --out` in CI logs the
-    // hot paths without another invocation.
-    eprintln!("top spans by self time:");
-    for span in flame::by_self_time(&data.spans).into_iter().take(5) {
-        eprintln!(
-            "  {:<44} {:>8}x  self {:>10.3} ms  total {:>10.3} ms",
-            span.path,
-            span.count,
-            span.self_ns as f64 / 1e6,
-            span.total_ns as f64 / 1e6
-        );
-    }
     Ok(())
 }
 
@@ -122,36 +102,6 @@ fn cmd_spectrum(trace: &str) -> Result<(), String> {
     let data = load(trace)?;
     print!("{}", spectrum::render(&data));
     Ok(())
-}
-
-fn load_folded(path: &str) -> Result<prof::FoldedProfile, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read profile {path}: {e}"))?;
-    prof::parse(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-fn cmd_prof(folded: &str, out: Option<&str>) -> Result<(), String> {
-    let profile = load_folded(folded)?;
-    print!("{}", prof::report(&profile, 10));
-    if let Some(path) = out {
-        let flame_text = prof::flame(&profile);
-        std::fs::write(path, &flame_text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("muse-trace: wrote {} flame-ordered stacks to {path}", flame_text.lines().count());
-    }
-    Ok(())
-}
-
-fn cmd_prof_diff(base: &str, current: &str, tol_arg: Option<&str>) -> Result<(), String> {
-    let baseline = load_folded(base)?;
-    let cur = load_folded(current)?;
-    let tol = tolerance::resolve(tol_arg).unwrap_or(tolerance::DEFAULT_TOLERANCE);
-    let rows = prof::diff(&baseline, &cur, tol);
-    let (text, regressions) = prof::render_diff(&rows, tol);
-    print!("{text}");
-    if regressions.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("{} profile share drift(s)", regressions.len()))
-    }
 }
 
 fn cmd_promcheck(input: &str) -> Result<(), String> {

@@ -88,11 +88,15 @@ pub fn render(data: &TraceData) -> String {
         }
     }
 
-    if !data.spans.is_empty() {
-        out.push_str(&format!("top spans by self time (of {} paths):\n", data.spans.len()));
-        for span in flame::by_self_time(&data.spans).into_iter().take(TOP_N) {
+    let spans = flame::by_self_time(&data.spans);
+    if let Some(&(hot, share)) = spans.first() {
+        if hot.self_ns > 0 {
+            out.push_str(&format!("dominant: {} ({share:.1}% self)\n", hot.path));
+        }
+        out.push_str(&format!("top spans by self time (of {} paths):\n", spans.len()));
+        for (span, share) in spans.into_iter().take(TOP_N) {
             out.push_str(&format!(
-                "  {:<44} {:>8}x  self {:>10.3} ms  total {:>10.3} ms\n",
+                "  {:<44} {:>8}x  self {:>10.3} ms ({share:5.1}%)  total {:>10.3} ms\n",
                 span.path,
                 span.count,
                 span.self_ns as f64 / 1e6,
@@ -190,6 +194,28 @@ mod tests {
         assert!(text.contains("DIVERGENCE"), "skipped batches flagged: {text}");
         assert!(text.contains("tensor.matmul"));
         assert!(text.contains("train.fit"));
+    }
+
+    #[test]
+    fn report_names_the_dominant_self_path() {
+        let data = TraceData {
+            spans: muse_obs::span::fold([
+                ("train.fit", 1, 10_000),
+                ("train.fit/train.backward", 1, 6500),
+                ("train.fit/train.backward/autograd.backward", 1, 6000),
+                ("train.fit/train.forward", 1, 2500),
+            ]),
+            ..TraceData::default()
+        };
+        let text = render(&data);
+        assert!(
+            text.contains("dominant: train.fit/train.backward/autograd.backward (60.0% self)\n"),
+            "report:\n{text}"
+        );
+        assert!(text.find("dominant:") < text.find("top spans by self time"), "dominant line first: {text}");
+        // Spans with no self time at all name no dominant path.
+        let idle = TraceData { spans: muse_obs::span::fold([("idle", 1, 0)]), ..TraceData::default() };
+        assert!(!render(&idle).contains("dominant:"));
     }
 
     #[test]

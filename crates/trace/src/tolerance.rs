@@ -1,22 +1,20 @@
-//! The tolerance band shared by the perf gate, `muse-trace diff` and
-//! `muse-trace prof diff`.
+//! The tolerance band shared by the perf gate and `muse-trace diff`.
 //!
-//! All three answer the same question — "is the current number worse than
-//! the baseline by more than we allow?" — and they must answer it the same
-//! way, or a trace that passes the gate could be flagged by `diff` (or
+//! Both answer the same question — "is the current number worse than the
+//! baseline by more than we allow?" — and they must answer it the same
+//! way, or a number that passes the gate could be flagged by `diff` (or
 //! vice versa). The two comparison modes:
 //!
 //! * [`exceeds`] — one-sided: only a *slowdown* beyond the band fails.
 //!   Used for timings, where faster is always fine.
 //! * [`drifted`] — two-sided: any relative change beyond the band fails.
 //!   Used for bytes-per-call, where movement in either direction means the
-//!   kernel's data movement genuinely changed, and for a profile path's
+//!   kernel's data movement genuinely changed, and for a span path's
 //!   share of self time.
 
 /// Default relative tolerance: a value may be up to this much worse than
 /// baseline before a comparison fails. Generous because CI machines are
-/// noisy; `muse-trace diff` and `prof diff` take another as their last
-/// argument.
+/// noisy; `muse-trace diff` takes another as its last argument.
 pub const DEFAULT_TOLERANCE: f64 = 0.75;
 
 /// Parse a tolerance given on the command line. Returns `None` when none

@@ -43,6 +43,7 @@ fn report_flame_and_diff_work_on_a_real_training_trace() {
     assert!(stdout.contains("training runs:"), "{stdout}");
     assert!(stdout.contains("top kernels by time"), "{stdout}");
     assert!(stdout.contains("top spans by self time"), "{stdout}");
+    assert!(stdout.contains("dominant: train.fit"), "{stdout}");
 
     // `muse-trace flame` emits collapsed stacks with nested paths.
     let out = cli().args(["flame", trace]).output().unwrap();
