@@ -64,8 +64,7 @@ impl Request {
 
     /// First header named `key` (case-insensitive), if any.
     pub fn header(&self, key: &str) -> Option<&str> {
-        let key = key.to_ascii_lowercase();
-        self.headers.iter().find(|(k, _)| *k == key).map(|(_, v)| v.as_str())
+        self.headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(key)).map(|(_, v)| v.as_str())
     }
 }
 
@@ -407,6 +406,8 @@ mod tests {
         assert_eq!(req.query_param("horizon"), Some("3"));
         assert_eq!(req.query_param("debug"), Some(""));
         assert_eq!(req.header("x-tag"), Some("hi"));
+        assert_eq!(req.header("X-TAG"), Some("hi"), "lookups ignore case");
+        assert_eq!(req.header("x-ta"), None);
         assert!(req.body.is_empty());
     }
 

@@ -91,8 +91,9 @@ pub struct ForecastResponse {
     pub target_index: u64,
     /// Frame shape `[2, H, W]`.
     pub shape: [usize; 3],
-    /// Row-major `[2, H, W]` predicted flows (scaled units, as ingested).
-    pub prediction: Vec<f32>,
+    /// Row-major `[2, H, W]` predicted flows (scaled units, as ingested),
+    /// shared with the rollout step that computed them.
+    pub prediction: Arc<[f32]>,
     /// Latent norms of the rollout step that produced this frame.
     pub latent_norms: LatentNorms,
     /// `prediction` and `latent_norms` as the engine rendered them when it
@@ -166,7 +167,7 @@ impl ForecastResponse {
             .ok_or_else(|| "forecast missing array field 'prediction'".to_string())?
             .iter()
             .map(|v| v.as_f64().map(|f| f as f32).ok_or_else(|| "non-numeric prediction entry".to_string()))
-            .collect::<Result<Vec<f32>, String>>()?;
+            .collect::<Result<Arc<[f32]>, String>>()?;
         let latent_norms = LatentNorms::from_json(
             json.get("latent_norms").ok_or_else(|| "forecast missing 'latent_norms'".to_string())?,
         )?;
@@ -217,14 +218,14 @@ mod tests {
             horizon: 3,
             target_index: 674,
             shape: [2, 4, 5],
-            prediction: vec![0.1, -2.5e-8, f32::MIN_POSITIVE, 1.0 / 3.0],
+            prediction: Arc::from([0.1, -2.5e-8, f32::MIN_POSITIVE, 1.0 / 3.0]),
             latent_norms: LatentNorms { closeness: 1.25, period: 0.3, trend: 7.5e-3, interactive: 42.0 },
             rendered: StepJson::default(),
         };
         let text = resp.to_json().render();
         let back = ForecastResponse::from_json(&muse_obs::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, resp);
-        for (a, b) in back.prediction.iter().zip(&resp.prediction) {
+        for (a, b) in back.prediction.iter().zip(resp.prediction.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // The text a memo step caches renders the same bytes.

@@ -24,9 +24,14 @@
 //! that index fixes every frame a rollout reads, and step `h` reads only
 //! window frames and steps `0..h`. A forecast at an unchanged window
 //! computes only the steps past the cached prefix — none for a horizon
-//! already served — and an accepted ingest starts a new memo. Each step's
-//! `prediction` and `latent_norms` are rendered to JSON once, when the step
-//! is computed; every forecast answered with that step splices the text in.
+//! already served — and an accepted ingest starts a new memo, numbered as
+//! the next rollout. Each step's prediction is copied once, when the step is
+//! computed, into one shared buffer, and its `prediction` and
+//! `latent_norms` are rendered to JSON then too. Every forecast answered
+//! with that step shares them: the response and the quality journal hold
+//! the buffer, and the response splices the text in. The `req.forecast`
+//! and `forecast.scored` events name the memo rollout that computed the
+//! step, so the forecasts of one window state share a rollout id.
 //!
 //! A panic while the model extends the memo is contained: that forecast is
 //! answered [`EngineError::Panicked`], counted in `serve.panics`, and the
@@ -35,16 +40,18 @@
 //!
 //! One [`Tape::forward_only`] tape is hoisted for the engine's lifetime and
 //! `reset` between passes, so activations recycle arena buffers and the
-//! rollout's staging batch is filled in place. The steady state is not
-//! allocation-free: a forward pass still makes a few hundred small heap
-//! allocations (graph nodes, shapes); only tensor storage is recycled.
+//! rollout's staging batch is filled in place. A warm memo hit makes no
+//! heap allocation at all (`tests/memo_alloc.rs`). Computing a step does: a
+//! forward pass still makes a few hundred small heap allocations (graph
+//! nodes, shapes), since only tensor storage is recycled, and the step's
+//! shared buffer and rendered text are allocated once.
 //!
 //! Every serving counter and histogram is looked up in the registry once,
 //! when the engine is built; requests update them through the held handles.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use muse_autograd::Tape;
@@ -174,7 +181,8 @@ pub struct StatsSnapshot {
     /// Forecast requests answered.
     pub forecasts: u64,
     /// Batches of forecasts answered together. Each forecast is answered
-    /// on its own, so this equals `forecasts`.
+    /// on its own, so this equals `forecasts`; it stays in `/stats` because
+    /// the serve benchmark's `serve.batch_size_mean` reads it.
     pub batches: u64,
     /// Rollout steps computed (`infer_raw` passes).
     pub rollout_steps: u64,
@@ -311,23 +319,32 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// One computed rollout step's latent norms and rendered JSON.
+/// What one computed rollout step answers with: its prediction, shared by
+/// every response and journal entry answered from it, and its latent norms
+/// and their rendered JSON.
 struct Step {
+    prediction: Arc<[f32]>,
     norms: LatentNorms,
     json: StepJson,
 }
 
 /// The rollout memo: a batch-1 [`Rollout`] from window state
-/// `rollout.bases()[0]`, plus what each computed step answers with besides
-/// its prediction.
+/// `rollout.bases()[0]`, plus what each computed step answers with.
 struct Staging {
     rollout: Rollout,
     steps: Vec<Step>,
+    /// Memo rollouts started so far: the id of the one that computed
+    /// `steps`.
+    rollouts: u64,
 }
 
 impl Staging {
-    fn new(grid: GridMap, spec: &SubSeriesSpec) -> Staging {
-        Staging { rollout: Rollout::new(grid, *spec), steps: Vec::with_capacity(spec.intervals_per_day) }
+    fn new(grid: GridMap, spec: &SubSeriesSpec, rollouts: u64) -> Staging {
+        Staging {
+            rollout: Rollout::new(grid, *spec),
+            steps: Vec::with_capacity(spec.intervals_per_day),
+            rollouts,
+        }
     }
 
     /// Steps held for the window state whose next frame is `next`.
@@ -349,6 +366,7 @@ impl Staging {
         if cached == 0 {
             self.rollout.start(&[next as usize]);
             self.steps.clear();
+            self.rollouts += 1;
         }
         while self.rollout.computed() < max_h {
             self.rollout.advance(window, |b| {
@@ -361,8 +379,9 @@ impl Staging {
                     trend: out.exclusive_mu_norms[2],
                     interactive: out.interactive_mu_norm,
                 };
-                let json = StepJson::render(out.prediction.as_slice(), &norms);
-                self.steps.push(Step { norms, json });
+                let prediction = Arc::from(out.prediction.as_slice());
+                let json = StepJson::render(&prediction, &norms);
+                self.steps.push(Step { prediction, norms, json });
                 out.prediction
             });
         }
@@ -426,7 +445,7 @@ impl State {
             model,
             tape: Tape::forward_only(),
             window: FlowWindow::for_spec(grid, &spec),
-            staging: Staging::new(grid, &spec),
+            staging: Staging::new(grid, &spec, 0),
             tracker: QualityTracker::new(spec.intervals_per_day, &opts.quality),
             sweeper: SpectralSweeper::new(),
             spectral_every: opts.spectral_every,
@@ -521,7 +540,7 @@ impl State {
         extended.map_err(|_| {
             self.metrics.panics.add(1);
             reject(req, "forecast", "panic".to_string());
-            self.staging = Staging::new(self.grid, &self.spec);
+            self.staging = Staging::new(self.grid, &self.spec, self.staging.rollouts);
             EngineError::Panicked
         })
     }
@@ -535,7 +554,6 @@ impl State {
         cached: usize,
         started: Instant,
     ) -> Result<ForecastResponse, EngineError> {
-        let rollout_id = self.forecasts + 1;
         let m = &self.metrics;
         m.rollout_ns.record(started.elapsed().as_nanos() as f64);
         m.forecasts.add(1);
@@ -547,29 +565,29 @@ impl State {
         self.rollout_steps += steps;
         self.memo_hits += hits;
 
-        let prediction = self.staging.rollout.step(horizon - 1).as_slice();
-        if !prediction.iter().all(|v| v.is_finite()) {
+        let step = &self.staging.steps[horizon - 1];
+        if !step.prediction.iter().all(|v| v.is_finite()) {
             self.metrics.non_finite.add(1);
             reject(req, "forecast", "non_finite".to_string());
             return Err(EngineError::NonFinite { horizon });
         }
         let target = self.window.next_index() + horizon as u64 - 1;
-        self.tracker.record_forecast(req, rollout_id, horizon, target, prediction);
+        let rollout = self.staging.rollouts;
+        self.tracker.record_forecast(req, rollout, horizon, target, Arc::clone(&step.prediction));
         obs::emit_with("req.forecast", || {
             vec![
                 ("request", Json::Num(req as f64)),
-                ("rollout", Json::Num(rollout_id as f64)),
+                ("rollout", Json::Num(rollout as f64)),
                 ("horizon", Json::Num(horizon as f64)),
                 ("target", Json::Num(target as f64)),
             ]
         });
-        let step = &self.staging.steps[horizon - 1];
         Ok(ForecastResponse {
             request_id: req,
             horizon,
             target_index: target,
             shape: [2, self.grid.height, self.grid.width],
-            prediction: prediction.to_vec(),
+            prediction: Arc::clone(&step.prediction),
             latent_norms: step.norms,
             rendered: step.json.clone(),
         })
@@ -903,6 +921,43 @@ mod tests {
         }
         assert!(matches!(computed.to_json().get("latent_norms"), Some(Json::Raw(_))), "computed on a miss");
         assert_eq!(engine.stats().unwrap().memo_hits, 3);
+    }
+
+    #[test]
+    fn a_memo_rollout_names_every_forecast_it_answers() {
+        let _g = obs::test_lock();
+        let cfg = tiny_config();
+        let n = cfg.spec.min_target();
+        let engine = start_filled(&cfg, n);
+        let path = std::env::temp_dir().join(format!("muse-serve-rollout-id-{}.jsonl", std::process::id()));
+        obs::open_trace(&path).unwrap();
+        // One computed forecast and two hits on one window, then a new window.
+        let first = engine.forecast(2).unwrap();
+        let hits = [engine.forecast(1).unwrap(), engine.forecast(2).unwrap()];
+        engine.ingest(frame_at(n as u64, engine.info().frame_len)).unwrap();
+        engine.forecast(1).unwrap();
+        obs::close_trace();
+        obs::disable();
+        let events = obs::read_trace(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        let field = |e: &Json, name: &str| e.get(name).and_then(Json::as_f64).unwrap() as u64;
+        let of = |name: &str| -> Vec<(u64, u64)> {
+            events
+                .iter()
+                .filter(|e| e.get("ev").and_then(Json::as_str) == Some(name))
+                .map(|e| (field(e, "request"), field(e, "rollout")))
+                .collect()
+        };
+        let forecasts = of("req.forecast");
+        assert_eq!(forecasts.len(), 4);
+        let id = forecasts[0].1;
+        let rollouts: Vec<u64> = forecasts.iter().map(|&(_, r)| r).collect();
+        assert_eq!(rollouts, [id, id, id, id + 1], "hits share the id; an accepted ingest starts a new one");
+        // The hits share the computed step's buffer, not a copy of it.
+        assert!(Arc::ptr_eq(&first.prediction, &hits[1].prediction));
+        // The horizon-1 hit targeted the ingested frame: its score carries the id.
+        assert_eq!(of("forecast.scored"), [(hits[0].request_id, id)]);
     }
 
     #[test]

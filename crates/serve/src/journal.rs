@@ -6,6 +6,12 @@
 //! the stored prediction against the real frame (MAE/RMSE, overall and
 //! per inflow/outflow channel) and retires the entry.
 //!
+//! An entry holds its prediction as a shared `Arc<[f32]>`: every forecast
+//! the engine answers from one rollout step records the same buffer, so a
+//! full journal costs a few words per entry plus one frame per distinct
+//! computed step, not one frame per entry. `settle` scores each distinct
+//! buffer and target once, and every entry sharing them reuses that score.
+//!
 //! Two ways a forecast can fail to score, both non-fatal:
 //!
 //! * **Target evicted** — the ring buffer wrapped past the target before
@@ -16,28 +22,30 @@
 
 use crate::window::FlowWindow;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One recorded, not-yet-scored forecast.
 #[derive(Debug, Clone)]
 pub struct PendingForecast {
     /// Request ID of the `/forecast` call that produced it.
     pub request: u64,
-    /// Rollout batch the prediction came from.
+    /// Memo rollout that computed the prediction.
     pub rollout: u64,
     /// Forecast horizon in frames (1 = next frame).
     pub horizon: usize,
     /// Absolute index of the frame this prediction targets.
     pub target: u64,
-    /// The predicted `[2, H, W]` frame, row-major.
-    pub prediction: Vec<f32>,
+    /// The predicted `[2, H, W]` frame, row-major, shared with the rollout
+    /// step that computed it and every other forecast answered from it.
+    pub prediction: Arc<[f32]>,
 }
 
 /// Error summary of one scored forecast.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ForecastScore {
     /// Request ID of the `/forecast` call.
     pub request: u64,
-    /// Rollout batch the prediction came from.
+    /// Memo rollout that computed the prediction.
     pub rollout: u64,
     /// Forecast horizon in frames.
     pub horizon: usize,
@@ -114,27 +122,48 @@ impl ForecastJournal {
     }
 
     /// Score every pending forecast whose target frame is now in the past
-    /// (`target < window.next_index()`), in target order. Targets already
-    /// evicted from the ring settle as [`Settled::Dropped`].
+    /// (`target < window.next_index()`), in recording order, and retire it
+    /// in one order-preserving pass. Targets already evicted from the ring
+    /// settle as [`Settled::Dropped`].
     pub fn settle(&mut self, window: &FlowWindow) -> Vec<Settled> {
         let next = window.next_index();
         let mut out = Vec::new();
+        // Forecasts answered from one rollout step share a buffer and a
+        // target, so they share a score: compute each distinct one once.
+        let mut scored: Vec<(Arc<[f32]>, ForecastScore)> = Vec::new();
         // Entries are recorded in rollout order, but horizons differ, so
         // settleable entries are not necessarily at the front: scan all.
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].target >= next {
-                i += 1;
-                continue;
+        self.pending.retain(|entry| {
+            if entry.target >= next {
+                return true;
             }
-            let entry = self.pending.remove(i).expect("index in bounds");
-            out.push(match window.try_frame(entry.target) {
-                Some(truth) => Settled::Scored(score(&entry, truth)),
+            let Some(truth) = window.try_frame(entry.target) else {
+                out.push(Settled::Dropped {
+                    request: entry.request,
+                    horizon: entry.horizon,
+                    target: entry.target,
+                });
+                return false;
+            };
+            let known =
+                scored.iter().find(|(p, s)| s.target == entry.target && Arc::ptr_eq(p, &entry.prediction));
+            let errors = match known {
+                Some(&(_, errors)) => errors,
                 None => {
-                    Settled::Dropped { request: entry.request, horizon: entry.horizon, target: entry.target }
+                    let errors = score(entry, truth);
+                    scored.push((Arc::clone(&entry.prediction), errors));
+                    errors
                 }
-            });
-        }
+            };
+            out.push(Settled::Scored(ForecastScore {
+                request: entry.request,
+                rollout: entry.rollout,
+                horizon: entry.horizon,
+                target: entry.target,
+                ..errors
+            }));
+            false
+        });
         out
     }
 }
@@ -177,7 +206,7 @@ mod tests {
     use muse_traffic::GridMap;
 
     fn entry(request: u64, horizon: usize, target: u64, prediction: Vec<f32>) -> PendingForecast {
-        PendingForecast { request, rollout: 1, horizon, target, prediction }
+        PendingForecast { request, rollout: 1, horizon, target, prediction: prediction.into() }
     }
 
     #[test]
@@ -220,6 +249,34 @@ mod tests {
         assert_eq!(settled.len(), 1);
         let Settled::Scored(s) = &settled[0] else { panic!() };
         assert_eq!(s.request, 1);
+    }
+
+    #[test]
+    fn shared_buffers_score_like_copies_in_recording_order() {
+        let mut w = FlowWindow::new(GridMap::new(1, 1), 8);
+        let a: Arc<[f32]> = Arc::from([1.0, 3.0]);
+        let b: Arc<[f32]> = Arc::from([0.5, 2.0]);
+        // A later target sits between settleable entries that share buffers.
+        let plan = [(1, 1, 0, &a), (2, 2, 1, &b), (3, 1, 0, &a), (4, 1, 0, &b), (5, 1, 0, &a)];
+        let (mut shared, mut copied) = (ForecastJournal::new(8), ForecastJournal::new(8));
+        for (request, horizon, target, prediction) in plan {
+            let entry =
+                PendingForecast { request, rollout: 1, horizon, target, prediction: Arc::clone(prediction) };
+            copied.record(PendingForecast { prediction: Arc::from(&prediction[..]), ..entry.clone() });
+            shared.record(entry);
+        }
+        w.push(&[2.0, 1.0]).unwrap();
+        let settled = shared.settle(&w);
+        assert_eq!(format!("{settled:?}"), format!("{:?}", copied.settle(&w)));
+        let requests: Vec<u64> = settled
+            .iter()
+            .map(|s| match s {
+                Settled::Scored(s) => s.request,
+                other => panic!("expected a score, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(requests, [1, 3, 4, 5]);
+        assert_eq!(shared.pending(), 1);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use muse_fft::DetectedPeriod;
 use muse_obs::rolling::{DecayingHistogram, Ewma, RollingStats};
 use muse_obs::{self as obs, Counter, Gauge, Json};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::alerts::{Alert, AlertState};
 use crate::journal::{ForecastJournal, PendingForecast, Settled};
@@ -155,22 +156,17 @@ impl QualityTracker {
         }
     }
 
-    /// Record one served forecast awaiting ground truth.
+    /// Record one served forecast awaiting ground truth. The journal keeps
+    /// `prediction` shared, not copied.
     pub fn record_forecast(
         &mut self,
         request: u64,
         rollout: u64,
         horizon: usize,
         target: u64,
-        prediction: &[f32],
+        prediction: Arc<[f32]>,
     ) {
-        let evicted = self.journal.record(PendingForecast {
-            request,
-            rollout,
-            horizon,
-            target,
-            prediction: prediction.to_vec(),
-        });
+        let evicted = self.journal.record(PendingForecast { request, rollout, horizon, target, prediction });
         if let Some(old) = evicted {
             self.count_dropped(old.request, old.horizon, old.target, "journal_overflow");
         }
@@ -392,7 +388,7 @@ mod tests {
         let mut w = FlowWindow::new(GridMap::new(1, 1), 8);
         let mut t = tracker(4);
         // Forecast frame 0 as [1,3]; truth arrives as [2,1] → mae 1.5.
-        t.record_forecast(11, 1, 1, 0, &[1.0, 3.0]);
+        t.record_forecast(11, 1, 1, 0, Arc::from([1.0, 3.0]));
         w.push(&[2.0, 1.0]).unwrap();
         t.on_ingest(&w, 0, &[2.0, 1.0]);
         assert_eq!(t.scored(), 1);
@@ -468,8 +464,8 @@ mod tests {
         let mut w = FlowWindow::new(GridMap::new(1, 1), 2);
         let mut t = QualityTracker::new(4, &cfg);
         // Second record evicts the first (journal capacity 1).
-        t.record_forecast(1, 1, 1, 0, &[0.0, 0.0]);
-        t.record_forecast(2, 1, 2, 1, &[0.0, 0.0]);
+        t.record_forecast(1, 1, 1, 0, Arc::from([0.0, 0.0]));
+        t.record_forecast(2, 1, 2, 1, Arc::from([0.0, 0.0]));
         assert_eq!(t.dropped(), 1);
         // Ring of capacity 2: after frames 0..=3 land, the live range is
         // [2, 4) — target 1 is gone when settle finally runs.

@@ -157,7 +157,8 @@ impl KernelRow {
 pub struct QualitySample {
     /// Request id of the forecast that was scored.
     pub request: u64,
-    /// Rollout batch the forecast was computed in.
+    /// Memo rollout that computed the forecast's step: every forecast
+    /// answered at one window state shares it.
     pub rollout: u64,
     /// Forecast horizon in frames.
     pub horizon: usize,
@@ -212,7 +213,7 @@ pub struct RequestEvent {
     pub request: u64,
     /// Absolute frame index (ingests only).
     pub index: Option<u64>,
-    /// Rollout batch id (forecasts only).
+    /// Memo rollout id (forecasts only).
     pub rollout: Option<u64>,
     /// Forecast horizon (forecasts only).
     pub horizon: Option<usize>,

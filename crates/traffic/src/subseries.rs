@@ -332,11 +332,6 @@ impl Rollout {
         self.steps.len()
     }
 
-    /// Step `h`'s prediction of frames `n + h`, `[B, 2, H, W]`.
-    pub fn step(&self, h: usize) -> &Tensor {
-        &self.steps[h]
-    }
-
     /// Compute the next step: stage the batch for targets `n + h` and keep
     /// what `predict` returns for it.
     pub fn advance(&mut self, source: &impl FrameSource, predict: impl FnOnce(&Batch) -> Tensor) {
@@ -550,7 +545,7 @@ mod tests {
         assert_eq!(frame_values(&b.trend), vec![5.0, 2.0]);
         assert_eq!(b.target.as_slice(), &[0.0; 16], "future targets are staged as zeros");
         assert_eq!(rollout.computed(), 3);
-        assert_eq!(frame_values(rollout.step(2)), vec![-33.0, -30.0]);
+        assert_eq!(frame_values(&rollout.steps[2]), vec![-33.0, -30.0]);
     }
 
     #[test]

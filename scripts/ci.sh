@@ -113,9 +113,22 @@ serve_checks() {
     grep -q '"prediction"' target/ci_serve_forecast.json
     grep -q '"latent_norms"' target/ci_serve_forecast.json
     # No ingest in between: the same window state answers from the rollout memo.
-    curl -sf "http://$SERVE_ADDR/forecast?horizon=1" -o /dev/null
+    curl -sf "http://$SERVE_ADDR/forecast?horizon=1" -o target/ci_serve_forecast_hit.json
     memo_hits=$(curl -sf "http://$SERVE_ADDR/stats" | grep -o '"memo_hits":[0-9]*' | cut -d: -f2)
     [ "${memo_hits:-}" = 1 ] || { echo "/stats reports memo_hits=${memo_hits:-missing} after one computed and one memo-hit forecast, want 1" >&2; exit 1; }
+    # The hit serves the computed step's bytes; only the request id differs.
+    for body in target/ci_serve_forecast.json target/ci_serve_forecast_hit.json; do
+        sed 's/"request_id":[0-9]*/"request_id":0/' "$body" > "$body.anon"
+    done
+    cmp -s target/ci_serve_forecast.json.anon target/ci_serve_forecast_hit.json.anon || {
+        echo "the memo-hit /forecast body differs from the computed one beyond request_id" >&2
+        exit 1
+    }
+    # Both forecasts are journaled, awaiting the frame they target.
+    curl -sf "http://$SERVE_ADDR/quality" | grep -q '"pending":2' || {
+        echo "/quality does not report the two served forecasts as pending" >&2
+        exit 1
+    }
     curl -sf "http://$SERVE_ADDR/debug/profile" | grep -q '^serve\.forecast\.batch'
     curl -sf "http://$SERVE_ADDR/metrics" -o target/ci_serve_metrics.txt
     cargo run -q --release -p muse-trace -- promcheck target/ci_serve_metrics.txt
