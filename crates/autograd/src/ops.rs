@@ -275,7 +275,7 @@ impl<'t> Var<'t> {
         let lb = bias.map(|b| b.id());
         let out = {
             let nodes = self.tape().nodes.borrow();
-            let b = lb.map(|lb| &nodes[lb].value);
+            let b = lb.map(|lb| &*nodes[lb].value);
             conv2d(&nodes[lx].value, &nodes[lw].value, b, &spec)
         };
         self.tape().push(
@@ -388,7 +388,7 @@ impl<'t> Var<'t> {
         let ids: Vec<usize> = parts.iter().map(|p| p.id()).collect();
         let (out, sizes) = {
             let nodes = tape.nodes.borrow();
-            let refs: Vec<&Tensor> = ids.iter().map(|&id| &nodes[id].value).collect();
+            let refs: Vec<&Tensor> = ids.iter().map(|&id| &*nodes[id].value).collect();
             let sizes: Vec<usize> = refs.iter().map(|v| v.dims()[axis]).collect();
             (Tensor::concat(&refs, axis), sizes)
         };

@@ -3,7 +3,8 @@
 use muse_obs as obs;
 use muse_tensor::Tensor;
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Backward closure: reads operand values through a [`BackwardCtx`] and
 /// accumulates parent contributions into a [`GradSink`]. Closures capture
@@ -11,10 +12,28 @@ use std::sync::OnceLock;
 /// a node allocates nothing beyond its forward value.
 pub(crate) type BackwardFn = Box<dyn Fn(&BackwardCtx<'_>, &mut GradSink<'_>) + Send>;
 
+/// A node's forward value: computed and owned by the tape, or shared with
+/// the tensor it was bound from (a parameter), so binding copies nothing.
+pub(crate) enum Value {
+    Owned(Tensor),
+    Shared(Arc<Tensor>),
+}
+
+impl Deref for Value {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        match self {
+            Value::Owned(t) => t,
+            Value::Shared(t) => t,
+        }
+    }
+}
+
 pub(crate) struct Node {
     /// Short op name ("add", "matmul", …) for backward-time attribution.
     pub(crate) op: &'static str,
-    pub(crate) value: Tensor,
+    pub(crate) value: Value,
     /// `None` for leaves and constants.
     pub(crate) backward: Option<BackwardFn>,
 }
@@ -165,6 +184,13 @@ impl GradSink<'_> {
 /// A tape is reusable: [`Tape::reset`] clears the recording while keeping the
 /// node vector's capacity (and, via the tensor arena, the value buffers), so
 /// a steady-state training step records onto warm storage.
+///
+/// A node's value is either owned by the tape (every op's output, and the
+/// tensors handed to [`Tape::leaf`] and [`Tape::constant`]) or shared with
+/// its source through [`Tape::leaf_shared`]: a bound parameter's leaf holds
+/// one more reference to the parameter's own buffer, not a copy. The tape
+/// never writes a node's value, so sharing is safe; the source copies on
+/// write if it is updated while the tape still holds it.
 #[derive(Default)]
 pub struct Tape {
     pub(crate) nodes: RefCell<Vec<Node>>,
@@ -256,16 +282,26 @@ impl Tape {
 
     pub(crate) fn push(&self, op: &'static str, value: Tensor, backward: Option<BackwardFn>) -> Var<'_> {
         let backward = if self.forward_only { None } else { backward };
+        self.record(op, Value::Owned(value), backward)
+    }
+
+    fn record(&self, op: &'static str, value: Value, backward: Option<BackwardFn>) -> Var<'_> {
         let mut nodes = self.nodes.borrow_mut();
         let id = nodes.len();
         nodes.push(Node { op, value, backward });
         Var { tape: self, id }
     }
 
-    /// Record a differentiable leaf (e.g. a model parameter or an input that
-    /// needs gradients).
+    /// Record a differentiable leaf (e.g. an input that needs gradients).
     pub fn leaf(&self, value: Tensor) -> Var<'_> {
         self.push("leaf", value, None)
+    }
+
+    /// Record a differentiable leaf that shares `value` instead of owning
+    /// a copy (a bound parameter): the node holds one more reference to the
+    /// same buffer until [`Tape::reset`] drops it.
+    pub fn leaf_shared(&self, value: Arc<Tensor>) -> Var<'_> {
+        self.record("leaf", Value::Shared(value), None)
     }
 
     /// Record a constant. Structurally identical to a leaf — the distinction
@@ -284,7 +320,7 @@ impl Tape {
     /// Clone the current value of `var`. Prefer [`Tape::with_value`] on hot
     /// paths — it lends the tensor without copying.
     pub fn value(&self, var: Var<'_>) -> Tensor {
-        self.nodes.borrow()[var.id].value.clone()
+        Tensor::clone(&self.nodes.borrow()[var.id].value)
     }
 
     /// Borrow the current value of `var` for the duration of `f`, avoiding

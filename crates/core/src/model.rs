@@ -250,11 +250,13 @@ impl MuseNet {
     }
 
     /// Reconstruct a model from a self-describing checkpoint: parse the
-    /// embedded config, build the architecture, load the weights.
+    /// embedded config, build the architecture, decode the weights straight
+    /// into its parameters.
     pub fn from_checkpoint(path: &std::path::Path) -> Result<MuseNet, muse_nn::CheckpointError> {
         use muse_nn::CheckpointError;
-        let ckpt = muse_nn::load_checkpoint_full(path)?;
-        let meta = ckpt.meta.as_deref().ok_or_else(|| {
+        let bytes = std::fs::read(path)?;
+        let ckpt = muse_nn::CheckpointView::parse(&bytes)?;
+        let meta = ckpt.meta.ok_or_else(|| {
             CheckpointError::Format(
                 "checkpoint has no embedded model config (save it with MuseNet::save_with_config \
                  or muse-eval --save-checkpoint)"
@@ -266,7 +268,7 @@ impl MuseNet {
         let config = MuseNetConfig::from_json(&json).map_err(CheckpointError::Format)?;
         config.validate();
         let model = MuseNet::new(config);
-        muse_nn::apply_checkpoint(&ckpt.entries, &model.params())?;
+        ckpt.restore(&model.params())?;
         Ok(model)
     }
 

@@ -321,6 +321,11 @@ impl<M: Trainable> Trainer<M> {
                         clip_grad_norm(self.optimizer.params(), self.options.clip_norm);
                     }
                 }
+                // Release the tape's shared parameter leaves, so the
+                // optimizer updates every parameter in its own buffer
+                // instead of copying on write.
+                tape.reset();
+                s.reset();
                 {
                     let _span = obs::span("train.optim");
                     self.optimizer.step();
@@ -569,6 +574,26 @@ mod tests {
         let report = trainer.fit(&flows, &cfg.spec, &train, &[]);
         assert_eq!(report.epochs.len(), 1);
         assert!(report.epochs[0].val_rmse.is_none());
+    }
+
+    #[test]
+    fn a_training_step_updates_every_parameter_in_its_own_buffer() {
+        let (cfg, flows, train, _) = tiny_setup();
+        let model = MuseNet::new(cfg.clone());
+        let params = model.params();
+        let address = |p: &ParamRef| p.with_value(|v| v.as_slice().as_ptr());
+        let before: Vec<_> = params.iter().map(|p| (address(p), p.value())).collect();
+        let mut trainer = Trainer::new(
+            model,
+            TrainerOptions { epochs: 1, batch_size: 4, max_batches_per_epoch: 1, ..Default::default() },
+        );
+        trainer.fit(&flows, &cfg.spec, &train, &[]);
+        let mut updated = 0;
+        for (p, (at, value)) in params.iter().zip(&before) {
+            assert_eq!(address(p), *at, "{} was copied, not updated in place", p.name());
+            updated += usize::from(p.value() != *value);
+        }
+        assert!(updated > 0, "the batch updated no parameter");
     }
 
     #[test]

@@ -45,6 +45,6 @@ pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
 pub use param::{restore, snapshot, Param, ParamRef, Session};
 pub use rnn::{GruCell, RnnCell};
 pub use serialize::{
-    apply_checkpoint, decode_checkpoint, load_checkpoint, load_checkpoint_full, load_params, save_params,
-    save_params_with_meta, Checkpoint, CheckpointError,
+    decode_checkpoint, load_checkpoint, load_checkpoint_full, load_params, save_params,
+    save_params_with_meta, Checkpoint, CheckpointError, CheckpointView,
 };

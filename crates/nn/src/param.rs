@@ -12,11 +12,23 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// and gradient sit behind uncontended mutexes, which makes every model
 /// `Send`: a daemon can run one on whichever thread holds its lock, while
 /// training stays single-threaded.
+///
+/// There is one copy of the value. It is held as an `Arc<Tensor>`, and
+/// [`Session::param`] records a tape leaf sharing it rather than a copy.
+/// Updates ([`Param::apply_update`], and through it the optimizers;
+/// [`restore`] and checkpoint loading) write in place when nothing else
+/// holds the value; while a tape still does, they copy on write and the
+/// tape keeps the value it recorded.
+///
+/// The gradient is allocated on first use ([`Param::accumulate_grad`],
+/// [`Param::with_grad`], [`Param::grad`], [`Param::scale_grad`]), so a
+/// parameter that is only ever served holds no gradient buffer. An untouched
+/// gradient reads as zeros.
 #[derive(Debug)]
 pub struct Param {
     name: String,
-    value: Mutex<Tensor>,
-    grad: Mutex<Tensor>,
+    value: Mutex<Arc<Tensor>>,
+    grad: Mutex<Option<Tensor>>,
 }
 
 /// Shared handle to a [`Param`].
@@ -24,15 +36,15 @@ pub type ParamRef = Arc<Param>;
 
 /// Lock `m` even if a panic poisoned it: no update changes a tensor's
 /// shape, so the value behind a poisoned lock is still a valid tensor.
-fn lock(m: &Mutex<Tensor>) -> MutexGuard<'_, Tensor> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl Param {
-    /// Create a named parameter with an initial value and zero gradient.
+    /// Create a named parameter with an initial value (no gradient buffer
+    /// until one is needed).
     pub fn new(name: impl Into<String>, value: Tensor) -> ParamRef {
-        let grad = Tensor::zeros(value.dims());
-        Arc::new(Param { name: name.into(), value: Mutex::new(value), grad: Mutex::new(grad) })
+        Arc::new(Param { name: name.into(), value: Mutex::new(Arc::new(value)), grad: Mutex::new(None) })
     }
 
     /// Human-readable name (used in diagnostics).
@@ -42,12 +54,12 @@ impl Param {
 
     /// Clone of the current value.
     pub fn value(&self) -> Tensor {
-        lock(&self.value).clone()
+        Tensor::clone(&lock(&self.value))
     }
 
     /// Clone of the accumulated gradient.
     pub fn grad(&self) -> Tensor {
-        lock(&self.grad).clone()
+        self.with_grad_mut(|g| g.clone())
     }
 
     /// Run `f` against the current value without cloning it.
@@ -55,14 +67,27 @@ impl Param {
         f(&lock(&self.value))
     }
 
+    /// Run `f` against a writable value: the parameter's own buffer when
+    /// nothing else holds it, a copy of it (which then becomes the value)
+    /// while a tape still does.
+    pub(crate) fn with_value_mut<R>(&self, f: impl FnOnce(&mut Tensor) -> R) -> R {
+        f(Arc::make_mut(&mut lock(&self.value)))
+    }
+
     /// Run `f` against the accumulated gradient without cloning it.
     pub fn with_grad<R>(&self, f: impl FnOnce(&Tensor) -> R) -> R {
-        f(&lock(&self.grad))
+        self.with_grad_mut(|g| f(g))
+    }
+
+    /// Run `f` against the gradient, allocating it (zeroed) on first use.
+    fn with_grad_mut<R>(&self, f: impl FnOnce(&mut Tensor) -> R) -> R {
+        let mut grad = lock(&self.grad);
+        f(grad.get_or_insert_with(|| Tensor::zeros(lock(&self.value).dims())))
     }
 
     /// Scale the accumulated gradient in place (global-norm clipping).
     pub fn scale_grad(&self, scale: f32) {
-        lock(&self.grad).scale_assign(scale);
+        self.with_grad_mut(|g| g.scale_assign(scale));
     }
 
     /// Dimension extents of the parameter.
@@ -80,34 +105,39 @@ impl Param {
         self.len() == 0
     }
 
-    /// Overwrite the value (e.g. optimizer update or checkpoint restore).
+    /// Overwrite the value (e.g. a test's fixed weights). The old buffer is
+    /// released unless a tape still holds it.
     pub fn set_value(&self, value: Tensor) {
-        assert_eq!(value.dims(), lock(&self.value).dims(), "set_value shape mismatch for {}", self.name);
-        *lock(&self.value) = value;
+        let mut current = lock(&self.value);
+        assert_eq!(value.dims(), current.dims(), "set_value shape mismatch for {}", self.name);
+        *current = Arc::new(value);
     }
 
     /// Add `delta` into the accumulated gradient.
     pub fn accumulate_grad(&self, delta: &Tensor) {
-        lock(&self.grad).add_assign(delta);
+        self.with_grad_mut(|g| g.add_assign(delta));
     }
 
-    /// Reset the gradient to zero, reusing its buffer.
+    /// Reset the gradient to zero, reusing its buffer (an unallocated
+    /// gradient already reads as zero).
     pub fn zero_grad(&self) {
-        lock(&self.grad).as_mut_slice().fill(0.0);
+        if let Some(g) = lock(&self.grad).as_mut() {
+            g.as_mut_slice().fill(0.0);
+        }
     }
 
     /// In-place SGD-style update: `value -= lr * update`.
     pub fn apply_update(&self, update: &Tensor, lr: f32) {
-        lock(&self.value).axpy_assign(-lr, update);
+        self.with_value_mut(|v| v.axpy_assign(-lr, update));
     }
 }
 
 /// One forward/backward pass: a tape plus the parameter bindings created on
 /// it.
 ///
-/// `Session::param` registers a parameter's current value as a leaf on the
-/// tape and remembers the node id; `Session::backward` then routes the tape's
-/// gradients into each bound parameter's `.grad`.
+/// `Session::param` records a leaf sharing the parameter's current value
+/// (no copy) and remembers the node id; `Session::backward` then routes the
+/// tape's gradients into each bound parameter's `.grad`.
 pub struct Session<'t> {
     tape: &'t Tape,
     bindings: RefCell<Vec<(ParamRef, usize)>>,
@@ -131,9 +161,11 @@ impl<'t> Session<'t> {
         self.bindings.borrow_mut().clear();
     }
 
-    /// Bind a parameter into this pass, returning its tape variable.
+    /// Bind a parameter into this pass, returning its tape variable. The
+    /// leaf shares the parameter's buffer; an update made while the tape
+    /// still holds it copies on write, so the pass keeps the value it read.
     pub fn param(&self, p: &ParamRef) -> Var<'t> {
-        let var = self.tape.leaf(p.value());
+        let var = self.tape.leaf_shared(Arc::clone(&lock(&p.value)));
         self.bindings.borrow_mut().push((Arc::clone(p), var.id()));
         var
     }
@@ -175,11 +207,15 @@ pub fn snapshot(params: &[ParamRef]) -> Vec<Tensor> {
     params.iter().map(|p| p.value()).collect()
 }
 
-/// Restore values captured by [`snapshot`] (order and shapes must match).
+/// Restore values captured by [`snapshot`] (order and shapes must match),
+/// copying into each parameter's buffer.
 pub fn restore(params: &[ParamRef], snapshot: &[Tensor]) {
     assert_eq!(params.len(), snapshot.len(), "snapshot length mismatch");
     for (p, v) in params.iter().zip(snapshot) {
-        p.set_value(v.clone());
+        p.with_value_mut(|value| {
+            assert_eq!(value.dims(), v.dims(), "restore shape mismatch for {}", p.name());
+            value.as_mut_slice().copy_from_slice(v.as_slice());
+        });
     }
 }
 
@@ -211,6 +247,42 @@ mod tests {
         let loss = w.square().sum(); // d/dw w^2 = 2w = 6
         s.backward(loss);
         assert_eq!(p.grad().as_slice(), &[6.0]);
+    }
+
+    #[test]
+    fn a_bound_leaf_shares_the_parameter_buffer() {
+        let p = Param::new("w", Tensor::from_vec(vec![1.0, 2.0], &[2]));
+        let address = |t: &Tensor| t.as_slice().as_ptr();
+        let own = p.with_value(address);
+        let tape = Tape::new();
+        let s = Session::new(&tape);
+        let w = s.param(&p);
+        assert_eq!(w.with_value(address), own, "binding copied the value");
+        // An update while the tape holds the value copies on write: the
+        // pass keeps what it read, the parameter moves to a new buffer.
+        p.apply_update(&Tensor::ones(&[2]), 0.5);
+        assert_eq!(w.with_value(|t| t.as_slice().to_vec()), vec![1.0, 2.0]);
+        assert_eq!(p.value().as_slice(), &[0.5, 1.5]);
+        let copied = p.with_value(address);
+        assert_ne!(copied, own);
+        // Once the tape lets go, updates write in place.
+        tape.reset();
+        s.reset();
+        p.apply_update(&Tensor::ones(&[2]), 0.5);
+        assert_eq!(p.with_value(address), copied);
+        assert_eq!(p.value().as_slice(), &[0.0, 1.0]);
+    }
+
+    #[test]
+    fn the_gradient_is_allocated_on_first_use() {
+        let p = Param::new("w", Tensor::from_vec(vec![1.0, 2.0], &[2]));
+        p.zero_grad();
+        assert!(lock(&p.grad).is_none(), "zero_grad allocated a gradient");
+        assert_eq!(p.with_grad(|g| g.as_slice().to_vec()), vec![0.0, 0.0]);
+        assert!(lock(&p.grad).is_some());
+        let q = Param::new("v", Tensor::ones(&[3]));
+        q.scale_grad(2.0);
+        assert_eq!(q.grad().as_slice(), &[0.0; 3]);
     }
 
     #[test]

@@ -35,13 +35,19 @@
 //! safe case. Layer constructors embed shapes into names, so most
 //! architecture drift is caught by the name check too.
 //!
-//! The loader reads the whole file and decodes from the byte slice: each
-//! tensor's payload is one slice, and nothing is allocated for a length
-//! field before the bytes it claims are known to be present. Every
-//! [`CheckpointError::Format`] it produces names the offending entry
-//! (index, and name once known) and the absolute byte offset where decoding
-//! failed, so a truncated or bit-flipped file is diagnosable from the
-//! message alone.
+//! The loader reads the whole file and decodes from the byte slice: one
+//! decoder walks the entries and hands each one, borrowed from the bytes,
+//! to a sink, and nothing is allocated for a length field before the bytes
+//! it claims are known to be present. [`decode_checkpoint`] turns the
+//! entries into owned tensors; [`load_params`] and [`CheckpointView`]
+//! instead decode each payload straight into its parameter's existing
+//! buffer, after checking every entry's name and shape, so restoring a
+//! model builds no entry tensor and leaves nothing on the arena's shelves.
+//!
+//! Every [`CheckpointError::Format`] the decoder produces names the
+//! offending entry (index, and name once known) and the absolute byte
+//! offset where decoding failed, so a truncated or bit-flipped file is
+//! diagnosable from the message alone.
 
 use crate::param::ParamRef;
 use muse_tensor::Tensor;
@@ -243,13 +249,38 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Load a checkpoint, including its metadata section.
-pub fn load_checkpoint_full(path: &Path) -> Result<Checkpoint, CheckpointError> {
-    decode_checkpoint(&fs::read(path)?)
+/// One stored entry, borrowed from the checkpoint's bytes: its name, its
+/// dims (`u32` LE each) and its payload (`f32` LE each), all bounds-checked.
+#[derive(Clone, Copy)]
+struct Entry<'a> {
+    name: &'a str,
+    dims: &'a [u8],
+    payload: &'a [u8],
 }
 
-/// Decode a checkpoint from its bytes (any supported version).
-pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+/// The `u32` LE fields of `bytes`, widened.
+fn u32s(bytes: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    bytes.chunks_exact(4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+}
+
+impl Entry<'_> {
+    fn dims(&self) -> impl Iterator<Item = usize> + '_ {
+        u32s(self.dims)
+    }
+
+    fn values(&self) -> impl Iterator<Item = f32> + '_ {
+        self.payload.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    fn to_tensor(self) -> Tensor {
+        Tensor::from_vec(self.values().collect(), &self.dims().collect::<Vec<_>>())
+    }
+}
+
+/// The checkpoint decoder: check the header (and a v3 file's CRC first),
+/// then walk the entries, handing each to `sink` as soon as its bytes are
+/// known to be present and well formed. Returns the metadata string.
+fn decode<'a>(bytes: &'a [u8], mut sink: impl FnMut(Entry<'a>)) -> Result<Option<&'a str>, CheckpointError> {
     let mut r = Cursor { bytes, pos: 0 };
     if r.take(4, "magic", "header")? != MAGIC {
         return Err(r.bad(4, "missing MUSE magic".into()));
@@ -280,16 +311,12 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
         if meta_len == 0 {
             None
         } else {
-            Some(
-                String::from_utf8(raw.to_vec())
-                    .map_err(|e| r.bad(meta_len, format!("non-utf8 metadata ({e})")))?,
-            )
+            Some(std::str::from_utf8(raw).map_err(|e| r.bad(meta_len, format!("non-utf8 metadata ({e})")))?)
         }
     } else {
         None
     };
     let count = r.read_u32("entry count", "header")? as usize;
-    let mut entries = Vec::new();
     for i in 0..count {
         let entry = format!("entry {i}");
         let name_len = r.read_u32("name length", &entry)? as usize;
@@ -297,30 +324,45 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
             return Err(r.bad(4, format!("{entry}: implausible name length {name_len}")));
         }
         let name = r.take(name_len, "name", &entry)?;
-        let name = String::from_utf8(name.to_vec())
+        let name = std::str::from_utf8(name)
             .map_err(|e| r.bad(name_len, format!("{entry}: non-utf8 name ({e})")))?;
         let entry = format!("entry {i} ('{name}')");
         let rank = r.read_u32("rank", &entry)? as usize;
         if rank > MAX_RANK {
             return Err(r.bad(4, format!("{entry}: implausible rank {rank}")));
         }
-        let mut dims = Vec::with_capacity(rank);
+        let dims_at = r.pos;
         for _ in 0..rank {
-            dims.push(r.read_u32("dims", &entry)? as usize);
+            r.read_u32("dims", &entry)?;
         }
-        let n = dims
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        let dims = &r.bytes[dims_at..r.pos];
+        let n = u32s(dims)
+            .try_fold(1usize, |acc, d| acc.checked_mul(d))
             .filter(|&n| n <= MAX_ELEMS)
-            .ok_or_else(|| r.bad(0, format!("{entry}: implausible tensor size (dims {dims:?})")))?;
+            .ok_or_else(|| {
+                let dims: Vec<usize> = u32s(dims).collect();
+                r.bad(0, format!("{entry}: implausible tensor size (dims {dims:?})"))
+            })?;
         let payload = r.take(4 * n, &format!("{n} elements"), &entry)?;
-        let data = payload.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])).collect();
-        entries.push((name, Tensor::from_vec(data, &dims)));
+        sink(Entry { name, dims, payload });
     }
     if version >= 3 && r.pos != r.bytes.len() {
         return Err(r.bad(0, format!("{} unread bytes before the crc32 trailer", r.bytes.len() - r.pos)));
     }
-    Ok(Checkpoint { meta, entries })
+    Ok(meta)
+}
+
+/// Load a checkpoint, including its metadata section.
+pub fn load_checkpoint_full(path: &Path) -> Result<Checkpoint, CheckpointError> {
+    decode_checkpoint(&fs::read(path)?)
+}
+
+/// Decode a checkpoint from its bytes (any supported version) into
+/// owned tensors.
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+    let mut entries = Vec::new();
+    let meta = decode(bytes, |e| entries.push((e.name.to_owned(), e.to_tensor())))?;
+    Ok(Checkpoint { meta: meta.map(str::to_owned), entries })
 }
 
 /// Load a checkpoint into `(name, tensor)` pairs (metadata discarded).
@@ -328,43 +370,75 @@ pub fn load_checkpoint(path: &Path) -> Result<Vec<(String, Tensor)>, CheckpointE
     Ok(load_checkpoint_full(path)?.entries)
 }
 
-/// Load a checkpoint and write its values into a parameter set.
+/// Load a checkpoint and write its values into a parameter set, in place.
 ///
 /// Matching is positional; each entry's name and shape must agree with the
 /// parameter at the same position (same architecture, same construction
-/// order).
+/// order). See [`CheckpointView::restore`].
 pub fn load_params(path: &Path, params: &[ParamRef]) -> Result<(), CheckpointError> {
-    apply_checkpoint(&load_checkpoint(path)?, params)
+    CheckpointView::parse(&fs::read(path)?)?.restore(params)
 }
 
-/// Write already-decoded checkpoint entries into a parameter set, with the
-/// same positional name/shape verification as [`load_params`].
-pub fn apply_checkpoint(loaded: &[(String, Tensor)], params: &[ParamRef]) -> Result<(), CheckpointError> {
-    if loaded.len() != params.len() {
-        return Err(CheckpointError::Mismatch(format!(
-            "checkpoint has {} parameters, model has {}",
-            loaded.len(),
-            params.len()
-        )));
+/// A checkpoint decoded without copying its values: the metadata and each
+/// entry's name, dims and payload, borrowed from the file's bytes. Parse
+/// it, build a matching parameter set (from the metadata, say), then
+/// [`CheckpointView::restore`] the values straight into it.
+pub struct CheckpointView<'a> {
+    /// The metadata string; `None` for v1 files or files written without
+    /// metadata.
+    pub meta: Option<&'a str>,
+    entries: Vec<Entry<'a>>,
+}
+
+impl<'a> CheckpointView<'a> {
+    /// Decode `bytes` (any supported version), with every check and error
+    /// message of [`decode_checkpoint`].
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, CheckpointError> {
+        let mut entries = Vec::new();
+        let meta = decode(bytes, |e| entries.push(e))?;
+        Ok(CheckpointView { meta, entries })
     }
-    for (i, (p, (name, t))) in params.iter().zip(loaded).enumerate() {
-        if p.name() != name {
+
+    /// Write every entry's values into the parameter at the same position,
+    /// decoding each payload straight into the parameter's buffer.
+    ///
+    /// All or nothing: the entry count, every name and every shape are
+    /// checked before any value changes, so a mismatched checkpoint leaves
+    /// the parameters as they were.
+    pub fn restore(&self, params: &[ParamRef]) -> Result<(), CheckpointError> {
+        if self.entries.len() != params.len() {
             return Err(CheckpointError::Mismatch(format!(
-                "parameter {i} name mismatch: checkpoint '{name}', model '{}'",
-                p.name()
+                "checkpoint has {} parameters, model has {}",
+                self.entries.len(),
+                params.len()
             )));
         }
-        if t.dims() != p.dims() {
-            return Err(CheckpointError::Mismatch(format!(
-                "shape mismatch for {}: checkpoint {:?}, model {:?}",
-                p.name(),
-                t.dims(),
-                p.dims()
-            )));
+        for (i, (p, e)) in params.iter().zip(&self.entries).enumerate() {
+            if p.name() != e.name {
+                return Err(CheckpointError::Mismatch(format!(
+                    "parameter {i} name mismatch: checkpoint '{}', model '{}'",
+                    e.name,
+                    p.name()
+                )));
+            }
+            if !p.with_value(|v| e.dims().eq(v.dims().iter().copied())) {
+                return Err(CheckpointError::Mismatch(format!(
+                    "shape mismatch for {}: checkpoint {:?}, model {:?}",
+                    p.name(),
+                    e.dims().collect::<Vec<_>>(),
+                    p.dims()
+                )));
+            }
         }
-        p.set_value(t.clone());
+        for (p, e) in params.iter().zip(&self.entries) {
+            p.with_value_mut(|v| {
+                for (x, y) in v.as_mut_slice().iter_mut().zip(e.values()) {
+                    *x = y;
+                }
+            });
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -2,12 +2,16 @@
 //! offset, bit flips, and oversized length fields, on a small v2 file and
 //! a small v3 file. No mutation may panic, every mutated v3 file must be
 //! rejected, and no decode may allocate more than a small multiple of the
-//! bytes it was given.
+//! bytes it was given. Restoring is all or nothing: a checkpoint that
+//! fails to load into a live parameter set leaves every value as it was.
 //!
 //! A test binary of its own: the counting global allocator below sees every
 //! allocation in the process, so it counts only on the thread that asks.
 
-use muse_nn::{decode_checkpoint, load_checkpoint_full, save_params_with_meta, CheckpointError, Param};
+use muse_nn::{
+    decode_checkpoint, load_checkpoint_full, load_params, save_params_with_meta, CheckpointError, Param,
+    ParamRef,
+};
 use muse_tensor::init::SeededRng;
 use muse_tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -47,19 +51,32 @@ fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("muse-ckpt-fuzz-{}-{name}", std::process::id()))
 }
 
+/// The small file's parameter set, valued from `seed`; `last` names and
+/// shapes its last parameter.
+fn small_params(seed: u64, last: (&str, &[usize])) -> Vec<ParamRef> {
+    let mut rng = SeededRng::new(seed);
+    vec![
+        Param::new("enc.w", Tensor::rand_uniform(&mut rng, &[3, 4], -1.0, 1.0)),
+        Param::new("enc.b", Tensor::rand_uniform(&mut rng, &[4], -1.0, 1.0)),
+        Param::new(last.0, Tensor::rand_uniform(&mut rng, last.1, -1.0, 1.0)),
+    ]
+}
+
+const HEAD: (&str, &[usize]) = ("head", &[2, 1, 2]);
+
+/// The bytes `save_params_with_meta` writes for `params`.
+fn saved(params: &[ParamRef]) -> Vec<u8> {
+    let path = tmp("saved");
+    save_params_with_meta(&path, params, Some(r#"{"arch":"fuzz"}"#)).unwrap();
+    let raw = std::fs::read(&path).unwrap();
+    std::fs::remove_file(path).ok();
+    raw
+}
+
 /// A small v3 checkpoint as written by the saver, and the same content as
 /// v2 (a v3 file without its crc32 trailer).
 fn small_files() -> (Vec<u8>, Vec<u8>) {
-    let mut rng = SeededRng::new(5);
-    let params = vec![
-        Param::new("enc.w", Tensor::rand_uniform(&mut rng, &[3, 4], -1.0, 1.0)),
-        Param::new("enc.b", Tensor::rand_uniform(&mut rng, &[4], -1.0, 1.0)),
-        Param::new("head", Tensor::rand_uniform(&mut rng, &[2, 1, 2], -1.0, 1.0)),
-    ];
-    let path = tmp("small");
-    save_params_with_meta(&path, &params, Some(r#"{"arch":"fuzz"}"#)).unwrap();
-    let v3 = std::fs::read(&path).unwrap();
-    std::fs::remove_file(path).ok();
+    let v3 = saved(&small_params(5, HEAD));
     let mut v2 = v3[..v3.len() - 4].to_vec();
     v2[4..8].copy_from_slice(&2u32.to_le_bytes());
     (v2, v3)
@@ -182,4 +199,44 @@ fn a_huge_element_count_claim_costs_only_the_bytes_present() {
         "a short payload is a format error: {result:?}"
     );
     assert!(bytes < 1 << 20, "a 16M-element claim in a {}-byte file allocated {bytes} bytes", raw.len());
+}
+
+#[test]
+fn a_checkpoint_that_fails_to_load_changes_no_parameter() {
+    let live = small_params(77, HEAD);
+    let bits = |params: &[ParamRef]| -> Vec<Vec<u32>> {
+        params.iter().map(|p| p.with_value(|v| v.as_slice().iter().map(|x| x.to_bits()).collect())).collect()
+    };
+    let original = bits(&live);
+    let path = tmp("restore");
+    let rejects = |raw: &[u8], what: &str| {
+        std::fs::write(&path, raw).unwrap();
+        assert!(load_params(&path, &live).is_err(), "{what}: loaded");
+        assert_eq!(bits(&live), original, "{what}: a failed load changed a parameter");
+    };
+    let (_, v3) = small_files();
+    for cut in 0..v3.len() {
+        rejects(&v3[..cut], &format!("cut at {cut}"));
+    }
+    let mut rng = SeededRng::new(3003);
+    for i in 0..200 {
+        let mut mutated = v3.clone();
+        let at = rng.index(mutated.len());
+        mutated[at] ^= 1 << rng.index(8);
+        rejects(&mutated, &format!("flip {i} at {at}"));
+    }
+    // Well-formed files that disagree with the live set only at their last
+    // entry (or in their entry count): every earlier entry matches, so a
+    // restore that wrote before checking would have changed those.
+    rejects(&saved(&small_params(5, HEAD)[..2]), "one entry short");
+    let mut extra = small_params(5, HEAD);
+    extra.push(Param::new("extra", Tensor::ones(&[1])));
+    rejects(&saved(&extra), "one entry over");
+    rejects(&saved(&small_params(5, ("head", &[2, 2]))), "last shape differs");
+    rejects(&saved(&small_params(5, ("tail", &[2, 1, 2]))), "last name differs");
+    // And the file it came from still loads.
+    std::fs::write(&path, &v3).unwrap();
+    load_params(&path, &live).unwrap();
+    assert_eq!(bits(&live), bits(&small_params(5, HEAD)));
+    std::fs::remove_file(path).ok();
 }

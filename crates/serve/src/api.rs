@@ -6,6 +6,8 @@
 //! narrows back without changing the bits — the e2e suite leans on this to
 //! assert the served forecast equals the in-process forward pass.
 
+use std::borrow::Cow;
+use std::fmt::Write;
 use std::sync::Arc;
 
 use muse_obs::Json;
@@ -97,22 +99,22 @@ pub struct ForecastResponse {
     /// Latent norms of the rollout step that produced this frame.
     pub latent_norms: LatentNorms,
     /// `prediction` and `latent_norms` as the engine rendered them when it
-    /// computed the rollout step; [`ForecastResponse::to_json`] splices
+    /// computed the rollout step; [`ForecastResponse::render`] splices
     /// this text in instead of formatting the floats again, so editing
     /// those two fields of a served response does not change its JSON.
     pub(crate) rendered: StepJson,
 }
 
-/// A rollout step's `prediction` and `latent_norms`, rendered to JSON once
-/// and shared by every forecast the memo answers with that step. It is a
-/// cache of those two fields, so it takes no part in equality.
+/// A rollout step's `prediction` and `latent_norms` fields
+/// (`"prediction":[…],"latent_norms":{…}`), rendered once and shared by
+/// every forecast the memo answers with that step. It is a cache of those
+/// two fields, so it takes no part in equality.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct StepJson(Option<[Json; 2]>);
+pub(crate) struct StepJson(pub(crate) Option<Arc<str>>);
 
 impl StepJson {
     pub(crate) fn render(prediction: &[f32], latent_norms: &LatentNorms) -> StepJson {
-        let raw = |json: Json| Json::Raw(Arc::from(json.render()));
-        StepJson(Some([raw(prediction_json(prediction)), raw(latent_norms.to_json())]))
+        StepJson(Some(Arc::from(step_fields(prediction, latent_norms))))
     }
 }
 
@@ -122,28 +124,36 @@ impl PartialEq for StepJson {
     }
 }
 
-fn prediction_json(prediction: &[f32]) -> Json {
-    Json::Arr(prediction.iter().map(|&v| Json::Num(v as f64)).collect())
+fn step_fields(prediction: &[f32], latent_norms: &LatentNorms) -> String {
+    let prediction = Json::Arr(prediction.iter().map(|&v| Json::Num(v as f64)).collect());
+    format!("\"prediction\":{},\"latent_norms\":{}", prediction.render(), latent_norms.to_json().render())
 }
 
+/// Room for the fields [`ForecastResponse::render`] writes around the
+/// step's text: the keys, separators and five integers of up to 20 digits.
+const HEAD_BYTES: usize = 200;
+
 impl ForecastResponse {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        let [prediction, latent_norms] = match &self.rendered.0 {
-            Some(rendered) => rendered.clone(),
-            None => [prediction_json(&self.prediction), self.latent_norms.to_json()],
+    /// The response body, written in one pass into one `String` with the
+    /// step's rendered text spliced in: a memo hit makes exactly this one
+    /// allocation. The bytes are those of the [`Json`] object with the
+    /// fields in declaration order.
+    pub fn render(&self) -> String {
+        let fields = match &self.rendered.0 {
+            Some(text) => Cow::Borrowed(&**text),
+            None => Cow::Owned(step_fields(&self.prediction, &self.latent_norms)),
         };
-        Json::obj([
-            ("request_id", Json::Num(self.request_id as f64)),
-            ("horizon", Json::Num(self.horizon as f64)),
-            ("target_index", Json::Num(self.target_index as f64)),
-            ("shape", Json::Arr(self.shape.iter().map(|&d| Json::Num(d as f64)).collect())),
-            ("prediction", prediction),
-            ("latent_norms", latent_norms),
-        ])
+        let [c, h, w] = self.shape;
+        let mut out = String::with_capacity(HEAD_BYTES + fields.len());
+        let _ = write!(
+            out,
+            "{{\"request_id\":{},\"horizon\":{},\"target_index\":{},\"shape\":[{c},{h},{w}],{fields}}}",
+            self.request_id, self.horizon, self.target_index
+        );
+        out
     }
 
-    /// Parse a response object (the inverse of [`ForecastResponse::to_json`]).
+    /// Parse a response object (the inverse of [`ForecastResponse::render`]).
     pub fn from_json(json: &Json) -> Result<Self, String> {
         let num = |name: &str| -> Result<f64, String> {
             json.get(name)
@@ -222,7 +232,17 @@ mod tests {
             latent_norms: LatentNorms { closeness: 1.25, period: 0.3, trend: 7.5e-3, interactive: 42.0 },
             rendered: StepJson::default(),
         };
-        let text = resp.to_json().render();
+        let text = resp.render();
+        // The bytes of the JSON object with the fields in declaration order.
+        let object = Json::obj([
+            ("request_id", Json::Num(99.0)),
+            ("horizon", Json::Num(3.0)),
+            ("target_index", Json::Num(674.0)),
+            ("shape", Json::Arr([2.0, 4.0, 5.0].map(Json::Num).to_vec())),
+            ("prediction", Json::Arr(resp.prediction.iter().map(|&v| Json::Num(v as f64)).collect())),
+            ("latent_norms", resp.latent_norms.to_json()),
+        ]);
+        assert_eq!(text, object.render());
         let back = ForecastResponse::from_json(&muse_obs::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, resp);
         for (a, b) in back.prediction.iter().zip(resp.prediction.iter()) {
@@ -233,8 +253,7 @@ mod tests {
             rendered: StepJson::render(&resp.prediction, &resp.latent_norms),
             ..resp.clone()
         };
-        assert!(matches!(cached.to_json().get("prediction"), Some(Json::Raw(_))));
-        assert_eq!(cached.to_json().render(), text);
+        assert_eq!(cached.render(), text);
     }
 
     #[test]

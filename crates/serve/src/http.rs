@@ -195,7 +195,10 @@ fn forecast(request: &Request, engine: &Engine) -> Response {
             Err(_) => return bad_horizon(format!("horizon must be a positive integer, got '{raw}'"), max),
         },
     };
-    reply(engine.forecast(horizon).map(|resp| resp.to_json()))
+    match engine.forecast(horizon) {
+        Ok(resp) => (200, JSON_CONTENT_TYPE, resp.render()),
+        Err(err) => engine_error(err),
+    }
 }
 
 fn bad_horizon(message: String, max: usize) -> Response {

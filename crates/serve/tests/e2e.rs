@@ -125,11 +125,7 @@ fn daemon_forecast_is_bit_identical_to_in_process_model() {
             // Request IDs are unique per request by design; normalize them
             // before comparing the rest of the payload byte for byte.
             resp.request_id = 0;
-            assert_eq!(
-                resp.to_json().render(),
-                bodies[h - 1],
-                "{threads} threads, horizon {h}: bytes diverged"
-            );
+            assert_eq!(resp.render(), bodies[h - 1], "{threads} threads, horizon {h}: bytes diverged");
         }
     }
     std::fs::remove_file(ckpt).ok();

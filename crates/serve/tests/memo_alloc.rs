@@ -2,6 +2,8 @@
 //! horizon the memo already holds by handing out the step's shared
 //! prediction buffer and rendered text, and the quality journal records the
 //! same buffer. Neither the response nor the journal copies the frame.
+//! Rendering the hit's `/forecast` body then makes exactly one allocation:
+//! the body, with the step's text spliced in.
 //!
 //! A test binary of its own: the counting global allocator below sees every
 //! allocation in the process, so it counts only on the thread that asks.
@@ -81,7 +83,11 @@ fn warm_memo_hits_make_no_allocation() {
             let (responses, (count, bytes)) =
                 allocations_of(|| [1, 2, 3, 1, 2, 3, 1, 2, 3, 1].map(|h| engine.forecast(h)));
             for resp in responses {
-                assert_eq!(resp.unwrap().prediction.len(), frame_len);
+                let resp = resp.unwrap();
+                assert_eq!(resp.prediction.len(), frame_len);
+                let (body, (renders, _)) = allocations_of(|| resp.render());
+                assert!(body.starts_with("{\"request_id\":"), "{body}");
+                assert_eq!(renders, 1, "{height}x{width}: rendering a memo hit made {renders} allocations");
             }
             let after = engine.stats().unwrap();
             assert_eq!(after.memo_hits - before.memo_hits, 10, "{height}x{width}: every forecast was a hit");

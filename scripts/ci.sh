@@ -99,6 +99,12 @@ serve_checks() {
             exit 1
         }
     done
+    # Loading the checkpoint decodes every entry straight into its
+    # parameter: nothing is left on the tensor arena's shelves at boot.
+    grep -qx 'muse_tensor_pool_retained_bytes 0' target/ci_serve_boot_metrics.txt || {
+        echo "the booted daemon holds retained arena bytes: $(grep '^muse_tensor_pool_retained_bytes' target/ci_serve_boot_metrics.txt)" >&2
+        exit 1
+    }
     awk -v n="$frame_len" 'BEGIN {
         printf "{\"frame\":[";
         for (i = 0; i < n; i++) printf "%s%.4f", (i ? "," : ""), 0.3 + 0.2 * sin(i * 0.37);
