@@ -7,6 +7,10 @@
 //! pass would not compare like with like: the arena's shelf bookkeeping
 //! allocates a little more or less depending on which tensors are alive.
 //!
+//! A warm Full pass at this shape may also make at most
+//! [`FULL_PASS_ALLOCATIONS`] allocations, so work that removes allocations
+//! from the forward pass can only move the count down.
+//!
 //! A test binary of its own: the counting global allocator below sees every
 //! allocation in the process, so it counts only on the thread that asks.
 //! Kernels run on one thread here, so that is every allocation of a pass.
@@ -43,6 +47,13 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Most heap allocations a warm Full `infer_raw` pass makes at this test's
+/// shape (4×5 grid, d 16, k 32, one thread): the largest of its six steps,
+/// 285–290 when this bound was set. Lower it when a change removes
+/// allocations from the forward pass; to re-derive it, print `bare` for
+/// each Full step below and take the largest.
+const FULL_PASS_ALLOCATIONS: usize = 290;
 
 /// Heap allocations counted on this thread so far.
 fn counted() -> usize {
@@ -98,6 +109,13 @@ fn a_warm_rollout_step_allocates_what_its_forward_pass_does() {
                     })
                 });
                 assert!(bare > 0, "{}: the forward pass is expected to allocate", variant.name());
+                if variant == AblationVariant::Full {
+                    assert!(
+                        bare <= FULL_PASS_ALLOCATIONS,
+                        "Full step {h}: the warm pass made {bare} allocations, over the bound of \
+                         {FULL_PASS_ALLOCATIONS}; if the rise is meant, re-derive the bound as its doc says"
+                    );
+                }
                 assert_eq!(
                     step,
                     bare,

@@ -6,7 +6,8 @@
 //! * `GET /metrics` — the full registry in Prometheus text exposition
 //!   format (version 0.0.4): counters as `muse_<name>_total`, gauges as
 //!   `muse_<name>`, histograms with cumulative power-of-two `le` buckets,
-//!   kernel stats as three labelled counter families.
+//!   kernel stats as three labelled counter families, plus the process's
+//!   resident memory read at scrape time (see [`render_prometheus`]).
 //! * `GET /status`  — a JSON snapshot of the run: uptime, scrape count,
 //!   whether a trace is open and where, and the global event watermark.
 //! * `GET /debug/profile` — [`crate::span::profile`]: every closed span's
@@ -103,9 +104,35 @@ fn status_json(started: Instant, scrapes: &AtomicU64) -> Json {
     ])
 }
 
+/// The `/proc/self/status` fields exported as resident-memory gauges, each
+/// with its family: anonymous pages (heap, stacks), file-backed pages
+/// (mapped code and read-only data) and the peak of their sum.
+const RESIDENT_FIELDS: [(&str, &str); 3] = [
+    ("RssAnon", "muse_process_resident_anon_bytes"),
+    ("RssFile", "muse_process_resident_file_bytes"),
+    ("VmHWM", "muse_process_peak_resident_bytes"),
+];
+
+/// The resident-memory gauges of `status`, the text of `/proc/self/status`:
+/// each [`RESIDENT_FIELDS`] entry's `kB` value in bytes, by family, in that
+/// order. A field that is missing or unparsable is left out.
+fn resident_gauges(status: &str) -> Vec<(&'static str, u64)> {
+    RESIDENT_FIELDS
+        .iter()
+        .filter_map(|&(field, family)| {
+            let value = status.lines().find_map(|line| line.strip_prefix(field)?.strip_prefix(':'))?;
+            let kb: u64 = value.trim().strip_suffix("kB")?.trim_end().parse().ok()?;
+            Some((family, kb * 1024))
+        })
+        .collect()
+}
+
 /// Render every registered metric in Prometheus text exposition format
 /// (0.0.4). Metric names are prefixed with `muse_` and sanitized to
-/// `[a-zA-Z0-9_:]`; kernel stats become labelled counter families.
+/// `[a-zA-Z0-9_:]`; kernel stats become labelled counter families. The
+/// process's resident memory is read from `/proc/self/status` now and
+/// rendered as three unlabelled gauges, absent where that file cannot be
+/// read.
 pub fn render_prometheus() -> String {
     let snap = metrics::export_snapshot();
     let mut out = String::new();
@@ -116,6 +143,10 @@ pub fn render_prometheus() -> String {
             info.iter().map(|(k, v)| format!("{}=\"{}\"", sanitize_label_key(k), escape_label(v))).collect();
         out.push_str("# TYPE muse_build_info gauge\n");
         out.push_str(&format!("muse_build_info{{{}}} 1\n", labels.join(",")));
+    }
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    for (family, bytes) in resident_gauges(&status) {
+        out.push_str(&format!("# TYPE {family} gauge\n{family} {bytes}\n"));
     }
     for (name, value) in &snap.counters {
         let name = format!("muse_{}_total", sanitize(name));
@@ -316,6 +347,38 @@ mod tests {
         // The port is released: a fresh bind to the same address succeeds.
         let rebind = TcpListener::bind(addr);
         assert!(rebind.is_ok());
+    }
+
+    #[test]
+    fn resident_gauges_parse_status_text() {
+        // Captured from a Linux 6.18 `/proc/self/status`, trimmed.
+        let status = "Name:\tmuse-serve\nVmPeak:\t  171200 kB\nVmHWM:\t    4732 kB\n\
+                      VmRSS:\t    4604 kB\nRssAnon:\t    1452 kB\nRssFile:\t    3152 kB\n\
+                      RssShmem:\t       0 kB\nThreads:\t7\n";
+        assert_eq!(
+            resident_gauges(status),
+            [
+                ("muse_process_resident_anon_bytes", 1452 * 1024),
+                ("muse_process_resident_file_bytes", 3152 * 1024),
+                ("muse_process_peak_resident_bytes", 4732 * 1024),
+            ]
+        );
+        // A missing or malformed field is left out, the rest still export.
+        assert_eq!(
+            resident_gauges("RssAnon:\t12 kB\nRssFile:\tlots kB\n"),
+            [(RESIDENT_FIELDS[0].1, 12 * 1024)]
+        );
+        assert!(resident_gauges("").is_empty());
+        if !cfg!(target_os = "linux") {
+            return;
+        }
+        // This process's own scrape holds all three, non-zero.
+        let text = render_prometheus();
+        for (_, family) in RESIDENT_FIELDS {
+            let value = text.lines().find_map(|l| l.strip_prefix(family)?.strip_prefix(' '));
+            assert!(value.is_some_and(|v| v.parse::<u64>().unwrap() > 0), "{family} in {text}");
+            assert!(text.contains(&format!("# TYPE {family} gauge\n")));
+        }
     }
 
     #[test]

@@ -27,11 +27,13 @@
 //! already served — and an accepted ingest starts a new memo, numbered as
 //! the next rollout. Each step's prediction is copied once, when the step is
 //! computed, into one shared buffer, and its `prediction` and
-//! `latent_norms` are rendered to JSON then too. Every forecast answered
-//! with that step shares them: the response and the quality journal hold
-//! the buffer, and the response splices the text in. The `req.forecast`
-//! and `forecast.scored` events name the memo rollout that computed the
-//! step, so the forecasts of one window state share a rollout id.
+//! `latent_norms` are rendered to JSON then too. The step's journal record
+//! ([`StepRecord`]: rollout, horizon, target and that buffer) is built then
+//! as well. Every forecast answered with that step shares them: the
+//! response holds the buffer and splices the text in, and the quality
+//! journal's two-word entry holds the record. The `req.forecast` and
+//! `forecast.scored` events name the memo rollout that computed the step,
+//! so the forecasts of one window state share a rollout id.
 //!
 //! A panic while the model extends the memo is contained: that forecast is
 //! answered [`EngineError::Panicked`], counted in `serve.panics`, and the
@@ -41,15 +43,16 @@
 //! One [`Tape::forward_only`] tape is hoisted for the engine's lifetime and
 //! `reset` between passes, so activations recycle arena buffers and the
 //! rollout's staging batch is filled in place. A warm memo hit makes no
-//! heap allocation at all, and rendering its `/forecast` body makes one
+//! heap allocation at all, and rendering its `/forecast` body makes one; a
+//! warm ingest that settles journaled forecasts makes none either
 //! (`tests/memo_alloc.rs`). Computing a step does allocate. Binding the
 //! parameters copies nothing: each tape leaf shares its parameter's buffer,
 //! so the model's weights exist once in the daemon. But a warm forward pass
 //! at the serving benchmark's shape (4×5 grid, 66,306 parameters) still
 //! makes 305 small heap allocations at `MUSE_THREADS=1`, mostly each op
 //! output's `Shape`, since only tensor storage is recycled; it made 375
-//! when binding copied every parameter. The step's shared buffer and
-//! rendered text are allocated once.
+//! when binding copied every parameter. The step's shared buffer, journal
+//! record and rendered text are allocated once.
 //!
 //! Every serving counter and histogram is looked up in the registry once,
 //! when the engine is built; requests update them through the held handles.
@@ -67,6 +70,7 @@ use muse_traffic::{GridMap, Rollout, SubSeriesSpec};
 use musenet::{MuseNet, Trainer};
 
 use crate::api::{ForecastResponse, IngestAck, LatentNorms, StepJson};
+use crate::journal::StepRecord;
 use crate::quality::{QualityConfig, QualityTracker};
 use crate::spectral::SpectralSweeper;
 use crate::window::FlowWindow;
@@ -324,12 +328,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// What one computed rollout step answers with: its prediction, shared by
-/// every response and journal entry answered from it, whether every value
-/// of it is finite (decided once, when the step is computed), and its
-/// latent norms and their rendered JSON.
+/// What one computed rollout step answers with: its journal record, whose
+/// prediction buffer every response answered from the step shares; whether
+/// every predicted value is finite (decided once, when the step is
+/// computed); and its latent norms and their rendered JSON.
 struct Step {
-    prediction: Arc<[f32]>,
+    record: Arc<StepRecord>,
     finite: bool,
     norms: LatentNorms,
     json: StepJson,
@@ -389,7 +393,14 @@ impl Staging {
                 let prediction: Arc<[f32]> = Arc::from(out.prediction.as_slice());
                 let finite = prediction.iter().all(|v| v.is_finite());
                 let json = StepJson::render(&prediction, &norms);
-                self.steps.push(Step { prediction, finite, norms, json });
+                let horizon = self.steps.len() + 1;
+                let record = Arc::new(StepRecord {
+                    rollout: self.rollouts,
+                    horizon,
+                    target: next + horizon as u64 - 1,
+                    prediction,
+                });
+                self.steps.push(Step { record, finite, norms, json });
                 out.prediction
             });
         }
@@ -579,9 +590,8 @@ impl State {
             reject(req, "forecast", "non_finite".to_string());
             return Err(EngineError::NonFinite { horizon });
         }
-        let target = self.window.next_index() + horizon as u64 - 1;
-        let rollout = self.staging.rollouts;
-        self.tracker.record_forecast(req, rollout, horizon, target, Arc::clone(&step.prediction));
+        let StepRecord { rollout, target, .. } = *step.record;
+        self.tracker.record_forecast(req, &step.record);
         obs::emit_with("req.forecast", || {
             vec![
                 ("request", Json::Num(req as f64)),
@@ -595,7 +605,7 @@ impl State {
             horizon,
             target_index: target,
             shape: [2, self.grid.height, self.grid.width],
-            prediction: Arc::clone(&step.prediction),
+            prediction: Arc::clone(&step.record.prediction),
             latent_norms: step.norms,
             rendered: step.json.clone(),
         })

@@ -6,11 +6,15 @@
 //! the stored prediction against the real frame (MAE/RMSE, overall and
 //! per inflow/outflow channel) and retires the entry.
 //!
-//! An entry holds its prediction as a shared `Arc<[f32]>`: every forecast
-//! the engine answers from one rollout step records the same buffer, so a
-//! full journal costs a few words per entry plus one frame per distinct
-//! computed step, not one frame per entry. `settle` scores each distinct
-//! buffer and target once, and every entry sharing them reuses that score.
+//! An entry is two words: its request id and a shared [`StepRecord`], the
+//! one record the engine builds per computed rollout step (its rollout,
+//! horizon, target and prediction). Every forecast answered from one step
+//! records the same record, so a full journal costs 16 bytes per entry
+//! plus one record and one frame per distinct computed step, and
+//! recording an entry allocates nothing once the queue has grown.
+//! `settle` scores each distinct record once, and every entry pointing at
+//! it reuses that score; the score cache is kept between calls, so a warm
+//! settle allocates nothing either.
 //!
 //! Two ways a forecast can fail to score, both non-fatal:
 //!
@@ -24,20 +28,27 @@ use crate::window::FlowWindow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// What every forecast answered from one computed rollout step shares.
+#[derive(Debug)]
+pub struct StepRecord {
+    /// Memo rollout that computed the step.
+    pub rollout: u64,
+    /// Forecast horizon in frames (1 = next frame).
+    pub horizon: usize,
+    /// Absolute index of the frame the step predicts.
+    pub target: u64,
+    /// The predicted `[2, H, W]` frame, row-major, shared with every
+    /// response answered from the step.
+    pub prediction: Arc<[f32]>,
+}
+
 /// One recorded, not-yet-scored forecast.
 #[derive(Debug, Clone)]
 pub struct PendingForecast {
     /// Request ID of the `/forecast` call that produced it.
     pub request: u64,
-    /// Memo rollout that computed the prediction.
-    pub rollout: u64,
-    /// Forecast horizon in frames (1 = next frame).
-    pub horizon: usize,
-    /// Absolute index of the frame this prediction targets.
-    pub target: u64,
-    /// The predicted `[2, H, W]` frame, row-major, shared with the rollout
-    /// step that computed it and every other forecast answered from it.
-    pub prediction: Arc<[f32]>,
+    /// The computed step that answered it.
+    pub step: Arc<StepRecord>,
 }
 
 /// Error summary of one scored forecast.
@@ -62,7 +73,7 @@ pub struct ForecastScore {
 }
 
 /// Outcome of settling one journal entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum Settled {
     /// Ground truth arrived; here is the score.
     Scored(ForecastScore),
@@ -83,13 +94,16 @@ pub struct ForecastJournal {
     capacity: usize,
     recorded: u64,
     overflowed: u64,
+    /// Each record scored by the running `settle` call, with its score;
+    /// empty between calls, its capacity kept.
+    scored: Vec<(Arc<StepRecord>, ForecastScore)>,
 }
 
 impl ForecastJournal {
     /// Journal retaining at most `capacity` pending forecasts.
     pub fn new(capacity: usize) -> ForecastJournal {
         assert!(capacity >= 1, "journal needs capacity for at least one forecast");
-        ForecastJournal { pending: VecDeque::new(), capacity, recorded: 0, overflowed: 0 }
+        ForecastJournal { pending: VecDeque::new(), capacity, recorded: 0, overflowed: 0, scored: Vec::new() }
     }
 
     /// Pending entries (recorded, not yet settled).
@@ -121,63 +135,50 @@ impl ForecastJournal {
         evicted
     }
 
-    /// Score every pending forecast whose target frame is now in the past
-    /// (`target < window.next_index()`), in recording order, and retire it
-    /// in one order-preserving pass. Targets already evicted from the ring
-    /// settle as [`Settled::Dropped`].
-    pub fn settle(&mut self, window: &FlowWindow) -> Vec<Settled> {
+    /// Settle every pending forecast whose target frame is now in the past
+    /// (`target < window.next_index()`): hand it to `each`, in recording
+    /// order, and retire it in one order-preserving pass. Targets already
+    /// evicted from the ring settle as [`Settled::Dropped`].
+    pub fn settle(&mut self, window: &FlowWindow, mut each: impl FnMut(Settled)) {
         let next = window.next_index();
-        let mut out = Vec::new();
-        // Forecasts answered from one rollout step share a buffer and a
-        // target, so they share a score: compute each distinct one once.
-        let mut scored: Vec<(Arc<[f32]>, ForecastScore)> = Vec::new();
+        let ForecastJournal { pending, scored, .. } = self;
         // Entries are recorded in rollout order, but horizons differ, so
         // settleable entries are not necessarily at the front: scan all.
-        self.pending.retain(|entry| {
-            if entry.target >= next {
+        pending.retain(|entry| {
+            let step = &entry.step;
+            if step.target >= next {
                 return true;
             }
-            let Some(truth) = window.try_frame(entry.target) else {
-                out.push(Settled::Dropped {
-                    request: entry.request,
-                    horizon: entry.horizon,
-                    target: entry.target,
-                });
+            let Some(truth) = window.try_frame(step.target) else {
+                each(Settled::Dropped { request: entry.request, horizon: step.horizon, target: step.target });
                 return false;
             };
-            let known =
-                scored.iter().find(|(p, s)| s.target == entry.target && Arc::ptr_eq(p, &entry.prediction));
-            let errors = match known {
+            let errors = match scored.iter().find(|(s, _)| Arc::ptr_eq(s, step)) {
                 Some(&(_, errors)) => errors,
                 None => {
-                    let errors = score(entry, truth);
-                    scored.push((Arc::clone(&entry.prediction), errors));
+                    let errors = score(step, truth);
+                    scored.push((Arc::clone(step), errors));
                     errors
                 }
             };
-            out.push(Settled::Scored(ForecastScore {
-                request: entry.request,
-                rollout: entry.rollout,
-                horizon: entry.horizon,
-                target: entry.target,
-                ..errors
-            }));
+            each(Settled::Scored(ForecastScore { request: entry.request, ..errors }));
             false
         });
-        out
+        scored.clear();
     }
 }
 
-/// Score one prediction against its ground-truth frame. Both are row-major
-/// `[2, H, W]`: the first half is inflow, the second outflow.
-fn score(entry: &PendingForecast, truth: &[f32]) -> ForecastScore {
-    assert_eq!(entry.prediction.len(), truth.len(), "prediction/truth shape mismatch");
+/// Score one step's prediction against its ground-truth frame. Both are
+/// row-major `[2, H, W]`: the first half is inflow, the second outflow.
+/// The score's `request` is left 0 for the caller to fill in.
+fn score(step: &StepRecord, truth: &[f32]) -> ForecastScore {
+    assert_eq!(step.prediction.len(), truth.len(), "prediction/truth shape mismatch");
     let half = truth.len() / 2;
     let mut abs_sum = 0.0f64;
     let mut sq_sum = 0.0f64;
     let mut abs_in = 0.0f64;
     let mut abs_out = 0.0f64;
-    for (i, (&p, &t)) in entry.prediction.iter().zip(truth).enumerate() {
+    for (i, (&p, &t)) in step.prediction.iter().zip(truth).enumerate() {
         let err = (p - t) as f64;
         abs_sum += err.abs();
         sq_sum += err * err;
@@ -189,10 +190,10 @@ fn score(entry: &PendingForecast, truth: &[f32]) -> ForecastScore {
     }
     let n = truth.len() as f64;
     ForecastScore {
-        request: entry.request,
-        rollout: entry.rollout,
-        horizon: entry.horizon,
-        target: entry.target,
+        request: 0,
+        rollout: step.rollout,
+        horizon: step.horizon,
+        target: step.target,
         mae: abs_sum / n,
         rmse: (sq_sum / n).sqrt(),
         mae_inflow: abs_in / half as f64,
@@ -205,8 +206,23 @@ mod tests {
     use super::*;
     use muse_traffic::GridMap;
 
+    fn step(horizon: usize, target: u64, prediction: Vec<f32>) -> Arc<StepRecord> {
+        Arc::new(StepRecord { rollout: 1, horizon, target, prediction: prediction.into() })
+    }
+
     fn entry(request: u64, horizon: usize, target: u64, prediction: Vec<f32>) -> PendingForecast {
-        PendingForecast { request, rollout: 1, horizon, target, prediction: prediction.into() }
+        PendingForecast { request, step: step(horizon, target, prediction) }
+    }
+
+    fn settle(j: &mut ForecastJournal, w: &FlowWindow) -> Vec<Settled> {
+        let mut out = Vec::new();
+        j.settle(w, |s| out.push(s));
+        out
+    }
+
+    #[test]
+    fn an_entry_is_two_words() {
+        assert_eq!(std::mem::size_of::<PendingForecast>(), 16);
     }
 
     #[test]
@@ -216,7 +232,7 @@ mod tests {
         let mut j = ForecastJournal::new(8);
         j.record(entry(7, 1, 0, vec![1.0, 3.0]));
         w.push(&[2.0, 1.0]).unwrap();
-        let settled = j.settle(&w);
+        let settled = settle(&mut j, &w);
         assert_eq!(settled.len(), 1);
         let Settled::Scored(s) = &settled[0] else { panic!("expected a score") };
         assert_eq!(s.request, 7);
@@ -238,36 +254,36 @@ mod tests {
         j.record(entry(1, 3, 2, vec![0.0, 0.0]));
         j.record(entry(2, 1, 0, vec![0.0, 0.0]));
         w.push(&[1.0, 1.0]).unwrap();
-        let settled = j.settle(&w);
+        let settled = settle(&mut j, &w);
         assert_eq!(settled.len(), 1, "only target 0 is in the past");
         let Settled::Scored(s) = &settled[0] else { panic!() };
         assert_eq!(s.request, 2);
         assert_eq!(j.pending(), 1);
         w.push(&[1.0, 1.0]).unwrap();
         w.push(&[1.0, 1.0]).unwrap();
-        let settled = j.settle(&w);
+        let settled = settle(&mut j, &w);
         assert_eq!(settled.len(), 1);
         let Settled::Scored(s) = &settled[0] else { panic!() };
         assert_eq!(s.request, 1);
     }
 
     #[test]
-    fn shared_buffers_score_like_copies_in_recording_order() {
+    fn shared_records_score_like_copies_in_recording_order() {
         let mut w = FlowWindow::new(GridMap::new(1, 1), 8);
-        let a: Arc<[f32]> = Arc::from([1.0, 3.0]);
-        let b: Arc<[f32]> = Arc::from([0.5, 2.0]);
-        // A later target sits between settleable entries that share buffers.
-        let plan = [(1, 1, 0, &a), (2, 2, 1, &b), (3, 1, 0, &a), (4, 1, 0, &b), (5, 1, 0, &a)];
+        let a = step(1, 0, vec![1.0, 3.0]);
+        let b = step(2, 1, vec![0.5, 2.0]);
+        let c = step(1, 0, vec![0.5, 2.0]);
+        // A later target sits between settleable entries that share records.
+        let plan = [(1, &a), (2, &b), (3, &a), (4, &c), (5, &a)];
         let (mut shared, mut copied) = (ForecastJournal::new(8), ForecastJournal::new(8));
-        for (request, horizon, target, prediction) in plan {
-            let entry =
-                PendingForecast { request, rollout: 1, horizon, target, prediction: Arc::clone(prediction) };
-            copied.record(PendingForecast { prediction: Arc::from(&prediction[..]), ..entry.clone() });
-            shared.record(entry);
+        for (request, record) in plan {
+            let copy = StepRecord { prediction: Arc::from(&record.prediction[..]), ..**record };
+            copied.record(PendingForecast { request, step: Arc::new(copy) });
+            shared.record(PendingForecast { request, step: Arc::clone(record) });
         }
         w.push(&[2.0, 1.0]).unwrap();
-        let settled = shared.settle(&w);
-        assert_eq!(format!("{settled:?}"), format!("{:?}", copied.settle(&w)));
+        let settled = settle(&mut shared, &w);
+        assert_eq!(format!("{settled:?}"), format!("{:?}", settle(&mut copied, &w)));
         let requests: Vec<u64> = settled
             .iter()
             .map(|s| match s {
@@ -277,34 +293,43 @@ mod tests {
             .collect();
         assert_eq!(requests, [1, 3, 4, 5]);
         assert_eq!(shared.pending(), 1);
+        // The score cache holds no record past the call.
+        assert_eq!(Arc::strong_count(&a), 1);
+        assert_eq!(Arc::strong_count(&c), 1);
     }
 
     #[test]
     fn evicted_target_counts_as_dropped_not_panic() {
         let mut w = FlowWindow::new(GridMap::new(1, 1), 2);
         let mut j = ForecastJournal::new(8);
-        j.record(entry(5, 1, 0, vec![0.5, 0.5]));
+        let shared = step(1, 0, vec![0.5, 0.5]);
+        j.record(PendingForecast { request: 5, step: Arc::clone(&shared) });
+        j.record(PendingForecast { request: 6, step: Arc::clone(&shared) });
         // Three pushes: frame 0 is ingested, then evicted by frame 2.
         for v in [1.0, 2.0, 3.0] {
             w.push(&[v, v]).unwrap();
         }
-        let settled = j.settle(&w);
-        assert_eq!(settled.len(), 1);
-        match &settled[0] {
-            Settled::Dropped { request, horizon, target } => {
-                assert_eq!((*request, *horizon, *target), (5, 1, 0));
-            }
-            other => panic!("expected Dropped, got {other:?}"),
-        }
+        let dropped: Vec<_> = settle(&mut j, &w)
+            .into_iter()
+            .map(|s| match s {
+                Settled::Dropped { request, horizon, target } => (request, horizon, target),
+                other => panic!("expected Dropped, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(dropped, [(5, 1, 0), (6, 1, 0)]);
+        assert_eq!(Arc::strong_count(&shared), 1, "both entries retired");
     }
 
     #[test]
     fn journal_overflow_drops_oldest() {
         let mut j = ForecastJournal::new(2);
-        assert!(j.record(entry(1, 1, 10, vec![])).is_none());
-        assert!(j.record(entry(2, 1, 11, vec![])).is_none());
-        let dropped = j.record(entry(3, 1, 12, vec![])).expect("oldest evicted");
+        let shared = step(1, 10, vec![]);
+        let record = |request| PendingForecast { request, step: Arc::clone(&shared) };
+        assert!(j.record(record(1)).is_none());
+        assert!(j.record(record(2)).is_none());
+        let dropped = j.record(record(3)).expect("oldest evicted");
         assert_eq!(dropped.request, 1);
+        assert!(Arc::ptr_eq(&dropped.step, &shared));
         assert_eq!(j.pending(), 2);
         assert_eq!(j.recorded(), 3);
         assert_eq!(j.overflowed(), 1);

@@ -46,7 +46,7 @@ pub use alerts::AlertState;
 pub use api::{ForecastResponse, IngestAck, LatentNorms};
 pub use engine::{Engine, EngineError, EngineInfo, EngineOptions, StatsSnapshot};
 pub use http::{Server, ServerOptions};
-pub use journal::{ForecastJournal, ForecastScore, PendingForecast, Settled};
+pub use journal::{ForecastJournal, ForecastScore, PendingForecast, Settled, StepRecord};
 pub use quality::{QualityConfig, QualityTracker};
 pub use spectral::SpectralSweeper;
 pub use window::FlowWindow;

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::alerts::{Alert, AlertState};
-use crate::journal::{ForecastJournal, PendingForecast, Settled};
+use crate::journal::{ForecastJournal, PendingForecast, Settled, StepRecord};
 use crate::window::FlowWindow;
 
 /// Errors are tracked in scaled flow units (typically ≪ 1); the decayed
@@ -89,7 +89,6 @@ impl HorizonStats {
 struct Metrics {
     flow_mean: &'static Gauge,
     scored: &'static Counter,
-    dropped: &'static Counter,
     mae: &'static Gauge,
     rmse: &'static Gauge,
     spectral_period: &'static Gauge,
@@ -101,7 +100,6 @@ impl Metrics {
         Metrics {
             flow_mean: obs::gauge("serve.flow.mean"),
             scored: obs::counter("serve.forecasts_scored"),
-            dropped: obs::counter("serve.forecasts_dropped"),
             mae: obs::gauge("quality.mae"),
             rmse: obs::gauge("quality.rmse"),
             spectral_period: obs::gauge("spectral.period_intervals"),
@@ -127,7 +125,7 @@ pub struct QualityTracker {
     err_hist: DecayingHistogram,
     per_horizon: BTreeMap<usize, HorizonStats>,
     scored: u64,
-    dropped: u64,
+    dropped: Drops,
     last_flow_mean: f64,
     metrics: Metrics,
 }
@@ -150,25 +148,20 @@ impl QualityTracker {
             err_hist: DecayingHistogram::with_half_life(DECAY_HALF_LIFE),
             per_horizon: BTreeMap::new(),
             scored: 0,
-            dropped: 0,
+            dropped: Drops { total: 0, counter: obs::counter("serve.forecasts_dropped") },
             last_flow_mean: 0.0,
             metrics: Metrics::intern(),
         }
     }
 
-    /// Record one served forecast awaiting ground truth. The journal keeps
-    /// `prediction` shared, not copied.
-    pub fn record_forecast(
-        &mut self,
-        request: u64,
-        rollout: u64,
-        horizon: usize,
-        target: u64,
-        prediction: Arc<[f32]>,
-    ) {
-        let evicted = self.journal.record(PendingForecast { request, rollout, horizon, target, prediction });
+    /// Record one served forecast awaiting ground truth: request `request`,
+    /// answered from the computed step `step`. The journal shares the
+    /// step's record, so recording allocates nothing once the journal's
+    /// queue has grown.
+    pub fn record_forecast(&mut self, request: u64, step: &Arc<StepRecord>) {
+        let evicted = self.journal.record(PendingForecast { request, step: Arc::clone(step) });
         if let Some(old) = evicted {
-            self.count_dropped(old.request, old.horizon, old.target, "journal_overflow");
+            self.dropped.count(old.request, old.step.horizon, old.step.target, "journal_overflow");
         }
     }
 
@@ -185,51 +178,49 @@ impl QualityTracker {
         self.metrics.flow_mean.set(mean);
         self.flow_level_shift.observe(index, mean);
 
-        for settled in self.journal.settle(window) {
-            match settled {
-                Settled::Scored(s) => {
-                    self.scored += 1;
-                    self.mae_ewma.update(s.mae);
-                    self.rmse_ewma.update(s.rmse);
-                    self.mae_win.push(s.mae);
-                    self.rmse_win.push(s.rmse);
-                    self.mae_inflow.update(s.mae_inflow);
-                    self.mae_outflow.update(s.mae_outflow);
-                    self.err_hist.record(s.mae * ERR_HIST_SCALE);
-                    let h = self
-                        .per_horizon
-                        .entry(s.horizon)
-                        .or_insert_with(|| HorizonStats::new(s.horizon, self.window));
-                    h.scored += 1;
-                    h.mae_win.push(s.mae);
-                    h.rmse_win.push(s.rmse);
-                    h.mae_ewma.update(s.mae);
-                    h.rmse_ewma.update(s.rmse);
+        self.journal.settle(window, |settled| match settled {
+            Settled::Scored(s) => {
+                self.scored += 1;
+                self.mae_ewma.update(s.mae);
+                self.rmse_ewma.update(s.rmse);
+                self.mae_win.push(s.mae);
+                self.rmse_win.push(s.rmse);
+                self.mae_inflow.update(s.mae_inflow);
+                self.mae_outflow.update(s.mae_outflow);
+                self.err_hist.record(s.mae * ERR_HIST_SCALE);
+                let h = self
+                    .per_horizon
+                    .entry(s.horizon)
+                    .or_insert_with(|| HorizonStats::new(s.horizon, self.window));
+                h.scored += 1;
+                h.mae_win.push(s.mae);
+                h.rmse_win.push(s.rmse);
+                h.mae_ewma.update(s.mae);
+                h.rmse_ewma.update(s.rmse);
 
-                    self.metrics.scored.add(1);
-                    self.metrics.mae.set(self.mae_ewma.value());
-                    self.metrics.rmse.set(self.rmse_ewma.value());
-                    h.mae_gauge.set(h.mae_ewma.value());
-                    h.rmse_gauge.set(h.rmse_ewma.value());
-                    obs::emit_with("forecast.scored", || {
-                        vec![
-                            ("request", Json::Num(s.request as f64)),
-                            ("rollout", Json::Num(s.rollout as f64)),
-                            ("horizon", Json::Num(s.horizon as f64)),
-                            ("target", Json::Num(s.target as f64)),
-                            ("mae", Json::Num(s.mae)),
-                            ("rmse", Json::Num(s.rmse)),
-                            ("mae_inflow", Json::Num(s.mae_inflow)),
-                            ("mae_outflow", Json::Num(s.mae_outflow)),
-                        ]
-                    });
-                    self.mae_drift.observe(0, s.mae);
-                }
-                Settled::Dropped { request, horizon, target } => {
-                    self.count_dropped(request, horizon, target, "target_evicted");
-                }
+                self.metrics.scored.add(1);
+                self.metrics.mae.set(self.mae_ewma.value());
+                self.metrics.rmse.set(self.rmse_ewma.value());
+                h.mae_gauge.set(h.mae_ewma.value());
+                h.rmse_gauge.set(h.rmse_ewma.value());
+                obs::emit_with("forecast.scored", || {
+                    vec![
+                        ("request", Json::Num(s.request as f64)),
+                        ("rollout", Json::Num(s.rollout as f64)),
+                        ("horizon", Json::Num(s.horizon as f64)),
+                        ("target", Json::Num(s.target as f64)),
+                        ("mae", Json::Num(s.mae)),
+                        ("rmse", Json::Num(s.rmse)),
+                        ("mae_inflow", Json::Num(s.mae_inflow)),
+                        ("mae_outflow", Json::Num(s.mae_outflow)),
+                    ]
+                });
+                self.mae_drift.observe(0, s.mae);
             }
-        }
+            Settled::Dropped { request, horizon, target } => {
+                self.dropped.count(request, horizon, target, "target_evicted");
+            }
+        });
     }
 
     /// Fold in one spectral-sweep result: publish the dominant-period
@@ -267,19 +258,6 @@ impl QualityTracker {
         }
     }
 
-    fn count_dropped(&mut self, request: u64, horizon: usize, target: u64, reason: &'static str) {
-        self.dropped += 1;
-        self.metrics.dropped.add(1);
-        obs::emit_with("forecast.dropped", || {
-            vec![
-                ("request", Json::Num(request as f64)),
-                ("horizon", Json::Num(horizon as f64)),
-                ("target", Json::Num(target as f64)),
-                ("reason", Json::Str(reason.to_string())),
-            ]
-        });
-    }
-
     /// Forecasts scored so far.
     pub fn scored(&self) -> u64 {
         self.scored
@@ -287,7 +265,7 @@ impl QualityTracker {
 
     /// Forecasts that could never be scored.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.dropped.total
     }
 
     /// The drift rules, in `/alerts` order.
@@ -335,7 +313,7 @@ impl QualityTracker {
         );
         Json::obj([
             ("scored", Json::Num(self.scored as f64)),
-            ("dropped", Json::Num(self.dropped as f64)),
+            ("dropped", Json::Num(self.dropped.total as f64)),
             ("pending", Json::Num(self.journal.pending() as f64)),
             ("recorded", Json::Num(self.journal.recorded() as f64)),
             ("mae", err_block(&self.mae_ewma, &self.mae_win)),
@@ -370,6 +348,29 @@ impl QualityTracker {
     }
 }
 
+/// Forecasts that can never be scored: how many, and their interned
+/// counter.
+struct Drops {
+    total: u64,
+    counter: &'static Counter,
+}
+
+impl Drops {
+    /// Count one forecast that can never be scored, and trace why.
+    fn count(&mut self, request: u64, horizon: usize, target: u64, reason: &'static str) {
+        self.total += 1;
+        self.counter.add(1);
+        obs::emit_with("forecast.dropped", || {
+            vec![
+                ("request", Json::Num(request as f64)),
+                ("horizon", Json::Num(horizon as f64)),
+                ("target", Json::Num(target as f64)),
+                ("reason", Json::Str(reason.to_string())),
+            ]
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     //! Every test holds `obs::test_lock()`: the tracker's rules bump the
@@ -382,13 +383,17 @@ mod tests {
         QualityTracker::new(slots, &QualityConfig::default())
     }
 
+    fn step(horizon: usize, target: u64, prediction: [f32; 2]) -> Arc<StepRecord> {
+        Arc::new(StepRecord { rollout: 1, horizon, target, prediction: Arc::from(prediction) })
+    }
+
     #[test]
     fn scores_flow_into_estimators_and_snapshot() {
         let _g = obs::test_lock();
         let mut w = FlowWindow::new(GridMap::new(1, 1), 8);
         let mut t = tracker(4);
         // Forecast frame 0 as [1,3]; truth arrives as [2,1] → mae 1.5.
-        t.record_forecast(11, 1, 1, 0, Arc::from([1.0, 3.0]));
+        t.record_forecast(11, &step(1, 0, [1.0, 3.0]));
         w.push(&[2.0, 1.0]).unwrap();
         t.on_ingest(&w, 0, &[2.0, 1.0]);
         assert_eq!(t.scored(), 1);
@@ -464,8 +469,8 @@ mod tests {
         let mut w = FlowWindow::new(GridMap::new(1, 1), 2);
         let mut t = QualityTracker::new(4, &cfg);
         // Second record evicts the first (journal capacity 1).
-        t.record_forecast(1, 1, 1, 0, Arc::from([0.0, 0.0]));
-        t.record_forecast(2, 1, 2, 1, Arc::from([0.0, 0.0]));
+        t.record_forecast(1, &step(1, 0, [0.0, 0.0]));
+        t.record_forecast(2, &step(2, 1, [0.0, 0.0]));
         assert_eq!(t.dropped(), 1);
         // Ring of capacity 2: after frames 0..=3 land, the live range is
         // [2, 4) — target 1 is gone when settle finally runs.

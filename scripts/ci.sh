@@ -143,6 +143,15 @@ serve_checks() {
     grep -q '^muse_serve_rollout_memo_hits_total' target/ci_serve_metrics.txt
     grep -q '^muse_serve_panics_total' target/ci_serve_metrics.txt
     grep -q '^muse_build_info{' target/ci_serve_metrics.txt
+    # Resident memory, read from /proc/self/status at scrape time: data
+    # (anonymous pages) and code (file-backed pages) apart, and the peak.
+    for family in muse_process_resident_anon_bytes muse_process_resident_file_bytes \
+        muse_process_peak_resident_bytes; do
+        grep -Eq "^$family [1-9][0-9]*\$" target/ci_serve_metrics.txt || {
+            echo "$family missing or zero on /metrics after the forecasts: $(grep "^$family" target/ci_serve_metrics.txt)" >&2
+            exit 1
+        }
+    done
     # The drift rules' state gauges are interned at boot: all three export
     # whether or not a rule has moved.
     for rule in mae_drift flow_level_shift spectral_shift; do
