@@ -1,9 +1,17 @@
 //! The neural baselines under the determinism contract MUSE-Net training
 //! already meets: training through the shared `musenet::Trainer` loop is
-//! **bit-identical** — per-epoch loss curve and every final parameter —
-//! whether the kernels run through the scalar or the AVX2 path, crossed
-//! with thread-pool sizes, and every row of a batched prediction equals
-//! that sample predicted alone.
+//! **bit-identical** — per-epoch losses, every final parameter and the
+//! trained model's one- and 3-step predictions — whether the kernels run
+//! through the scalar or the AVX2 path, crossed with thread-pool sizes,
+//! and every row of a batched prediction equals that sample predicted
+//! alone.
+//!
+//! Each baseline's fit folds into one FNV-1a 64 digest, compared against
+//! the committed [`GOLDEN`] table on every leg. Unlike
+//! `crates/tensor/tests/golden_bits.rs`, these digests go through the
+//! platform libm (`expf`, `tanhf`, `logf`), so another platform may need
+//! its own table; a numerics change that is meant re-derives the table
+//! from the failure message and says why in CHANGES.md.
 //!
 //! On machines without AVX2 the `Level::Avx2Fma` leg silently degrades to
 //! scalar (the override can only lower the detected level), so these tests
@@ -15,7 +23,7 @@ use muse_baselines::{
 use muse_parallel::with_threads;
 use muse_tensor::simd::{self, Level};
 use muse_tensor::Tensor;
-use muse_traffic::subseries::{batch, SubSeriesSpec};
+use muse_traffic::subseries::{batch, roll_out, SubSeriesSpec};
 use muse_traffic::{FlowSeries, GridMap};
 use musenet::{Trainable, Trainer, TrainerOptions};
 
@@ -49,11 +57,37 @@ fn lineup(grid: GridMap) -> Vec<Box<dyn Trainable>> {
     ]
 }
 
-/// Per-epoch loss bits and final parameter bits of one tiny training run.
-type Fit = (Vec<u32>, Vec<Vec<u32>>);
+/// The digest of each baseline's reference fit, in [`lineup`] order.
+const GOLDEN: &[(&str, u64)] = &[
+    ("RNN", 0x56347e60b61a955d),
+    ("Seq2Seq", 0xcdee25deff802fbe),
+    ("DeepSTN+", 0x3e829bcc470a39a8),
+    ("ST-GSP(lite)", 0x3a00889f1c3b06f9),
+    ("ST-Norm(lite)", 0x9251a436710a9a8d),
+];
 
-/// Train each baseline for three epochs through the shared loop.
-fn train_lineup() -> Vec<(String, Fit)> {
+/// FNV-1a 64 over the bits of every value fed, in order.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn feed(&mut self, xs: &[f32]) {
+        for &x in xs {
+            for byte in x.to_bits().to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+}
+
+/// Train each baseline for three epochs through the shared loop and fold
+/// each fit into a digest: the per-epoch losses and validation RMSE, every
+/// final parameter, a one-step `predict` and a 3-step rollout of the
+/// validation targets.
+fn digests() -> Vec<(String, u64)> {
     let grid = GridMap::new(3, 3);
     let flows = patterned_flows(grid, 10, 6);
     let first = SPEC.min_target();
@@ -66,35 +100,39 @@ fn train_lineup() -> Vec<(String, Fit)> {
                 TrainerOptions { epochs: 3, batch_size: 4, learning_rate: 3e-3, ..Default::default() };
             let mut trainer = Trainer::new(model, options);
             let report = trainer.fit(&flows, &SPEC, &train, &val);
-            let losses = report.epochs.iter().map(|e| e.train_loss.to_bits()).collect();
-            let params = trainer
-                .model()
-                .params()
-                .iter()
-                .map(|p| p.value().as_slice().iter().map(|x| x.to_bits()).collect())
-                .collect();
-            (trainer.model().name().to_string(), (losses, params))
+            let model = trainer.model();
+            assert_eq!(report.epochs.len(), 3, "{}", model.name());
+            let mut d = Digest::new();
+            for e in &report.epochs {
+                d.feed(&[e.train_loss, e.train_regression, e.val_rmse.expect("validation set given")]);
+            }
+            for p in model.params() {
+                d.feed(p.value().as_slice());
+            }
+            d.feed(model.predict(&batch(&flows, &SPEC, &val)).as_slice());
+            for step in roll_out(&flows, &SPEC, &val, 3, |b| model.predict(b)) {
+                d.feed(step.as_slice());
+            }
+            (model.name().to_string(), d.0)
         })
         .collect()
 }
 
 #[test]
 fn baseline_training_is_bit_identical_across_simd_levels_and_threads() {
-    // Reference: scalar kernels, single thread.
-    let reference = simd::with_level(Level::Scalar, || with_threads(1, train_lineup));
-    assert_eq!(reference.len(), 5);
     for level in [Level::Scalar, Level::Avx2Fma] {
         for threads in [1usize, 2] {
-            let fits = simd::with_level(level, || with_threads(threads, train_lineup));
-            let cfg = format!("{threads} threads / {}", level.name());
-            for ((name, (losses, params)), (_, (ref_losses, ref_params))) in fits.iter().zip(&reference) {
-                assert_eq!(losses.len(), 3, "{name}");
-                assert_eq!(losses, ref_losses, "{name} loss curve diverged at {cfg}");
-                assert_eq!(params.len(), ref_params.len());
-                for (i, (got, want)) in params.iter().zip(ref_params).enumerate() {
-                    assert_eq!(got, want, "{name} param {i} diverged at {cfg}");
-                }
-            }
+            let computed = simd::with_level(level, || with_threads(threads, digests));
+            let rendered: String =
+                computed.iter().map(|(name, h)| format!("    (\"{name}\", {h:#018x}),\n")).collect();
+            assert!(
+                computed.iter().map(|(n, h)| (n.as_str(), *h)).eq(GOLDEN.iter().copied()),
+                "fit digests differ from GOLDEN at {threads} threads / {}; computed:\n{rendered}\
+                 If the numerics change is meant, copy this table into GOLDEN and say why in \
+                 CHANGES.md. These digests go through the platform libm (expf, tanhf, logf), \
+                 unlike golden_bits.rs, so another platform may need its own table.",
+                level.name()
+            );
         }
     }
 }
