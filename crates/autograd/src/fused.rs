@@ -11,7 +11,8 @@
 //! reductions keep the same association (ascending-row bias folds, the
 //! chunked SSE of [`Tensor::sse`]).
 
-use crate::tape::Var;
+use crate::ops::Op;
+use crate::tape::{BackwardCtx, GradSink, Var};
 use muse_tensor::{arena, simd, Tensor};
 
 /// Activation selector for [`Var::add_bias_act`]. Only activations whose
@@ -55,7 +56,7 @@ impl FusedActivation {
 
     /// Chain-rule factor applied to the upstream gradient `g`, written in
     /// terms of the saved output `y` with the exact expressions of the
-    /// unfused backward closures.
+    /// unfused ops' gradient rules.
     #[inline]
     fn backward(self, g: f32, y: f32) -> f32 {
         match self {
@@ -114,32 +115,7 @@ impl<'t> Var<'t> {
             }
             Tensor::from_vec(data, dims)
         };
-        self.tape().push(
-            "add_bias_act",
-            out,
-            Some(Box::new(move |ctx, sink| {
-                let (g, y) = (ctx.grad(), ctx.out());
-                let dims = y.dims();
-                let (rows, cols) = (dims[0], dims[1]);
-                let mut gh = arena::take_uninit(rows * cols); // fully written below
-                let mut gb = arena::take_zeroed(cols);
-                let (gs, ys) = (g.as_slice(), y.as_slice());
-                if let Some(k) = act.simd_kernel() {
-                    simd::bias_act_backward(&mut gh, &mut gb, gs, ys, k);
-                } else {
-                    for r in 0..rows {
-                        let base = r * cols;
-                        for j in 0..cols {
-                            let v = act.backward(gs[base + j], ys[base + j]);
-                            gh[base + j] = v;
-                            gb[j] += v;
-                        }
-                    }
-                }
-                sink.add_owned(lh, Tensor::from_vec(gh, dims));
-                sink.add_owned(lb, Tensor::from_vec(gb, &dims[1..]));
-            })),
-        )
+        self.tape().push(out, Op::AddBiasAct { h: lh, b: lb, act })
     }
 
     /// Fused `scale * Σ (self − target)²` against a constant target, as a
@@ -157,20 +133,40 @@ impl<'t> Var<'t> {
                 target.dims()
             );
         });
-        let lp = self.id();
         let out = self.with_value(|p| Tensor::scalar(p.sse(target) * scale));
-        let target = target.clone();
-        self.tape().push(
-            "sse_scaled",
-            out,
-            Some(Box::new(move |ctx, sink| {
-                // d/dp [scale · Σ(p−t)²] = 2·scale·(p−t), folded exactly as
-                // the mul_scalar → sum → square backward chain computes it.
-                let k = ctx.grad().item() * scale;
-                sink.add_zip(lp, ctx.value(lp), &target, move |p, t| (k * (p - t)) * 2.0);
-            })),
-        )
+        self.tape().push(out, Op::SseScaled { p: self.id(), target: target.clone(), scale })
     }
+}
+
+/// Backward of [`Var::add_bias_act`] for input `h`, bias `b`: the input
+/// gradient and the bias column-sum in a single pass over the saved output.
+pub(crate) fn add_bias_act_backward(
+    h: usize,
+    b: usize,
+    act: FusedActivation,
+    ctx: &BackwardCtx<'_>,
+    sink: &mut GradSink<'_>,
+) {
+    let (g, y) = (ctx.grad(), ctx.out());
+    let dims = y.dims();
+    let (rows, cols) = (dims[0], dims[1]);
+    let mut gh = arena::take_uninit(rows * cols); // fully written below
+    let mut gb = arena::take_zeroed(cols);
+    let (gs, ys) = (g.as_slice(), y.as_slice());
+    if let Some(k) = act.simd_kernel() {
+        simd::bias_act_backward(&mut gh, &mut gb, gs, ys, k);
+    } else {
+        for r in 0..rows {
+            let base = r * cols;
+            for j in 0..cols {
+                let v = act.backward(gs[base + j], ys[base + j]);
+                gh[base + j] = v;
+                gb[j] += v;
+            }
+        }
+    }
+    sink.add_owned(h, Tensor::from_vec(gh, dims));
+    sink.add_owned(b, Tensor::from_vec(gb, &dims[1..]));
 }
 
 #[cfg(test)]

@@ -10,18 +10,22 @@
 //! builds one tape per step and throws it away afterwards.
 //!
 //! Design notes:
-//! * Backward closures capture only node ids, scalars, and op specs; operand
-//!   values are read back from the tape during the reverse sweep, so
-//!   recording an op never clones a tensor.
+//! * Ops are data: each node records an `Op` value holding its kind, its
+//!   operands' node ids and the scalars or spec its gradient needs, and the
+//!   reverse sweep is one `match` over it ([`ops`]). Operand values are read
+//!   back from the tape during the sweep, so recording an op clones no
+//!   tensor and needs no heap beyond its forward value; a forward-only tape
+//!   records the same nodes.
 //! * Tapes are reusable: [`Tape::reset`] keeps node capacity (and, via the
 //!   tensor arena, the value buffers) so a steady-state training step runs
 //!   allocation-free.
 //! * Broadcasting ops fold gradients back with `Tensor::sum_to`, so `[B, D] +
 //!   [D]` bias additions "just work".
-//! * All VAE-specific quantities (reparameterization, Gaussian KLs) are
-//!   *compositions* of primitive ops (see [`vae_ops`]), so their gradients
-//!   come for free and are covered by the finite-difference checks in
-//!   [`grad_check`].
+//! * A few hot chains are fused into single ops with their own gradient
+//!   kernels ([`fused`], [`vae_ops::kl_between_fused`]), each bit-identical
+//!   to the composition of primitives it replaces. The rest of [`vae_ops`]
+//!   composes primitives. Every gradient rule is covered by the
+//!   finite-difference checks in [`grad_check`].
 //!
 //! ```
 //! use muse_autograd::Tape;

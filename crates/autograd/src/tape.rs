@@ -1,16 +1,11 @@
 //! The gradient tape, its variables, and the reverse pass.
 
+use crate::ops::{backward, Op};
 use muse_obs as obs;
 use muse_tensor::Tensor;
 use std::cell::RefCell;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
-
-/// Backward closure: reads operand values through a [`BackwardCtx`] and
-/// accumulates parent contributions into a [`GradSink`]. Closures capture
-/// only node ids, scalars, and op specs — never tensor clones — so recording
-/// a node allocates nothing beyond its forward value.
-pub(crate) type BackwardFn = Box<dyn Fn(&BackwardCtx<'_>, &mut GradSink<'_>) + Send>;
 
 /// A node's forward value: computed and owned by the tape, or shared with
 /// the tensor it was bound from (a parameter), so binding copies nothing.
@@ -31,18 +26,18 @@ impl Deref for Value {
 }
 
 pub(crate) struct Node {
-    /// Short op name ("add", "matmul", …) for backward-time attribution.
-    pub(crate) op: &'static str,
     pub(crate) value: Value,
-    /// `None` for leaves and constants.
-    pub(crate) backward: Option<BackwardFn>,
+    /// The op that computed `value`, with its operands' node ids.
+    pub(crate) op: Op,
 }
 
-/// Read-only view handed to backward closures: the recorded nodes (for
-/// operand values), the id of the node being differentiated, and its
+/// Read-only view handed to [`backward`] for one node: the recorded nodes
+/// (for operand values), the tape's operand list (for ops with a variable
+/// number of operands), the id of the node being differentiated, and its
 /// upstream gradient.
 pub(crate) struct BackwardCtx<'a> {
     nodes: &'a [Node],
+    operands: &'a [usize],
     id: usize,
     grad: &'a Tensor,
 }
@@ -62,6 +57,11 @@ impl<'a> BackwardCtx<'a> {
     /// Forward value of the node being differentiated (its saved output).
     pub(crate) fn out(&self) -> &'a Tensor {
         &self.nodes[self.id].value
+    }
+
+    /// Node ids an op stored with [`Tape::push_operands`].
+    pub(crate) fn operands(&self, range: Range<usize>) -> &'a [usize] {
+        &self.operands[range]
     }
 }
 
@@ -194,10 +194,12 @@ impl GradSink<'_> {
 #[derive(Default)]
 pub struct Tape {
     pub(crate) nodes: RefCell<Vec<Node>>,
+    /// Operand ids of ops with a variable number of operands (`concat`);
+    /// each such node records its range here.
+    operands: RefCell<Vec<usize>>,
     /// Recycled gradient-slot storage, returned by `Gradients::drop`.
     grads_cache: RefCell<Vec<Option<Tensor>>>,
-    /// Inference mode: backward closures are dropped at record time and
-    /// [`Tape::backward`] is unavailable.
+    /// Inference mode: [`Tape::backward`] is unavailable.
     forward_only: bool,
 }
 
@@ -247,18 +249,12 @@ impl Tape {
         Tape::default()
     }
 
-    /// An empty inference tape: every recorded node discards its backward
-    /// closure, so the graph holds forward values only and
-    /// [`Tape::backward`] panics. Combined with [`Tape::reset`] the same
-    /// tape serves repeated forward passes without the bookkeeping (or the
-    /// closure boxes) the reverse sweep would need.
+    /// An empty inference tape, on which [`Tape::backward`] panics. It
+    /// records the same nodes as a training tape: an op's record is plain
+    /// data, so keeping it costs no heap. Combined with [`Tape::reset`] the
+    /// same tape serves repeated forward passes out of warm storage.
     pub fn forward_only() -> Self {
         Tape { forward_only: true, ..Tape::default() }
-    }
-
-    /// Whether this tape was created with [`Tape::forward_only`].
-    pub fn is_forward_only(&self) -> bool {
-        self.forward_only
     }
 
     /// Number of recorded nodes.
@@ -278,36 +274,45 @@ impl Tape {
     /// reset is invalidated — ids restart from zero — and must not be used.
     pub fn reset(&self) {
         self.nodes.borrow_mut().clear();
+        self.operands.borrow_mut().clear();
     }
 
-    pub(crate) fn push(&self, op: &'static str, value: Tensor, backward: Option<BackwardFn>) -> Var<'_> {
-        let backward = if self.forward_only { None } else { backward };
-        self.record(op, Value::Owned(value), backward)
+    pub(crate) fn push(&self, value: Tensor, op: Op) -> Var<'_> {
+        self.record(Value::Owned(value), op)
     }
 
-    fn record(&self, op: &'static str, value: Value, backward: Option<BackwardFn>) -> Var<'_> {
+    fn record(&self, value: Value, op: Op) -> Var<'_> {
         let mut nodes = self.nodes.borrow_mut();
         let id = nodes.len();
-        nodes.push(Node { op, value, backward });
+        nodes.push(Node { value, op });
         Var { tape: self, id }
+    }
+
+    /// Append operand ids to the tape's operand list, returning their range
+    /// for the op to record.
+    pub(crate) fn push_operands(&self, ids: impl IntoIterator<Item = usize>) -> Range<usize> {
+        let mut operands = self.operands.borrow_mut();
+        let start = operands.len();
+        operands.extend(ids);
+        start..operands.len()
     }
 
     /// Record a differentiable leaf (e.g. an input that needs gradients).
     pub fn leaf(&self, value: Tensor) -> Var<'_> {
-        self.push("leaf", value, None)
+        self.push(value, Op::Leaf)
     }
 
     /// Record a differentiable leaf that shares `value` instead of owning
     /// a copy (a bound parameter): the node holds one more reference to the
     /// same buffer until [`Tape::reset`] drops it.
     pub fn leaf_shared(&self, value: Arc<Tensor>) -> Var<'_> {
-        self.record("leaf", Value::Shared(value), None)
+        self.record(Value::Shared(value), Op::Leaf)
     }
 
     /// Record a constant. Structurally identical to a leaf — the distinction
     /// is for readers: constants never have their gradients read.
     pub fn constant(&self, value: Tensor) -> Var<'_> {
-        self.push("const", value, None)
+        self.push(value, Op::Leaf)
     }
 
     /// Reconstruct a [`Var`] handle from a node id previously obtained via
@@ -336,6 +341,7 @@ impl Tape {
     pub fn backward(&self, loss: Var<'_>) -> Gradients<'_> {
         assert!(!self.forward_only, "backward on a forward-only tape");
         let nodes = self.nodes.borrow();
+        let operands = self.operands.borrow();
         assert!(loss.id < nodes.len(), "loss var not on this tape");
         let telemetry = obs::enabled();
         if telemetry {
@@ -343,8 +349,6 @@ impl Tape {
             TAPE_LEN.get_or_init(|| obs::gauge("autograd.tape_len")).set(nodes.len() as f64);
         }
         let _sweep = obs::span("autograd.backward");
-        // Per-op backward histograms, looked up once per op per sweep.
-        let mut op_histograms: Vec<(&'static str, &'static obs::Histogram)> = Vec::new();
         // Reuse slot storage from the previous sweep when available.
         let mut grads = std::mem::take(&mut *self.grads_cache.borrow_mut());
         grads.clear();
@@ -352,33 +356,32 @@ impl Tape {
         grads[loss.id] = Some(Tensor::ones(nodes[loss.id].value.dims()));
         for id in (0..=loss.id).rev() {
             let Some(grad) = grads[id].take() else { continue };
-            if let Some(back) = &nodes[id].backward {
+            let op = &nodes[id].op;
+            if !matches!(op, Op::Leaf) {
                 let t0 = telemetry.then(std::time::Instant::now);
                 {
                     // Only slots below `id` are writable: backward edges are
                     // topologically ordered by construction.
                     let (lower, _) = grads.split_at_mut(id);
-                    let ctx = BackwardCtx { nodes: &nodes, id, grad: &grad };
-                    let mut sink = GradSink { grads: lower };
-                    back(&ctx, &mut sink);
+                    let ctx = BackwardCtx { nodes: &nodes, operands: &operands, id, grad: &grad };
+                    backward(op, &ctx, &mut GradSink { grads: lower });
                 }
                 if let Some(t0) = t0 {
-                    let op = nodes[id].op;
-                    let histogram = match op_histograms.iter().find(|(seen, _)| *seen == op) {
-                        Some(&(_, h)) => h,
-                        None => {
-                            let h = obs::metrics::histogram_owned(&format!("autograd.backward.{op}"));
-                            op_histograms.push((op, h));
-                            h
-                        }
-                    };
-                    histogram.record(t0.elapsed().as_nanos() as u64 as f64);
+                    backward_histogram(op).record(t0.elapsed().as_nanos() as u64 as f64);
                 }
             }
             grads[id] = Some(grad);
         }
         Gradients { grads, tape: self }
     }
+}
+
+/// The `autograd.backward.<name>` histogram of `op`'s kind, interned the
+/// first time the process times that kind.
+fn backward_histogram(op: &Op) -> &'static obs::Histogram {
+    static HISTOGRAMS: [OnceLock<&obs::Histogram>; Op::KINDS] = [const { OnceLock::new() }; Op::KINDS];
+    HISTOGRAMS[op.kind()]
+        .get_or_init(|| obs::metrics::histogram_owned(&format!("autograd.backward.{}", op.name())))
 }
 
 impl<'t> Var<'t> {
@@ -486,16 +489,17 @@ mod tests {
     }
 
     #[test]
-    fn forward_only_tape_matches_forward_values_and_stores_no_closures() {
+    fn forward_only_tape_matches_forward_values_and_records_the_same_ops() {
         let run = |tape: &Tape| {
             let x = tape.leaf(Tensor::from_vec(vec![0.5, -1.5, 2.0], &[3]));
             x.tanh().square().sum().value()
         };
+        let names = |tape: &Tape| tape.nodes.borrow().iter().map(|n| n.op.name()).collect::<Vec<_>>();
         let train = Tape::new();
         let infer = Tape::forward_only();
         assert_eq!(run(&train).as_slice(), run(&infer).as_slice());
-        assert!(infer.is_forward_only());
-        assert!(infer.nodes.borrow().iter().all(|n| n.backward.is_none()));
+        assert_eq!(names(&infer), ["leaf", "tanh", "square", "sum"]);
+        assert_eq!(names(&infer), names(&train));
         // And the same inference tape is reusable across requests.
         infer.reset();
         assert_eq!(run(&train).as_slice(), run(&infer).as_slice());

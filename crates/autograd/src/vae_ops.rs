@@ -1,15 +1,18 @@
 //! Differentiable building blocks for variational models.
 //!
-//! Everything here is a *composition* of the primitives in [`crate::ops`], so
-//! gradient correctness follows from the primitive gradients (which are
-//! finite-difference checked in this crate's tests).
+//! Everything here but [`kl_between_fused`] is a *composition* of the
+//! primitives in [`crate::ops`], so its gradient follows from theirs.
+//! `kl_between_fused` records one op with its own gradient kernel, pinned
+//! bit-for-bit to the composed [`kl_between`]. All of them are
+//! finite-difference checked in this crate's tests.
 //!
 //! Conventions: a diagonal Gaussian is represented by `(mu, logvar)` tensors
 //! of shape `[B, K]` (batch × latent dimension). KL helpers sum over the
 //! latent dimension and average over the batch, matching how Eq. (27)/(29) of
 //! the paper enter the scalar training objective.
 
-use crate::tape::Var;
+use crate::ops::Op;
+use crate::tape::{BackwardCtx, GradSink, Var};
 use muse_tensor::init::SeededRng;
 use muse_tensor::{arena, Tensor};
 
@@ -65,9 +68,6 @@ pub fn kl_between<'t>(mu1: &Var<'t>, lv1: &Var<'t>, mu2: &Var<'t>, lv2: &Var<'t>
 /// passed in two positions its contributions arrive pre-combined rather
 /// than interleaved, which can differ in the last ulp (same caveat as
 /// `Var::add_bias_act` and not a configuration the model uses).
-// `* -1.0` below is kept literal: it mirrors the composed graph's
-// `mul_scalar(-1.0)` steps the bit-identity contract is written against.
-#[allow(clippy::neg_multiply)]
 pub fn kl_between_fused<'t>(mu1: &Var<'t>, lv1: &Var<'t>, mu2: &Var<'t>, lv2: &Var<'t>) -> Var<'t> {
     assert_eq!(mu1.dims(), mu2.dims(), "kl_between mu shape mismatch");
     assert_eq!(lv1.dims(), lv2.dims(), "kl_between logvar shape mismatch");
@@ -94,43 +94,52 @@ pub fn kl_between_fused<'t>(mu1: &Var<'t>, lv1: &Var<'t>, mu2: &Var<'t>, lv2: &V
         let total = Tensor::from_vec(inner, &dims).sum();
         Tensor::scalar(total * k)
     };
-    tape.push(
-        "kl_between_fused",
-        out,
-        Some(Box::new(move |ctx, sink| {
-            // One scalar multiply upstream, exactly like the composed
-            // mul_scalar → sum chain: u = g·k, splatted over the shape.
-            let u = ctx.grad().item() * k;
-            let (m1t, l1t) = (ctx.value(lm1), ctx.value(ll1));
-            let (m2t, l2t) = (ctx.value(lm2), ctx.value(ll2));
-            let (m1, l1) = (m1t.as_slice(), l1t.as_slice());
-            let (m2, l2) = (m2t.as_slice(), l2t.as_slice());
-            let n = m1.len();
-            let mut g_m1 = arena::take_uninit(n); // all fully written below
-            let mut g_m2 = arena::take_uninit(n);
-            let mut g_l1 = arena::take_uninit(n);
-            let mut g_l2 = arena::take_uninit(n);
-            for i in 0..n {
-                let d = m1[i] - m2[i];
-                let e1 = l1[i].exp();
-                let e2 = l2[i].exp();
-                let t = e1 + d * d;
-                let q = u / e2;
-                // Each line reproduces the composed sweep's contributions to
-                // one slot, combined in the order the sweep adds them.
-                let gm = (q * d) * 2.0;
-                g_m1[i] = gm;
-                g_m2[i] = gm * -1.0;
-                g_l1[i] = (u * -1.0) + (q * e1);
-                g_l2[i] = u + (-((u * t) / (e2 * e2))) * e2;
-            }
-            let dims = m1t.dims();
-            sink.add_owned(lm1, Tensor::from_vec(g_m1, dims));
-            sink.add_owned(lm2, Tensor::from_vec(g_m2, dims));
-            sink.add_owned(ll1, Tensor::from_vec(g_l1, dims));
-            sink.add_owned(ll2, Tensor::from_vec(g_l2, dims));
-        })),
-    )
+    tape.push(out, Op::KlBetweenFused { mu1: lm1, lv1: ll1, mu2: lm2, lv2: ll2, k })
+}
+
+/// Backward of [`kl_between_fused`] for operands `[mu1, lv1, mu2, lv2]` and
+/// scale `k = 0.5 / batch`: recomputes the cheap elementwise pieces.
+// `* -1.0` below is kept literal: it mirrors the composed graph's
+// `mul_scalar(-1.0)` steps the bit-identity contract is written against.
+#[allow(clippy::neg_multiply)]
+pub(crate) fn kl_between_fused_backward(
+    ids: [usize; 4],
+    k: f32,
+    ctx: &BackwardCtx<'_>,
+    sink: &mut GradSink<'_>,
+) {
+    let [lm1, ll1, lm2, ll2] = ids;
+    // One scalar multiply upstream, exactly like the composed
+    // mul_scalar → sum chain: u = g·k, splatted over the shape.
+    let u = ctx.grad().item() * k;
+    let (m1t, l1t) = (ctx.value(lm1), ctx.value(ll1));
+    let (m2t, l2t) = (ctx.value(lm2), ctx.value(ll2));
+    let (m1, l1) = (m1t.as_slice(), l1t.as_slice());
+    let (m2, l2) = (m2t.as_slice(), l2t.as_slice());
+    let n = m1.len();
+    let mut g_m1 = arena::take_uninit(n); // all fully written below
+    let mut g_m2 = arena::take_uninit(n);
+    let mut g_l1 = arena::take_uninit(n);
+    let mut g_l2 = arena::take_uninit(n);
+    for i in 0..n {
+        let d = m1[i] - m2[i];
+        let e1 = l1[i].exp();
+        let e2 = l2[i].exp();
+        let t = e1 + d * d;
+        let q = u / e2;
+        // Each line reproduces the composed sweep's contributions to one
+        // slot, combined in the order the sweep adds them.
+        let gm = (q * d) * 2.0;
+        g_m1[i] = gm;
+        g_m2[i] = gm * -1.0;
+        g_l1[i] = (u * -1.0) + (q * e1);
+        g_l2[i] = u + (-((u * t) / (e2 * e2))) * e2;
+    }
+    let dims = m1t.dims();
+    sink.add_owned(lm1, Tensor::from_vec(g_m1, dims));
+    sink.add_owned(lm2, Tensor::from_vec(g_m2, dims));
+    sink.add_owned(ll1, Tensor::from_vec(g_l1, dims));
+    sink.add_owned(ll2, Tensor::from_vec(g_l2, dims));
 }
 
 /// Mean squared error between a prediction and a constant target, averaged

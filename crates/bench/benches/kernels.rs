@@ -266,20 +266,24 @@ fn bench_train_step(c: &mut Criterion) {
     muse_obs::reset_metrics();
 
     // The trainer's reusable context: one tape/session/staging batch, reset
-    // per step so the steady state runs out of the arena.
+    // per step so the steady state runs out of the arena. As in
+    // `Trainer::fit`, the reset comes before `opt.step()`: it releases the
+    // tape's shared parameter leaves, so Adam updates every parameter in
+    // its own buffer instead of copying it on write.
     let tape = Tape::new();
     let s = Session::new(&tape);
     let mut staging = Batch::staging();
     let mut step = || {
         batch_into(&prepared.scaled, &prepared.spec, &indices, &mut staging);
-        tape.reset();
-        s.reset();
         let pass = model.train_graph(&s, &staging);
         s.backward(pass.loss);
         clip_grad_norm(opt.params(), 5.0);
+        let total = pass.terms.total;
+        tape.reset();
+        s.reset();
         opt.step();
         opt.zero_grad();
-        pass.terms.total
+        total
     };
 
     c.bench_function("train_step_fig4_batch8", |bch| bch.iter(|| black_box(step())));

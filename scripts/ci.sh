@@ -63,7 +63,15 @@ grep -Eq '^(sched\.job;)?train\.fit' target/ci_flame.txt
 cargo run -q --release -p muse-trace -- diff target/ci_eval_trace.jsonl target/ci_eval_trace.jsonl >/dev/null
 # the backward pass must dominate the exact span profile
 grep -q 'dominant: .*backward' target/ci_trace_report.txt
-echo "    report, flame, self-diff OK; backward pass dominant"
+# per-op backward histograms keep their names (they export as
+# muse_autograd_backward_<op>_seconds)
+for op in conv2d kl_between_fused; do
+    grep -q "\"autograd.backward.$op\"" target/ci_eval_trace.jsonl || {
+        echo "autograd.backward.$op histogram missing from the fig4 trace" >&2
+        exit 1
+    }
+done
+echo "    report, flame, self-diff OK; backward pass dominant; per-op backward histograms present"
 
 echo "==> live /metrics endpoint: serve, scrape, validate exposition"
 METRICS_ADDR=127.0.0.1:19664
