@@ -167,6 +167,7 @@ fn main() {
         ("version".to_string(), env!("CARGO_PKG_VERSION").to_string()),
         ("simd_level".to_string(), muse_tensor::simd::level_name().to_string()),
         ("threads".to_string(), muse_parallel::current_threads().to_string()),
+        ("crt_static".to_string(), cfg!(target_feature = "crt-static").to_string()),
     ]);
     // A live exporter implies telemetry: enable collection so /metrics has
     // counters to show even without a trace file.
@@ -201,6 +202,7 @@ fn main() {
                 ("dataset", args.dataset.map(|p| format!("{p:?}")).as_deref().unwrap_or("all").to_json()),
                 ("threads", Json::Num(muse_parallel::current_threads() as f64)),
                 ("jobs", Json::Num(muse_parallel::current_jobs() as f64)),
+                ("crt_static", cfg!(target_feature = "crt-static").to_json()),
                 ("simd", Json::Str(muse_tensor::simd::level_name().to_string())),
                 ("metrics_addr", server.as_ref().map_or(Json::Null, |s| Json::Str(s.addr().to_string()))),
                 (

@@ -271,14 +271,17 @@ mod tests {
     use muse_traffic::{GridMap, SubSeriesSpec};
     use musenet::{MuseNet, MuseNetConfig};
 
-    fn boot() -> Server {
+    fn engine() -> Arc<Engine> {
         let spec = SubSeriesSpec { lc: 2, lp: 1, lt: 1, intervals_per_day: 2, trend_days: 7 };
         let mut cfg = MuseNetConfig::cpu_profile(GridMap::new(2, 3), spec);
         cfg.d = 4;
         cfg.k = 8;
         cfg.seed = 3;
-        let engine = Arc::new(Engine::new(MuseNet::new(cfg), EngineOptions::default()));
-        Server::start(engine, ServerOptions::default()).unwrap()
+        Arc::new(Engine::new(MuseNet::new(cfg), EngineOptions::default()))
+    }
+
+    fn boot() -> Server {
+        Server::start(engine(), ServerOptions::default()).unwrap()
     }
 
     fn raw(addr: SocketAddr, payload: &[u8]) -> String {
@@ -469,6 +472,19 @@ mod tests {
         let build = stats.get("build").expect("stats carries build info");
         assert_eq!(build.get("version").unwrap().as_str(), Some("0.0.0-test"));
         obs::serve::set_build_info(Vec::new());
+    }
+
+    #[test]
+    fn binds_and_answers_by_host_name() {
+        // A statically linked libc still resolves names (through NSS modules
+        // loaded at run time): both the bind and the connect go by name.
+        let _g = obs::test_lock();
+        let server =
+            Server::start(engine(), ServerOptions { addr: "localhost:0".to_string(), workers: 1 }).unwrap();
+        assert!(server.addr().ip().is_loopback(), "{}", server.addr());
+        let (status, _, body) = fetch(("localhost", server.addr().port()), "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"ready\""), "{body}");
     }
 
     #[test]

@@ -105,6 +105,7 @@ fn main() {
         ("version".to_string(), env!("CARGO_PKG_VERSION").to_string()),
         ("simd_level".to_string(), muse_tensor::simd::level_name().to_string()),
         ("threads".to_string(), muse_parallel::current_threads().to_string()),
+        ("crt_static".to_string(), cfg!(target_feature = "crt-static").to_string()),
     ]);
 
     let engine_opts = EngineOptions { quality: args.quality.clone(), spectral_every: args.spectral_every };
@@ -152,6 +153,7 @@ fn main() {
                 ("max_horizon", info.max_horizon.to_json()),
                 ("workers", args.workers.to_json()),
                 ("threads", muse_parallel::current_threads().to_json()),
+                ("crt_static", cfg!(target_feature = "crt-static").to_json()),
                 ("simd", Json::Str(muse_tensor::simd::level_name().to_string())),
                 ("version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),
             ],

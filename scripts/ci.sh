@@ -151,6 +151,12 @@ serve_checks() {
     grep -q '^muse_serve_rollout_memo_hits_total' target/ci_serve_metrics.txt
     grep -q '^muse_serve_panics_total' target/ci_serve_metrics.txt
     grep -q '^muse_build_info{' target/ci_serve_metrics.txt
+    # .cargo/config.toml links libc statically: a deleted config, or a
+    # RUSTFLAGS that replaces its flags, maps five shared objects again.
+    grep -q '^muse_build_info{.*crt_static="true"' target/ci_serve_metrics.txt || {
+        echo "muse-serve is not statically linked: $(grep '^muse_build_info' target/ci_serve_metrics.txt)" >&2
+        exit 1
+    }
     # Resident memory, read from /proc/self/status at scrape time: data
     # (anonymous pages) and code (file-backed pages) apart, and the peak.
     for family in muse_process_resident_anon_bytes muse_process_resident_file_bytes \
